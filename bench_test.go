@@ -191,6 +191,7 @@ func BenchmarkFig6Latency(b *testing.B) {
 func BenchmarkTable6RegionSize(b *testing.B) {
 	dmvFixture(b)
 	est := core.NewEstimator(fx.dmvNaru, 1000, 1)
+	est.EnumThreshold = 0 // EstimateRegion always samples; Enumerate is called directly
 	// A moderately sized region both algorithms can handle.
 	q := query.Query{Preds: []query.Predicate{
 		{Col: 0, Op: query.OpEq, Code: 1},
@@ -208,7 +209,7 @@ func BenchmarkTable6RegionSize(b *testing.B) {
 	})
 	b.Run("ProgressiveSample", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			est.ProgressiveSample(reg, 1000)
+			est.EstimateRegion(reg)
 		}
 	})
 }
@@ -336,6 +337,7 @@ func BenchmarkAblationEmbedReuse(b *testing.B) {
 func BenchmarkAblationUniformVsProgressive(b *testing.B) {
 	dmvFixture(b)
 	est := core.NewEstimator(fx.dmvNaru, 1000, 1)
+	est.EnumThreshold = 0 // always sample
 	reg := fx.dmvW.Regions[0]
 	b.Run("uniform", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -344,7 +346,7 @@ func BenchmarkAblationUniformVsProgressive(b *testing.B) {
 	})
 	b.Run("progressive", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			est.ProgressiveSample(reg, 1000)
+			est.EstimateRegion(reg)
 		}
 	})
 }

@@ -249,7 +249,7 @@ func (b *Breaker) Reject(q Query, fb func(*Region) float64) Result {
 			res.Err = errors.Join(ErrBreakerOpen, err)
 		}
 	}
-	v.sampler.ObserveBreakerReject(&res, time.Since(start))
+	v.sampler.Observe(obs.PathBreaker, &res, time.Since(start))
 	return res
 }
 

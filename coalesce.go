@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // ErrShed tags a query rejected by the coalescer's admission control: the
@@ -153,7 +155,7 @@ func (c *Coalescer) shed(q Query, start time.Time) Result {
 			res.Err = errors.Join(ErrShed, err)
 		}
 	}
-	v.sampler.ObserveShed(&res, time.Since(start))
+	v.sampler.Observe(obs.PathShed, &res, time.Since(start))
 	return res
 }
 
@@ -212,7 +214,7 @@ func (c *Coalescer) dispatch(batch []coalesceReq) {
 			// the failed-path metrics and trace ring exactly like queries that
 			// fail inside the sampler (EstimateBatchCtx's accounting).
 			res := Result{Source: SourceFailed, Err: err, ModelVersion: v.id}
-			v.sampler.ObserveFailure(&res, time.Since(req.start))
+			v.sampler.Observe(obs.PathFailed, &res, time.Since(req.start))
 			req.ch <- res
 			continue
 		}

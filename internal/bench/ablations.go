@@ -59,6 +59,7 @@ func UniformVsProgressive(out io.Writer, cfg Config) {
 	w := mustWorkload(t, query.DefaultGeneratorConfig(), cfg.Seed+100, minInt(cfg.NumQueries, 80))
 	m := TrainNaru(t, DMVModelConfig(cfg.Seed), cfg.Epochs, cfg.Seed+200)
 	est := core.NewEstimator(m, 1000, cfg.Seed+7)
+	est.EnumThreshold = 0 // progressive sampling on every query, never enumeration
 
 	n := float64(t.NumRows())
 	var uniErrs, progErrs []float64
@@ -70,7 +71,7 @@ func UniformVsProgressive(out io.Writer, cfg Config) {
 			uniZeros++
 		}
 		uniErrs = append(uniErrs, metrics.QError(u*n, truth))
-		p := est.ProgressiveSample(reg, 1000)
+		p := est.EstimateRegion(reg)
 		progErrs = append(progErrs, metrics.QError(p*n, truth))
 	}
 	fmt.Fprintf(out, "\nUniform vs progressive sampling on DMV (§5.1, same model, 1000 samples, %d queries)\n", len(w.Regions))

@@ -62,13 +62,14 @@ func benchRegion(b *testing.B, t *table.Table) *query.Region {
 	return reg
 }
 
-func BenchmarkProgressiveSample1000(b *testing.B) {
+func BenchmarkSample1000(b *testing.B) {
 	t := benchTable(b, 10000)
 	est := NewEstimator(benchModel(b, t), 1000, 1)
+	est.EnumThreshold = 0 // always sample
 	reg := benchRegion(b, t)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		est.ProgressiveSample(reg, 1000)
+		est.EstimateRegion(reg)
 	}
 }
 
@@ -88,13 +89,14 @@ func BenchmarkEnumerateSmallRegion(b *testing.B) {
 	}
 }
 
-func BenchmarkOracleProgressiveSample(b *testing.B) {
+func BenchmarkOracleSample1000(b *testing.B) {
 	t := benchTable(b, 10000)
 	est := NewEstimator(NewOracle(t), 1000, 1)
+	est.EnumThreshold = 0
 	reg := benchRegion(b, t)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		est.ProgressiveSample(reg, 1000)
+		est.EstimateRegion(reg)
 	}
 }
 

@@ -162,12 +162,13 @@ func TestProgressiveSamplingUnbiasedWithOracle(t *testing.T) {
 	tbl := corrTable(t, 3000, 5)
 	o := NewOracle(tbl)
 	est := NewEstimator(o, 4000, 42)
+	est.EnumThreshold = 0 // always sample
 	gen := query.NewGenerator(tbl, query.GeneratorConfig{MinFilters: 2, MaxFilters: 4, SmallDomainThreshold: 5}, 7)
 	for i := 0; i < 15; i++ {
 		q := gen.Next()
 		reg := mustRegion(t, q, tbl)
 		truth := query.Selectivity(reg, tbl)
-		got := est.ProgressiveSample(reg, 4000)
+		got := est.EstimateRegion(reg)
 		if truth == 0 {
 			if got > 1e-6 {
 				t.Fatalf("query %d: truth 0, estimate %v", i, got)
@@ -261,7 +262,9 @@ func TestNoisyOracleDegradesEstimates(t *testing.T) {
 	gen := query.NewGenerator(tbl, query.GeneratorConfig{MinFilters: 2, MaxFilters: 3, SmallDomainThreshold: 5}, 3)
 	var exactErr, noisyErr float64
 	exact := NewEstimator(o, 2000, 1)
+	exact.EnumThreshold = 0 // always sample
 	noisy := NewEstimator(NewNoisyOracle(o, 0.95), 2000, 1)
+	noisy.EnumThreshold = 0
 	for i := 0; i < 10; i++ {
 		q := gen.Next()
 		reg := mustRegion(t, q, tbl)
@@ -269,8 +272,8 @@ func TestNoisyOracleDegradesEstimates(t *testing.T) {
 		if truth == 0 {
 			continue
 		}
-		exactErr += qerr(exact.ProgressiveSample(reg, 2000), truth)
-		noisyErr += qerr(noisy.ProgressiveSample(reg, 2000), truth)
+		exactErr += qerr(exact.EstimateRegion(reg), truth)
+		noisyErr += qerr(noisy.EstimateRegion(reg), truth)
 	}
 	if noisyErr <= exactErr {
 		t.Fatalf("heavy noise did not degrade accuracy: exact %v noisy %v", exactErr, noisyErr)

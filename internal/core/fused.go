@@ -29,7 +29,7 @@ var siteFusedWalk = faultinject.Site("core.fused.walk")
 //
 // Determinism is the load-bearing wall: each query's chunk k draws from the
 // stream seeded by mixSeed(seedFor(q), k) — exactly the streams the
-// sequential anytime path uses — and the model's block decode is
+// per-query walk (walkPaths) uses — and the model's block decode is
 // row-independent, so a query's estimate is bit-identical no matter which
 // queries it shared blocks with, how tall the blocks were, or whether it was
 // served fused at all.
@@ -61,26 +61,9 @@ const maxFusedRows = 2048
 // goroutines: below it the handoff overhead exceeds the per-row model work.
 const rowShardMin = 512
 
-// fusedQuery is one sampling query's accumulation state across waves.
-type fusedQuery struct {
-	i     int // position in the batch
-	q     uint64
-	reg   *query.Region
-	first int       // first restricted model position
-	last  int       // last restricted model position
-	valid [][]int32 // per-position valid-code lists, privately owned
-
-	sum, sumsq   float64
-	done, chunks int
-
-	res      Result
-	finished bool
-	retireAt time.Time
-}
-
 // fusedLane is one chunk of one query inside a block walk.
 type fusedLane struct {
-	fq    *fusedQuery
+	fq    *sampleQuery
 	chunk int // chunk index within the query (seeds the lane RNG)
 	n     int // rows
 	r0    int // row offset within its block, assigned at pack time
@@ -156,7 +139,7 @@ func (e *Estimator) getFusedState() *fusedState {
 // every active query contributes 2 chunks, then 4 more, then everything
 // left. The first two boundaries are where the adaptive budget
 // (ServeOptions.TargetRelStdErr) may retire a query — the same boundaries
-// targetWaveBoundary pins for the sequential path.
+// targetWaveBoundary pins for the per-query walk.
 var fusedWaves = [3][2]int{{0, 2}, {2, 6}, {6, math.MaxInt32}}
 
 // EstimateFused serves the whole batch through the fused cross-query
@@ -166,7 +149,7 @@ var fusedWaves = [3][2]int{{0, 2}, {2, 6}, {6, math.MaxInt32}}
 // options — including adaptive-budget early stops — because both paths
 // consume identical per-(query, chunk) RNG streams and check TargetRelStdErr
 // at identical boundaries. Deadline and cancellation are honored between
-// blocks; affected queries degrade exactly like the sequential anytime path
+// blocks; affected queries degrade exactly like the per-query walk
 // (timing-dependent, so degraded budgets — unlike full-budget and
 // target-stopped results — are not bit-reproducible).
 //
@@ -216,28 +199,19 @@ func (e *Estimator) EstimateFused(ctx context.Context, regions []*query.Region, 
 
 	base := e.nextQuery.Add(uint64(len(regions))) - uint64(len(regions))
 	start := time.Now()
-	var deadline time.Time
-	if opts.Deadline > 0 {
-		deadline = start.Add(opts.Deadline)
-	}
-	if dl, ok := ctx.Deadline(); ok && (deadline.IsZero() || dl.Before(deadline)) {
-		deadline = dl
-	}
+	deadline := queryDeadline(ctx, &opts, start)
 
-	// Classify: empty and enumerable queries are answered inline (their work
-	// is bounded and fusion buys nothing); sampling queries join the fused
-	// walk.
-	pend := make([]*fusedQuery, 0, len(regions))
+	// Classify: failures, empty and enumerable queries are answered inline
+	// (their work is bounded and fusion buys nothing); sampling queries join
+	// the fused walk.
+	pend := make([]*sampleQuery, 0, len(regions))
 	for i, reg := range regions {
-		fq := e.classifyFused(ctx, sc, reg, base+uint64(i), i, &opts, &out[i])
+		fq, res := e.classify(ctx, sc, reg, nil, base+uint64(i), i, &opts)
 		if fq != nil {
 			pend = append(pend, fq)
-		} else {
-			out[i].ModelVersion = e.version.Load()
-			if e.obs.reg != nil {
-				e.observeServed(&out[i], regions[i], opts.Deadline, time.Since(start))
-			}
+			continue
 		}
+		out[i] = e.routeFallback(res, reg, &opts, time.Since(start))
 	}
 
 	if len(pend) > 0 {
@@ -259,11 +233,7 @@ func (e *Estimator) EstimateFused(ctx context.Context, regions []*query.Region, 
 		}
 	}
 	for _, fq := range pend {
-		res := e.routeFallback(fq.res, fq.reg, &opts)
-		out[fq.i] = res
-		if e.obs.reg != nil {
-			e.observeServed(&res, fq.reg, opts.Deadline, fq.retireAt.Sub(start))
-		}
+		out[fq.i] = e.routeFallback(fq.res, fq.reg, &opts, fq.retireAt.Sub(start))
 	}
 	return out
 }
@@ -277,28 +247,28 @@ func (e *Estimator) EstimateFused(ctx context.Context, regions []*query.Region, 
 // contained to it — walkBlock's recover re-serves that shard's unfinished
 // queries individually, and a panic escaping the wave bookkeeping itself is
 // caught here with the same re-serve, so other shards never notice.
-func (e *Estimator) runFusedShards(ctx context.Context, pend []*fusedQuery, shards, inner int, deadline time.Time, opts *ServeOptions) {
-	groups := make([][]*fusedQuery, shards)
+func (e *Estimator) runFusedShards(ctx context.Context, pend []*sampleQuery, shards, inner int, deadline time.Time, opts *ServeOptions) {
+	groups := make([][]*sampleQuery, shards)
 	for i, fq := range pend {
 		groups[i%shards] = append(groups[i%shards], fq)
 	}
 	var wg sync.WaitGroup
 	for _, group := range groups {
 		wg.Add(1)
-		go func(group []*fusedQuery) {
+		go func(group []*sampleQuery) {
 			defer wg.Done()
 			wsc := e.acquire()
 			defer e.release(wsc)
 			defer func() {
 				if r := recover(); r != nil {
-					e.reserveIndividually(ctx, wsc, group, opts)
+					e.reserveIndividually(ctx, wsc, group, deadline, opts)
 				}
 			}()
 			wbm, ok := wsc.model.(BlockModel)
 			if !ok {
 				// A replica that lost the block interface (shouldn't happen —
 				// forks share the parent's type) still gets correct answers.
-				e.reserveIndividually(ctx, wsc, group, opts)
+				e.reserveIndividually(ctx, wsc, group, deadline, opts)
 				return
 			}
 			st := e.getFusedState()
@@ -310,72 +280,13 @@ func (e *Estimator) runFusedShards(ctx context.Context, pend []*fusedQuery, shar
 	wg.Wait()
 }
 
-// classifyFused dispatches one query: inline answers (empty, enumeration,
-// errors) land in *res and return nil; sampling queries return their fused
-// state. Panics in the hook or enumeration are contained per query.
-func (e *Estimator) classifyFused(ctx context.Context, sc *scratch, reg *query.Region, q uint64, i int, opts *ServeOptions, res *Result) (fq *fusedQuery) {
-	defer func() {
-		if r := recover(); r != nil {
-			fq = nil
-			*res = Result{Source: SourceFailed, Err: fmt.Errorf("%w: query %d: %v", ErrPanicked, i, r)}
-		}
-	}()
-	if opts.BeforeQuery != nil {
-		opts.BeforeQuery(i)
-	}
-	if err := faultinject.Point(siteServeQuery); err != nil {
-		*res = Result{Source: SourceFailed, Err: err}
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		*res = Result{Source: SourceFailed, Err: err}
-		return nil
-	}
-	if len(reg.Cols) != sc.model.NumCols() {
-		*res = Result{Source: SourceFailed, Err: fmt.Errorf("core: region over %d columns, model has %d",
-			len(reg.Cols), sc.model.NumCols())}
-		return nil
-	}
-	if reg.IsEmpty() {
-		*res = Result{Source: SourceModel}
-		return nil
-	}
-	if size := e.regionSizeRestricted(reg); size <= e.EnumThreshold {
-		*res = Result{Sel: e.enumerate(sc, reg), Source: SourceModel}
-		return nil
-	}
-	fq = &fusedQuery{i: i, q: q, reg: reg, first: -1, last: -1}
-	for p := 0; p < len(reg.Cols); p++ {
-		if !reg.Cols[e.colAt(p)].IsAll() {
-			if fq.first < 0 {
-				fq.first = p
-			}
-			fq.last = p
-		}
-	}
-	// Privately owned valid lists: many queries are in flight at once, so
-	// the scratch's shared per-column lists cannot be reused here.
-	fq.valid = make([][]int32, fq.last+1)
-	for p := 0; p <= fq.last; p++ {
-		cr := &reg.Cols[e.colAt(p)]
-		vs := make([]int32, 0, cr.Count)
-		for c, ok := range cr.Valid {
-			if ok {
-				vs = append(vs, int32(c))
-			}
-		}
-		fq.valid[p] = vs
-	}
-	return fq
-}
-
 // runFusedWaves drives the pending sampling queries to completion: three
 // admission waves, each packed into blocks of at most maxFusedRows rows. A
 // panic inside a block poisons the whole block's model state, so every
 // still-unfinished query is re-served individually (same query indices →
 // same chunk streams → same answers), keeping the failure contained to the
 // query that caused it.
-func (e *Estimator) runFusedWaves(ctx context.Context, sc *scratch, bm BlockModel, st *fusedState, pend []*fusedQuery, deadline time.Time, opts *ServeOptions) {
+func (e *Estimator) runFusedWaves(ctx context.Context, sc *scratch, bm BlockModel, st *fusedState, pend []*sampleQuery, deadline time.Time, opts *ServeOptions) {
 	skip := e.skipEnabled(sc.model)
 	nc := sc.model.NumCols()
 	for _, wave := range fusedWaves {
@@ -432,13 +343,13 @@ func (e *Estimator) runFusedWaves(ctx context.Context, sc *scratch, bm BlockMode
 				k = 1 // a single over-tall lane cannot happen (chunk ≤ block), but never stall
 			}
 			if err := e.walkBlock(bm, st, lanes[:k], nc, skip); err != nil {
-				e.reserveIndividually(ctx, sc, pend, opts)
+				e.reserveIndividually(ctx, sc, pend, deadline, opts)
 				return
 			}
 			lanes = lanes[k:]
 		}
 		// Wave boundary: retire completed queries; consult the adaptive
-		// budget at the same chunk counts the sequential path does.
+		// budget at the same chunk counts the per-query walk does.
 		alive := false
 		for _, fq := range pend {
 			if fq.finished {
@@ -460,7 +371,7 @@ func (e *Estimator) runFusedWaves(ctx context.Context, sc *scratch, bm BlockMode
 	}
 }
 
-func (fq *fusedQuery) finish(res Result) {
+func (fq *sampleQuery) finish(res Result) {
 	fq.res = res
 	fq.finished = true
 	fq.retireAt = time.Now()
@@ -469,7 +380,7 @@ func (fq *fusedQuery) finish(res Result) {
 // stopFused finalizes every unfinished query after a batch-wide stop
 // (deadline or cancellation): queries with completed chunks degrade to the
 // anytime estimate, queries with none fail.
-func (e *Estimator) stopFused(pend []*fusedQuery, stop StopReason, err error) {
+func (e *Estimator) stopFused(pend []*sampleQuery, stop StopReason, err error) {
 	for _, fq := range pend {
 		if fq.finished {
 			continue
@@ -482,23 +393,18 @@ func (e *Estimator) stopFused(pend []*fusedQuery, stop StopReason, err error) {
 	}
 }
 
-// reserveIndividually re-runs every unfinished query through the sequential
-// per-query path after a block panic. Chunk streams are keyed by (query,
-// chunk), so restarting a query from chunk 0 reproduces exactly what the
-// fused walk would have produced; the panicking query fails alone with
-// ErrPanicked.
-func (e *Estimator) reserveIndividually(ctx context.Context, sc *scratch, pend []*fusedQuery, opts *ServeOptions) {
-	// The hook already ran once per query during classification; don't
-	// re-trigger fault injection on the retry.
-	retry := *opts
-	retry.BeforeQuery = nil
+// reserveIndividually re-runs every unfinished query through the per-query
+// walk after a block panic. Chunk streams are keyed by (query, chunk), so
+// restarting a query from chunk 0 reproduces exactly what the fused walk
+// would have produced; the panicking query fails alone with ErrPanicked.
+func (e *Estimator) reserveIndividually(ctx context.Context, sc *scratch, pend []*sampleQuery, deadline time.Time, opts *ServeOptions) {
 	for _, fq := range pend {
 		if fq.finished {
 			continue
 		}
 		e.obs.fusedReserved.Inc()
 		fq.sum, fq.sumsq, fq.done, fq.chunks = 0, 0, 0, 0
-		fq.finish(e.serveOne(ctx, sc, fq.reg, fq.q, fq.i, &retry))
+		fq.finish(e.walkPaths(ctx, sc, fq, deadline, opts.TargetRelStdErr))
 	}
 }
 
@@ -772,15 +678,10 @@ func (e *Estimator) walkBlock(bm BlockModel, st *fusedState, lanes []*fusedLane,
 	}
 	// Fold the lanes' weights back into their queries. Lane order within a
 	// query is chunk order (the stable sort keeps it), so the accumulation
-	// order — and therefore every bit of sum and sumsq — matches the
-	// sequential chunk loop.
+	// order — and therefore every bit of sum and sumsq — matches walkPaths'
+	// chunk loop.
 	for _, ln := range lanes {
-		for _, w := range weights[ln.r0 : ln.r0+ln.n] {
-			ln.fq.sum += w
-			ln.fq.sumsq += w * w
-		}
-		ln.fq.done += ln.n
-		ln.fq.chunks++
+		ln.fq.add(weights[ln.r0 : ln.r0+ln.n])
 	}
 	e.obs.fusedBlocks.Inc()
 	return nil

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/faultinject"
 	"repro/internal/made"
 	"repro/internal/obs"
 	"repro/internal/query"
@@ -115,6 +116,38 @@ func TestEstimateFusedAdaptiveBudget(t *testing.T) {
 	}
 	if early == 0 {
 		t.Fatal("no query stopped at the accuracy target; loosen the target or widen the workload")
+	}
+}
+
+// TestEstimateFusedFallbackBeforeSampling: a query that fails before it
+// samples (here a panicking BeforeQuery hook) is answered by the fallback on
+// the fused path exactly as on the per-query path — both walks share one
+// classifier and send every inline result through routeFallback.
+func TestEstimateFusedFallbackBeforeSampling(t *testing.T) {
+	tbl := corrTable(t, 1500, 3)
+	regs := batchRegions(t, tbl)
+	domains := tbl.DomainSizes()
+	const samples, seed = 96, 7
+	opts := ServeOptions{
+		Workers:     1,
+		BeforeQuery: faultinject.PanicOn(2),
+		Fallback:    func(*query.Region) float64 { return 0.125 },
+	}
+
+	seq := NewEstimator(testMADE(domains), samples, seed)
+	seq.EnumThreshold = 40
+	want := seq.EstimateBatchCtx(context.Background(), regs, opts)
+
+	fused := NewEstimator(testMADE(domains), samples, seed)
+	fused.EnumThreshold = 40
+	got := fused.EstimateFused(context.Background(), regs, opts)
+	for i := range want {
+		if got[i].Source != want[i].Source || got[i].Sel != want[i].Sel {
+			t.Fatalf("query %d: fused %v %v, per-query %v %v", i, got[i].Source, got[i].Sel, want[i].Source, want[i].Sel)
+		}
+	}
+	if got[2].Source != SourceFallback || got[2].Sel != 0.125 {
+		t.Fatalf("panicked query 2: %v %v, want fallback 0.125", got[2].Source, got[2].Sel)
 	}
 }
 
@@ -464,10 +497,9 @@ func TestEstimateFusedWalkZeroAlloc(t *testing.T) {
 	// order it. 3×48 = 144 rows: tall enough to exercise multi-lane packing,
 	// short enough that every kernel product stays serial.
 	opts := ServeOptions{}
-	var res Result
 	lanes := make([]*fusedLane, 0, len(regs))
 	for i, reg := range regs {
-		fq := e.classifyFused(context.Background(), sc, reg, uint64(1000+i), i, &opts, &res)
+		fq, _ := e.classify(context.Background(), sc, reg, nil, uint64(1000+i), i, &opts)
 		if fq == nil {
 			continue
 		}

@@ -38,14 +38,7 @@ const (
 type estObs struct {
 	reg              *obs.Registry
 	queries          *obs.Counter
-	pathEnum         *obs.Counter
-	pathSample       *obs.Counter
-	pathEmpty        *obs.Counter
-	pathDegraded     *obs.Counter
-	pathFallback     *obs.Counter
-	pathFailed       *obs.Counter
-	pathShed         *obs.Counter
-	pathBreaker      *obs.Counter
+	paths            map[string]*obs.Counter // obs.Path* -> its path counter
 	panicsRecovered  *obs.Counter
 	samplesRequested *obs.Counter
 	samplesCompleted *obs.Counter
@@ -69,16 +62,18 @@ func (e *Estimator) SetObserver(r *obs.Registry) {
 		return
 	}
 	e.obs = estObs{
-		reg:              r,
-		queries:          r.Counter(metricQueries),
-		pathEnum:         r.Counter(metricPathEnum),
-		pathSample:       r.Counter(metricPathSample),
-		pathEmpty:        r.Counter(metricPathEmpty),
-		pathDegraded:     r.Counter(metricPathDegraded),
-		pathFallback:     r.Counter(metricPathFallback),
-		pathFailed:       r.Counter(metricPathFailed),
-		pathShed:         r.Counter(metricPathShed),
-		pathBreaker:      r.Counter(metricPathBreaker),
+		reg:     r,
+		queries: r.Counter(metricQueries),
+		paths: map[string]*obs.Counter{
+			obs.PathEnum:     r.Counter(metricPathEnum),
+			obs.PathSample:   r.Counter(metricPathSample),
+			obs.PathEmpty:    r.Counter(metricPathEmpty),
+			obs.PathDegraded: r.Counter(metricPathDegraded),
+			obs.PathFallback: r.Counter(metricPathFallback),
+			obs.PathFailed:   r.Counter(metricPathFailed),
+			obs.PathShed:     r.Counter(metricPathShed),
+			obs.PathBreaker:  r.Counter(metricPathBreaker),
+		},
 		panicsRecovered:  r.Counter(metricPanicsRecovered),
 		samplesRequested: r.Counter(metricSamplesRequested),
 		samplesCompleted: r.Counter(metricSamplesCompleted),
@@ -92,64 +87,46 @@ func (e *Estimator) SetObserver(r *obs.Registry) {
 // Observer returns the attached registry (nil when observability is off).
 func (e *Estimator) Observer() *obs.Registry { return e.obs.reg }
 
-// observeDirect records one query served by the direct (non-ctx) path:
-// EstimateRegion, EstimateBatch, EstimateWithError.
-func (e *Estimator) observeDirect(path string, sel, stderr float64, completed int, elapsed time.Duration) {
-	o := &e.obs
-	o.queries.Inc()
-	requested := 0
-	switch path {
-	case obs.PathEnum:
-		o.pathEnum.Inc()
-	case obs.PathEmpty:
-		o.pathEmpty.Inc()
-	case obs.PathSample:
-		o.pathSample.Inc()
-		requested = e.samples
-	}
-	o.samplesRequested.Add(uint64(requested))
-	o.samplesCompleted.Add(uint64(completed))
-	o.latency.ObserveDuration(elapsed)
-	o.reg.RecordTrace(obs.QueryTrace{
-		Path:         path,
-		Requested:    requested,
-		Completed:    completed,
-		Sel:          sel,
-		StdErr:       stderr,
-		LatencyNS:    elapsed.Nanoseconds(),
-		ModelVersion: e.version.Load(),
-	})
-}
-
-// observeServed records one query served by the fault-tolerant path
-// (EstimateBatchCtx), after fallback routing has resolved the final Result.
+// observeServed records one query served by either walk, after fallback
+// routing has resolved the final Result.
 func (e *Estimator) observeServed(res *Result, reg *query.Region, deadline time.Duration, elapsed time.Duration) {
-	o := &e.obs
-	o.queries.Inc()
-	path := obs.PathSample
-	requested := e.samples
+	path, requested := obs.PathSample, e.samples
 	switch res.Source {
 	case SourceModel:
 		switch {
 		case reg.IsEmpty():
 			path, requested = obs.PathEmpty, 0
-			o.pathEmpty.Inc()
 		case res.Samples == 0:
 			path, requested = obs.PathEnum, 0
-			o.pathEnum.Inc()
-		default:
-			o.pathSample.Inc()
 		}
 	case SourceDegraded:
 		path = obs.PathDegraded
-		o.pathDegraded.Inc()
 	case SourceFallback:
 		path = obs.PathFallback
-		o.pathFallback.Inc()
 	case SourceFailed:
 		path = obs.PathFailed
-		o.pathFailed.Inc()
 	}
+	e.record(path, requested, res, deadline, elapsed)
+}
+
+// Observe records a query answered on path (one of the obs.Path* constants)
+// without reaching a walk — the request coalescer's sheds and compile
+// errors, the circuit breaker's rejections — so it is counted and traced
+// exactly like a served query. res carries the answer the caller returns.
+// A no-op without an attached registry.
+func (e *Estimator) Observe(path string, res *Result, elapsed time.Duration) {
+	if e.obs.reg != nil {
+		e.record(path, 0, res, 0, elapsed)
+	}
+}
+
+// record is the one place a query reaches the metric families and the trace
+// ring: its path counter, the recovered-panic and sample-budget counters, the
+// latency histogram, and a trace record.
+func (e *Estimator) record(path string, requested int, res *Result, deadline, elapsed time.Duration) {
+	o := &e.obs
+	o.queries.Inc()
+	o.paths[path].Inc()
 	recovered := errors.Is(res.Err, ErrPanicked)
 	if recovered {
 		o.panicsRecovered.Inc()
@@ -170,84 +147,6 @@ func (e *Estimator) observeServed(res *Result, reg *query.Region, deadline time.
 	}
 	if deadline > 0 {
 		tr.DeadlineSlackNS = (deadline - elapsed).Nanoseconds()
-	}
-	if res.Err != nil {
-		tr.Err = res.Err.Error()
-	}
-	o.reg.RecordTrace(tr)
-}
-
-// ObserveShed records a query that admission control rejected before it
-// reached the model (the request coalescer's queue-depth shedding), so shed
-// load shows up in the same metric families and trace ring as served load.
-// res carries the answer the caller produced instead (the fallback estimate,
-// or a failure). A no-op without an attached registry.
-func (e *Estimator) ObserveShed(res *Result, elapsed time.Duration) {
-	o := &e.obs
-	if o.reg == nil {
-		return
-	}
-	o.queries.Inc()
-	o.pathShed.Inc()
-	o.latency.ObserveDuration(elapsed)
-	tr := obs.QueryTrace{
-		Path:         obs.PathShed,
-		Sel:          res.Sel,
-		LatencyNS:    elapsed.Nanoseconds(),
-		StopReason:   res.Stop.String(),
-		ModelVersion: res.ModelVersion,
-	}
-	if res.Err != nil {
-		tr.Err = res.Err.Error()
-	}
-	o.reg.RecordTrace(tr)
-}
-
-// ObserveFailure records a query that failed before its region ever reached
-// the sampling path — the coalescer's per-query compile errors — so failed
-// queries are counted and traced identically whether they die compiling or
-// estimating (EstimateBatchCtx counts its failures via observeServed; without
-// this, coalesced compile errors were invisible to /metrics and /traces).
-// res carries the failure the caller is about to return. A no-op without an
-// attached registry.
-func (e *Estimator) ObserveFailure(res *Result, elapsed time.Duration) {
-	o := &e.obs
-	if o.reg == nil {
-		return
-	}
-	o.queries.Inc()
-	o.pathFailed.Inc()
-	o.latency.ObserveDuration(elapsed)
-	tr := obs.QueryTrace{
-		Path:         obs.PathFailed,
-		Sel:          res.Sel,
-		LatencyNS:    elapsed.Nanoseconds(),
-		StopReason:   res.Stop.String(),
-		ModelVersion: res.ModelVersion,
-	}
-	if res.Err != nil {
-		tr.Err = res.Err.Error()
-	}
-	o.reg.RecordTrace(tr)
-}
-
-// ObserveBreakerReject records a query the open circuit breaker turned away
-// from the model path (res carries the fallback answer or failure), the
-// breaker's analogue of ObserveShed. A no-op without an attached registry.
-func (e *Estimator) ObserveBreakerReject(res *Result, elapsed time.Duration) {
-	o := &e.obs
-	if o.reg == nil {
-		return
-	}
-	o.queries.Inc()
-	o.pathBreaker.Inc()
-	o.latency.ObserveDuration(elapsed)
-	tr := obs.QueryTrace{
-		Path:         obs.PathBreaker,
-		Sel:          res.Sel,
-		LatencyNS:    elapsed.Nanoseconds(),
-		StopReason:   res.Stop.String(),
-		ModelVersion: res.ModelVersion,
 	}
 	if res.Err != nil {
 		tr.Err = res.Err.Error()

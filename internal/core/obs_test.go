@@ -11,11 +11,11 @@ import (
 	"repro/internal/query"
 )
 
-// TestEstimateWithErrorConcurrentAttribution pins the per-query stderr fix:
-// every concurrent EstimateWithError call must return the (sel, stderr) pair
-// of exactly one sequential query — never a stderr that belongs to a
+// TestStdErrConcurrentAttribution pins per-query stderr attribution: every
+// concurrent one-query EstimateBatchCtx call must return the (sel, stderr)
+// pair of exactly one sequential query — never a stderr that belongs to a
 // different goroutine's estimate. Run under -race.
-func TestEstimateWithErrorConcurrentAttribution(t *testing.T) {
+func TestStdErrConcurrentAttribution(t *testing.T) {
 	tbl := corrTable(t, 3000, 70)
 	reg := mustRegion(t, query.Query{Preds: []query.Predicate{
 		{Col: 0, Op: query.OpLe, Code: 5},
@@ -29,9 +29,13 @@ func TestEstimateWithErrorConcurrentAttribution(t *testing.T) {
 	seq := NewEstimator(NewOracle(tbl), 300, 7)
 	seq.EnumThreshold = 0
 	type pair struct{ sel, stderr float64 }
+	one := func(e *Estimator) (sel, stderr float64) {
+		res := e.EstimateBatchCtx(context.Background(), []*query.Region{reg}, ServeOptions{})[0]
+		return res.Sel, res.StdErr
+	}
 	want := make(map[pair]bool, n)
 	for i := 0; i < n; i++ {
-		sel, stderr := seq.EstimateWithError(reg)
+		sel, stderr := one(seq)
 		if stderr <= 0 {
 			t.Fatalf("query %d: sampling stderr = %v, want > 0", i, stderr)
 		}
@@ -49,7 +53,7 @@ func TestEstimateWithErrorConcurrentAttribution(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sel, stderr := conc.EstimateWithError(reg)
+			sel, stderr := one(conc)
 			got[i] = pair{sel, stderr}
 		}(i)
 	}

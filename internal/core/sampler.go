@@ -1,15 +1,15 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/query"
 )
 
@@ -58,10 +58,6 @@ type Estimator struct {
 	// trace this estimator produces (0 when versioning is not in use). It is
 	// set once at construction/installation time, before the estimator serves.
 	version atomic.Uint64
-
-	// lastStdErr is Float64bits of the Monte Carlo standard error of the
-	// most recently finished query; see LastStdErr.
-	lastStdErr atomic.Uint64
 
 	// obs holds pre-resolved metric handles (see SetObserver); the zero
 	// value disables collection at the cost of one branch per query.
@@ -240,8 +236,6 @@ func (e *Estimator) seedFor(q uint64) int64 {
 	return int64(z)
 }
 
-func (e *Estimator) storeStdErr(v float64) { e.lastStdErr.Store(math.Float64bits(v)) }
-
 // Name identifies the estimator in result tables (e.g. "Naru-2000").
 func (e *Estimator) Name() string { return fmt.Sprintf("Naru-%d", e.samples) }
 
@@ -253,100 +247,43 @@ func (e *Estimator) SizeBytes() int64 { return e.model.SizeBytes() }
 
 // EstimateRegion returns the estimated selectivity (a fraction in [0, 1]) of
 // the compiled query region, dispatching between enumeration and progressive
-// sampling exactly as §5 prescribes.
+// sampling exactly as §5 prescribes. It is a one-query EstimateBatch; see
+// EstimateBatch for how failures surface.
 func (e *Estimator) EstimateRegion(reg *query.Region) float64 {
-	q := e.nextQuery.Add(1) - 1
-	sc := e.acquire()
-	defer e.release(sc)
-	sel, _ := e.estimateObserved(sc, reg, q)
-	return sel
+	return e.EstimateBatch([]*query.Region{reg}, 1)[0]
 }
 
-// EstimateBatch estimates every region, fanning the queries across up to
-// workers goroutines (NumCPU when workers <= 0). Results are positionally
-// aligned with regions and bit-identical to what sequential EstimateRegion
-// calls on a fresh estimator with the same base seed would return.
+// EstimateBatch estimates every region through EstimateBatchCtx with up to
+// workers goroutines (NumCPU when workers <= 0) and no deadline or fallback.
+// Results are positionally aligned with regions and bit-identical to what
+// sequential EstimateRegion calls on a fresh estimator with the same base
+// seed would return. A region of the wrong width, or a model panic, panics
+// on the caller's goroutine; a query that fails otherwise (a non-finite
+// estimate, an injected fault) estimates 0. EstimateBatchCtx reports those
+// failures per query instead.
 func (e *Estimator) EstimateBatch(regions []*query.Region, workers int) []float64 {
-	out := make([]float64, len(regions))
-	if len(regions) == 0 {
-		return out
-	}
-	base := e.nextQuery.Add(uint64(len(regions))) - uint64(len(regions))
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(regions) {
-		workers = len(regions)
-	}
-	if workers == 1 {
-		sc := e.acquire()
-		defer e.release(sc)
-		for i, reg := range regions {
-			out[i], _ = e.estimateObserved(sc, reg, base+uint64(i))
+	for _, reg := range regions {
+		if err := e.checkWidth(reg); err != nil {
+			panic(err)
 		}
-		return out
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One scratch per worker for its whole run: acquiring per query
-			// costs a pool round-trip (and, for forkable models, rebroadcast
-			// of the replica's sampling state) on every iteration, which at
-			// small per-query cost erases the batching win.
-			sc := e.acquire()
-			defer e.release(sc)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(regions) {
-					return
-				}
-				out[i], _ = e.estimateObserved(sc, regions[i], base+uint64(i))
-			}
-		}()
+	res := e.EstimateBatchCtx(context.Background(), regions, ServeOptions{Workers: max(workers, 0)})
+	out := make([]float64, len(res))
+	for i, r := range res {
+		if errors.Is(r.Err, ErrPanicked) {
+			panic(r.Err)
+		}
+		out[i] = r.Sel
 	}
-	wg.Wait()
 	return out
 }
 
-// estimateObserved runs one query and, when a registry is attached, records
-// its latency, path, and trace. The timing never touches the query's seeded
-// RNG stream, so the estimate is bit-identical with observability on or off.
-func (e *Estimator) estimateObserved(sc *scratch, reg *query.Region, q uint64) (sel, stderr float64) {
-	if e.obs.reg == nil {
-		sel, stderr, _, _ = e.estimateAt(sc, reg, q)
-		return sel, stderr
+// checkWidth reports a region compiled for a different column count.
+func (e *Estimator) checkWidth(reg *query.Region) error {
+	if len(reg.Cols) != e.model.NumCols() {
+		return fmt.Errorf("core: region over %d columns, model has %d", len(reg.Cols), e.model.NumCols())
 	}
-	start := time.Now()
-	sel, stderr, path, completed := e.estimateAt(sc, reg, q)
-	e.observeDirect(path, sel, stderr, completed, time.Since(start))
-	return sel, stderr
-}
-
-// estimateAt runs one query, already assigned global index q, on scratch sc.
-// It returns the estimate together with its Monte Carlo standard error (0 on
-// the exact paths), the path taken (obs.Path* constant), and the number of
-// sample paths run — the per-query attribution that EstimateWithError and
-// the trace records rely on. The last-finished stderr is also mirrored into
-// the LastStdErr convenience slot.
-func (e *Estimator) estimateAt(sc *scratch, reg *query.Region, q uint64) (sel, stderr float64, path string, completed int) {
-	if len(reg.Cols) != sc.model.NumCols() {
-		panic(fmt.Sprintf("core: region over %d columns, model has %d",
-			len(reg.Cols), sc.model.NumCols()))
-	}
-	if reg.IsEmpty() {
-		e.storeStdErr(0)
-		return 0, 0, obs.PathEmpty, 0
-	}
-	if size := e.regionSizeRestricted(reg); size <= e.EnumThreshold {
-		sel = e.enumerate(sc, reg)
-		e.storeStdErr(0) // enumeration is exact with respect to the model
-		return sel, 0, obs.PathEnum, 0
-	}
-	sel, stderr = e.progressiveSample(sc, reg, e.samples, q)
-	return sel, stderr, obs.PathSample, e.samples
+	return nil
 }
 
 // regionSizeRestricted is the number of model evaluations enumeration would
@@ -368,23 +305,6 @@ func (e *Estimator) regionSizeRestricted(reg *query.Region) float64 {
 	return size
 }
 
-// regionSizeRestricted reports the enumeration workload of a region in
-// natural column order (the common case, kept as a free function for tests
-// and callers without an Estimator).
-func regionSizeRestricted(reg *query.Region) float64 {
-	last := -1
-	for i := range reg.Cols {
-		if !reg.Cols[i].IsAll() {
-			last = i
-		}
-	}
-	size := 1.0
-	for i := 0; i <= last; i++ {
-		size *= float64(reg.Cols[i].Count)
-	}
-	return size
-}
-
 // materializeValid fills sc.valid[i] with the sorted valid codes of model
 // position i for i < upTo, reusing the backing arrays across queries. The
 // per-column lists let the sampling loops touch exactly Count entries instead
@@ -395,16 +315,19 @@ func (e *Estimator) materializeValid(sc *scratch, reg *query.Region, upTo int) [
 	}
 	sc.valid = sc.valid[:upTo]
 	for i := 0; i < upTo; i++ {
-		cr := &reg.Cols[e.colAt(i)]
-		vs := sc.valid[i][:0]
-		for c, ok := range cr.Valid {
-			if ok {
-				vs = append(vs, int32(c))
-			}
-		}
-		sc.valid[i] = vs
+		sc.valid[i] = appendValid(sc.valid[i][:0], &reg.Cols[e.colAt(i)])
 	}
 	return sc.valid
+}
+
+// appendValid appends the valid codes of cr to dst in ascending order.
+func appendValid(dst []int32, cr *query.ColumnRange) []int32 {
+	for c, ok := range cr.Valid {
+		if ok {
+			dst = append(dst, int32(c))
+		}
+	}
+	return dst
 }
 
 // Enumerate sums model point densities over every discrete point of the
@@ -510,78 +433,6 @@ func (e *Estimator) sumDensityPrefix(sc *scratch, codes []int32, n, last int) fl
 	return s
 }
 
-// ProgressiveSample implements Algorithm 1 with S sample paths, batched: all
-// S partial tuples advance one column per model pass. The model's conditional
-// steers each path into the high-mass part of the query region; the product
-// of the per-column masses P̂(X_i ∈ Ri | x_<i) is the unbiased density
-// estimate (Theorem 1).
-func (e *Estimator) ProgressiveSample(reg *query.Region, s int) float64 {
-	q := e.nextQuery.Add(1) - 1
-	sc := e.acquire()
-	defer e.release(sc)
-	sel, _ := e.progressiveSample(sc, reg, s, q)
-	return sel
-}
-
-// progressiveSample returns the estimate and its Monte Carlo standard error,
-// computed from the spread of the per-path density estimates (the w_i are
-// i.i.d. unbiased estimates). The stderr travels back through the return
-// path so concurrent queries cannot mis-attribute each other's errors; the
-// shared LastStdErr slot is only the last-finished convenience mirror.
-//
-// The walk runs in independently seeded chunks keyed by (query, chunk) —
-// the same streams the anytime serving path and the fused cross-query
-// scheduler use — so a query's estimate is bit-identical across all three
-// entry points and never depends on how its samples were scheduled.
-func (e *Estimator) progressiveSample(sc *scratch, reg *query.Region, s int, q uint64) (sel, stderr float64) {
-	if reg.IsEmpty() {
-		e.storeStdErr(0)
-		return 0, 0 // an empty range has no valid code to steer toward
-	}
-	if s > e.samples {
-		s = e.samples
-	}
-	last, valid := e.restrictedPrefix(sc, reg)
-	var sum, sumsq float64
-	for done := 0; done < s; {
-		cn := s - done
-		if cn > anytimeChunk {
-			cn = anytimeChunk
-		}
-		sc.rng.Seed(mixSeed(e.seedFor(q), int64(done/anytimeChunk)))
-		e.walkPaths(sc, reg, cn, last, valid)
-		for _, w := range sc.weights[:cn] {
-			sum += w
-			sumsq += w * w
-		}
-		done += cn
-	}
-	mean := sum / float64(s)
-	if s > 1 {
-		if variance := (sumsq - sum*sum/float64(s)) / float64(s-1); variance > 0 {
-			stderr = math.Sqrt(variance / float64(s))
-		}
-	}
-	e.storeStdErr(stderr)
-	return clampProb(mean), stderr
-}
-
-// restrictedPrefix finds the last restricted model position and materializes
-// the per-column valid-code lists up to it. Trailing wildcards integrate to
-// exactly 1 under the chain rule (their conditionals sum out over the full
-// domain), so every sampling walk stops at the last restricted model
-// position — the same cutoff enumeration uses. A fully wildcarded region
-// returns last = -1 and the walk degenerates to mean weight 1.
-func (e *Estimator) restrictedPrefix(sc *scratch, reg *query.Region) (last int, valid [][]int32) {
-	last = -1
-	for i := 0; i < len(reg.Cols); i++ {
-		if !reg.Cols[e.colAt(i)].IsAll() {
-			last = i
-		}
-	}
-	return last, e.materializeValid(sc, reg, last+1)
-}
-
 // skipEnabled reports whether the walk may skip interior wildcard columns:
 // the estimator opted in AND the model accepts absent-column codes.
 func (e *Estimator) skipEnabled(m Model) bool {
@@ -592,39 +443,85 @@ func (e *Estimator) skipEnabled(m Model) bool {
 	return ok && ws.SkipsWildcards()
 }
 
-// walkPaths advances s progressive-sampling paths through model positions
-// 0..last (Algorithm 1), leaving the per-path importance weights in
-// sc.weights[:s]. The caller owns RNG seeding, so one query can run as a
-// single full-budget walk (progressiveSample) or as several independently
-// seeded chunks (the anytime serving path in serve.go).
-func (e *Estimator) walkPaths(sc *scratch, reg *query.Region, s, last int, valid [][]int32) {
+// walkPaths is the per-query walk of Algorithm 1: the query's S sample paths
+// run in independently seeded chunks of anytimeChunk, and each chunk advances
+// all its paths one model position per CondBatch call. The model's
+// conditional steers each path into the high-mass part of the query region;
+// the product of the per-column masses P̂(X_i ∈ Ri | x_<i) is the unbiased
+// density estimate (Theorem 1). Scale columns multiply in their expected
+// inverse fanout instead (drawScaledRows) and are never skipped.
+//
+// Chunk k draws from the stream mixSeed(seedFor(q), k) and the chunks
+// accumulate in chunk order — the same streams and order walkBlock uses — so
+// a query's estimate is bit-identical across entry points and never depends
+// on how its samples were scheduled. Deadline and cancellation are checked at
+// chunk boundaries (an expired budget returns the anytime estimate over the
+// completed chunks) and the adaptive budget at the wave boundaries. A panic
+// is contained to the query.
+func (e *Estimator) walkPaths(ctx context.Context, sc *scratch, sq *sampleQuery, deadline time.Time, targetRel float64) (res Result) {
+	defer func() {
+		if r := recover(); r != nil {
+			res = Result{Source: SourceFailed, Err: fmt.Errorf("%w: query %d: %v", ErrPanicked, sq.i, r)}
+		}
+	}()
 	n := sc.model.NumCols()
 	skip := e.skipEnabled(sc.model)
-	codes := sc.codes[:s*n]
 	fill := int32(0)
 	if skip {
 		fill = -1 // unvisited columns read as absent, not as code 0
 	}
-	for i := range codes {
-		codes[i] = fill
-	}
-	weights := sc.weights[:s]
-	for i := range weights {
-		weights[i] = 1
-	}
-	if beg, ok := sc.model.(SequentialModel); ok {
-		beg.BeginSampling(s)
-	}
-	for col := 0; col <= last; col++ {
-		cr := &reg.Cols[e.colAt(col)]
-		if skip && cr.IsAll() {
-			// Interior wildcard: no conditional, no draw — the model treats
-			// the column as absent when later folds see its -1 codes.
-			continue
+	stop := StopNone
+	for sq.done < e.samples {
+		if err := ctx.Err(); err != nil {
+			if sq.done == 0 {
+				return Result{Source: SourceFailed, Err: err}
+			}
+			stop = StopCancel
+			break
 		}
-		sc.model.CondBatch(codes, s, col, sc.probs[:s])
-		drawRows(sc.rng, cr.IsAll(), valid[col], codes, n, col, sc.probs, weights, 0, s)
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			stop = StopDeadline
+			break
+		}
+		s := min(e.samples-sq.done, anytimeChunk)
+		sc.rng.Seed(mixSeed(e.seedFor(sq.q), int64(sq.chunks)))
+		codes := sc.codes[:s*n]
+		for i := range codes {
+			codes[i] = fill
+		}
+		weights := sc.weights[:s]
+		for i := range weights {
+			weights[i] = 1
+		}
+		if beg, ok := sc.model.(SequentialModel); ok {
+			beg.BeginSampling(s)
+		}
+		for col := 0; col <= sq.last; col++ {
+			if inv := sq.scaleAt(col); inv != nil {
+				sc.model.CondBatch(codes, s, col, sc.probs[:s])
+				drawScaledRows(sc.rng, inv, codes, n, col, sc.probs, weights, 0, s)
+				continue
+			}
+			cr := &sq.reg.Cols[e.colAt(col)]
+			if skip && cr.IsAll() {
+				// Interior wildcard: no conditional, no draw — the model treats
+				// the column as absent when later folds see its -1 codes.
+				continue
+			}
+			sc.model.CondBatch(codes, s, col, sc.probs[:s])
+			drawRows(sc.rng, cr.IsAll(), sq.valid[col], codes, n, col, sc.probs, weights, 0, s)
+		}
+		sq.add(weights)
+		if targetRel > 0 && sq.done < e.samples && targetWaveBoundary(sq.chunks) &&
+			targetMet(sq.sum, sq.sumsq, sq.done, targetRel) {
+			stop = StopTargetStdErr
+			break
+		}
 	}
+	if sq.done == 0 {
+		return Result{Source: SourceFailed, Err: ErrBudgetExhausted}
+	}
+	return e.finalizeSample(sq.sum, sq.sumsq, sq.done, stop)
 }
 
 // drawRows runs the per-row mass/draw step of Algorithm 1 for rows [r0, r1)
@@ -675,38 +572,12 @@ func drawRows(rng *rand.Rand, isAll bool, vs []int32, codes []int32, nc, col int
 	}
 }
 
-// LastStdErr returns the Monte Carlo standard error of the most recently
-// *finished* query on this estimator: the sample standard deviation of the
-// per-path importance-weighted densities divided by √S. Zero after
-// enumeration or uniform-sampling degenerate cases (exact or reset) and
-// before any call. It is a single shared slot kept as a convenience for
-// sequential, single-goroutine use; under concurrent serving "most recent"
-// is whichever query finished last, so per-query attribution must go through
-// EstimateWithError (or EstimateBatchCtx Results), which thread the error
-// through the query's own return path.
-func (e *Estimator) LastStdErr() float64 {
-	return math.Float64frombits(e.lastStdErr.Load())
-}
-
-// EstimateWithError runs one estimate and returns it together with its own
-// Monte Carlo standard error (0 when the enumeration path ran). The pair is
-// computed on the query's private scratch and returned directly, so it stays
-// correctly attributed under concurrent use from many goroutines — unlike
-// LastStdErr, which is a shared last-finished slot.
-func (e *Estimator) EstimateWithError(reg *query.Region) (sel, stderr float64) {
-	q := e.nextQuery.Add(1) - 1
-	sc := e.acquire()
-	defer e.release(sc)
-	return e.estimateObserved(sc, reg, q)
-}
-
 // UniformRegionSample is the §5.1 "first attempt" baseline: draw points
 // uniformly from the query region and average |R|·P̂(x)/|joint|... precisely,
 // the naive Monte Carlo estimate |R|/S · Σ P̂(x^(i)). It collapses on skewed
 // data and exists to reproduce that failure mode (Figure 3, left).
 func (e *Estimator) UniformRegionSample(reg *query.Region, s int) float64 {
 	if reg.IsEmpty() {
-		e.storeStdErr(0)
 		return 0
 	}
 	q := e.nextQuery.Add(1) - 1
@@ -733,22 +604,6 @@ func (e *Estimator) UniformRegionSample(reg *query.Region, s int) float64 {
 	for _, v := range lp {
 		sum += math.Exp(v)
 	}
-	// This is a Monte Carlo estimate like the progressive path, so it keeps
-	// the same LastStdErr contract: the per-point estimates are the i.i.d.
-	// values |R|·P̂(x^(i)), and their spread over √s is the standard error.
-	// (Previously this path never touched the slot, silently leaving the
-	// previous query's error behind.)
-	var stderr float64
-	if s > 1 {
-		mean := sum / float64(s)
-		var sq float64
-		for _, v := range lp {
-			d := math.Exp(v) - mean
-			sq += d * d
-		}
-		stderr = reg.Size() * math.Sqrt(sq/float64(s-1)/float64(s))
-	}
-	e.storeStdErr(stderr)
 	return clampProb(reg.Size() * sum / float64(s))
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -28,7 +29,8 @@ func TestRegionSizeRestrictedTrailingWildcards(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only column 0 restricted; trailing wildcards marginalize out.
-	if got := regionSizeRestricted(reg); got != 5 {
+	e := &Estimator{} // natural column order
+	if got := e.regionSizeRestricted(reg); got != 5 {
 		t.Fatalf("size = %v, want 5", got)
 	}
 	// Restriction on the last column forces the full prefix.
@@ -38,7 +40,7 @@ func TestRegionSizeRestrictedTrailingWildcards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := regionSizeRestricted(reg2); got != 10*20*1 {
+	if got := e.regionSizeRestricted(reg2); got != 10*20*1 {
 		t.Fatalf("size = %v, want 200", got)
 	}
 }
@@ -93,7 +95,7 @@ func TestUniformSamplingCollapsesProgressiveDoesNot(t *testing.T) {
 	oracle := NewOracle(tbl)
 	est := NewEstimator(oracle, 1000, 7)
 
-	prog := est.ProgressiveSample(reg, 1000)
+	prog := est.EstimateRegion(reg)
 	if ratio := prog / truth; ratio < 0.9 || ratio > 1.1 {
 		t.Fatalf("progressive sampling off: %v vs %v", prog, truth)
 	}
@@ -130,21 +132,6 @@ func TestNewEstimatorRejectsZeroSamples(t *testing.T) {
 	NewEstimator(NewOracle(tbl), 0, 1)
 }
 
-func TestProgressiveSampleClampsOversizedRequest(t *testing.T) {
-	tbl := corrTable(t, 500, 22)
-	est := NewEstimator(NewOracle(tbl), 50, 1)
-	reg, err := query.Compile(query.Query{Preds: []query.Predicate{
-		{Col: 0, Op: query.OpLe, Code: 5}}}, tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Asking for more paths than allocated must not crash; it clamps to 50.
-	got := est.ProgressiveSample(reg, 5000)
-	if got < 0 || got > 1 {
-		t.Fatalf("estimate %v", got)
-	}
-}
-
 func TestWildcardOnlyQueryIsOne(t *testing.T) {
 	tbl := corrTable(t, 300, 23)
 	est := NewEstimator(NewOracle(tbl), 100, 1)
@@ -155,12 +142,13 @@ func TestWildcardOnlyQueryIsOne(t *testing.T) {
 	if got := est.Enumerate(reg); got != 1 {
 		t.Fatalf("all-wildcard enumeration = %v, want 1", got)
 	}
-	if got := est.ProgressiveSample(reg, 100); math.Abs(got-1) > 1e-9 {
+	est.EnumThreshold = 0 // sample the wildcard region instead of enumerating it
+	if got := est.EstimateRegion(reg); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("all-wildcard sampling = %v, want 1", got)
 	}
 }
 
-func TestEstimateWithErrorStderrShrinksWithSamples(t *testing.T) {
+func TestStdErrShrinksWithSamples(t *testing.T) {
 	tbl := corrTable(t, 4000, 60)
 	o := NewOracle(tbl)
 	reg, err := query.Compile(query.Query{Preds: []query.Predicate{
@@ -175,8 +163,9 @@ func TestEstimateWithErrorStderrShrinksWithSamples(t *testing.T) {
 	small.EnumThreshold = 0 // force the sampling path
 	big := NewEstimator(o, 5000, 1)
 	big.EnumThreshold = 0
-	selS, errS := small.EstimateWithError(reg)
-	selB, errB := big.EstimateWithError(reg)
+	resS := small.EstimateBatchCtx(context.Background(), []*query.Region{reg}, ServeOptions{})[0]
+	resB := big.EstimateBatchCtx(context.Background(), []*query.Region{reg}, ServeOptions{})[0]
+	errS, selB, errB := resS.StdErr, resB.Sel, resB.StdErr
 	if errS <= 0 || errB <= 0 {
 		t.Fatalf("stderr should be positive: %v %v", errS, errB)
 	}
@@ -188,10 +177,9 @@ func TestEstimateWithErrorStderrShrinksWithSamples(t *testing.T) {
 	if d := math.Abs(selB - truth); d > 6*errB+1e-9 {
 		t.Fatalf("estimate %v truth %v beyond 6 stderr (%v)", selB, truth, errB)
 	}
-	_ = selS
 }
 
-func TestEstimateWithErrorZeroForEnumeration(t *testing.T) {
+func TestStdErrZeroForEnumeration(t *testing.T) {
 	tbl := corrTable(t, 500, 61)
 	est := NewEstimator(NewOracle(tbl), 100, 1)
 	reg, err := query.Compile(query.Query{Preds: []query.Predicate{
@@ -199,22 +187,8 @@ func TestEstimateWithErrorZeroForEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stderr := est.EstimateWithError(reg) // tiny region → enumeration
-	if stderr != 0 {
-		t.Fatalf("enumeration stderr = %v, want 0", stderr)
-	}
-}
-
-func TestProgressiveSampleDirectOnEmptyRegion(t *testing.T) {
-	tbl := corrTable(t, 300, 62)
-	est := NewEstimator(NewOracle(tbl), 50, 1)
-	reg, err := query.Compile(query.Query{Preds: []query.Predicate{
-		{Col: 0, Op: query.OpEq, Code: 5}, {Col: 0, Op: query.OpEq, Code: 6}}}, tbl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Calling the sampler directly (not via EstimateRegion) must not panic.
-	if got := est.ProgressiveSample(reg, 50); got != 0 {
-		t.Fatalf("empty region sampled to %v", got)
+	res := est.EstimateBatchCtx(context.Background(), []*query.Region{reg}, ServeOptions{})[0] // tiny region → enumeration
+	if res.StdErr != 0 || res.Samples != 0 {
+		t.Fatalf("enumeration stderr = %v over %d samples, want 0 over 0", res.StdErr, res.Samples)
 	}
 }

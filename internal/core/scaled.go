@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -29,47 +30,43 @@ type ScaleCol struct {
 	Inv []float64
 }
 
-// EstimateScaled runs one progressive-sampling estimate with fanout
-// downscaling and returns it with its Monte Carlo standard error. With no
-// scale columns it is EstimateWithError (enumeration allowed); with scales
-// the walk always samples, extending past the last restricted column to the
-// last scale column. Scale columns must be unrestricted in reg. Results are
-// bit-identical given the estimator seed and the query's global index, chunk
-// for chunk with the unscaled walk's RNG convention.
-func (e *Estimator) EstimateScaled(reg *query.Region, scales []ScaleCol) (sel, stderr float64) {
-	if len(scales) == 0 {
-		return e.EstimateWithError(reg)
-	}
+// EstimateScaled serves one query with fanout downscaling through the
+// per-query path (the shared classifier, then walkPaths) and returns its
+// Result, counted and traced like any served query. With no scale columns it
+// is a one-query EstimateBatchCtx (enumeration allowed); with scales the
+// walk always samples, extending past the last restricted column to the last
+// scale column. Scale columns must be unrestricted in reg: a restricted, out
+// of range or wrongly sized scale column fails the query (SourceFailed, with
+// an Err naming the column). Results are bit-identical given the estimator
+// seed and the query's global index, chunk for chunk with the unscaled
+// walk's RNG convention.
+func (e *Estimator) EstimateScaled(reg *query.Region, scales []ScaleCol) Result {
 	q := e.nextQuery.Add(1) - 1
 	sc := e.acquire()
 	defer e.release(sc)
-	if len(reg.Cols) != sc.model.NumCols() {
-		panic(fmt.Sprintf("core: region over %d columns, model has %d",
-			len(reg.Cols), sc.model.NumCols()))
-	}
-	if reg.IsEmpty() {
-		e.storeStdErr(0)
-		return 0, 0
-	}
-	return e.progressiveSampleScaled(sc, reg, e.samples, q, scales)
+	return e.serveOne(context.Background(), sc, reg, scales, q, 0, &ServeOptions{})
 }
 
-// scaleByPos maps natural-order scale columns onto model positions, and
-// rejects scale columns that the region restricts (a predicated fanout column
-// has no defined downscaling semantics).
-func (e *Estimator) scaleByPos(reg *query.Region, scales []ScaleCol) [][]float64 {
+// scaleByPos maps natural-order scale columns onto model positions (nil when
+// there are none), and rejects scale columns that are out of range, sized
+// for another domain, or restricted by the region (a predicated fanout
+// column has no defined downscaling semantics).
+func (e *Estimator) scaleByPos(reg *query.Region, scales []ScaleCol) ([][]float64, error) {
+	if len(scales) == 0 {
+		return nil, nil
+	}
 	n := len(reg.Cols)
 	byCol := make([][]float64, n)
 	for _, s := range scales {
 		if s.Col < 0 || s.Col >= n {
-			panic(fmt.Sprintf("core: scale column %d of %d", s.Col, n))
+			return nil, fmt.Errorf("core: scale column %d of %d", s.Col, n)
 		}
 		if len(s.Inv) != len(reg.Cols[s.Col].Valid) {
-			panic(fmt.Sprintf("core: scale column %d has %d multipliers over a %d-code domain",
-				s.Col, len(s.Inv), len(reg.Cols[s.Col].Valid)))
+			return nil, fmt.Errorf("core: scale column %d has %d multipliers over a %d-code domain",
+				s.Col, len(s.Inv), len(reg.Cols[s.Col].Valid))
 		}
 		if !reg.Cols[s.Col].IsAll() {
-			panic(fmt.Sprintf("core: scale column %d is restricted", s.Col))
+			return nil, fmt.Errorf("core: scale column %d is restricted", s.Col)
 		}
 		byCol[s.Col] = s.Inv
 	}
@@ -77,82 +74,7 @@ func (e *Estimator) scaleByPos(reg *query.Region, scales []ScaleCol) [][]float64
 	for pos := 0; pos < n; pos++ {
 		byPos[pos] = byCol[e.colAt(pos)]
 	}
-	return byPos
-}
-
-// progressiveSampleScaled is progressiveSample with the walk extended through
-// scale columns: identical chunk-keyed RNG streams, identical variance
-// accounting, the per-chunk walk handled by walkPathsScaled.
-func (e *Estimator) progressiveSampleScaled(sc *scratch, reg *query.Region, s int, q uint64, scales []ScaleCol) (sel, stderr float64) {
-	byPos := e.scaleByPos(reg, scales)
-	last := -1
-	for pos := range reg.Cols {
-		if !reg.Cols[e.colAt(pos)].IsAll() || byPos[pos] != nil {
-			last = pos
-		}
-	}
-	valid := e.materializeValid(sc, reg, last+1)
-	var sum, sumsq float64
-	for done := 0; done < s; {
-		cn := s - done
-		if cn > anytimeChunk {
-			cn = anytimeChunk
-		}
-		sc.rng.Seed(mixSeed(e.seedFor(q), int64(done/anytimeChunk)))
-		e.walkPathsScaled(sc, reg, cn, last, valid, byPos)
-		for _, w := range sc.weights[:cn] {
-			sum += w
-			sumsq += w * w
-		}
-		done += cn
-	}
-	mean := sum / float64(s)
-	if s > 1 {
-		if variance := (sumsq - sum*sum/float64(s)) / float64(s-1); variance > 0 {
-			stderr = math.Sqrt(variance / float64(s))
-		}
-	}
-	e.storeStdErr(stderr)
-	// The scaled mean is a selectivity against the full-join cardinality and
-	// can only shrink below the unscaled mass, so the probability clamp
-	// applies unchanged.
-	return clampProb(mean), stderr
-}
-
-// walkPathsScaled advances s paths through model positions 0..last, applying
-// the fanout downscale at scale columns and the Algorithm 1 mass/draw step
-// everywhere else.
-func (e *Estimator) walkPathsScaled(sc *scratch, reg *query.Region, s, last int, valid [][]int32, byPos [][]float64) {
-	n := sc.model.NumCols()
-	skip := e.skipEnabled(sc.model)
-	codes := sc.codes[:s*n]
-	fill := int32(0)
-	if skip {
-		fill = -1
-	}
-	for i := range codes {
-		codes[i] = fill
-	}
-	weights := sc.weights[:s]
-	for i := range weights {
-		weights[i] = 1
-	}
-	if beg, ok := sc.model.(SequentialModel); ok {
-		beg.BeginSampling(s)
-	}
-	for col := 0; col <= last; col++ {
-		if inv := byPos[col]; inv != nil {
-			sc.model.CondBatch(codes, s, col, sc.probs[:s])
-			drawScaledRows(sc.rng, inv, codes, n, col, sc.probs, weights, 0, s)
-			continue
-		}
-		cr := &reg.Cols[e.colAt(col)]
-		if skip && cr.IsAll() {
-			continue
-		}
-		sc.model.CondBatch(codes, s, col, sc.probs[:s])
-		drawRows(sc.rng, cr.IsAll(), valid[col], codes, n, col, sc.probs, weights, 0, s)
-	}
+	return byPos, nil
 }
 
 // drawScaledRows runs the scale-column step for rows [r0, r1): multiply each

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/query"
@@ -53,7 +54,8 @@ func TestEstimateScaledExactIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	inv := []float64{1, 0.5, 0.25} // fanouts 1, 2, 4
-	sel, stderr := e.EstimateScaled(reg, []ScaleCol{{Col: 1, Inv: inv}})
+	res := e.EstimateScaled(reg, []ScaleCol{{Col: 1, Inv: inv}})
+	sel, stderr := res.Sel, res.StdErr
 	want := 0.3 * (0.5*1 + 0.3*0.5 + 0.2*0.25)
 	if math.Abs(sel-want) > 1e-12 {
 		t.Fatalf("sel = %.15f, want %.15f", sel, want)
@@ -83,7 +85,8 @@ func TestEstimateScaledDependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	inv := []float64{1, 0.5, 0.25}
-	sel, stderr := e.EstimateScaled(reg, []ScaleCol{{Col: 1, Inv: inv}})
+	res := e.EstimateScaled(reg, []ScaleCol{{Col: 1, Inv: inv}})
+	sel, stderr := res.Sel, res.StdErr
 	mass := func(p []float64) float64 { return p[0]*inv[0] + p[1]*inv[1] + p[2]*inv[2] }
 	want := 0.6*mass(m.p1[0]) + 0.3*mass(m.p1[1])
 	if diff := math.Abs(sel - want); diff > 4*stderr+1e-9 {
@@ -95,7 +98,7 @@ func TestEstimateScaledDependent(t *testing.T) {
 }
 
 // TestEstimateScaledNoScalesDelegates: empty scale list must behave exactly
-// like EstimateWithError (enumeration permitted for tiny regions).
+// like an unscaled served query (enumeration permitted for tiny regions).
 func TestEstimateScaledNoScalesDelegates(t *testing.T) {
 	m := &condModel{
 		p0: []float64{0.25, 0.75},
@@ -109,30 +112,46 @@ func TestEstimateScaledNoScalesDelegates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel, _ := e.EstimateScaled(reg, nil)
+	sel := e.EstimateScaled(reg, nil).Sel
 	if want := 0.75 * 0.2; math.Abs(sel-want) > 1e-12 {
 		t.Fatalf("sel = %.15f, want %.15f", sel, want)
 	}
 }
 
 // TestEstimateScaledRejectsRestrictedScaleCol: downscaling a predicated
-// column has no defined semantics and must panic loudly.
+// column has no defined semantics, and a scale column out of range or sized
+// for another domain is a caller bug; each fails the query with an error
+// naming the column instead of panicking.
 func TestEstimateScaledRejectsRestrictedScaleCol(t *testing.T) {
 	m := &condModel{
 		p0: []float64{0.5, 0.5},
 		p1: [][]float64{{0.5, 0.5}, {0.5, 0.5}},
 	}
 	e := NewEstimator(m, 16, 1)
-	reg, err := query.CompileDomains(query.Query{Preds: []query.Predicate{
+	restricted, err := query.CompileDomains(query.Query{Preds: []query.Predicate{
 		{Col: 1, Op: query.OpEq, Code: 0},
 	}}, m.DomainSizes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for a restricted scale column")
+	open, err := query.CompileDomains(query.Query{}, m.DomainSizes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name  string
+		reg   *query.Region
+		scale ScaleCol
+		want  string
+	}{
+		{"restricted", restricted, ScaleCol{Col: 1, Inv: []float64{1, 0.5}}, "scale column 1 is restricted"},
+		{"wrong length", open, ScaleCol{Col: 1, Inv: []float64{1, 0.5, 0.25}}, "scale column 1 has 3 multipliers"},
+		{"out of range", open, ScaleCol{Col: 2, Inv: []float64{1, 0.5}}, "scale column 2 of 2"},
+	}
+	for _, c := range cases {
+		res := e.EstimateScaled(c.reg, []ScaleCol{c.scale})
+		if res.Source != SourceFailed || res.Err == nil || !strings.Contains(res.Err.Error(), c.want) {
+			t.Errorf("%s: got %v (err %v), want a failed result naming %q", c.name, res.Source, res.Err, c.want)
 		}
-	}()
-	e.EstimateScaled(reg, []ScaleCol{{Col: 1, Inv: []float64{1, 0.5}}})
+	}
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // siteServeQuery is the chaos fault point on the per-query model path. It
-// sits inside serveOne's recover scope, so an injected panic here exercises
-// the same containment as a real model bug.
+// sits inside the shared classifier's recover scope, so an injected panic
+// here exercises the same containment as a real model bug.
 var siteServeQuery = faultinject.Site("core.serve.query")
 
 // Source tags where a served estimate came from, so operators can audit
@@ -222,23 +222,11 @@ func (e *Estimator) EstimateBatchCtx(ctx context.Context, regions []*query.Regio
 	if workers > len(regions) {
 		workers = len(regions)
 	}
-	serve := func(sc *scratch, i int) {
-		var start time.Time
-		if e.obs.reg != nil {
-			start = time.Now()
-		}
-		res := e.serveOne(ctx, sc, regions[i], base+uint64(i), i, &opts)
-		res = e.routeFallback(res, regions[i], &opts)
-		out[i] = res
-		if e.obs.reg != nil {
-			e.observeServed(&res, regions[i], opts.Deadline, time.Since(start))
-		}
-	}
 	if workers == 1 {
 		sc := e.acquire()
 		defer e.release(sc)
-		for i := range regions {
-			serve(sc, i)
+		for i, reg := range regions {
+			out[i] = e.serveOne(ctx, sc, reg, nil, base+uint64(i), i, &opts)
 		}
 		return out
 	}
@@ -258,7 +246,7 @@ func (e *Estimator) EstimateBatchCtx(ctx context.Context, regions []*query.Regio
 				if i >= len(regions) {
 					return
 				}
-				serve(sc, i)
+				out[i] = e.serveOne(ctx, sc, regions[i], nil, base+uint64(i), i, &opts)
 			}
 		}()
 	}
@@ -266,10 +254,37 @@ func (e *Estimator) EstimateBatchCtx(ctx context.Context, regions []*query.Regio
 	return out
 }
 
-// routeFallback applies the fallback/version bookkeeping that turns a raw
-// serve result into the batch's final answer; shared by the per-query
-// workers above and the fused scheduler.
-func (e *Estimator) routeFallback(res Result, reg *query.Region, opts *ServeOptions) Result {
+// serveOne answers query i (global index q) on the per-query path: the
+// shared classifier, walkPaths for a sampling query, then routeFallback. The
+// caller owns the scratch; a panic may leave its sampling state mid-walk,
+// but the next walk's BeginSampling resets it.
+func (e *Estimator) serveOne(ctx context.Context, sc *scratch, reg *query.Region, scales []ScaleCol, q uint64, i int, opts *ServeOptions) Result {
+	start := time.Now()
+	sq, res := e.classify(ctx, sc, reg, scales, q, i, opts)
+	if sq != nil {
+		res = e.walkPaths(ctx, sc, sq, queryDeadline(ctx, opts, start), opts.TargetRelStdErr)
+	}
+	return e.routeFallback(res, reg, opts, time.Since(start))
+}
+
+// queryDeadline composes opts.Deadline, counted from start, with the
+// context's deadline: whichever is sooner wins (zero when neither is set).
+func queryDeadline(ctx context.Context, opts *ServeOptions, start time.Time) time.Time {
+	var deadline time.Time
+	if opts.Deadline > 0 {
+		deadline = start.Add(opts.Deadline)
+	}
+	if dl, ok := ctx.Deadline(); ok && (deadline.IsZero() || dl.Before(deadline)) {
+		deadline = dl
+	}
+	return deadline
+}
+
+// routeFallback turns a query's raw result into its final answer — a failed
+// query goes to the fallback when one is set, and the model version is
+// stamped — and records the answer with the observer. Every query either
+// walk serves passes through it exactly once.
+func (e *Estimator) routeFallback(res Result, reg *query.Region, opts *ServeOptions, elapsed time.Duration) Result {
 	if res.Err != nil && opts.Fallback != nil {
 		if v, ferr := safeFallback(opts.Fallback, reg); ferr == nil {
 			res = Result{Sel: clampProb(v), Source: SourceFallback, Err: res.Err, Stop: res.Stop}
@@ -279,98 +294,114 @@ func (e *Estimator) routeFallback(res Result, reg *query.Region, opts *ServeOpti
 		}
 	}
 	res.ModelVersion = e.version.Load()
+	if e.obs.reg != nil {
+		e.observeServed(&res, reg, opts.Deadline, elapsed)
+	}
 	return res
 }
 
-// serveOne runs one query with panic isolation: a panic anywhere in the
-// model, sampler, or injected hooks is converted into a per-query error so
-// the rest of the batch is untouched. The caller owns the scratch; a panic
-// may leave its sampling state mid-walk, but the next walk's BeginSampling
-// resets it.
-func (e *Estimator) serveOne(ctx context.Context, sc *scratch, reg *query.Region, q uint64, i int, opts *ServeOptions) (res Result) {
+// sampleQuery is one sampling query's walk state, shared by both walks: the
+// region with its per-position valid-code lists and scale columns, the
+// query's global index, and the running sums its chunks accumulate into.
+type sampleQuery struct {
+	i     int // position in the batch
+	q     uint64
+	reg   *query.Region
+	first int         // first restricted model position
+	last  int         // last restricted (or scale) model position
+	valid [][]int32   // per-position valid-code lists, privately owned
+	scale [][]float64 // per-position inverse fanouts; nil without scale columns
+
+	sum, sumsq   float64
+	done, chunks int
+
+	// Fused-walk bookkeeping: the final answer and when it was reached.
+	res      Result
+	finished bool
+	retireAt time.Time
+}
+
+// scaleAt returns the inverse fanouts of model position pos, or nil when pos
+// is not a scale column.
+func (sq *sampleQuery) scaleAt(pos int) []float64 {
+	if sq.scale == nil {
+		return nil
+	}
+	return sq.scale[pos]
+}
+
+// add folds one chunk's path weights into the running sums. Both walks add
+// a query's chunks in chunk order, so every bit of sum and sumsq agrees.
+func (sq *sampleQuery) add(weights []float64) {
+	for _, w := range weights {
+		sq.sum += w
+		sq.sumsq += w * w
+	}
+	sq.done += len(weights)
+	sq.chunks++
+}
+
+// classify runs the checks every serving entry point shares and dispatches
+// query i (global index q): the BeforeQuery hook, the fault point, the
+// context, the column count and the scale columns, then an empty region or
+// one small enough to enumerate is answered inline (a query with scale
+// columns always samples). Inline answers and failures come back as res with
+// a nil sq; a sampling query comes back as its walk state. Panics in the
+// hook or enumeration are contained to the query.
+func (e *Estimator) classify(ctx context.Context, sc *scratch, reg *query.Region, scales []ScaleCol, q uint64, i int, opts *ServeOptions) (sq *sampleQuery, res Result) {
 	defer func() {
 		if r := recover(); r != nil {
-			res = Result{Source: SourceFailed, Err: fmt.Errorf("%w: query %d: %v", ErrPanicked, i, r)}
+			sq, res = nil, Result{Source: SourceFailed, Err: fmt.Errorf("%w: query %d: %v", ErrPanicked, i, r)}
 		}
 	}()
 	if opts.BeforeQuery != nil {
 		opts.BeforeQuery(i)
 	}
 	if err := faultinject.Point(siteServeQuery); err != nil {
-		return Result{Source: SourceFailed, Err: err}
+		return nil, Result{Source: SourceFailed, Err: err}
 	}
 	if err := ctx.Err(); err != nil {
-		return Result{Source: SourceFailed, Err: err}
+		return nil, Result{Source: SourceFailed, Err: err}
 	}
-	var deadline time.Time
-	if opts.Deadline > 0 {
-		deadline = time.Now().Add(opts.Deadline)
+	if err := e.checkWidth(reg); err != nil {
+		return nil, Result{Source: SourceFailed, Err: err}
 	}
-	if dl, ok := ctx.Deadline(); ok && (deadline.IsZero() || dl.Before(deadline)) {
-		deadline = dl
-	}
-	return e.estimateAnytime(ctx, sc, reg, q, deadline, opts.TargetRelStdErr)
-}
-
-// estimateAnytime mirrors estimateAt's enumeration/sampling dispatch, but
-// the sampling arm runs in independently seeded chunks with deadline and
-// cancellation checks at chunk boundaries: an expired budget returns the
-// anytime estimate over the chunks that did complete, and a met
-// TargetRelStdErr retires the query at the next wave boundary.
-func (e *Estimator) estimateAnytime(ctx context.Context, sc *scratch, reg *query.Region, q uint64, deadline time.Time, targetRel float64) Result {
-	if len(reg.Cols) != sc.model.NumCols() {
-		return Result{Source: SourceFailed, Err: fmt.Errorf("core: region over %d columns, model has %d",
-			len(reg.Cols), sc.model.NumCols())}
+	scale, err := e.scaleByPos(reg, scales)
+	if err != nil {
+		return nil, Result{Source: SourceFailed, Err: err}
 	}
 	if reg.IsEmpty() {
-		return Result{Source: SourceModel}
+		return nil, Result{Source: SourceModel}
 	}
-	if size := e.regionSizeRestricted(reg); size <= e.EnumThreshold {
+	if scale == nil && e.regionSizeRestricted(reg) <= e.EnumThreshold {
 		// Enumeration is exact with respect to the model and its work is
 		// bounded by EnumThreshold model evaluations, so it always runs to
 		// completion.
-		return Result{Sel: e.enumerate(sc, reg), Source: SourceModel}
+		return nil, Result{Sel: e.enumerate(sc, reg), Source: SourceModel}
 	}
-	last, valid := e.restrictedPrefix(sc, reg)
-	var sum, sumsq float64
-	done, chunks := 0, 0
-	stop := StopNone
-	for done < e.samples {
-		if err := ctx.Err(); err != nil {
-			if done == 0 {
-				return Result{Source: SourceFailed, Err: err}
+	// Trailing wildcards integrate to exactly 1 under the chain rule (their
+	// conditionals sum out over the full domain), so both walks stop at the
+	// last restricted or scale position — the cutoff enumeration uses. A
+	// fully wildcarded region has last = -1: every path keeps weight 1.
+	sq = &sampleQuery{i: i, q: q, reg: reg, first: -1, last: -1, scale: scale}
+	for p := range reg.Cols {
+		if !reg.Cols[e.colAt(p)].IsAll() {
+			if sq.first < 0 {
+				sq.first = p
 			}
-			stop = StopCancel
-			break
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			stop = StopDeadline
-			break
-		}
-		cn := e.samples - done
-		if cn > anytimeChunk {
-			cn = anytimeChunk
-		}
-		// Each chunk draws from its own deterministic stream keyed by
-		// (query, chunk), so partial completion is still reproducible.
-		sc.rng.Seed(mixSeed(e.seedFor(q), int64(done/anytimeChunk)))
-		e.walkPaths(sc, reg, cn, last, valid)
-		for _, w := range sc.weights[:cn] {
-			sum += w
-			sumsq += w * w
-		}
-		done += cn
-		chunks++
-		if targetRel > 0 && done < e.samples && targetWaveBoundary(chunks) &&
-			targetMet(sum, sumsq, done, targetRel) {
-			stop = StopTargetStdErr
-			break
+			sq.last = p
+		} else if sq.scaleAt(p) != nil {
+			sq.last = p
 		}
 	}
-	if done == 0 {
-		return Result{Source: SourceFailed, Err: ErrBudgetExhausted}
+	// Privately owned valid lists: the fused walk has many queries in flight
+	// at once, so the scratch's shared per-column lists cannot be used.
+	sq.valid = make([][]int32, sq.last+1)
+	for p := range sq.valid {
+		cr := &reg.Cols[e.colAt(p)]
+		sq.valid[p] = appendValid(make([]int32, 0, cr.Count), cr)
 	}
-	return e.finalizeSample(sum, sumsq, done, stop)
+	return sq, Result{}
 }
 
 // targetWaveBoundary reports whether the adaptive budget is consulted after

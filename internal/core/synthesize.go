@@ -16,7 +16,7 @@ import (
 // is drawn from the model's conditional re-normalized to the region, so the
 // tuples follow P̂(x | x ∈ R) (up to the importance weights, which are
 // discarded here — callers needing the region density should use
-// Estimator.ProgressiveSample).
+// Estimator.EstimateRegion).
 func SampleTuples(m Model, reg *query.Region, n int, seed int64) []int32 {
 	nc := m.NumCols()
 	domains := m.DomainSizes()

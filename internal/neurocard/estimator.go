@@ -2,6 +2,7 @@ package neurocard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -14,6 +15,12 @@ import (
 	"repro/internal/query"
 	"repro/internal/table"
 )
+
+// ErrEstimateFailed marks an estimate whose model path failed (a contained
+// panic, a non-finite estimate, misused scale columns, an injected fault),
+// as opposed to a query the caller got wrong: a server answers it with 500,
+// not 400. The wrapped error says what failed.
+var ErrEstimateFailed = errors.New("neurocard: estimate failed")
 
 // Join-estimator metric families.
 const (
@@ -235,15 +242,18 @@ func (e *Estimator) estimateOn(v *version, q query.Query) (card, stderr float64,
 	if err != nil {
 		return 0, 0, err
 	}
-	sel, se := v.est.EstimateScaled(reg, scales)
+	res := v.est.EstimateScaled(reg, scales)
 	if e.estimates != nil {
 		e.estimates.Add(1)
 		if len(scales) > 0 {
 			e.scaledEst.Add(1)
 		}
 	}
+	if res.Err != nil {
+		return 0, 0, fmt.Errorf("%w: %w", ErrEstimateFailed, res.Err)
+	}
 	js := float64(v.smp.JoinSize())
-	return sel * js, se * js, nil
+	return res.Sel * js, res.StdErr * js, nil
 }
 
 // Save writes the serving model (with its column-layout metadata) to w. The

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/query"
 	"repro/internal/table"
 )
@@ -476,5 +477,113 @@ func TestFanoutPredicateRejected(t *testing.T) {
 	}
 	if _, _, err := est.EstimateWhere("customers.nope = 1"); err == nil {
 		t.Fatal("unknown column was accepted")
+	}
+}
+
+// randKeyTable builds a random two-column table key(int), val(string) with
+// keys drawn from [0, keyDomain).
+func randKeyTable(t *testing.T, rng *rand.Rand, name string, rows, keyDomain int) *table.Table {
+	t.Helper()
+	b := table.NewBuilder(name, []string{"key", "val"})
+	for i := 0; i < rows; i++ {
+		if err := b.AppendRow([]string{strconv.Itoa(rng.Intn(keyDomain)), fmt.Sprintf("v%d", rng.Intn(5))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// checkJoinSize joins left.key = right.key through the sampler and requires
+// its exact JoinSize to equal the nested-loop oracle's count; an empty join
+// must be rejected by NewSampler instead.
+func checkJoinSize(t *testing.T, trial int, left, right *table.Table) {
+	t.Helper()
+	sch := &Schema{
+		Tables: []*table.Table{left, right},
+		Edges:  []Edge{{Parent: 0, Child: 1, ParentCol: 0, ChildCol: 0}},
+	}
+	want := NewOracle(sch).CountAll()
+	smp, err := NewSampler(sch)
+	if want == 0 {
+		if err == nil {
+			t.Fatalf("trial %d: oracle says empty join, NewSampler accepted it", trial)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("trial %d: %v", trial, err)
+	}
+	if smp.JoinSize() != want {
+		t.Fatalf("trial %d: JoinSize %d, oracle %d", trial, smp.JoinSize(), want)
+	}
+}
+
+// TestAppendThenJoinMatchesOracle: joining tables grown by the lifecycle
+// append path — including key values that extended a dictionary with an
+// arrival-ordered tail — gives exactly the oracle's join size. This pins down
+// the interaction between Column.Ext lookups (binary-search prefix + linear
+// tail) and the sampler's value-based key-code mapping.
+func TestAppendThenJoinMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		left := randKeyTable(t, rng, "left", 1+rng.Intn(20), 1+rng.Intn(8))
+		right := randKeyTable(t, rng, "right", 1+rng.Intn(20), 1+rng.Intn(8))
+		// Grow both tables with rows whose keys lie past the built
+		// dictionaries (20+ is guaranteed unseen), so some new keys match.
+		nApp := 1 + rng.Intn(10)
+		rowsL := make([][]string, nApp)
+		rowsR := make([][]string, nApp)
+		for i := range rowsL {
+			rowsL[i] = []string{strconv.Itoa(20 + rng.Intn(6)), fmt.Sprintf("v%d", rng.Intn(7))}
+			rowsR[i] = []string{strconv.Itoa(20 + rng.Intn(6)), fmt.Sprintf("v%d", rng.Intn(7))}
+		}
+		grownL, err := left.AppendValues(rowsL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		grownR, err := right.AppendValues(rowsR)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !grownL.Cols[0].Extended() {
+			t.Fatalf("trial %d: append did not extend the key dictionary", trial)
+		}
+		checkJoinSize(t, trial, grownL, grownR)
+		// The pre-append snapshots must be untouched and still join correctly.
+		checkJoinSize(t, trial, left, right)
+	}
+}
+
+// TestJoinQueriesObserved: a root-table-only predicate leaves the other
+// tables outside the spanned subtree, so the query carries scale columns; it
+// is still counted in naru_queries_total and traced like a single-table query.
+func TestJoinQueriesObserved(t *testing.T) {
+	sch := makeSchema(t, 24, 3, 2, 5)
+	cfg := tinyConfig()
+	reg := obs.New()
+	cfg.Obs = reg
+	est, _, err := Train(context.Background(), sch, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4
+	for i := 0; i < n; i++ {
+		if _, _, err := est.EstimateWhere("customers.region = west"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters[metricScaledEsts]; got != n {
+		t.Fatalf("%s = %d, want %d: the queries did not carry scale columns", metricScaledEsts, got, n)
+	}
+	if got := snap.Counters["naru_queries_total"]; got != n {
+		t.Fatalf("naru_queries_total = %d, want %d", got, n)
+	}
+	if snap.TraceTotal != n {
+		t.Fatalf("%d trace records, want %d", snap.TraceTotal, n)
 	}
 }

@@ -22,8 +22,8 @@ const (
 	metricSamplerColumns = "naru_join_model_columns"
 )
 
-// edgeState is the per-edge machinery of the streaming sampler: the code
-// translation and row index of the two-way sampler, generalized with subtree
+// edgeState is the per-edge machinery of the streaming sampler: the
+// parent-to-child key-code translation and the child row index, with subtree
 // weights so multi-way draws stay exactly uniform over the full join.
 type edgeState struct {
 	cmap []int32   // parent key code -> child key code (-1: no match)

@@ -4,16 +4,16 @@
 // schema, from streaming unbiased join-tuple samples, and answers multi-table
 // cardinalities without per-join models.
 //
-// The construction generalizes internal/join's two-way sampler to a join
-// tree rooted at the schema's first table. Alongside the base columns, the
+// The sampler walks a join tree rooted at the schema's first table, drawing
+// join tuples without materializing the join. Alongside the base columns, the
 // sampler emits one virtual "fanout" column per join edge — the number of
 // child rows matching the tuple's join key — and the estimator downscales
 // each sampled tuple's probability by the inverse fanouts of every edge
 // outside the query's spanned subtree, which makes sub-join estimates
 // unbiased (the telescoping construction of NeuroCard §5.2).
 //
-// Scope: inner joins, like internal/join. A query must predicate tables
-// whose minimal connected subtree contains the root; its estimate counts
+// Scope: inner joins. A query must predicate tables whose minimal connected
+// subtree contains the root; its estimate counts
 // sub-join tuples that participate in the full join, which equals the true
 // sub-join cardinality whenever the excluded join keys are lossless (no
 // dangling parent rows) — the referential setup of the examples and tests.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -65,7 +66,11 @@ func (jt *JoinTenant) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	card, stderr, err := jt.est.EstimateQuery(q)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		code := http.StatusBadRequest
+		if errors.Is(err, neurocard.ErrEstimateFailed) {
+			code = http.StatusInternalServerError
+		}
+		http.Error(w, err.Error(), code)
 		return
 	}
 	resp := EstimateResponse{

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/faultinject"
 	"repro/internal/neurocard"
 	"repro/internal/table"
 )
@@ -233,5 +234,31 @@ func TestServerJoinTenantE2E(t *testing.T) {
 	fetchJSON(t, srv+"/v1/joined/models", &mr)
 	if mr.Active != est.ModelVersion() || mr.JoinSize != est.JoinSize() || len(mr.Columns) == 0 {
 		t.Fatalf("models: %+v", mr)
+	}
+}
+
+// TestJoinEstimateFailureIs500: a join estimate whose model path fails (here
+// an injected fault on the per-query path) is the server's fault and answers
+// 500, while a query naming an unknown column stays the caller's fault (400).
+func TestJoinEstimateFailureIs500(t *testing.T) {
+	s := New(Options{})
+	if err := s.AddJoin(NewJoinTenant("joined", makeJoinEstimator(t))); err != nil {
+		t.Fatal(err)
+	}
+	httpSrv := httptest.NewServer(s.Handler())
+	t.Cleanup(httpSrv.Close)
+
+	if err := faultinject.ArmString("core.serve.query=error"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Reset()
+	if code := getStatus(t, estimateURL(httpSrv.URL, "joined", "customers.region = east")); code != http.StatusInternalServerError {
+		t.Fatalf("failed join estimate: status %d, want 500", code)
+	}
+	if code := getStatus(t, estimateURL(httpSrv.URL, "joined", "customers.nope = east")); code != http.StatusBadRequest {
+		t.Fatalf("unknown column: status %d, want 400", code)
+	}
+	if code := getStatus(t, estimateURL(httpSrv.URL, "joined", "customers.region = east")); code != http.StatusOK {
+		t.Fatalf("join estimate after the fault: status %d, want 200", code)
 	}
 }

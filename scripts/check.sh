@@ -54,12 +54,14 @@
 # on the shared /metrics scrape, legacy-route aliasing, and an aggregate
 # /readyz. It also runs as the final step of the default `check.sh` pass.
 #
-# `check.sh join` is the multi-table join-estimation gate: the neurocard,
-# join-sampler, and scaled-estimate suites under the race detector (plus the
-# join-tenant serving and CLI round-trip tests), a CLI smoke test (train -join
-# over generated CSVs, estimate -join against the nested-loop truth), and the
-# join benchmark run twice through the history recorder with a pinned worker
-# count — both runs must print bit-identical estimate digests and a PASS on
+# `check.sh join` is the multi-table join-estimation gate: the neurocard suite
+# (join sampler, append-then-join vs the oracle, join queries in metrics and
+# traces) and the scaled-estimate tests under the race detector, plus the
+# join-tenant serving tests (a failed estimate answers 500) and the CLI
+# round-trip tests; a CLI smoke test (train -join over generated CSVs,
+# estimate -join against the nested-loop truth); and the join benchmark run
+# twice through the history recorder with a pinned worker count — both runs
+# must print bit-identical estimate digests and a PASS on
 # the accuracy gate (median q-error <= 2, max <= 10 vs the oracle), the
 # second must stay within tolerance of the first's recorded throughput, and
 # a doctored baseline must trip the regression check.
@@ -168,7 +170,7 @@ if [ "${1:-}" = "lifecycle" ]; then
     echo "== lifecycle suite (-race)"
     go test -race -count=1 ./internal/lifecycle
     go test -race -count=1 -run 'TestAppend|TestLoadCSVErrorContext|TestConcat' ./internal/table
-    go test -race -count=1 -run 'TestMaterializePropertyVsOracle|TestAppendThenJoinMatchesOracle' ./internal/join
+    go test -race -count=1 -run 'TestAppendThenJoinMatchesOracle' ./internal/neurocard
     go test -race -count=1 -run 'TestHotSwapConcurrentServing|TestFacadeLifecycleEndToEnd' .
     go test -race -count=1 -run 'TestHealthz|TestServeLifecycleEndpoints' ./cmd/naru
 
@@ -625,9 +627,9 @@ fi
 
 if [ "${1:-}" = "join" ]; then
     echo "== join estimation suite (-race)"
-    go test -race -count=1 ./internal/neurocard ./internal/join
+    go test -race -count=1 ./internal/neurocard
     go test -race -count=1 -run 'TestEstimateScaled' ./internal/core
-    go test -race -count=1 -run 'TestServerJoinTenantE2E' ./internal/server
+    go test -race -count=1 -run 'TestServerJoinTenantE2E|TestJoinEstimateFailureIs500' ./internal/server
     go test -race -count=1 -run 'TestCLIJoin' ./cmd/naru
 
     tmp="$(mktemp -d)"
