@@ -2,8 +2,10 @@ package bench
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math"
 	"os"
@@ -190,6 +192,14 @@ func Inference(out io.Writer, cfg Config) {
 	fmt.Fprintf(out, "fast vs reference estimates: max relative diff %.3g (MC re-draws at float-identical boundaries)\n", maxRel)
 	fmt.Fprintf(out, "q-error median/p99: reference %.3f/%.3f, fast %.3f/%.3f\n",
 		refErr.Median, refErr.P99, seqErr.Median, seqErr.P99)
+	// The coalesced stage is left out of the digest: its dispatch order, and
+	// so which queries share a fused block, varies from run to run.
+	parEsts := make([]float64, len(parRes))
+	for i, r := range parRes {
+		parEsts[i] = r.Sel
+	}
+	fmt.Fprintf(out, "inference digest: %016x\n",
+		estimateDigest(refRes.Estimates, seqRes.Estimates, batchEsts, parEsts))
 
 	entries := []BenchEntry{
 		{Name: "dmv_queries_per_sec_reference", Value: refQPS, Unit: "queries/sec",
@@ -272,6 +282,21 @@ func sumLatency(lats []time.Duration) time.Duration {
 		total += d
 	}
 	return total
+}
+
+// estimateDigest is an FNV-64a hash over the bits of every estimate, taking
+// each slice in turn in query order (the join digest's encoding). Two runs
+// print the same digest exactly when every estimate matched bit for bit.
+func estimateDigest(stages ...[]float64) uint64 {
+	h := fnv.New64a()
+	var bits [8]byte
+	for _, ests := range stages {
+		for _, e := range ests {
+			binary.LittleEndian.PutUint64(bits[:], math.Float64bits(e))
+			h.Write(bits[:])
+		}
+	}
+	return h.Sum64()
 }
 
 // maxRelDiff returns max_i |a_i - b_i| / max(|b_i|, floor) with a small floor

@@ -63,18 +63,18 @@ func newLcObs(r *obs.Registry) lcObs {
 		return lcObs{}
 	}
 	return lcObs{
-		appendedRows:  r.Gauge(metricAppendedRows),
-		driftNLL:      r.Gauge(metricDriftNLL),
-		driftTVD:      r.Gauge(metricDriftTVD),
-		unseenValues:  r.Gauge(metricUnseenValues),
-		stale:         r.Gauge(metricStale),
-		modelVersion:  r.Gauge(metricModelVersion),
-		refreshes:     r.Counter(metricRefreshes),
-		refreshFailed: r.Counter(metricRefreshFailed),
-		swaps:         r.Counter(metricSwaps),
-		refreshActive: r.Gauge(metricRefreshActive),
-		refreshEpoch:  r.Gauge(metricRefreshEpoch),
-		refreshNLL:    r.Gauge(metricRefreshNLL),
+		appendedRows:     r.Gauge(metricAppendedRows),
+		driftNLL:         r.Gauge(metricDriftNLL),
+		driftTVD:         r.Gauge(metricDriftTVD),
+		unseenValues:     r.Gauge(metricUnseenValues),
+		stale:            r.Gauge(metricStale),
+		modelVersion:     r.Gauge(metricModelVersion),
+		refreshes:        r.Counter(metricRefreshes),
+		refreshFailed:    r.Counter(metricRefreshFailed),
+		swaps:            r.Counter(metricSwaps),
+		refreshActive:    r.Gauge(metricRefreshActive),
+		refreshEpoch:     r.Gauge(metricRefreshEpoch),
+		refreshNLL:       r.Gauge(metricRefreshNLL),
 		snapshotRows:     r.Gauge(metricSnapshotRows),
 		stagedRows:       r.Gauge(metricStagedRows),
 		ingestedTotal:    r.Counter(metricIngestedTotal),

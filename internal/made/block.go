@@ -177,31 +177,16 @@ func (m *Model) foldRows(codes []int32, cc, r0, r1 int, vPre, vEmb *tensor.Matri
 		embView := viewRows(vEmb, embA, r0, r1)
 		tensor.MatMulPackedWindow(preView, embView, m.w1Pack(cc), nil, false, true, s0)
 		for r := r0; r < r1; r++ {
-			dst := pre.Row(r)[s0:]
-			po := post0.Row(r)[s0:]
-			for j, v := range dst {
-				if v > 0 {
-					po[j] = v
-				} else {
-					po[j] = 0
-				}
-			}
+			tensor.PositivePart(post0.Row(r)[s0:], pre.Row(r)[s0:])
 		}
 	} else {
 		w1 := m.firstLinear().W.Val
 		for r := r0; r < r1; r++ {
 			dst := pre.Row(r)[s0:]
 			if code := codes[r*nc+cc]; code >= 0 {
-				tensor.Axpy(1, w1.Row(c.inOff+int(code))[s0:], dst)
+				tensor.Axpy(1, w1.Row(c.inOff + int(code))[s0:], dst)
 			}
-			po := post0.Row(r)[s0:]
-			for j, v := range dst {
-				if v > 0 {
-					po[j] = v
-				} else {
-					po[j] = 0
-				}
-			}
+			tensor.PositivePart(post0.Row(r)[s0:], dst)
 		}
 	}
 }

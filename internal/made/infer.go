@@ -111,13 +111,7 @@ func (m *Model) BeginSampling(n int) {
 			row := m.rowView(s.h1pre)
 			copy(row.Data, h1.B.Val.Data)
 			prev := m.rowView(s.post[0])
-			for j, v := range row.Data {
-				if v > 0 {
-					prev.Data[j] = v
-				} else {
-					prev.Data[j] = 0
-				}
-			}
+			tensor.PositivePart(prev.Data, row.Data)
 			for l := 1; l < L; l++ {
 				lin := m.trunk.Layers[2*l].(*nn.Linear)
 				cur := m.rowView(s.post[l])

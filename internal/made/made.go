@@ -451,7 +451,7 @@ func (m *Model) GradStep(codes []int32, n int) float64 {
 		}
 		dBlock := resizeMat(ts.dBlock, n, c.headW)
 		ts.dBlock = dBlock
-		tensor.MatMul(dBlock, logits, c.dec.Val, false)    // dBlock = dLogits·E
+		tensor.MatMul(dBlock, logits, c.dec.Val, false)      // dBlock = dLogits·E
 		tensor.MatMulTransA(c.dec.Grad, logits, block, true) // dE += dLogitsᵀ·Block
 		tensor.ParallelFor(n, func(s, e int) {
 			for r := s; r < e; r++ {

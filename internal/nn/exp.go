@@ -66,18 +66,15 @@ func SoftmaxProb(logits []float32, out []float64) {
 	if len(logits) != len(out) {
 		panic("nn: SoftmaxProb length mismatch")
 	}
-	mx := logits[0]
-	for _, v := range logits[1:] {
-		if v > mx {
-			mx = v
-		}
-	}
-	// The AVX2 kernel takes the longest multiple-of-8 prefix (8 lanes of the
-	// same reduction+polynomial per iteration); the scalar loop below covers
-	// the tail, or the whole row when no kernel is active. Vectorization runs
-	// across domain elements *within* a row, so a row's bits depend only on
-	// its own contents — never on where the row sits in a fused block — which
-	// is what the fused-vs-sequential bit-identity contract needs.
+	// The max, the exp-sum and the normalise each run an AVX2 kernel over a
+	// prefix of whole vectors and the scalar loop over the tail (or the whole
+	// row when no kernel is active), and each is bit for bit the scalar pass.
+	// Vectorization runs across domain elements *within* a row, so a row's
+	// bits depend only on its own contents — never on where the row sits in a
+	// fused block — which is what the fused-vs-sequential bit-identity
+	// contract needs. The normalised row stays float64: the inverse-CDF draw
+	// accumulates it, and the row is what BlockModel.DecodeBlock returns.
+	mx := tensor.MaxRow(logits)
 	sum, head := tensor.ExpRow(out, logits, mx)
 	// The Expf body is inlined here: max-subtracted arguments are ≤ 0 and
 	// finite, so only the underflow guard survives, and the polynomial stays
@@ -102,8 +99,5 @@ func SoftmaxProb(logits []float32, out []float64) {
 		out[i] = e
 		sum += e
 	}
-	inv := 1 / sum
-	for i := range out {
-		out[i] *= inv
-	}
+	tensor.ScaleRow(out, 1/sum)
 }

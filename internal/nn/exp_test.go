@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // TestExpfAccuracy sweeps the argument range the decode path produces
@@ -70,5 +72,88 @@ func TestSoftmaxProbMatchesSoftmax(t *testing.T) {
 		if math.Abs(sum-1) > 1e-12 {
 			t.Fatalf("trial %d: probabilities sum to %g", trial, sum)
 		}
+	}
+}
+
+// softmaxProbScalarPasses is SoftmaxProb with its max scan and normalise as
+// the scalar loops they were before the row kernels: the reference the
+// vectorised passes must reproduce bit for bit.
+func softmaxProbScalarPasses(logits []float32, out []float64) {
+	mx := logits[0]
+	for _, v := range logits[1:] {
+		if v > mx {
+			mx = v
+		}
+	}
+	sum, head := tensor.ExpRow(out, logits, mx)
+	for i, v := range logits[head:] {
+		e := float64(0)
+		if x := v - mx; x >= expfLo {
+			e = float64(Expf(x))
+		}
+		out[head+i] = e
+		sum += e
+	}
+	inv := 1 / sum
+	for i := range out {
+		out[i] *= inv
+	}
+}
+
+// TestSoftmaxProbMatchesScalarPasses checks the decode softmax against the
+// scalar max and normalise passes on rows of every length 1..40 plus the
+// widest DMV domain, with NaN at index 0, in the vector prefix and in the
+// tail, and with ±0 and ±Inf logits, with the kernels on and off.
+func TestSoftmaxProbMatchesScalarPasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	nan := float32(math.NaN())
+	lengths := []int{2101}
+	for n := 1; n <= 40; n++ {
+		lengths = append(lengths, n)
+	}
+	var rows [][]float32
+	for _, n := range lengths {
+		base := make([]float32, n)
+		for i := range base {
+			base[i] = float32(rng.NormFloat64() * 6)
+		}
+		for variant := 0; variant < 6; variant++ {
+			r := append([]float32(nil), base...)
+			switch variant {
+			case 1:
+				r[0] = nan
+			case 2: // inside the vector prefix, when there is one
+				r[rng.Intn(max(n&^7, 1))] = nan
+			case 3:
+				r[n-1] = nan
+			case 4: // the maximum is a zero, signed both ways
+				for i := range r {
+					r[i] = -1 - float32(math.Abs(float64(r[i])))
+				}
+				r[rng.Intn(n)] = float32(math.Copysign(0, -1))
+				r[rng.Intn(n)] = 0
+			case 5:
+				r[rng.Intn(n)] = float32(math.Inf(-1))
+				r[rng.Intn(n)] = float32(math.Inf(1))
+			}
+			rows = append(rows, r)
+		}
+	}
+	for _, accel := range []bool{true, false} {
+		prev := tensor.SetAccel(accel)
+		for _, r := range rows {
+			got := make([]float64, len(r))
+			want := make([]float64, len(r))
+			SoftmaxProb(r, got)
+			softmaxProbScalarPasses(r, want)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					tensor.SetAccel(prev)
+					t.Fatalf("accel=%v n=%d: p[%d] = %v (%#x), want %v (%#x)", accel, len(r), i,
+						got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+				}
+			}
+		}
+		tensor.SetAccel(prev)
 	}
 }

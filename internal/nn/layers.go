@@ -126,13 +126,7 @@ func (r *ReLU) Forward(x *tensor.Matrix) *tensor.Matrix {
 	if r.out == nil || r.out.Rows != x.Rows || r.out.Cols != x.Cols {
 		r.out = tensor.New(x.Rows, x.Cols)
 	}
-	for i, v := range x.Data {
-		if v > 0 {
-			r.out.Data[i] = v
-		} else {
-			r.out.Data[i] = 0
-		}
-	}
+	tensor.PositivePart(r.out.Data, x.Data)
 	return r.out
 }
 

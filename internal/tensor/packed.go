@@ -224,27 +224,61 @@ func MatMulPackedPrefix(c, a *Matrix, pb *PackedB, bias []float32, relu, accumul
 	})
 }
 
+// Epilogue modes of fmaStore8x8, one per storeTile case.
+const (
+	tileStore = iota
+	tileAccumulate
+	tileBias
+	tileBiasReLU
+	tileReLU
+)
+
+// epilogueMode names the storeTile case a product's flags select.
+func epilogueMode(bias []float32, relu, accumulate bool) int {
+	switch {
+	case accumulate:
+		return tileAccumulate
+	case bias != nil && relu:
+		return tileBiasReLU
+	case bias != nil:
+		return tileBias
+	case relu:
+		return tileReLU
+	}
+	return tileStore
+}
+
 // packedBody runs the micro-kernel over rows [start, end) of A, reading the
 // first pb.K entries of each lda-strided row (lda = A.Cols for full-width
 // products, larger K-prefix reads otherwise). On amd64 with AVX2+FMA the tile
-// inner product runs in assembly (simd_amd64.s); elsewhere a portable Go tile
-// computes the same sums without fused rounding.
+// runs in assembly (simd_amd64.s): full 8×8 tiles are stored from registers
+// with the epilogue applied, while edge panels and remainder rows go through
+// the scratch tile and storeTile. Elsewhere a portable Go tile computes the
+// same sums without fused rounding.
 func packedBody(c, a *Matrix, lda int, pb *PackedB, bias []float32, relu, accumulate bool, cOff, start, end int) {
 	k, n := pb.K, pb.N
 	nPanels := pb.panels()
 	var tile [packMR * packNR]float32
 	i := start
 	if useFMA && accelEnabled && k > 0 {
+		mode := epilogueMode(bias, relu, accumulate)
 		for ; i+packMR <= end; i += packMR {
+			_ = a.Data[(i+packMR-1)*lda+k-1] // the kernel reads k entries of 8 rows
 			aBand := &a.Data[i*lda]
 			for p := 0; p < nPanels; p++ {
 				j0 := p * packNR
-				nj := n - j0
-				if nj > packNR {
-					nj = packNR
+				panel := &pb.data[p*k*packNR]
+				if j0+packNR > n {
+					fmaStore8x8(aBand, lda, panel, k, &tile[0], packNR, nil, tileStore)
+					storeTile(c, tile[:], i, packMR, cOff+j0, j0, n-j0, bias, relu, accumulate)
+					continue
 				}
-				fmaTile8x8(aBand, lda, &pb.data[p*k*packNR], k, &tile[0])
-				storeTile(c, tile[:], i, packMR, cOff+j0, j0, nj, bias, relu, accumulate)
+				var bp *float32
+				if bias != nil {
+					_ = bias[j0+packNR-1] // the kernel reads 8 bias entries
+					bp = &bias[j0]
+				}
+				fmaStore8x8(aBand, lda, panel, k, tileDst(c, i, cOff+j0), c.Cols, bp, mode)
 			}
 		}
 		for ; i < end; i++ {
@@ -287,6 +321,17 @@ func packedBody(c, a *Matrix, lda int, pb *PackedB, bias []float32, relu, accumu
 			storeTile(c, tile[:], i, 1, cOff+j0, j0, nj, bias, relu, accumulate)
 		}
 	}
+}
+
+// tileDst returns &C[i][j] after checking that the whole packMR×packNR block
+// from there lies inside C, so fmaStore8x8 cannot write past a row or past
+// C's data.
+func tileDst(c *Matrix, i, j int) *float32 {
+	if i < 0 || j < 0 || i+packMR > c.Rows || j+packNR > c.Cols {
+		panic(fmt.Sprintf("tensor: 8×8 tile at (%d,%d) outside a %d×%d matrix", i, j, c.Rows, c.Cols))
+	}
+	_ = c.Data[(i+packMR-1)*c.Cols+j+packNR-1]
+	return &c.Data[i*c.Cols+j]
 }
 
 // storeTile writes an mr×nj register tile into C at (i0, cj0), applying the

@@ -322,3 +322,149 @@ func TestLinearReLUBandMatchesCols(t *testing.T) {
 		}
 	}
 }
+
+// scratchTileBody is packedBody's FMA branch with every 8-row tile routed
+// through the 8×8 scratch and storeTile, as it ran before full tiles were
+// stored from registers: the reference the direct store must match bit for
+// bit.
+func scratchTileBody(c, a *Matrix, lda int, pb *PackedB, bias []float32, relu, accumulate bool, cOff int) {
+	k, n := pb.K, pb.N
+	var tile [packMR * packNR]float32
+	i := 0
+	for ; i+packMR <= a.Rows; i += packMR {
+		for p := 0; p < pb.panels(); p++ {
+			j0 := p * packNR
+			fmaStore8x8(&a.Data[i*lda], lda, &pb.data[p*k*packNR], k, &tile[0], packNR, nil, tileStore)
+			storeTile(c, tile[:], i, packMR, cOff+j0, j0, min(packNR, n-j0), bias, relu, accumulate)
+		}
+	}
+	for ; i < a.Rows; i++ {
+		for p := 0; p < pb.panels(); p++ {
+			j0 := p * packNR
+			fmaTile1x8(&a.Data[i*lda], &pb.data[p*k*packNR], k, &tile[0])
+			storeTile(c, tile[:], i, 1, cOff+j0, j0, min(packNR, n-j0), bias, relu, accumulate)
+		}
+	}
+}
+
+// TestFmaStoreMatchesScratchTile checks the register-resident epilogue of
+// every mode against the scratch-tile path, bit for bit, on shapes with
+// partial panels, a K prefix (lda > K), a column window (cOff > 0) and row
+// counts that are not multiples of 8. NaN and -0 are planted in A, the bias
+// and C's prior contents: the epilogue ReLU must keep NaN (`if v < 0`).
+func TestFmaStoreMatchesScratchTile(t *testing.T) {
+	if !useFMA {
+		t.Skip("no AVX2+FMA kernel on this CPU")
+	}
+	rng := rand.New(rand.NewSource(53))
+	modes := []struct {
+		name             string
+		bias, relu, accu bool
+	}{
+		{"store", false, false, false},
+		{"accumulate", false, false, true},
+		{"bias", true, false, false},
+		{"bias+relu", true, true, false},
+		{"relu", false, true, false},
+	}
+	for _, rows := range []int{8, 13, 21, 3} {
+		for _, k := range []int{1, 5, 16, 37} {
+			for _, kPad := range []int{0, 3} {
+				for _, n := range []int{8, 11, 24, 29} {
+					for _, cOff := range []int{0, 5} {
+						lda := k + kPad
+						a := randomMatrix(rng, rows, lda)
+						a.Data[rng.Intn(len(a.Data))] = nan32
+						a.Data[rng.Intn(len(a.Data))] = negZero
+						for i := 0; i < rows; i += 2 {
+							a.Data[i*lda] = negZero
+						}
+						b := randomMatrix(rng, k, n)
+						b.Data[rng.Intn(len(b.Data))] = negZero
+						var pb PackedB
+						pb.Pack(b)
+						bias := make([]float32, n)
+						for j := range bias {
+							bias[j] = float32(rng.NormFloat64())
+						}
+						bias[rng.Intn(n)] = nan32
+						bias[rng.Intn(n)] = negZero
+						prior := randomMatrix(rng, rows, cOff+n+2)
+						prior.Data[rng.Intn(len(prior.Data))] = nan32
+						prior.Data[rng.Intn(len(prior.Data))] = negZero
+
+						for _, m := range modes {
+							var bs []float32
+							if m.bias {
+								bs = bias
+							}
+							got := prior.Clone()
+							want := prior.Clone()
+							MatMulPackedPrefix(got, a, &pb, bs, m.relu, m.accu, cOff)
+							scratchTileBody(want, a, lda, &pb, bs, m.relu, m.accu, cOff)
+							for i := range want.Data {
+								if !sameBits32(got.Data[i], want.Data[i]) {
+									t.Fatalf("%s rows=%d k=%d lda=%d n=%d cOff=%d: element (%d,%d) = %v (%#x), want %v (%#x)",
+										m.name, rows, k, lda, n, cOff, i/want.Cols, i%want.Cols,
+										got.Data[i], math.Float32bits(got.Data[i]), want.Data[i], math.Float32bits(want.Data[i]))
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// The two ReLUs differ on NaN: the epilogue keeps it, the fold's
+	// PositivePart maps it to +0.
+	a := New(8, 1)
+	a.Data[1] = 2
+	a.Data[3] = nan32
+	b := New(1, 8)
+	for j := range b.Data {
+		b.Data[j] = -1
+	}
+	var pb PackedB
+	pb.Pack(b)
+	c := New(8, 8)
+	MatMulPacked(c, a, &pb, nil, true, false)
+	if v := c.At(3, 0); v == v {
+		t.Fatalf("epilogue ReLU mapped NaN to %v", v)
+	}
+	if v := c.At(1, 0); !sameBits32(v, 0) {
+		t.Fatalf("epilogue ReLU of 2·-1 = %v (%#x), want +0", v, math.Float32bits(v))
+	}
+	pos := make([]float32, 8)
+	PositivePart(pos, c.Row(3))
+	if !sameBits32(pos[0], 0) {
+		t.Fatalf("PositivePart(NaN) = %v, want +0", pos[0])
+	}
+}
+
+// TestTileDstRejectsOutOfBounds checks the Go-side guard in front of every
+// assembly store: an 8×8 window that leaves C's rows or columns panics
+// instead of writing.
+func TestTileDstRejectsOutOfBounds(t *testing.T) {
+	c := New(16, 12)
+	if p := tileDst(c, 8, 4); p != &c.Data[8*12+4] {
+		t.Fatal("in-bounds tile at (8,4) misaddressed")
+	}
+	for _, at := range [][2]int{{9, 0}, {0, 5}, {-1, 0}, {0, -1}, {16, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("tile at %v in a 16×12 matrix did not panic", at)
+				}
+			}()
+			tileDst(c, at[0], at[1])
+		}()
+	}
+	short := &Matrix{Rows: 8, Cols: 8, Data: make([]float32, 63)}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("tile over a short data slice did not panic")
+		}
+	}()
+	tileDst(short, 0, 0)
+}

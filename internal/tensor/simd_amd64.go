@@ -7,15 +7,19 @@ package tensor
 // register, so the inner product for a packMR×packNR tile is one vector load
 // plus packMR broadcast-FMA pairs per K step.
 //
-// fmaTile8x8 computes tile[r*8+j] = Σ_kk a[r*lda+kk] * panel[kk*8+j] for an
-// 8-row band; fmaTile1x8 is the single-row remainder. Both fully overwrite
-// tile. The FMA contraction rounds once per multiply-add, so results can
-// differ from the pure-Go fallback in the last bit — every run on the same
-// machine takes the same path, which is what the determinism contract
-// (bit-reproducibility for fixed inputs on one host) requires.
+// fmaStore8x8 computes the 8×8 tile Σ_kk a[r*lda+kk] * panel[kk*8+j] for an
+// 8-row band and stores it from registers into c[r*ldc+j], applying the
+// epilogue mode (tileStore … tileReLU, packed.go) on the way; the caller has
+// checked that the 8×8 window of c and the 8 bias entries are in bounds.
+// fmaTile1x8 is the single-row remainder and overwrites its 8-float tile. The
+// FMA contraction rounds once per multiply-add, so results can differ from
+// the pure-Go fallback in the last bit — every run on the same machine takes
+// the same path, which is what the determinism contract (bit-reproducibility
+// for fixed inputs on one host) requires. The epilogue itself is the same
+// IEEE add and clamp storeTile does, so it adds no such difference.
 
 //go:noescape
-func fmaTile8x8(a *float32, lda int, panel *float32, k int, tile *float32)
+func fmaStore8x8(a *float32, lda int, panel *float32, k int, c *float32, ldc int, bias *float32, mode int)
 
 //go:noescape
 func fmaTile1x8(a *float32, panel *float32, k int, tile *float32)
@@ -25,6 +29,15 @@ func axpyFMA(alpha float32, x, y *float32, n int)
 
 //go:noescape
 func expRowSumAVX2(src *float32, n int, mx float32, dst *float64) float64
+
+//go:noescape
+func maxRowAVX2(src *float32, n int) (mx float32, ok bool)
+
+//go:noescape
+func scaleRowAVX2(dst *float64, n int, s float64)
+
+//go:noescape
+func positivePartAVX2(dst, src *float32, n int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

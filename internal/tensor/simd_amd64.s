@@ -2,18 +2,29 @@
 
 #include "textflag.h"
 
-// func fmaTile8x8(a *float32, lda int, panel *float32, k int, tile *float32)
+// func fmaStore8x8(a *float32, lda int, panel *float32, k int, c *float32, ldc int, bias *float32, mode int)
 //
-// tile[r*8+j] = sum over kk of a[r*lda+kk] * panel[kk*8+j], r,j in 0..7.
-// Accumulators Y0..Y7 (one YMM per output row), panel row in Y8, broadcast
-// scalar in Y9. Row pointers live in R8..R15 and are indexed by kk*4.
-TEXT ·fmaTile8x8(SB), NOSPLIT, $0-40
+// Computes t[r][j] = sum over kk of a[r*lda+kk] * panel[kk*8+j], r,j in 0..7,
+// and stores the 8x8 tile straight from registers into c[r*ldc+j] with the
+// epilogue named by mode (the tile* constants in packed.go):
+//
+//	0 store       c = t
+//	1 accumulate  c = c + t
+//	2 bias        c = t + bias[j]
+//	3 bias+ReLU   c = max0(t + bias[j])
+//	4 ReLU        c = max0(t)
+//
+// max0(v) is VMAXPS with zero as the first source, which returns v unless
+// 0 > v: NaN and -0 pass through, exactly like Go's `if v < 0 { v = 0 }`.
+// Each add keeps the scalar epilogue's operand order. Accumulators Y0..Y7
+// (one YMM per output row), panel row in Y8, broadcast scalar in Y9. Row
+// pointers live in R8..R15, first into A (indexed by kk*4), then into C.
+TEXT ·fmaStore8x8(SB), NOSPLIT, $0-64
 	MOVQ a+0(FP), AX
 	MOVQ lda+8(FP), BX
 	SHLQ $2, BX // row stride in bytes
 	MOVQ panel+16(FP), SI
 	MOVQ k+24(FP), DX
-	MOVQ tile+32(FP), DI
 
 	MOVQ AX, R8
 	LEAQ (AX)(BX*1), R9
@@ -58,14 +69,85 @@ loop8:
 	INCQ CX
 	JMP  loop8
 done8:
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	VMOVUPS Y4, 128(DI)
-	VMOVUPS Y5, 160(DI)
-	VMOVUPS Y6, 192(DI)
-	VMOVUPS Y7, 224(DI)
+	MOVQ c+32(FP), DI
+	MOVQ ldc+40(FP), BX
+	SHLQ $2, BX
+	MOVQ bias+48(FP), SI
+	MOVQ mode+56(FP), DX
+
+	MOVQ DI, R8
+	LEAQ (DI)(BX*1), R9
+	LEAQ (R9)(BX*1), R10
+	LEAQ (R10)(BX*1), R11
+	LEAQ (R11)(BX*1), R12
+	LEAQ (R12)(BX*1), R13
+	LEAQ (R13)(BX*1), R14
+	LEAQ (R14)(BX*1), R15
+
+	CMPQ DX, $1
+	JEQ  epiacc
+	CMPQ DX, $2
+	JEQ  epibias
+	CMPQ DX, $3
+	JEQ  epibias
+	CMPQ DX, $4
+	JEQ  epirelu
+	JMP  epistore
+
+epiacc:
+	// c + t: C is the first source, as in `dst[j] += src[j]`.
+	VMOVUPS (R8), Y8
+	VADDPS  Y0, Y8, Y0
+	VMOVUPS (R9), Y8
+	VADDPS  Y1, Y8, Y1
+	VMOVUPS (R10), Y8
+	VADDPS  Y2, Y8, Y2
+	VMOVUPS (R11), Y8
+	VADDPS  Y3, Y8, Y3
+	VMOVUPS (R12), Y8
+	VADDPS  Y4, Y8, Y4
+	VMOVUPS (R13), Y8
+	VADDPS  Y5, Y8, Y5
+	VMOVUPS (R14), Y8
+	VADDPS  Y6, Y8, Y6
+	VMOVUPS (R15), Y8
+	VADDPS  Y7, Y8, Y7
+	JMP     epistore
+
+epibias:
+	// t + bias: the tile is the first source, as in `src[j] + bias[j0+j]`.
+	VMOVUPS (SI), Y8
+	VADDPS  Y8, Y0, Y0
+	VADDPS  Y8, Y1, Y1
+	VADDPS  Y8, Y2, Y2
+	VADDPS  Y8, Y3, Y3
+	VADDPS  Y8, Y4, Y4
+	VADDPS  Y8, Y5, Y5
+	VADDPS  Y8, Y6, Y6
+	VADDPS  Y8, Y7, Y7
+	CMPQ    DX, $3
+	JNE     epistore
+
+epirelu:
+	VXORPS Y9, Y9, Y9
+	VMAXPS Y0, Y9, Y0
+	VMAXPS Y1, Y9, Y1
+	VMAXPS Y2, Y9, Y2
+	VMAXPS Y3, Y9, Y3
+	VMAXPS Y4, Y9, Y4
+	VMAXPS Y5, Y9, Y5
+	VMAXPS Y6, Y9, Y6
+	VMAXPS Y7, Y9, Y7
+
+epistore:
+	VMOVUPS Y0, (R8)
+	VMOVUPS Y1, (R9)
+	VMOVUPS Y2, (R10)
+	VMOVUPS Y3, (R11)
+	VMOVUPS Y4, (R12)
+	VMOVUPS Y5, (R13)
+	VMOVUPS Y6, (R14)
+	VMOVUPS Y7, (R15)
 	VZEROUPPER
 	RET
 

@@ -1,9 +1,10 @@
 #!/bin/sh
-# Repository health gate: static analysis, the full test suite, and the race
-# detector over the concurrency-sensitive paths. The race pass uses -short to
-# skip the training-heavy experiment smoke tests (already covered by the plain
-# pass), which would otherwise exceed the per-package timeout on small boxes;
-# the concurrent serving tests in internal/core run in full either way.
+# Repository health gate: static analysis, a portable (GOARCH=arm64) build, the
+# full test suite, and the race detector over the concurrency-sensitive paths.
+# The race pass uses -short to skip the training-heavy experiment smoke tests
+# (already covered by the plain pass), which would otherwise exceed the
+# per-package timeout on small boxes; the concurrent serving tests in
+# internal/core run in full either way.
 # Run from the repository root, directly or via `make check`.
 #
 # `check.sh fault` runs the fault-tolerance suite instead: the checkpoint/
@@ -32,7 +33,7 @@
 # paths. A scaling check then re-runs the benchmark at GOMAXPROCS=1 and
 # GOMAXPROCS=NumCPU: parallel-fused throughput must improve by more than 1.5x
 # on boxes with at least 4 cores (on smaller boxes only the bit-identity
-# lines are enforced).
+# lines are enforced). All four runs must print the same inference digest.
 #
 # `check.sh chaos` is the fault-injection gate: the breaker/recovery/heal
 # suites under the race detector, then a live kill matrix — for every
@@ -209,7 +210,7 @@ if [ "${1:-}" = "lifecycle" ]; then
     done
     serve_url="$(sed -n 's/^serving on \(http:\/\/[^/]*\).*/\1/p' "$tmp/serve.out")"
     [ -n "$serve_url" ] || { echo "could not parse bound address"; exit 1; }
-    grep -q "lifecycle: ingestion enabled" "$tmp/serve.err" || { echo "lifecycle not enabled"; cat "$tmp/serve.err"; exit 1; }
+    grep -q "lifecycle\[default\]: ingestion enabled" "$tmp/serve.err" || { echo "lifecycle not enabled"; cat "$tmp/serve.err"; exit 1; }
 
     echo "-- healthz, bootstrap registry"
     curl -fsS "$serve_url/healthz" | grep -q '"status":"ok"'
@@ -254,9 +255,20 @@ if [ "${1:-}" = "bench" ]; then
 
     # Both the fused-batch and the parallel-fused runs print a mismatch line;
     # each must be 0/48 (a single grep -q would pass with one of them broken).
+    # Every run must also print the baseline's inference digest: the hash of
+    # all reference, sequential, fused and parallel-fused estimates, so the
+    # four runs (two GOMAXPROCS settings among them) agree bit for bit.
     require_bit_identity() {
         [ "$(grep -c "0/48 mismatched" "$1")" -eq 2 ] \
             || { echo "fused serving mismatched sequential ($1)"; cat "$1"; exit 1; }
+        d="$(sed -n 's/^inference digest: //p' "$1")"
+        [ -n "$d" ] || { echo "no inference digest ($1)"; cat "$1"; exit 1; }
+        if [ -z "${digest:-}" ]; then
+            digest="$d"
+            echo "   inference digest: $d"
+        elif [ "$d" != "$digest" ]; then
+            echo "inference digest $d differs from the baseline's $digest ($1)"; exit 1
+        fi
     }
 
     echo "-- baseline run"
@@ -746,6 +758,11 @@ fi
 
 echo "== go vet ./..."
 go vet ./...
+
+# The portable (non-amd64) build catches an assembly function without its
+# simd_other.go stub.
+echo "== GOARCH=arm64 go build ./..."
+GOARCH=arm64 go build ./...
 
 echo "== go test ./..."
 go test ./...
