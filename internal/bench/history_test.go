@@ -1,9 +1,13 @@
 package bench
 
 import (
+	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 func writeBench(t *testing.T, path string, entries []BenchEntry) {
@@ -78,5 +82,27 @@ func TestHistoryAppendAndCheck(t *testing.T) {
 	// A different bench name has no baseline: passes.
 	if err := CheckRegression(hist, bench, "training", 0.10); err != nil {
 		t.Fatalf("unrelated bench gated: %v", err)
+	}
+}
+
+// TestBenchJSONRecordsMachine checks that every written entry names the GEMM
+// kernel path, the CPU count and GOMAXPROCS in its extra, after any text of
+// its own.
+func TestBenchJSONRecordsMachine(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	writeBench(t, path, []BenchEntry{
+		{Name: "qps", Value: 1, Unit: "queries/sec", Extra: "fused, one worker"},
+		{Name: "p99", Value: 2, Unit: "ms"},
+	})
+	got, err := readBenchJSON(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prov := fmt.Sprintf("kernel=%s numcpu=%d gomaxprocs=%d", tensor.KernelPath(), runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	if want := "fused, one worker; " + prov; got[0].Extra != want {
+		t.Fatalf("extra %q, want %q", got[0].Extra, want)
+	}
+	if got[1].Extra != prov {
+		t.Fatalf("extra %q, want %q", got[1].Extra, prov)
 	}
 }

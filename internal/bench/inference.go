@@ -19,6 +19,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/tensor"
 )
 
 // This file benchmarks the inference fast path: delta-forward sampling,
@@ -200,6 +201,7 @@ func Inference(out io.Writer, cfg Config) {
 	}
 	fmt.Fprintf(out, "inference digest: %016x\n",
 		estimateDigest(refRes.Estimates, seqRes.Estimates, batchEsts, parEsts))
+	fmt.Fprintf(out, "gemm kernel: %s\n", tensor.KernelPath())
 
 	entries := []BenchEntry{
 		{Name: "dmv_queries_per_sec_reference", Value: refQPS, Unit: "queries/sec",
@@ -209,11 +211,11 @@ func Inference(out io.Writer, cfg Config) {
 		{Name: "dmv_queries_per_sec_batch", Value: batchQPS, Unit: "queries/sec",
 			Extra: "fused cross-query scheduler (EstimateFused), one worker, whole workload in flight"},
 		{Name: "dmv_queries_per_sec_fused_parallel", Value: parQPS, Unit: "queries/sec",
-			Extra: fmt.Sprintf("fused scheduler, shard + row parallelism, workers=%d numcpu=%d", parWorkers, runtime.NumCPU())},
+			Extra: fmt.Sprintf("fused scheduler, shard + row parallelism, workers=%d", parWorkers)},
 		{Name: "dmv_fused_parallel_mismatches", Value: float64(parMismatches), Unit: "queries",
 			Extra: fmt.Sprintf("parallel fused (workers=%d) vs sequential fast path, bitwise", parWorkers)},
 		{Name: "dmv_fused_parallel_allocs_per_query", Value: parAllocsPerQuery, Unit: "allocs/query",
-			Extra: fmt.Sprintf("Mallocs delta around the parallel fused run, workers=%d numcpu=%d", parWorkers, runtime.NumCPU())},
+			Extra: fmt.Sprintf("Mallocs delta around the parallel fused run, workers=%d", parWorkers)},
 		{Name: "dmv_speedup_vs_full_forward", Value: batchQPS / refQPS, Unit: "x",
 			Extra: fmt.Sprintf("fused batch over reference; sequential alone %.2fx", seqQPS/refQPS)},
 		{Name: "dmv_latency_p50", Value: p50, Unit: "ms", Extra: "fast path, sequential"},
@@ -268,7 +270,18 @@ func obsEntries(reg *obs.Registry, out io.Writer) []BenchEntry {
 	}
 }
 
+// writeBenchJSON writes entries to path, appending to every entry's extra
+// the machine it ran on: the GEMM kernel path (tensor.KernelPath), the CPU
+// count and GOMAXPROCS. A number without them cannot be compared with one
+// from another box.
 func writeBenchJSON(path string, entries []BenchEntry) error {
+	prov := fmt.Sprintf("kernel=%s numcpu=%d gomaxprocs=%d", tensor.KernelPath(), runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	for i := range entries {
+		if entries[i].Extra != "" {
+			entries[i].Extra += "; "
+		}
+		entries[i].Extra += prov
+	}
 	data, err := json.MarshalIndent(entries, "", "  ")
 	if err != nil {
 		return err

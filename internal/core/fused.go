@@ -75,7 +75,13 @@ type fusedLane struct {
 type fusedState struct {
 	codes   []int32
 	weights []float64
-	probs   [][]float64
+
+	// probs holds block-high probability rows for decodes that do not fit a
+	// serial tile (row-sharded walks). It grows on demand (blockProbs), so a
+	// serial walk never allocates it: at maxFusedRows rows of the widest
+	// domain it would be tens of megabytes on DMV.
+	probs  [][]float64
+	maxDom int
 
 	// laneArena backs the wave's lanes by value; lanes holds pointers into it
 	// (built only after the arena stops growing). Pooling both keeps lane
@@ -120,19 +126,28 @@ func (e *Estimator) getFusedState() *fusedState {
 	st := &fusedState{
 		codes:     make([]int32, maxFusedRows*e.model.NumCols()),
 		weights:   make([]float64, maxFusedRows),
-		probs:     make([][]float64, maxFusedRows),
+		maxDom:    maxDom,
 		shared:    make([][]float64, maxFusedRows),
 		tileProbs: make([][]float64, decodeTileRows),
 		tileView:  make([][]float64, maxFusedRows),
 		inner:     1,
 	}
-	for i := range st.probs {
-		st.probs[i] = make([]float64, maxDom)
-	}
 	for i := range st.tileProbs {
 		st.tileProbs[i] = make([]float64, maxDom)
 	}
 	return st
+}
+
+// blockProbs returns st.probs with rows [0, n) allocated, growing it on the
+// first decode that reaches row n-1.
+func (st *fusedState) blockProbs(n int) [][]float64 {
+	if st.probs == nil {
+		st.probs = make([][]float64, 0, maxFusedRows)
+	}
+	for len(st.probs) < n {
+		st.probs = append(st.probs, make([]float64, st.maxDom))
+	}
+	return st.probs
 }
 
 // fusedWaves are the per-query chunk ranges of the three scheduling waves:
@@ -485,11 +500,13 @@ func (e *Estimator) decodeFused(bm BlockModel, st *fusedState, probs [][]float64
 }
 
 // decodeTileRows caps how many rows one decode+draw pass covers when no row
-// sharding is active. A full-height decode of a wide column writes a logits
-// block far larger than L2, so the softmax and the draw that immediately
-// re-read it run memory-bound; a tile of a couple of lanes stays
-// cache-resident end to end. Ignored under row sharding, where each worker's
-// range is its own locality domain and splitting the GEMM would defeat it.
+// sharding is active. Every tile of a block reuses the same pooled rows, so
+// the softmax and the draw re-read what the decode just wrote, and for most
+// columns a tile stays in L2. DMV's 2101-code valid_date is the exception: a
+// 256-row tile holds 256 × 2101 × (4 + 8) B ≈ 6.5 MB of float32 logits and
+// float64 probabilities, more than a 2 MB L2, so there the cap only bounds
+// the working set. Ignored under row sharding, where each worker's range is
+// its own locality domain and splitting the GEMM would defeat it.
 const decodeTileRows = 256
 
 // decodeDraw decodes column col for the contiguous lanes[j:k] and immediately
@@ -511,14 +528,17 @@ func (e *Estimator) decodeDraw(bm BlockModel, st *fusedState, lanes []*fusedLane
 			m++
 		}
 		r0, r1 := lanes[j].r0, lanes[m-1].r0+lanes[m-1].n
-		probs := st.probs
+		var probs [][]float64
 		if st.inner <= 1 && r1-r0 <= decodeTileRows {
-			// Serial tile: decode into the pooled tile rows so softmax and
-			// draw re-read memory that is still cache-resident.
+			// Serial tile (a lane is at most anytimeChunk rows, so every
+			// serial tile fits): decode into the pooled tile rows so softmax
+			// and draw re-read the same small set of rows.
 			for r := r0; r < r1; r++ {
 				st.tileView[r] = st.tileProbs[r-r0]
 			}
 			probs = st.tileView
+		} else {
+			probs = st.blockProbs(r1)
 		}
 		e.decodeFused(bm, st, probs, col, r0, r1)
 		if store {

@@ -460,6 +460,29 @@ func TestEstimateFusedEpochRaceBitIdentical(t *testing.T) {
 	wg.Wait()
 }
 
+// TestEstimateFusedSerialSkipsBlockProbs checks that a serial walk decodes
+// only into the pooled tile rows: the state it leaves in the pool holds no
+// block-high probability rows (maxFusedRows × the widest domain of float64).
+func TestEstimateFusedSerialSkipsBlockProbs(t *testing.T) {
+	tbl := corrTable(t, 1500, 3)
+	regs := fusedWorkload(t, tbl)
+	model := made.New(tbl.DomainSizes(), made.Config{HiddenSizes: []int{16, 16}, EmbedThreshold: 64, EmbedDim: 8, Seed: 5})
+	e := NewEstimator(model, 300, 42)
+	e.EnumThreshold = 40
+	for attempt := 0; attempt < 8; attempt++ {
+		e.EstimateFused(context.Background(), regs, ServeOptions{Workers: 1})
+		st, ok := e.fusedPool.Get().(*fusedState)
+		if !ok {
+			continue // the race detector drops some pool Puts
+		}
+		if len(st.probs) != 0 {
+			t.Fatalf("serial walk allocated %d block-high probability rows", len(st.probs))
+		}
+		return
+	}
+	t.Skip("the pool kept no fused state")
+}
+
 // TestEstimateFusedWalkZeroAlloc asserts walkBlock's documented contract:
 // once the pooled buffers, RNGs, model scratch, and first-wave cache are
 // primed, the scheduler machinery of a block walk performs zero heap

@@ -150,3 +150,23 @@ func BenchmarkAxpy(b *testing.B) {
 		Axpy(0.001, x, y)
 	}
 }
+
+// BenchmarkMatMulPackedDecode is one serial decode tile of DMV's widest
+// column against its cached pack: 256 sample rows of a 64-wide head output
+// times the transposed 2101-code embedding, the product that dominates the
+// fused walk. It reports multiply-adds per second.
+func BenchmarkMatMulPackedDecode(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	h := New(256, 64)
+	h.Randn(rng, 1)
+	e := New(2101, 64)
+	e.Randn(rng, 1)
+	var pb PackedB
+	pb.PackTrans(e)
+	lg := New(256, 2101)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		packedBody(lg, h, h.Cols, &pb, nil, false, false, 0, 0, h.Rows)
+	}
+	b.ReportMetric(float64(b.N)*256*64*2101/b.Elapsed().Seconds()/1e9, "Gmadd/s")
+}

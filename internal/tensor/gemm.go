@@ -73,6 +73,21 @@ func SetAccel(on bool) bool {
 	return prev
 }
 
+// KernelPath names the kernels packed products run on: "avx512" (16- and
+// 32-wide ZMM panels, with the AVX2 kernels for products 8 or fewer columns
+// wide), "avx2", or "portable" (SetAccel(false), or no AVX2+FMA). Benchmarks
+// record it next to their numbers; estimates are the same bits on the two
+// vector paths.
+func KernelPath() string {
+	switch {
+	case !useFMA || !accelEnabled:
+		return "portable"
+	case useAVX512:
+		return "avx512"
+	}
+	return "avx2"
+}
+
 // densityCutoff is the dispatch threshold matching the active micro-kernel.
 func densityCutoff() float64 {
 	if useFMA && accelEnabled {

@@ -9,33 +9,50 @@ import (
 // row by row and touches C once per (k, j) pair; profitable only when A is
 // very sparse (one-hot encodings). For the dense products that dominate
 // inference — hidden-layer activations times 128×128 weight blocks — the
-// kernels below first pack B into contiguous column panels of width packNR,
-// then drive a packMR×packNR micro-kernel whose accumulators live in
-// registers, so each element of C is written exactly once and each panel of B
-// is read sequentially for every row band of A. An optional epilogue fuses
-// the bias add and ReLU into the same sweep, turning the three memory passes
-// of Linear→bias→ReLU into one.
+// kernels below first pack B into contiguous column panels (packNR, 16 or 32
+// wide; see panelWidth), then drive a packMR-row micro-kernel whose
+// accumulators live in registers, so each element of C is written exactly
+// once and each panel of B is read sequentially for every row band of A. An
+// optional epilogue fuses the bias add and ReLU into the same sweep, turning
+// the three memory passes of Linear→bias→ReLU into one.
 
 const (
 	packMR = 8 // rows of A per micro-kernel invocation
-	packNR = 8 // columns of B per panel: one YMM register on amd64
+	packNR = 8 // columns per panel on the AVX2 and portable paths: one YMM register
 )
 
+// panelWidth is the panel width a K×N operand is packed with. With the
+// AVX-512 kernels available, N ≥ 32 gets two ZMM registers per panel row and
+// 8 < N < 32 one; anything narrower keeps the 8-wide AVX2 panel, where a ZMM
+// panel would be mostly padding. It depends only on the CPU and N, never on
+// SetAccel, so a product always finds its operand in the layout it was
+// packed with.
+func panelWidth(n int) int {
+	switch {
+	case !useAVX512 || n <= packNR:
+		return packNR
+	case n >= 32:
+		return 32
+	}
+	return 16
+}
+
 // PackedB is matrix B repacked for the micro-kernel: column panels of width
-// packNR, each panel holding its K rows contiguously, zero-padded on the last
+// nr, each panel holding its K rows contiguously, zero-padded on the last
 // panel. Packing costs O(K·N) and is amortized over the O(M·K·N) product.
 type PackedB struct {
 	K, N int
+	nr   int // panel width (panelWidth(N) at pack time)
 	data []float32
 }
 
-// panels returns the number of packNR-wide column panels.
-func (pb *PackedB) panels() int { return (pb.N + packNR - 1) / packNR }
+// panels returns the number of nr-wide column panels.
+func (pb *PackedB) panels() int { return (pb.N + pb.nr - 1) / pb.nr }
 
 // reserve sizes the backing array for a K×N source, reusing capacity.
 func (pb *PackedB) reserve(k, n int) {
-	pb.K, pb.N = k, n
-	need := pb.panels() * k * packNR
+	pb.K, pb.N, pb.nr = k, n, panelWidth(n)
+	need := pb.panels() * k * pb.nr
 	if cap(pb.data) < need {
 		pb.data = make([]float32, need)
 	}
@@ -64,23 +81,16 @@ func (pb *PackedB) PackRange(b *Matrix, i0, i1, j0, j1 int) {
 		panic(fmt.Sprintf("tensor: PackRange window [%d:%d,%d:%d) of %d×%d", i0, i1, j0, j1, b.Rows, b.Cols))
 	}
 	pb.reserve(i1-i0, j1-j0)
-	k, stride, n := pb.K, b.Cols, pb.N
+	k, stride, n, nr := pb.K, b.Cols, pb.N, pb.nr
 	for p := 0; p < pb.panels(); p++ {
-		pj := p * packNR
-		nj := n - pj
-		if nj > packNR {
-			nj = packNR
-		}
-		dst := pb.data[p*k*packNR:]
+		pj := p * nr
+		nj := min(nr, n-pj)
+		dst := pb.data[p*k*nr:]
 		for r := 0; r < k; r++ {
 			src := b.Data[(i0+r)*stride+j0+pj:]
-			d := dst[r*packNR : r*packNR+packNR]
-			for j := 0; j < nj; j++ {
-				d[j] = src[j]
-			}
-			for j := nj; j < packNR; j++ {
-				d[j] = 0
-			}
+			d := dst[r*nr : r*nr+nr]
+			copy(d, src[:nj])
+			clear(d[nj:])
 		}
 	}
 }
@@ -90,25 +100,20 @@ func (pb *PackedB) PackRange(b *Matrix, i0, i1, j0, j1 int) {
 // and dX=dY·Wᵀ layout, replacing MatMulTransB's per-element dot products.
 func (pb *PackedB) PackTrans(b *Matrix) {
 	pb.reserve(b.Cols, b.Rows)
-	k, n := b.Cols, b.Rows // logical dims of Bᵀ
+	k, n, nr := b.Cols, b.Rows, pb.nr // logical dims of Bᵀ
 	for p := 0; p < pb.panels(); p++ {
-		j0 := p * packNR
-		nj := n - j0
-		if nj > packNR {
-			nj = packNR
-		}
-		dst := pb.data[p*k*packNR:]
+		j0 := p * nr
+		nj := min(nr, n-j0)
+		dst := pb.data[p*k*nr:]
 		for j := 0; j < nj; j++ {
 			src := b.Data[(j0+j)*k : (j0+j+1)*k]
 			for r := 0; r < k; r++ {
-				dst[r*packNR+j] = src[r]
+				dst[r*nr+j] = src[r]
 			}
 		}
-		if nj < packNR {
+		if nj < nr {
 			for r := 0; r < k; r++ {
-				for j := nj; j < packNR; j++ {
-					dst[r*packNR+j] = 0
-				}
+				clear(dst[r*nr+nj : r*nr+nr])
 			}
 		}
 	}
@@ -224,7 +229,8 @@ func MatMulPackedPrefix(c, a *Matrix, pb *PackedB, bias []float32, relu, accumul
 	})
 }
 
-// Epilogue modes of fmaStore8x8, one per storeTile case.
+// Epilogue modes of the storing kernels (fmaStore8x8, fmaStore8x32, …), one
+// per storeTile case.
 const (
 	tileStore = iota
 	tileAccumulate
@@ -250,64 +256,111 @@ func epilogueMode(bias []float32, relu, accumulate bool) int {
 
 // packedBody runs the micro-kernel over rows [start, end) of A, reading the
 // first pb.K entries of each lda-strided row (lda = A.Cols for full-width
-// products, larger K-prefix reads otherwise). On amd64 with AVX2+FMA the tile
-// runs in assembly (simd_amd64.s): full 8×8 tiles are stored from registers
-// with the epilogue applied, while edge panels and remainder rows go through
-// the scratch tile and storeTile. Elsewhere a portable Go tile computes the
-// same sums without fused rounding.
+// products, larger K-prefix reads otherwise). With the accelerated kernels
+// on, the panel width picks the assembly: 16- and 32-wide panels run the
+// AVX-512 kernels (zmmBody), 8-wide ones the AVX2 kernels. Both compute every
+// element as the same k-ordered chain of fused multiply-adds from +0, so the
+// two paths agree bit for bit. Otherwise (SetAccel(false), no AVX2+FMA) a
+// portable Go tile computes the same sums without fused rounding.
 func packedBody(c, a *Matrix, lda int, pb *PackedB, bias []float32, relu, accumulate bool, cOff, start, end int) {
+	switch {
+	case !useFMA || !accelEnabled || pb.K == 0:
+		portableBody(c, a, lda, pb, bias, relu, accumulate, cOff, start, end)
+	case pb.nr > packNR:
+		zmmBody(c, a, lda, pb, bias, epilogueMode(bias, relu, accumulate), cOff, start, end)
+	default:
+		ymmBody(c, a, lda, pb, bias, relu, accumulate, cOff, start, end)
+	}
+}
+
+// ymmBody drives the AVX2 kernels over 8-wide panels: full 8×8 tiles are
+// stored from registers with the epilogue applied, while edge panels and
+// remainder rows go through the scratch tile and storeTile.
+func ymmBody(c, a *Matrix, lda int, pb *PackedB, bias []float32, relu, accumulate bool, cOff, start, end int) {
 	k, n := pb.K, pb.N
 	nPanels := pb.panels()
+	mode := epilogueMode(bias, relu, accumulate)
 	var tile [packMR * packNR]float32
 	i := start
-	if useFMA && accelEnabled && k > 0 {
-		mode := epilogueMode(bias, relu, accumulate)
-		for ; i+packMR <= end; i += packMR {
-			_ = a.Data[(i+packMR-1)*lda+k-1] // the kernel reads k entries of 8 rows
-			aBand := &a.Data[i*lda]
-			for p := 0; p < nPanels; p++ {
-				j0 := p * packNR
-				panel := &pb.data[p*k*packNR]
-				if j0+packNR > n {
-					fmaStore8x8(aBand, lda, panel, k, &tile[0], packNR, nil, tileStore)
-					storeTile(c, tile[:], i, packMR, cOff+j0, j0, n-j0, bias, relu, accumulate)
-					continue
-				}
-				var bp *float32
-				if bias != nil {
-					_ = bias[j0+packNR-1] // the kernel reads 8 bias entries
-					bp = &bias[j0]
-				}
-				fmaStore8x8(aBand, lda, panel, k, tileDst(c, i, cOff+j0), c.Cols, bp, mode)
-			}
-		}
-		for ; i < end; i++ {
-			ai := &a.Data[i*lda]
-			for p := 0; p < nPanels; p++ {
-				j0 := p * packNR
-				nj := n - j0
-				if nj > packNR {
-					nj = packNR
-				}
-				fmaTile1x8(ai, &pb.data[p*k*packNR], k, &tile[0])
-				storeTile(c, tile[:], i, 1, cOff+j0, j0, nj, bias, relu, accumulate)
-			}
-		}
-		return
-	}
-	for ; i < end; i++ {
-		ai := a.Data[i*lda : i*lda+k]
+	for ; i+packMR <= end; i += packMR {
+		_ = a.Data[(i+packMR-1)*lda+k-1] // the kernel reads k entries of 8 rows
+		aBand := &a.Data[i*lda]
 		for p := 0; p < nPanels; p++ {
 			j0 := p * packNR
-			nj := n - j0
-			if nj > packNR {
-				nj = packNR
+			panel := &pb.data[p*k*packNR]
+			if j0+packNR > n {
+				fmaStore8x8(aBand, lda, panel, k, &tile[0], packNR, nil, tileStore)
+				storeTile(c, tile[:], i, packMR, cOff+j0, j0, n-j0, bias, relu, accumulate)
+				continue
 			}
-			panel := pb.data[p*k*packNR : (p*k+k)*packNR]
+			fmaStore8x8(aBand, lda, panel, k, tileDst(c, i, cOff+j0, packMR, packNR), c.Cols, biasWindow(bias, j0, packNR), mode)
+		}
+	}
+	for ; i < end; i++ {
+		ai := &a.Data[i*lda]
+		for p := 0; p < nPanels; p++ {
+			j0 := p * packNR
+			fmaTile1x8(ai, &pb.data[p*k*packNR], k, &tile[0])
+			storeTile(c, tile[:], i, 1, cOff+j0, j0, min(packNR, n-j0), bias, relu, accumulate)
+		}
+	}
+}
+
+// zmmBody drives the AVX-512 kernels over 16- or 32-wide panels. Every tile,
+// full or edge, 8 rows or a remainder row, is stored from registers with the
+// epilogue applied: the kernel masks its loads of C and the bias and its
+// stores to the panel's nj live columns, so no product falls back to the
+// scratch tile or the portable loop.
+func zmmBody(c, a *Matrix, lda int, pb *PackedB, bias []float32, mode, cOff, start, end int) {
+	k, n, nr := pb.K, pb.N, pb.nr
+	i := start
+	for ; i+packMR <= end; i += packMR {
+		_ = a.Data[(i+packMR-1)*lda+k-1] // the kernel reads k entries of 8 rows
+		aBand := &a.Data[i*lda]
+		for j0 := 0; j0 < n; j0 += nr {
+			nj := min(nr, n-j0)
+			panel := &pb.data[j0*k] // panel j0/nr starts at (j0/nr)·k·nr
+			dst, bp, mask := tileDst(c, i, cOff+j0, packMR, nj), biasWindow(bias, j0, nj), colMask(nj)
+			if nr == 32 {
+				fmaStore8x32(aBand, lda, panel, k, dst, c.Cols, bp, mode, mask)
+			} else {
+				fmaStore8x16(aBand, lda, panel, k, dst, c.Cols, bp, mode, mask)
+			}
+		}
+	}
+	for ; i < end; i++ {
+		_ = a.Data[i*lda+k-1]
+		ai := &a.Data[i*lda]
+		for j0 := 0; j0 < n; j0 += nr {
+			nj := min(nr, n-j0)
+			panel := &pb.data[j0*k]
+			dst, bp, mask := tileDst(c, i, cOff+j0, 1, nj), biasWindow(bias, j0, nj), colMask(nj)
+			if nr == 32 {
+				fmaStore1x32(ai, panel, k, dst, bp, mode, mask)
+			} else {
+				fmaStore1x16(ai, panel, k, dst, bp, mode, mask)
+			}
+		}
+	}
+}
+
+// colMask is the kernel's column mask for a tile with nj live columns: bit j
+// set for j < nj (nj ≤ 32).
+func colMask(nj int) uint32 { return uint32(1)<<uint(nj) - 1 }
+
+// portableBody is the Go tile: each row of A against each 8-column group of
+// every panel, whatever the panel width.
+func portableBody(c, a *Matrix, lda int, pb *PackedB, bias []float32, relu, accumulate bool, cOff, start, end int) {
+	k, n, nr := pb.K, pb.N, pb.nr
+	for i := start; i < end; i++ {
+		ai := a.Data[i*lda : i*lda+k]
+		for j0 := 0; j0 < n; j0 += packNR {
+			// The group's column in row kk of its panel is at off + kk·nr.
+			panel, off := pb.data[(j0/nr)*k*nr:], j0%nr
 			var acc [packNR]float32
-			for kk := 0; kk < k; kk++ {
-				v := ai[kk]
-				pr := panel[kk*packNR : kk*packNR+packNR]
+			for _, v := range ai {
+				pr := panel[off : off+packNR]
+				off += nr
 				acc[0] += v * pr[0]
 				acc[1] += v * pr[1]
 				acc[2] += v * pr[2]
@@ -317,21 +370,30 @@ func packedBody(c, a *Matrix, lda int, pb *PackedB, bias []float32, relu, accumu
 				acc[6] += v * pr[6]
 				acc[7] += v * pr[7]
 			}
-			copy(tile[:packNR], acc[:])
-			storeTile(c, tile[:], i, 1, cOff+j0, j0, nj, bias, relu, accumulate)
+			storeTile(c, acc[:], i, 1, cOff+j0, j0, min(packNR, n-j0), bias, relu, accumulate)
 		}
 	}
 }
 
-// tileDst returns &C[i][j] after checking that the whole packMR×packNR block
-// from there lies inside C, so fmaStore8x8 cannot write past a row or past
-// C's data.
-func tileDst(c *Matrix, i, j int) *float32 {
-	if i < 0 || j < 0 || i+packMR > c.Rows || j+packNR > c.Cols {
-		panic(fmt.Sprintf("tensor: 8×8 tile at (%d,%d) outside a %d×%d matrix", i, j, c.Rows, c.Cols))
+// tileDst returns &C[i][j] after checking that the whole mr×nj block from
+// there lies inside C, so an assembly kernel storing that tile cannot write
+// past a row or past C's data.
+func tileDst(c *Matrix, i, j, mr, nj int) *float32 {
+	if i < 0 || j < 0 || mr < 1 || nj < 1 || i+mr > c.Rows || j+nj > c.Cols {
+		panic(fmt.Sprintf("tensor: %d×%d tile at (%d,%d) outside a %d×%d matrix", mr, nj, i, j, c.Rows, c.Cols))
 	}
-	_ = c.Data[(i+packMR-1)*c.Cols+j+packNR-1]
+	_ = c.Data[(i+mr-1)*c.Cols+j+nj-1]
 	return &c.Data[i*c.Cols+j]
+}
+
+// biasWindow returns &bias[j0] after checking that the nj entries a kernel
+// reads from there exist, or nil for a product without a bias.
+func biasWindow(bias []float32, j0, nj int) *float32 {
+	if bias == nil {
+		return nil
+	}
+	_ = bias[j0+nj-1]
+	return &bias[j0]
 }
 
 // storeTile writes an mr×nj register tile into C at (i0, cj0), applying the

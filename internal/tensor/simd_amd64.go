@@ -24,6 +24,28 @@ func fmaStore8x8(a *float32, lda int, panel *float32, k int, c *float32, ldc int
 //go:noescape
 func fmaTile1x8(a *float32, panel *float32, k int, tile *float32)
 
+// AVX-512 micro-kernels (simd_avx512_amd64.s) for 32- and 16-wide panels:
+// two ZMM registers, or one, per panel row. fmaStore8x32 and fmaStore8x16
+// compute an 8-row tile, fmaStore1x32 and fmaStore1x16 a single remainder
+// row; each stores from registers with the same epilogue modes and operand
+// order as fmaStore8x8. Bit j of mask enables column j of the tile: loads of
+// C and the bias and the stores to C are masked to the nj live columns of an
+// edge panel (masked-off lanes neither fault nor write), while the panel
+// itself is zero-padded to full width. Every element is the same k-ordered
+// FMA chain as in the AVX2 kernels, so the two paths give identical bits.
+
+//go:noescape
+func fmaStore8x32(a *float32, lda int, panel *float32, k int, c *float32, ldc int, bias *float32, mode int, mask uint32)
+
+//go:noescape
+func fmaStore8x16(a *float32, lda int, panel *float32, k int, c *float32, ldc int, bias *float32, mode int, mask uint32)
+
+//go:noescape
+func fmaStore1x32(a *float32, panel *float32, k int, c *float32, bias *float32, mode int, mask uint32)
+
+//go:noescape
+func fmaStore1x16(a *float32, panel *float32, k int, c *float32, bias *float32, mode int, mask uint32)
+
 //go:noescape
 func axpyFMA(alpha float32, x, y *float32, n int)
 
@@ -44,25 +66,32 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // useFMA gates the assembly micro-kernels on AVX2+FMA with OS-enabled YMM
-// state; anything else falls back to the portable Go tile.
-var useFMA = detectFMA()
+// state; anything else falls back to the portable Go tile. useAVX512 selects
+// the 16- and 32-wide ZMM panels (panelWidth) and with them the AVX-512
+// kernels. Both are fixed at start-up from CPUID and XCR0; tests clear
+// useAVX512 to run the same products through the AVX2 path.
+var useFMA, useAVX512 = detectSIMD()
 
-func detectFMA() bool {
+// detectSIMD reports AVX2+FMA with the XMM and YMM state enabled by the OS
+// (XCR0 bits 1 and 2), and AVX-512F on top of it with the opmask and all 32
+// ZMM registers' state enabled too (XCR0 bits 5, 6 and 7).
+func detectSIMD() (fma, avx512 bool) {
 	maxID, _, _, _ := cpuid(0, 0)
 	if maxID < 7 {
-		return false
+		return false, false
 	}
 	_, _, ecx1, _ := cpuid(1, 0)
 	const osxsave = 1 << 27
 	const avxBit = 1 << 28
 	const fmaBit = 1 << 12
 	if ecx1&osxsave == 0 || ecx1&avxBit == 0 || ecx1&fmaBit == 0 {
-		return false
+		return false, false
 	}
 	xcr0, _ := xgetbv()
-	if xcr0&6 != 6 { // XMM and YMM state saved by the OS
-		return false
-	}
 	_, ebx7, _, _ := cpuid(7, 0)
-	return ebx7&(1<<5) != 0 // AVX2
+	const ymmState = 1<<1 | 1<<2
+	const zmmState = ymmState | 1<<5 | 1<<6 | 1<<7
+	fma = xcr0&ymmState == ymmState && ebx7&(1<<5) != 0            // AVX2
+	avx512 = fma && xcr0&zmmState == zmmState && ebx7&(1<<16) != 0 // AVX512F
+	return fma, avx512
 }

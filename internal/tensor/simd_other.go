@@ -5,12 +5,32 @@ package tensor
 // Non-amd64 builds use the portable Go micro-kernel exclusively.
 const useFMA = false
 
+// useAVX512 is a variable, as on amd64, so tests can force the wide panel
+// layouts through the portable loops.
+var useAVX512 = false
+
 func fmaStore8x8(a *float32, lda int, panel *float32, k int, c *float32, ldc int, bias *float32, mode int) {
 	panic("tensor: fmaStore8x8 without amd64")
 }
 
 func fmaTile1x8(a *float32, panel *float32, k int, tile *float32) {
 	panic("tensor: fmaTile1x8 without amd64")
+}
+
+func fmaStore8x32(a *float32, lda int, panel *float32, k int, c *float32, ldc int, bias *float32, mode int, mask uint32) {
+	panic("tensor: fmaStore8x32 without amd64")
+}
+
+func fmaStore8x16(a *float32, lda int, panel *float32, k int, c *float32, ldc int, bias *float32, mode int, mask uint32) {
+	panic("tensor: fmaStore8x16 without amd64")
+}
+
+func fmaStore1x32(a *float32, panel *float32, k int, c *float32, bias *float32, mode int, mask uint32) {
+	panic("tensor: fmaStore1x32 without amd64")
+}
+
+func fmaStore1x16(a *float32, panel *float32, k int, c *float32, bias *float32, mode int, mask uint32) {
+	panic("tensor: fmaStore1x16 without amd64")
 }
 
 func axpyFMA(alpha float32, x, y *float32, n int) {

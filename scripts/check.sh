@@ -1,6 +1,7 @@
 #!/bin/sh
 # Repository health gate: static analysis, a portable (GOARCH=arm64) build, the
-# full test suite, and the race detector over the concurrency-sensitive paths.
+# full test suite, the perfbench module's tests, and the race detector over the
+# concurrency-sensitive paths.
 # The race pass uses -short to skip the training-heavy experiment smoke tests
 # (already covered by the plain pass), which would otherwise exceed the
 # per-package timeout on small boxes; the concurrent serving tests in
@@ -33,7 +34,8 @@
 # paths. A scaling check then re-runs the benchmark at GOMAXPROCS=1 and
 # GOMAXPROCS=NumCPU: parallel-fused throughput must improve by more than 1.5x
 # on boxes with at least 4 cores (on smaller boxes only the bit-identity
-# lines are enforced). All four runs must print the same inference digest.
+# lines are enforced). All four runs must print the same inference digest,
+# which the gate echoes with the GEMM kernel path (avx512, avx2 or portable).
 #
 # `check.sh chaos` is the fault-injection gate: the breaker/recovery/heal
 # suites under the race detector, then a live kill matrix — for every
@@ -265,7 +267,7 @@ if [ "${1:-}" = "bench" ]; then
         [ -n "$d" ] || { echo "no inference digest ($1)"; cat "$1"; exit 1; }
         if [ -z "${digest:-}" ]; then
             digest="$d"
-            echo "   inference digest: $d"
+            echo "   inference digest: $d (gemm kernel: $(sed -n 's/^gemm kernel: //p' "$1"))"
         elif [ "$d" != "$digest" ]; then
             echo "inference digest $d differs from the baseline's $digest ($1)"; exit 1
         fi
@@ -766,6 +768,12 @@ GOARCH=arm64 go build ./...
 
 echo "== go test ./..."
 go test ./...
+
+# The benchmark module's own tests drive the program through the calls its
+# workloads time (the traced model wrapper, every workload's smoke run), so a
+# change that breaks the traced path fails here rather than in a benchmark run.
+echo "== perfbench: go test ./..."
+(cd perfbench && go test -count=1 ./...)
 
 echo "== go test -race -short ./..."
 go test -race -short -timeout 20m ./...
