@@ -242,8 +242,8 @@ func (b *Breaker) Reject(q Query, fb func(*Region) float64) Result {
 	v := b.e.cur.Load()
 	res := Result{Source: SourceFailed, Err: ErrBreakerOpen, ModelVersion: v.id}
 	if fb != nil {
-		if reg, err := compileFor(v, q); err == nil {
-			res.Sel = fb(reg)
+		if req, err := compileFor(v, q); err == nil {
+			res.Sel = fb(req.Region)
 			res.Source = SourceFallback
 		} else {
 			res.Err = errors.Join(ErrBreakerOpen, err)

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -148,8 +149,8 @@ func (c *Coalescer) shed(q Query, start time.Time) Result {
 	v := c.e.cur.Load()
 	res := Result{Source: SourceFailed, Err: ErrShed, Stop: StopShed, ModelVersion: v.id}
 	if fb := c.opts.Serve.Fallback; fb != nil {
-		if reg, err := compileFor(v, q); err == nil {
-			res.Sel = fb(reg)
+		if req, err := compileFor(v, q); err == nil {
+			res.Sel = fb(req.Region)
 			res.Source = SourceFallback
 		} else {
 			res.Err = errors.Join(ErrShed, err)
@@ -205,10 +206,10 @@ func (c *Coalescer) dispatch(batch []coalesceReq) {
 	c.mu.Unlock()
 
 	v := c.e.cur.Load()
-	regs := make([]*Region, 0, len(batch))
+	reqs := make([]core.Request, 0, len(batch))
 	idx := make([]int, 0, len(batch))
 	for i, req := range batch {
-		reg, err := compileFor(v, req.q)
+		creq, err := compileFor(v, req.q)
 		if err != nil {
 			// Answered directly, but still observed: compile failures count in
 			// the failed-path metrics and trace ring exactly like queries that
@@ -218,13 +219,13 @@ func (c *Coalescer) dispatch(batch []coalesceReq) {
 			req.ch <- res
 			continue
 		}
-		regs = append(regs, reg)
+		reqs = append(reqs, creq)
 		idx = append(idx, i)
 	}
-	if len(regs) == 0 {
+	if len(reqs) == 0 {
 		return
 	}
-	results := v.sampler.EstimateFused(context.Background(), regs, c.opts.Serve)
+	results := v.sampler.EstimateFused(context.Background(), reqs, c.opts.Serve)
 	for j, res := range results {
 		batch[idx[j]].ch <- res
 	}

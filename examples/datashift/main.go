@@ -1,11 +1,14 @@
 // Data shift: ingest a table partition by partition and watch a stale Naru
 // model degrade gracefully while a periodically refreshed one stays sharp —
-// the §6.7.3 experiment as a runnable demo.
+// the §6.7.3 experiment as a runnable demo. The refreshed model ingests each
+// partition through its lifecycle manager and fine-tunes on the grown
+// snapshot with RefreshCtx.
 //
 //	go run ./examples/datashift
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,6 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	cfg.Lifecycle = &naru.LifecycleConfig{RefreshEpochs: 3}
 	refreshed, err := naru.Build(first, cfg)
 	if err != nil {
 		log.Fatal(err)
@@ -49,7 +53,19 @@ func main() {
 		}
 		ingested := full.SliceRows(0, hi)
 		if p > 1 {
-			if err := refreshed.Refresh(ingested, 3); err != nil {
+			// SliceRows shares the full table's dictionaries, so the new
+			// partition's codes are valid in the refreshed model's snapshot.
+			lo := (p - 1) * per
+			codes := make([]int32, 0, (hi-lo)*full.NumCols())
+			row := make([]int32, full.NumCols())
+			for r := lo; r < hi; r++ {
+				full.Row(r, row)
+				codes = append(codes, row...)
+			}
+			if _, err := refreshed.AppendCodes(codes, hi-lo); err != nil {
+				log.Fatal(err)
+			}
+			if _, err := refreshed.RefreshCtx(context.Background()); err != nil {
 				log.Fatal(err)
 			}
 		}

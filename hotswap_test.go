@@ -54,10 +54,11 @@ func TestHotSwapConcurrentServing(t *testing.T) {
 	expected := make(map[uint64][]float64, 4)
 	models[1] = est.cur.Load().model
 	for v := uint64(2); v <= 4; v++ {
-		c, err := cloneModel(models[1])
+		cp, err := models[1].(interface{ CloneModel() (any, error) }).CloneModel()
 		if err != nil {
 			t.Fatal(err)
 		}
+		c := cp.(core.Trainable)
 		core.Train(c, tbl, core.TrainConfig{
 			Epochs: 1, BatchSize: 256, LR: 1e-3, Seed: int64(100 * v),
 		})
@@ -206,10 +207,11 @@ func TestRangeQueryValueOrderAfterExtension(t *testing.T) {
 		q        Query
 		wantTail bool
 	}{{le, true}, {ge, false}} {
-		reg, err := compileFor(est.cur.Load(), tc.q)
+		req, err := compileFor(est.cur.Load(), tc.q)
 		if err != nil {
 			t.Fatal(err)
 		}
+		reg := req.Region
 		if got := reg.Cols[0].Valid[tail]; got != tc.wantTail {
 			t.Fatalf("%s: tail code %d (value -1) valid=%v, want %v",
 				tc.q.String(snap), tail, got, tc.wantTail)
@@ -305,15 +307,6 @@ func TestFacadeLifecycleEndToEnd(t *testing.T) {
 	}
 	if want := float64(tbl.NumRows()); card <= want {
 		t.Fatalf("cardinality %v does not reflect the %d appended rows", card, added)
-	}
-
-	// Legacy Refresh must refuse rather than install a version id behind the
-	// registry's back and strand the drift baseline.
-	if err := est.Refresh(tbl, 1); err == nil {
-		t.Fatal("legacy Refresh on a lifecycle estimator did not error")
-	}
-	if est.ModelVersion() != 2 {
-		t.Fatalf("refused Refresh still moved the version to %d", est.ModelVersion())
 	}
 
 	// Lifecycle disabled: the facade methods say so.

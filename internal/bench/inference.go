@@ -10,10 +10,8 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
-	naru "repro"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/metrics"
@@ -41,10 +39,12 @@ type BenchEntry struct {
 // seed's behavior, kept as the performance and correctness reference.
 type fullForward struct{ core.Model }
 
-// Inference runs the DMV workload through three serving configurations —
-// reference full-forward sequential, fast-path sequential, and fast-path
-// concurrent batch — and reports throughput, latency quantiles, and the
-// agreement between fast and reference estimates.
+// Inference runs the DMV workload through four serving configurations —
+// reference full-forward sequential, fast-path sequential, and the fused
+// batch at one worker and at full width — and reports throughput, latency
+// quantiles, and the agreement between fast and reference estimates.
+// Client-observed serving latency under an offered load is perfbench's job
+// (its dmv-open workload), not this one's.
 func Inference(out io.Writer, cfg Config) {
 	cfg = cfg.withDefaults()
 	if cfg.BenchOut == "" {
@@ -84,10 +84,11 @@ func Inference(out io.Writer, cfg Config) {
 	// allocation overhead per query.
 	batch := core.NewEstimator(model, samples, qseed)
 	batch.SetObserver(cfg.Obs)
+	reqs := core.Requests(w.Regions)
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	fusedStart := time.Now()
-	fusedRes := batch.EstimateFused(context.Background(), w.Regions, core.ServeOptions{Workers: 1})
+	fusedRes := batch.EstimateFused(context.Background(), reqs, core.ServeOptions{Workers: 1})
 	batchTotal := time.Since(fusedStart)
 	runtime.ReadMemStats(&ms1)
 	batchEsts := make([]float64, len(fusedRes))
@@ -116,7 +117,7 @@ func Inference(out io.Writer, cfg Config) {
 	var pm0, pm1 runtime.MemStats
 	runtime.ReadMemStats(&pm0)
 	parStart := time.Now()
-	parRes := par.EstimateFused(context.Background(), w.Regions, core.ServeOptions{Workers: parWorkers})
+	parRes := par.EstimateFused(context.Background(), reqs, core.ServeOptions{Workers: parWorkers})
 	parTotal := time.Since(parStart)
 	runtime.ReadMemStats(&pm1)
 	parMismatches := 0
@@ -126,43 +127,6 @@ func Inference(out io.Writer, cfg Config) {
 		}
 	}
 	parAllocsPerQuery := float64(pm1.Mallocs-pm0.Mallocs) / float64(len(w.Regions))
-
-	// Concurrent load through the request coalescer: 32 clients each submit
-	// single queries, which the coalescer packs into fused dispatches. This is
-	// the serving-path configuration (naru serve -batch-window) and records
-	// client-observed latency quantiles under saturation.
-	const clients = 32
-	coalEst := naru.NewFromModel(model, t, naru.Config{Samples: samples, Seed: qseed - 2})
-	coal := coalEst.NewCoalescer(naru.CoalesceOptions{})
-	var (
-		latMu    sync.Mutex
-		coalLats = make([]time.Duration, 0, len(w.Queries))
-		coalErrs int
-		wg       sync.WaitGroup
-	)
-	loadStart := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for i := c; i < len(w.Queries); i += clients {
-				qStart := time.Now()
-				res := coal.Estimate(context.Background(), w.Queries[i])
-				d := time.Since(qStart)
-				latMu.Lock()
-				coalLats = append(coalLats, d)
-				if res.Err != nil {
-					coalErrs++
-				}
-				latMu.Unlock()
-			}
-		}(c)
-	}
-	wg.Wait()
-	loadTotal := time.Since(loadStart)
-	coal.Close()
-	coalQPS := float64(len(w.Queries)) / loadTotal.Seconds()
-	coalP50, coalP99, _ := LatencySummary(coalLats)
 
 	nq := float64(len(w.Regions))
 	refQPS := nq / refTotal.Seconds()
@@ -180,11 +144,9 @@ func Inference(out io.Writer, cfg Config) {
 	fmt.Fprintf(out, "%-28s %12.2f %14v\n", "fast path, sequential", seqQPS, seqTotal.Round(time.Millisecond))
 	fmt.Fprintf(out, "%-28s %12.2f %14v\n", "fast path, fused batch", batchQPS, batchTotal.Round(time.Millisecond))
 	fmt.Fprintf(out, "%-28s %12.2f %14v\n", fmt.Sprintf("fused parallel, W=%d", parWorkers), parQPS, parTotal.Round(time.Millisecond))
-	fmt.Fprintf(out, "%-28s %12.2f %14v\n", fmt.Sprintf("coalesced, %d clients", clients), coalQPS, loadTotal.Round(time.Millisecond))
 	fmt.Fprintf(out, "speedup: sequential %.2fx, fused batch %.2fx, fused parallel %.2fx\n",
 		seqQPS/refQPS, batchQPS/refQPS, parQPS/refQPS)
 	fmt.Fprintf(out, "fast-path latency ms: p50=%.2f p99=%.2f max=%.2f\n", p50, p99, pmax)
-	fmt.Fprintf(out, "coalesced client latency ms: p50=%.2f p99=%.2f (%d errors)\n", coalP50, coalP99, coalErrs)
 	fmt.Fprintf(out, "fused allocations: %.0f allocs/query (parallel %.0f)\n", allocsPerQuery, parAllocsPerQuery)
 	fmt.Fprintf(out, "fused batch vs sequential fast path: %d/%d mismatched estimates (must be 0)\n",
 		mismatches, len(w.Regions))
@@ -193,8 +155,6 @@ func Inference(out io.Writer, cfg Config) {
 	fmt.Fprintf(out, "fast vs reference estimates: max relative diff %.3g (MC re-draws at float-identical boundaries)\n", maxRel)
 	fmt.Fprintf(out, "q-error median/p99: reference %.3f/%.3f, fast %.3f/%.3f\n",
 		refErr.Median, refErr.P99, seqErr.Median, seqErr.P99)
-	// The coalesced stage is left out of the digest: its dispatch order, and
-	// so which queries share a fused block, varies from run to run.
 	parEsts := make([]float64, len(parRes))
 	for i, r := range parRes {
 		parEsts[i] = r.Sel
@@ -216,8 +176,6 @@ func Inference(out io.Writer, cfg Config) {
 			Extra: fmt.Sprintf("parallel fused (workers=%d) vs sequential fast path, bitwise", parWorkers)},
 		{Name: "dmv_fused_parallel_allocs_per_query", Value: parAllocsPerQuery, Unit: "allocs/query",
 			Extra: fmt.Sprintf("Mallocs delta around the parallel fused run, workers=%d", parWorkers)},
-		{Name: "dmv_speedup_vs_full_forward", Value: batchQPS / refQPS, Unit: "x",
-			Extra: fmt.Sprintf("fused batch over reference; sequential alone %.2fx", seqQPS/refQPS)},
 		{Name: "dmv_latency_p50", Value: p50, Unit: "ms", Extra: "fast path, sequential"},
 		{Name: "dmv_latency_p99", Value: p99, Unit: "ms", Extra: "fast path, sequential"},
 		{Name: "dmv_batch_mismatches", Value: float64(mismatches), Unit: "queries",
@@ -226,12 +184,6 @@ func Inference(out io.Writer, cfg Config) {
 			Extra: "fast path vs full forward selectivities"},
 		{Name: "dmv_batch_allocs_per_query", Value: allocsPerQuery, Unit: "allocs/query",
 			Extra: "Mallocs delta around the fused batch run"},
-		{Name: "dmv_coalesced_queries_per_sec", Value: coalQPS, Unit: "queries/sec",
-			Extra: fmt.Sprintf("request coalescer, %d concurrent clients, %d shed/errors", clients, coalErrs)},
-		{Name: "dmv_coalesced_latency_p50", Value: coalP50, Unit: "ms",
-			Extra: "client-observed, includes batch-window wait"},
-		{Name: "dmv_coalesced_latency_p99", Value: coalP99, Unit: "ms",
-			Extra: "client-observed, includes batch-window wait"},
 	}
 	entries = append(entries, obsEntries(cfg.Obs, out)...)
 	if err := writeBenchJSON(cfg.BenchOut, entries); err != nil {

@@ -162,7 +162,7 @@ func BenchmarkEstimateFusedW1(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		est.EstimateFused(ctx, regs, ServeOptions{Workers: 1})
+		est.EstimateFused(ctx, Requests(regs), ServeOptions{Workers: 1})
 	}
 }
 

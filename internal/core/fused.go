@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
-	"repro/internal/query"
 )
 
 // siteFusedWalk is the chaos fault point inside the fused block walk. It sits
@@ -159,9 +158,10 @@ var fusedWaves = [3][2]int{{0, 2}, {2, 6}, {6, math.MaxInt32}}
 
 // EstimateFused serves the whole batch through the fused cross-query
 // scheduler: every query's sample chunks are packed with its peers' into
-// shared tall blocks. Results align positionally with regions and are
-// bit-identical to EstimateBatchCtx (any worker count) with the same
-// options — including adaptive-budget early stops — because both paths
+// shared tall blocks, scaled join queries beside unscaled ones (a lane draws
+// its query's scale columns with drawScaledRows). Results align positionally
+// with reqs and are bit-identical to EstimateBatchCtx (any worker count) with
+// the same options — including adaptive-budget early stops — because both paths
 // consume identical per-(query, chunk) RNG streams and check TargetRelStdErr
 // at identical boundaries. Deadline and cancellation are honored between
 // blocks; affected queries degrade exactly like the per-query walk
@@ -178,9 +178,9 @@ var fusedWaves = [3][2]int{{0, 2}, {2, 6}, {6, math.MaxInt32}}
 //
 // Models that don't implement BlockModel (through their serving forks) fall
 // back to EstimateBatchCtx.
-func (e *Estimator) EstimateFused(ctx context.Context, regions []*query.Region, opts ServeOptions) []Result {
-	out := make([]Result, len(regions))
-	if len(regions) == 0 {
+func (e *Estimator) EstimateFused(ctx context.Context, reqs []Request, opts ServeOptions) []Result {
+	out := make([]Result, len(reqs))
+	if len(reqs) == 0 {
 		return out
 	}
 	if ctx == nil {
@@ -197,7 +197,7 @@ func (e *Estimator) EstimateFused(ctx context.Context, regions []*query.Region, 
 	bm, ok := sc.model.(BlockModel)
 	if !ok {
 		e.release(sc)
-		return e.EstimateBatchCtx(ctx, regions, opts)
+		return e.EstimateBatchCtx(ctx, reqs, opts)
 	}
 	defer e.release(sc)
 
@@ -212,21 +212,21 @@ func (e *Estimator) EstimateFused(ctx context.Context, regions []*query.Region, 
 	}
 	e.obs.fusedWorkers.Set(float64(workers))
 
-	base := e.nextQuery.Add(uint64(len(regions))) - uint64(len(regions))
+	base := e.nextQuery.Add(uint64(len(reqs))) - uint64(len(reqs))
 	start := time.Now()
 	deadline := queryDeadline(ctx, &opts, start)
 
 	// Classify: failures, empty and enumerable queries are answered inline
 	// (their work is bounded and fusion buys nothing); sampling queries join
 	// the fused walk.
-	pend := make([]*sampleQuery, 0, len(regions))
-	for i, reg := range regions {
-		fq, res := e.classify(ctx, sc, reg, nil, base+uint64(i), i, &opts)
+	pend := make([]*sampleQuery, 0, len(reqs))
+	for i, req := range reqs {
+		fq, res := e.classify(ctx, sc, req, base+uint64(i), i, &opts)
 		if fq != nil {
 			pend = append(pend, fq)
 			continue
 		}
-		out[i] = e.routeFallback(res, reg, &opts, time.Since(start))
+		out[i] = e.routeFallback(res, req.Region, &opts, time.Since(start))
 	}
 
 	if len(pend) > 0 {
@@ -546,11 +546,26 @@ func (e *Estimator) decodeDraw(bm BlockModel, st *fusedState, lanes []*fusedLane
 			store = false
 		}
 		for ; j < m; j++ {
-			ln := lanes[j]
-			isAll := ln.fq.reg.Cols[e.colAt(col)].IsAll()
-			drawRows(rngs[j], isAll, ln.fq.valid[col], codes, nc, col, probs, weights, ln.r0, ln.r0+ln.n)
+			e.drawLane(rngs[j], lanes[j], codes, nc, col, probs, weights)
 		}
 	}
+}
+
+// drawLane runs one lane's draw step at model position col over the lane's
+// rows: the scaled draw on a scale column of its query, the in-range draw
+// otherwise — the choice walkPaths makes per column.
+func (e *Estimator) drawLane(rng *rand.Rand, ln *fusedLane, codes []int32, nc, col int, probs [][]float64, weights []float64) {
+	if inv := ln.fq.scaleAt(col); inv != nil {
+		drawScaledRows(rng, inv, codes, nc, col, probs, weights, ln.r0, ln.r0+ln.n)
+		return
+	}
+	drawRows(rng, ln.fq.reg.Cols[e.colAt(col)].IsAll(), ln.fq.valid[col], codes, nc, col, probs, weights, ln.r0, ln.r0+ln.n)
+}
+
+// skipDecodes reports whether a skipping walk decodes model position col for
+// fq: a restricted column, or one of its scale columns (never skipped).
+func (e *Estimator) skipDecodes(fq *sampleQuery, col int) bool {
+	return !fq.reg.Cols[e.colAt(col)].IsAll() || fq.scaleAt(col) != nil
 }
 
 // walkBlock runs one fused sample block: the lanes' chunks stacked into a
@@ -636,31 +651,31 @@ func (e *Estimator) walkBlock(bm BlockModel, st *fusedState, lanes []*fusedLane,
 					st.shared[r] = cached
 				}
 				for j := 0; j < act; j++ {
-					ln := lanes[j]
-					isAll := ln.fq.reg.Cols[e.colAt(col)].IsAll()
-					drawRows(rngs[j], isAll, ln.fq.valid[col], codes, nc, col, st.shared, weights, ln.r0, ln.r0+ln.n)
+					e.drawLane(rngs[j], lanes[j], codes, nc, col, st.shared, weights)
 				}
 			} else {
 				e.decodeDraw(bm, st, lanes, rngs, 0, act, col, nc, col == 0, codes, weights)
 			}
 			continue
 		}
-		// Skip mode: only lanes restricting this column decode it; if none
-		// do, the whole block jumps the column (the model treats it as
-		// absent). Decodes run per maximal contiguous run of needing lanes,
-		// split further into sub-runs of first-wave lanes (fq.first == col):
-		// those lanes skipped every earlier column, so their rows still hold
-		// the zero-input broadcast state and their conditional is the
-		// memoized first-wave vector for col.
+		// Skip mode: only lanes restricting this column, or scaling by it,
+		// decode it; if none do, the whole block jumps the column (the model
+		// treats it as absent). Decodes run per maximal contiguous run of
+		// needing lanes, split further into sub-runs of first-wave lanes
+		// (fq.first == col): those lanes skipped every earlier column, so
+		// their rows still hold the zero-input broadcast state and their
+		// conditional is the memoized first-wave vector for col. A lane that
+		// decoded a scale column earlier has left that state, and its first
+		// restricted column is past fq.first, so the memo never serves it.
 		j := 0
 		advanced := false
 		for j < act {
-			if ln := lanes[j]; ln.fq.reg.Cols[e.colAt(col)].IsAll() {
+			if !e.skipDecodes(lanes[j].fq, col) {
 				j++
 				continue
 			}
 			k := j
-			for k < act && !lanes[k].fq.reg.Cols[e.colAt(col)].IsAll() {
+			for k < act && e.skipDecodes(lanes[k].fq, col) {
 				k++
 			}
 			if !advanced {
@@ -685,8 +700,7 @@ func (e *Estimator) walkBlock(bm BlockModel, st *fusedState, lanes []*fusedLane,
 							st.shared[r] = cached
 						}
 						for ; j < m; j++ {
-							ln := lanes[j]
-							drawRows(rngs[j], false, ln.fq.valid[col], codes, nc, col, st.shared, weights, ln.r0, ln.r0+ln.n)
+							e.drawLane(rngs[j], lanes[j], codes, nc, col, st.shared, weights)
 						}
 						continue
 					}

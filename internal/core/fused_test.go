@@ -58,11 +58,11 @@ func TestEstimateFusedMatchesSequential(t *testing.T) {
 
 	seq := NewEstimator(testMADE(domains), samples, seed)
 	seq.EnumThreshold = 40
-	want := seq.EstimateBatchCtx(context.Background(), regs, ServeOptions{Workers: 1})
+	want := seq.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
 
 	fused := NewEstimator(testMADE(domains), samples, seed)
 	fused.EnumThreshold = 40
-	got := fused.EstimateFused(context.Background(), regs, ServeOptions{})
+	got := fused.EstimateFused(context.Background(), Requests(regs), ServeOptions{})
 	requireFusedMatch(t, got, want)
 
 	sampled := 0
@@ -91,11 +91,11 @@ func TestEstimateFusedAdaptiveBudget(t *testing.T) {
 	seq.EnumThreshold = 40
 	sopts := opts
 	sopts.Workers = 1
-	want := seq.EstimateBatchCtx(context.Background(), regs, sopts)
+	want := seq.EstimateBatchCtx(context.Background(), Requests(regs), sopts)
 
 	fused := NewEstimator(testMADE(domains), samples, seed)
 	fused.EnumThreshold = 40
-	got := fused.EstimateFused(context.Background(), regs, opts)
+	got := fused.EstimateFused(context.Background(), Requests(regs), opts)
 	requireFusedMatch(t, got, want)
 
 	early := 0
@@ -136,11 +136,11 @@ func TestEstimateFusedFallbackBeforeSampling(t *testing.T) {
 
 	seq := NewEstimator(testMADE(domains), samples, seed)
 	seq.EnumThreshold = 40
-	want := seq.EstimateBatchCtx(context.Background(), regs, opts)
+	want := seq.EstimateBatchCtx(context.Background(), Requests(regs), opts)
 
 	fused := NewEstimator(testMADE(domains), samples, seed)
 	fused.EnumThreshold = 40
-	got := fused.EstimateFused(context.Background(), regs, opts)
+	got := fused.EstimateFused(context.Background(), Requests(regs), opts)
 	for i := range want {
 		if got[i].Source != want[i].Source || got[i].Sel != want[i].Sel {
 			t.Fatalf("query %d: fused %v %v, per-query %v %v", i, got[i].Source, got[i].Sel, want[i].Source, want[i].Sel)
@@ -164,17 +164,17 @@ func TestEstimateFusedSkipWildcards(t *testing.T) {
 	seq := NewEstimator(testMADE(domains), samples, seed)
 	seq.EnumThreshold = 40
 	seq.SkipWildcards = true
-	want := seq.EstimateBatchCtx(context.Background(), regs, ServeOptions{Workers: 1})
+	want := seq.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
 
 	fused := NewEstimator(testMADE(domains), samples, seed)
 	fused.EnumThreshold = 40
 	fused.SkipWildcards = true
-	got := fused.EstimateFused(context.Background(), regs, ServeOptions{})
+	got := fused.EstimateFused(context.Background(), Requests(regs), ServeOptions{})
 	requireFusedMatch(t, got, want)
 
 	noskip := NewEstimator(testMADE(domains), samples, seed)
 	noskip.EnumThreshold = 40
-	plain := noskip.EstimateFused(context.Background(), regs, ServeOptions{})
+	plain := noskip.EstimateFused(context.Background(), Requests(regs), ServeOptions{})
 	differs := false
 	for i := range got {
 		if got[i].Samples == samples && got[i].Sel != plain[i].Sel {
@@ -197,11 +197,11 @@ func TestEstimateFusedNonBlockModelDelegates(t *testing.T) {
 
 	seq := NewEstimator(noFork{testMADE(domains)}, samples, seed)
 	seq.EnumThreshold = 40
-	want := seq.EstimateBatchCtx(context.Background(), regs, ServeOptions{Workers: 1})
+	want := seq.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
 
 	fused := NewEstimator(noFork{testMADE(domains)}, samples, seed)
 	fused.EnumThreshold = 40
-	got := fused.EstimateFused(context.Background(), regs, ServeOptions{})
+	got := fused.EstimateFused(context.Background(), Requests(regs), ServeOptions{})
 	requireFusedMatch(t, got, want)
 }
 
@@ -234,7 +234,7 @@ func TestEstimateFusedBlockPanicReserved(t *testing.T) {
 
 	seq := NewEstimator(testMADE(domains), samples, seed)
 	seq.EnumThreshold = 40
-	want := seq.EstimateBatchCtx(context.Background(), regs, ServeOptions{Workers: 1})
+	want := seq.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
 
 	// Workers pinned to 1: panicBlock forks to itself, so concurrent shards
 	// would share one model state. TestEstimateFusedShardPanicContained covers
@@ -242,7 +242,7 @@ func TestEstimateFusedBlockPanicReserved(t *testing.T) {
 	pb := &panicBlock{Model: testMADE(domains)}
 	fused := NewEstimator(pb, samples, seed)
 	fused.EnumThreshold = 40
-	got := fused.EstimateFused(context.Background(), regs, ServeOptions{Workers: 1})
+	got := fused.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: 1})
 	if !pb.fired {
 		t.Fatal("block panic never triggered; fused path not taken")
 	}
@@ -265,13 +265,13 @@ func TestEstimateFusedWorkerMatrix(t *testing.T) {
 		seq := NewEstimator(testMADE(domains), samples, seed)
 		seq.EnumThreshold = 40
 		seq.SkipWildcards = skip
-		want := seq.EstimateBatchCtx(context.Background(), regs, ServeOptions{Workers: 1})
+		want := seq.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
 
 		for _, w := range []int{1, 2, 4, 8} {
 			fused := NewEstimator(testMADE(domains), samples, seed)
 			fused.EnumThreshold = 40
 			fused.SkipWildcards = skip
-			got := fused.EstimateFused(context.Background(), regs, ServeOptions{Workers: w})
+			got := fused.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: w})
 			for i := range want {
 				if !resultEqual(got[i], want[i]) || got[i].Stop != want[i].Stop {
 					t.Fatalf("skip=%v workers=%d query %d: fused %+v != sequential %+v",
@@ -292,8 +292,8 @@ func TestEstimateFusedInvalidWorkers(t *testing.T) {
 	e.EnumThreshold = 40
 
 	paths := map[string][]Result{
-		"EstimateFused":    e.EstimateFused(context.Background(), regs, ServeOptions{Workers: -3}),
-		"EstimateBatchCtx": e.EstimateBatchCtx(context.Background(), regs, ServeOptions{Workers: -3}),
+		"EstimateFused":    e.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: -3}),
+		"EstimateBatchCtx": e.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: -3}),
 	}
 	for name, res := range paths {
 		if len(res) != len(regs) {
@@ -339,14 +339,14 @@ func TestEstimateFusedShardPanicContained(t *testing.T) {
 
 	seq := NewEstimator(testMADE(domains), samples, seed)
 	seq.EnumThreshold = 40
-	want := seq.EstimateBatchCtx(context.Background(), regs, ServeOptions{Workers: 1})
+	want := seq.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
 
 	pb := &shardPanicBlock{Model: testMADE(domains), fired: new(atomic.Bool)}
 	fused := NewEstimator(pb, samples, seed)
 	fused.EnumThreshold = 40
 	reg := obs.New()
 	fused.SetObserver(reg)
-	got := fused.EstimateFused(context.Background(), regs, ServeOptions{Workers: workers})
+	got := fused.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: workers})
 	if !pb.fired.Load() {
 		t.Fatal("shard panic never triggered; fused path not taken")
 	}
@@ -385,12 +385,12 @@ func TestEstimateFusedFirstWaveEpoch(t *testing.T) {
 	// of both estimators consumes identical per-(query, chunk) streams.
 	seq := NewEstimator(testMADE(domains), samples, seed)
 	seq.EnumThreshold = 40
-	want := seq.EstimateBatchCtx(context.Background(), regs, ServeOptions{Workers: 1})
-	want2 := seq.EstimateBatchCtx(context.Background(), regs, ServeOptions{Workers: 1})
+	want := seq.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
+	want2 := seq.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
 
 	e := NewEstimator(testMADE(domains), samples, seed)
 	e.EnumThreshold = 40
-	first := e.EstimateFused(context.Background(), regs, ServeOptions{Workers: 1})
+	first := e.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: 1})
 	requireFusedMatch(t, first, want)
 	if e.firstWaveProbs(0) == nil {
 		t.Fatal("fused serve did not memoize the column-0 first-wave conditional")
@@ -401,7 +401,7 @@ func TestEstimateFusedFirstWaveEpoch(t *testing.T) {
 		t.Fatal("BumpServeEpoch left a stale first-wave entry servable")
 	}
 
-	again := e.EstimateFused(context.Background(), regs, ServeOptions{Workers: 1})
+	again := e.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: 1})
 	requireFusedMatch(t, again, want2)
 	if e.firstWaveProbs(0) == nil {
 		t.Fatal("cache not repopulated after invalidation")
@@ -447,8 +447,8 @@ func TestEstimateFusedEpochRaceBitIdentical(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 4; round++ {
-		want := seq.EstimateBatchCtx(context.Background(), regs, ServeOptions{Workers: 1})
-		got := e.EstimateFused(context.Background(), regs, ServeOptions{Workers: 4})
+		want := seq.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
+		got := e.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: 4})
 		for i := range want {
 			if !resultEqual(got[i], want[i]) || got[i].Stop != want[i].Stop {
 				t.Fatalf("round %d query %d under epoch churn: fused %+v != sequential %+v",
@@ -470,7 +470,7 @@ func TestEstimateFusedSerialSkipsBlockProbs(t *testing.T) {
 	e := NewEstimator(model, 300, 42)
 	e.EnumThreshold = 40
 	for attempt := 0; attempt < 8; attempt++ {
-		e.EstimateFused(context.Background(), regs, ServeOptions{Workers: 1})
+		e.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: 1})
 		st, ok := e.fusedPool.Get().(*fusedState)
 		if !ok {
 			continue // the race detector drops some pool Puts
@@ -504,7 +504,7 @@ func TestEstimateFusedWalkZeroAlloc(t *testing.T) {
 	e.EnumThreshold = 40
 	// Prime every pool: model scratch capacity, packed-weight caches, the
 	// fused state, and the first-wave conditionals.
-	e.EstimateFused(context.Background(), regs, ServeOptions{Workers: 1})
+	e.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: 1})
 
 	sc := e.acquire()
 	defer e.release(sc)
@@ -522,7 +522,7 @@ func TestEstimateFusedWalkZeroAlloc(t *testing.T) {
 	opts := ServeOptions{}
 	lanes := make([]*fusedLane, 0, len(regs))
 	for i, reg := range regs {
-		fq, _ := e.classify(context.Background(), sc, reg, nil, uint64(1000+i), i, &opts)
+		fq, _ := e.classify(context.Background(), sc, Request{Region: reg}, uint64(1000+i), i, &opts)
 		if fq == nil {
 			continue
 		}

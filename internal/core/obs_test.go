@@ -30,7 +30,7 @@ func TestStdErrConcurrentAttribution(t *testing.T) {
 	seq.EnumThreshold = 0
 	type pair struct{ sel, stderr float64 }
 	one := func(e *Estimator) (sel, stderr float64) {
-		res := e.EstimateBatchCtx(context.Background(), []*query.Region{reg}, ServeOptions{})[0]
+		res := e.EstimateBatchCtx(context.Background(), []Request{{Region: reg}}, ServeOptions{})[0]
 		return res.Sel, res.StdErr
 	}
 	want := make(map[pair]bool, n)
@@ -134,13 +134,13 @@ func TestObserverDoesNotPerturbBatchCtx(t *testing.T) {
 
 	plain := NewEstimator(NewOracle(tbl), 300, 13)
 	plain.EnumThreshold = 0
-	base := plain.EstimateBatchCtx(context.Background(), regions, ServeOptions{Workers: 1})
+	base := plain.EstimateBatchCtx(context.Background(), Requests(regions), ServeOptions{Workers: 1})
 
 	reg := obs.New()
 	observed := NewEstimator(NewOracle(tbl), 300, 13)
 	observed.EnumThreshold = 0
 	observed.SetObserver(reg)
-	withObs := observed.EstimateBatchCtx(context.Background(), regions, ServeOptions{Workers: 3})
+	withObs := observed.EstimateBatchCtx(context.Background(), Requests(regions), ServeOptions{Workers: 3})
 
 	for i := range base {
 		a, b := base[i], withObs[i]
@@ -175,7 +175,7 @@ func TestObserveServedPanicAndFallback(t *testing.T) {
 	est := NewEstimator(NewOracle(tbl), 100, 17)
 	est.EnumThreshold = 0
 	est.SetObserver(reg)
-	out := est.EstimateBatchCtx(context.Background(), regions, ServeOptions{
+	out := est.EstimateBatchCtx(context.Background(), Requests(regions), ServeOptions{
 		Workers:     1,
 		BeforeQuery: faultinject.PanicOn(2),
 		Fallback:    func(*query.Region) float64 { return 0.5 },

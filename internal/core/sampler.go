@@ -267,7 +267,7 @@ func (e *Estimator) EstimateBatch(regions []*query.Region, workers int) []float6
 			panic(err)
 		}
 	}
-	res := e.EstimateBatchCtx(context.Background(), regions, ServeOptions{Workers: max(workers, 0)})
+	res := e.EstimateBatchCtx(context.Background(), Requests(regions), ServeOptions{Workers: max(workers, 0)})
 	out := make([]float64, len(res))
 	for i, r := range res {
 		if errors.Is(r.Err, ErrPanicked) {

@@ -163,8 +163,8 @@ func TestStdErrShrinksWithSamples(t *testing.T) {
 	small.EnumThreshold = 0 // force the sampling path
 	big := NewEstimator(o, 5000, 1)
 	big.EnumThreshold = 0
-	resS := small.EstimateBatchCtx(context.Background(), []*query.Region{reg}, ServeOptions{})[0]
-	resB := big.EstimateBatchCtx(context.Background(), []*query.Region{reg}, ServeOptions{})[0]
+	resS := small.EstimateBatchCtx(context.Background(), []Request{{Region: reg}}, ServeOptions{})[0]
+	resB := big.EstimateBatchCtx(context.Background(), []Request{{Region: reg}}, ServeOptions{})[0]
 	errS, selB, errB := resS.StdErr, resB.Sel, resB.StdErr
 	if errS <= 0 || errB <= 0 {
 		t.Fatalf("stderr should be positive: %v %v", errS, errB)
@@ -187,7 +187,7 @@ func TestStdErrZeroForEnumeration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := est.EstimateBatchCtx(context.Background(), []*query.Region{reg}, ServeOptions{})[0] // tiny region → enumeration
+	res := est.EstimateBatchCtx(context.Background(), []Request{{Region: reg}}, ServeOptions{})[0] // tiny region → enumeration
 	if res.StdErr != 0 || res.Samples != 0 {
 		t.Fatalf("enumeration stderr = %v over %d samples, want 0 over 0", res.StdErr, res.Samples)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -19,32 +18,20 @@ import (
 // fanout value and dividing by it (high variance), the path weight absorbs
 // Σ_v P̂(v|prefix)·Inv[v] exactly, then a value is drawn from the tilted
 // distribution P̂(v|prefix)·Inv[v]/Σ so later columns are conditioned under
-// the correctly reweighted path measure.
+// the correctly reweighted path measure. A query's scale columns ride in its
+// Request, and both walks (walkPaths and the fused walkBlock) draw them.
 
 // ScaleCol attaches an importance downscale to one model column: during the
 // walk the path weight is multiplied by E[Inv[X_col] | x_<col] under the
 // model. Col is a natural (pre-permutation) column index; Inv holds one
 // strictly positive multiplier per domain code (1/fanout for join columns).
+// A query with scale columns always samples (never enumerates), and its walk
+// extends past the last restricted column to the last scale column; results
+// are bit-identical across entry points, chunk for chunk with the unscaled
+// walk's RNG convention.
 type ScaleCol struct {
 	Col int
 	Inv []float64
-}
-
-// EstimateScaled serves one query with fanout downscaling through the
-// per-query path (the shared classifier, then walkPaths) and returns its
-// Result, counted and traced like any served query. With no scale columns it
-// is a one-query EstimateBatchCtx (enumeration allowed); with scales the
-// walk always samples, extending past the last restricted column to the last
-// scale column. Scale columns must be unrestricted in reg: a restricted, out
-// of range or wrongly sized scale column fails the query (SourceFailed, with
-// an Err naming the column). Results are bit-identical given the estimator
-// seed and the query's global index, chunk for chunk with the unscaled
-// walk's RNG convention.
-func (e *Estimator) EstimateScaled(reg *query.Region, scales []ScaleCol) Result {
-	q := e.nextQuery.Add(1) - 1
-	sc := e.acquire()
-	defer e.release(sc)
-	return e.serveOne(context.Background(), sc, reg, scales, q, 0, &ServeOptions{})
 }
 
 // scaleByPos maps natural-order scale columns onto model positions (nil when

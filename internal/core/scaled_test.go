@@ -1,12 +1,21 @@
 package core
 
 import (
+	"context"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/query"
+	"repro/internal/table"
 )
+
+// serveScaled serves one query with its scale columns on the per-query walk,
+// as a join estimator's direct path does.
+func serveScaled(e *Estimator, reg *query.Region, scales []ScaleCol) Result {
+	return e.EstimateBatchCtx(context.Background(), []Request{{Region: reg, Scales: scales}}, ServeOptions{Workers: 1})[0]
+}
 
 // condModel is an exact two-column model: P(x0) = p0[x0], P(x1|x0) =
 // p1[x0][x1]. Exact conditionals isolate the scaled walk's arithmetic from
@@ -54,7 +63,7 @@ func TestEstimateScaledExactIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	inv := []float64{1, 0.5, 0.25} // fanouts 1, 2, 4
-	res := e.EstimateScaled(reg, []ScaleCol{{Col: 1, Inv: inv}})
+	res := serveScaled(e, reg, []ScaleCol{{Col: 1, Inv: inv}})
 	sel, stderr := res.Sel, res.StdErr
 	want := 0.3 * (0.5*1 + 0.3*0.5 + 0.2*0.25)
 	if math.Abs(sel-want) > 1e-12 {
@@ -85,7 +94,7 @@ func TestEstimateScaledDependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	inv := []float64{1, 0.5, 0.25}
-	res := e.EstimateScaled(reg, []ScaleCol{{Col: 1, Inv: inv}})
+	res := serveScaled(e, reg, []ScaleCol{{Col: 1, Inv: inv}})
 	sel, stderr := res.Sel, res.StdErr
 	mass := func(p []float64) float64 { return p[0]*inv[0] + p[1]*inv[1] + p[2]*inv[2] }
 	want := 0.6*mass(m.p1[0]) + 0.3*mass(m.p1[1])
@@ -112,7 +121,7 @@ func TestEstimateScaledNoScalesDelegates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel := e.EstimateScaled(reg, nil).Sel
+	sel := serveScaled(e, reg, nil).Sel
 	if want := 0.75 * 0.2; math.Abs(sel-want) > 1e-12 {
 		t.Fatalf("sel = %.15f, want %.15f", sel, want)
 	}
@@ -149,9 +158,85 @@ func TestEstimateScaledRejectsRestrictedScaleCol(t *testing.T) {
 		{"out of range", open, ScaleCol{Col: 2, Inv: []float64{1, 0.5}}, "scale column 2 of 2"},
 	}
 	for _, c := range cases {
-		res := e.EstimateScaled(c.reg, []ScaleCol{c.scale})
+		res := serveScaled(e, c.reg, []ScaleCol{c.scale})
 		if res.Source != SourceFailed || res.Err == nil || !strings.Contains(res.Err.Error(), c.want) {
 			t.Errorf("%s: got %v (err %v), want a failed result naming %q", c.name, res.Source, res.Err, c.want)
+		}
+	}
+}
+
+// scaledWorkload packs scaled requests among unscaled ones over corrTable's
+// four columns. Two of the scaled queries have a scale column before their
+// first restricted column, one of them at position 0; one scales a column
+// after its last restricted one; one scales two columns.
+func scaledWorkload(t *testing.T, tbl *table.Table) []Request {
+	t.Helper()
+	inv := func(col int) []float64 {
+		v := make([]float64, tbl.DomainSizes()[col])
+		for i := range v {
+			v[i] = 1 / float64(1+i%4)
+		}
+		return v
+	}
+	var reqs []Request
+	for _, reg := range fusedWorkload(t, tbl) {
+		reqs = append(reqs, Request{Region: reg})
+	}
+	scaled := []struct {
+		q      query.Query
+		scales []ScaleCol
+	}{
+		{query.Query{Preds: []query.Predicate{{Col: 2, Op: query.OpLe, Code: 3}, {Col: 3, Op: query.OpGe, Code: 2}}},
+			[]ScaleCol{{Col: 0, Inv: inv(0)}}},
+		{query.Query{Preds: []query.Predicate{{Col: 3, Op: query.OpLt, Code: 7}}},
+			[]ScaleCol{{Col: 1, Inv: inv(1)}}},
+		{query.Query{Preds: []query.Predicate{{Col: 0, Op: query.OpLe, Code: 3}}},
+			[]ScaleCol{{Col: 2, Inv: inv(2)}}},
+		{query.Query{Preds: []query.Predicate{{Col: 1, Op: query.OpBetween, Code: 2, Code2: 9}}},
+			[]ScaleCol{{Col: 0, Inv: inv(0)}, {Col: 3, Inv: inv(3)}}},
+		{query.Query{}, []ScaleCol{{Col: 2, Inv: inv(2)}}},
+	}
+	for i, c := range scaled {
+		// Interleave, so scaled lanes share blocks with unscaled ones.
+		at := min(2*i+1, len(reqs))
+		reqs = append(reqs[:at], append([]Request{{Region: mustRegion(t, c.q, tbl), Scales: c.scales}}, reqs[at:]...)...)
+	}
+	return reqs
+}
+
+// TestEstimateScaledFusedMatchesPerQuery: scaled requests packed in fused
+// blocks beside unscaled ones answer bit for bit like the per-query walk, at
+// one worker and at NumCPU, with and without wildcard skipping. With skipping
+// on, a scale column before the first restricted column must still be
+// decoded and drawn, and the first-wave memo must not serve the lane at its
+// first restricted column: the decoded scale column has moved its rows out of
+// the zero-input state.
+func TestEstimateScaledFusedMatchesPerQuery(t *testing.T) {
+	tbl := corrTable(t, 1500, 3)
+	reqs := scaledWorkload(t, tbl)
+	domains := tbl.DomainSizes()
+	const samples, seed = 300, 42
+	for _, skip := range []bool{false, true} {
+		seq := NewEstimator(testMADE(domains), samples, seed)
+		seq.EnumThreshold = 40
+		seq.SkipWildcards = skip
+		want := seq.EstimateBatchCtx(context.Background(), reqs, ServeOptions{Workers: 1})
+		for i, r := range reqs {
+			if r.Scales != nil && (want[i].Source != SourceModel || want[i].Samples != samples) {
+				t.Fatalf("skip=%v scaled query %d: %+v, want a full-budget sampled answer", skip, i, want[i])
+			}
+		}
+		for _, w := range []int{1, runtime.NumCPU()} {
+			fused := NewEstimator(testMADE(domains), samples, seed)
+			fused.EnumThreshold = 40
+			fused.SkipWildcards = skip
+			got := fused.EstimateFused(context.Background(), reqs, ServeOptions{Workers: w})
+			for i := range want {
+				if !resultEqual(got[i], want[i]) || got[i].Stop != want[i].Stop {
+					t.Fatalf("skip=%v workers=%d query %d (scales %v): fused %+v != per-query %+v",
+						skip, w, i, reqs[i].Scales != nil, got[i], want[i])
+				}
+			}
 		}
 	}
 }

@@ -191,17 +191,36 @@ type ServeOptions struct {
 // ran — the determinism the disruption tests pin down.
 const anytimeChunk = 128
 
+// Request is one query for the serving walks: its compiled region and, for a
+// query over a join model, the scale columns its walk downscales by (nil for
+// a single-table query; see ScaleCol). Scale columns must be unrestricted in
+// the region: a restricted, out of range or wrongly sized scale column fails
+// the query with an Err naming the column.
+type Request struct {
+	Region *query.Region
+	Scales []ScaleCol
+}
+
+// Requests wraps regions as unscaled requests.
+func Requests(regions []*query.Region) []Request {
+	reqs := make([]Request, len(regions))
+	for i, reg := range regions {
+		reqs[i].Region = reg
+	}
+	return reqs
+}
+
 // EstimateBatchCtx serves a whole workload with per-query fault containment:
 // each query runs under the context and per-query deadline, a panicking
 // query yields a per-query error (and fallback) rather than a crashed batch,
 // and deadline pressure degrades the sample budget instead of aborting. The
-// result slice aligns positionally with regions and always has an entry for
+// result slice aligns positionally with reqs and always has an entry for
 // every query. Queries that complete their full model budget return values
 // that are bit-identical to a sequential (Workers: 1) serve of the same
 // batch on a fresh estimator.
-func (e *Estimator) EstimateBatchCtx(ctx context.Context, regions []*query.Region, opts ServeOptions) []Result {
-	out := make([]Result, len(regions))
-	if len(regions) == 0 {
+func (e *Estimator) EstimateBatchCtx(ctx context.Context, reqs []Request, opts ServeOptions) []Result {
+	out := make([]Result, len(reqs))
+	if len(reqs) == 0 {
 		return out
 	}
 	if ctx == nil {
@@ -214,19 +233,19 @@ func (e *Estimator) EstimateBatchCtx(ctx context.Context, regions []*query.Regio
 		}
 		return out
 	}
-	base := e.nextQuery.Add(uint64(len(regions))) - uint64(len(regions))
+	base := e.nextQuery.Add(uint64(len(reqs))) - uint64(len(reqs))
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > len(regions) {
-		workers = len(regions)
+	if workers > len(reqs) {
+		workers = len(reqs)
 	}
 	if workers == 1 {
 		sc := e.acquire()
 		defer e.release(sc)
-		for i, reg := range regions {
-			out[i] = e.serveOne(ctx, sc, reg, nil, base+uint64(i), i, &opts)
+		for i, req := range reqs {
+			out[i] = e.serveOne(ctx, sc, req, base+uint64(i), i, &opts)
 		}
 		return out
 	}
@@ -243,10 +262,10 @@ func (e *Estimator) EstimateBatchCtx(ctx context.Context, regions []*query.Regio
 			defer e.release(sc)
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(regions) {
+				if i >= len(reqs) {
 					return
 				}
-				out[i] = e.serveOne(ctx, sc, regions[i], nil, base+uint64(i), i, &opts)
+				out[i] = e.serveOne(ctx, sc, reqs[i], base+uint64(i), i, &opts)
 			}
 		}()
 	}
@@ -258,13 +277,13 @@ func (e *Estimator) EstimateBatchCtx(ctx context.Context, regions []*query.Regio
 // shared classifier, walkPaths for a sampling query, then routeFallback. The
 // caller owns the scratch; a panic may leave its sampling state mid-walk,
 // but the next walk's BeginSampling resets it.
-func (e *Estimator) serveOne(ctx context.Context, sc *scratch, reg *query.Region, scales []ScaleCol, q uint64, i int, opts *ServeOptions) Result {
+func (e *Estimator) serveOne(ctx context.Context, sc *scratch, req Request, q uint64, i int, opts *ServeOptions) Result {
 	start := time.Now()
-	sq, res := e.classify(ctx, sc, reg, scales, q, i, opts)
+	sq, res := e.classify(ctx, sc, req, q, i, opts)
 	if sq != nil {
 		res = e.walkPaths(ctx, sc, sq, queryDeadline(ctx, opts, start), opts.TargetRelStdErr)
 	}
-	return e.routeFallback(res, reg, opts, time.Since(start))
+	return e.routeFallback(res, req.Region, opts, time.Since(start))
 }
 
 // queryDeadline composes opts.Deadline, counted from start, with the
@@ -307,7 +326,7 @@ type sampleQuery struct {
 	i     int // position in the batch
 	q     uint64
 	reg   *query.Region
-	first int         // first restricted model position
+	first int         // first restricted (or scale) model position
 	last  int         // last restricted (or scale) model position
 	valid [][]int32   // per-position valid-code lists, privately owned
 	scale [][]float64 // per-position inverse fanouts; nil without scale columns
@@ -348,7 +367,8 @@ func (sq *sampleQuery) add(weights []float64) {
 // columns always samples). Inline answers and failures come back as res with
 // a nil sq; a sampling query comes back as its walk state. Panics in the
 // hook or enumeration are contained to the query.
-func (e *Estimator) classify(ctx context.Context, sc *scratch, reg *query.Region, scales []ScaleCol, q uint64, i int, opts *ServeOptions) (sq *sampleQuery, res Result) {
+func (e *Estimator) classify(ctx context.Context, sc *scratch, req Request, q uint64, i int, opts *ServeOptions) (sq *sampleQuery, res Result) {
+	reg := req.Region
 	defer func() {
 		if r := recover(); r != nil {
 			sq, res = nil, Result{Source: SourceFailed, Err: fmt.Errorf("%w: query %d: %v", ErrPanicked, i, r)}
@@ -366,7 +386,7 @@ func (e *Estimator) classify(ctx context.Context, sc *scratch, reg *query.Region
 	if err := e.checkWidth(reg); err != nil {
 		return nil, Result{Source: SourceFailed, Err: err}
 	}
-	scale, err := e.scaleByPos(reg, scales)
+	scale, err := e.scaleByPos(reg, req.Scales)
 	if err != nil {
 		return nil, Result{Source: SourceFailed, Err: err}
 	}
@@ -382,15 +402,15 @@ func (e *Estimator) classify(ctx context.Context, sc *scratch, reg *query.Region
 	// Trailing wildcards integrate to exactly 1 under the chain rule (their
 	// conditionals sum out over the full domain), so both walks stop at the
 	// last restricted or scale position — the cutoff enumeration uses. A
-	// fully wildcarded region has last = -1: every path keeps weight 1.
+	// fully wildcarded region has last = -1: every path keeps weight 1. A
+	// skipping walk decodes nothing before first, so a lane's rows are still
+	// in the zero-input state there (the first-wave memo's premise).
 	sq = &sampleQuery{i: i, q: q, reg: reg, first: -1, last: -1, scale: scale}
 	for p := range reg.Cols {
-		if !reg.Cols[e.colAt(p)].IsAll() {
+		if !reg.Cols[e.colAt(p)].IsAll() || sq.scaleAt(p) != nil {
 			if sq.first < 0 {
 				sq.first = p
 			}
-			sq.last = p
-		} else if sq.scaleAt(p) != nil {
 			sq.last = p
 		}
 	}

@@ -28,12 +28,12 @@ func TestEstimateBatchCtxMatchesSequential(t *testing.T) {
 
 	seq := NewEstimator(testMADE(domains), samples, seed)
 	seq.EnumThreshold = 40
-	want := seq.EstimateBatchCtx(context.Background(), regs, ServeOptions{Workers: 1})
+	want := seq.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
 
 	for _, workers := range []int{2, 4, 8} {
 		est := NewEstimator(testMADE(domains), samples, seed)
 		est.EnumThreshold = 40
-		got := est.EstimateBatchCtx(context.Background(), regs, ServeOptions{Workers: workers})
+		got := est.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: workers})
 		for i := range got {
 			if !resultEqual(got[i], want[i]) {
 				t.Fatalf("workers=%d query %d: %+v, want %+v", workers, i, got[i], want[i])
@@ -60,7 +60,7 @@ func TestServeDisruptionDeterminism(t *testing.T) {
 
 	seq := NewEstimator(testMADE(domains), samples, seed)
 	seq.EnumThreshold = 40
-	want := seq.EstimateBatchCtx(context.Background(), regs, ServeOptions{Workers: 1})
+	want := seq.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
 
 	fallback := func(reg *query.Region) float64 { return 0.125 }
 	panicked := []int{2, 5, 11}
@@ -70,7 +70,7 @@ func TestServeDisruptionDeterminism(t *testing.T) {
 	hookCancel := faultinject.CancelAt(len(regs)-6, cancel)
 	est := NewEstimator(testMADE(domains), samples, seed)
 	est.EnumThreshold = 40
-	got := est.EstimateBatchCtx(ctx, regs, ServeOptions{
+	got := est.EstimateBatchCtx(ctx, Requests(regs), ServeOptions{
 		Workers:  4,
 		Fallback: fallback,
 		BeforeQuery: func(i int) {
@@ -128,7 +128,7 @@ func TestPanicWithoutFallbackIsolated(t *testing.T) {
 	regs := batchRegions(t, tbl)
 	domains := tbl.DomainSizes()
 	est := NewEstimator(testMADE(domains), 64, 7)
-	got := est.EstimateBatchCtx(context.Background(), regs, ServeOptions{
+	got := est.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{
 		Workers:     3,
 		BeforeQuery: faultinject.PanicOn(4),
 	})
@@ -187,7 +187,7 @@ func TestDeadlineDegradesBudget(t *testing.T) {
 	est := NewEstimator(slow, 2048, 7)
 	est.EnumThreshold = 0
 
-	got := est.EstimateBatchCtx(context.Background(), []*query.Region{reg}, ServeOptions{
+	got := est.EstimateBatchCtx(context.Background(), []Request{{Region: reg}}, ServeOptions{
 		Workers:  1,
 		Deadline: 10 * time.Millisecond,
 	})[0]
@@ -210,7 +210,7 @@ func TestDeadlineDegradesBudget(t *testing.T) {
 	// SequentialModel identically and follow the exact same code path.
 	est2 := NewEstimator(&slowModel{Model: testMADE(tbl.DomainSizes())}, got.Samples, 7)
 	est2.EnumThreshold = 0
-	ref := est2.EstimateBatchCtx(context.Background(), []*query.Region{reg}, ServeOptions{Workers: 1})[0]
+	ref := est2.EstimateBatchCtx(context.Background(), []Request{{Region: reg}}, ServeOptions{Workers: 1})[0]
 	if ref.Sel != got.Sel {
 		t.Fatalf("degraded estimate %v differs from budget-%d estimate %v", got.Sel, got.Samples, ref.Sel)
 	}
@@ -223,7 +223,7 @@ func TestDeadlineExhaustedFallsBack(t *testing.T) {
 	reg := sampledRegion(t, tbl)
 	est := NewEstimator(testMADE(tbl.DomainSizes()), 256, 7)
 	est.EnumThreshold = 0
-	got := est.EstimateBatchCtx(context.Background(), []*query.Region{reg}, ServeOptions{
+	got := est.EstimateBatchCtx(context.Background(), []Request{{Region: reg}}, ServeOptions{
 		Workers:  1,
 		Deadline: time.Nanosecond,
 		Fallback: func(*query.Region) float64 { return 0.5 },
@@ -269,7 +269,7 @@ func TestNonFiniteEstimateFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := est.EstimateBatchCtx(context.Background(), []*query.Region{reg}, ServeOptions{
+	got := est.EstimateBatchCtx(context.Background(), []Request{{Region: reg}}, ServeOptions{
 		Workers:  1,
 		Fallback: func(*query.Region) float64 { return 0.25 },
 	})[0]
@@ -289,7 +289,7 @@ func TestCancelledContextEveryQueryAnswered(t *testing.T) {
 	est := NewEstimator(testMADE(tbl.DomainSizes()), 64, 7)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got := est.EstimateBatchCtx(ctx, regs, ServeOptions{Workers: 4})
+	got := est.EstimateBatchCtx(ctx, Requests(regs), ServeOptions{Workers: 4})
 	for i, r := range got {
 		if r.Source != SourceFailed || !errors.Is(r.Err, context.Canceled) {
 			t.Fatalf("query %d: %+v, want failed with context.Canceled", i, r)
@@ -303,7 +303,7 @@ func TestFallbackPanicContained(t *testing.T) {
 	tbl := corrTable(t, 1500, 37)
 	regs := batchRegions(t, tbl)[:3]
 	est := NewEstimator(testMADE(tbl.DomainSizes()), 64, 7)
-	got := est.EstimateBatchCtx(context.Background(), regs, ServeOptions{
+	got := est.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{
 		Workers:     1,
 		BeforeQuery: faultinject.PanicOn(1),
 		Fallback:    func(*query.Region) float64 { panic("fallback bug") },

@@ -71,6 +71,56 @@ func newVersion(id uint64, smp *Sampler, m *made.Model, cfg Config) (*version, e
 	return v, nil
 }
 
+// Serving is one version as a caller serves it through its own request
+// path: the trained model and its progressive-sampling estimator, the
+// zero-row layout table queries parse and compile against, the exact join
+// size a selectivity multiplies, and Plan, which returns a query's fanout
+// scale columns and counts it as a join estimate.
+type Serving struct {
+	ID       uint64
+	Model    *made.Model
+	Walk     *core.Estimator
+	Layout   *table.Table
+	JoinSize int64
+	Plan     func(query.Query) ([]core.ScaleCol, error)
+}
+
+// serving exports version v.
+func (e *Estimator) serving(v *version) Serving {
+	return Serving{
+		ID: v.id, Model: v.model, Walk: v.est, Layout: v.lt, JoinSize: v.smp.JoinSize(),
+		Plan: func(q query.Query) ([]core.ScaleCol, error) { return e.plan(v, q) },
+	}
+}
+
+// OnServe registers fn to receive every version the estimator serves: the
+// current one now, and each refreshed one before the estimator switches to
+// it, so a caller serving through fn never runs behind ModelVersion. fn runs
+// under the lock that serializes refreshes, so it must not call Refresh or
+// OnServe.
+func (e *Estimator) OnServe(fn func(Serving)) {
+	e.refreshMu.Lock()
+	defer e.refreshMu.Unlock()
+	e.onServe = append(e.onServe, fn)
+	fn(e.serving(e.cur.Load()))
+}
+
+// plan is planScales plus the join-estimate counters: every planned query is
+// about to be served.
+func (e *Estimator) plan(v *version, q query.Query) ([]core.ScaleCol, error) {
+	scales, err := v.planScales(q)
+	if err != nil {
+		return nil, err
+	}
+	if e.estimates != nil {
+		e.estimates.Add(1)
+		if len(scales) > 0 {
+			e.scaledEst.Add(1)
+		}
+	}
+	return scales, nil
+}
+
 // planScales derives the fanout downscales for a query: the spanned subtree S
 // is the predicated tables plus the root, closed under parent links (so it is
 // always the minimal connected subtree containing them), and every edge whose
@@ -118,7 +168,8 @@ type Estimator struct {
 	drifts []*lifecycle.TableDrift
 	nextID uint64
 
-	refreshMu sync.Mutex // serializes Refresh
+	refreshMu sync.Mutex      // serializes Refresh and OnServe
+	onServe   []func(Serving) // guarded by refreshMu
 
 	estimates *obs.Counter
 	scaledEst *obs.Counter
@@ -234,21 +285,16 @@ func (e *Estimator) EstimateQuery(q query.Query) (card, stderr float64, err erro
 }
 
 func (e *Estimator) estimateOn(v *version, q query.Query) (card, stderr float64, err error) {
-	scales, err := v.planScales(q)
-	if err != nil {
-		return 0, 0, err
-	}
 	reg, err := query.Compile(q, v.lt)
 	if err != nil {
 		return 0, 0, err
 	}
-	res := v.est.EstimateScaled(reg, scales)
-	if e.estimates != nil {
-		e.estimates.Add(1)
-		if len(scales) > 0 {
-			e.scaledEst.Add(1)
-		}
+	scales, err := e.plan(v, q)
+	if err != nil {
+		return 0, 0, err
 	}
+	req := []core.Request{{Region: reg, Scales: scales}}
+	res := v.est.EstimateBatchCtx(context.Background(), req, core.ServeOptions{Workers: 1})[0]
 	if res.Err != nil {
 		return 0, 0, fmt.Errorf("%w: %w", ErrEstimateFailed, res.Err)
 	}

@@ -70,17 +70,6 @@ func (e *Estimator) Table(name string) *table.Table {
 	return nil
 }
 
-// TableNames lists the base tables in schema order.
-func (e *Estimator) TableNames() []string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	names := make([]string, len(e.tables))
-	for i, t := range e.tables {
-		names[i] = t.Name
-	}
-	return names
-}
-
 // Drift reports the worst base-table drift signal across the join schema.
 func (e *Estimator) Drift() Drift {
 	e.mu.Lock()
@@ -146,6 +135,9 @@ func (e *Estimator) Refresh(ctx context.Context) error {
 	v, err := newVersion(id, smp, model, e.cfg)
 	if err != nil {
 		return err
+	}
+	for _, fn := range e.onServe {
+		fn(e.serving(v))
 	}
 
 	e.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -340,11 +341,12 @@ func (s *Sampler) Observe(reg *obs.Registry) {
 	}
 }
 
-// LayoutTable assembles a schema-only table over the joined layout: base
-// columns share their source dictionaries (renamed "table.column") and
-// fanout columns get integer dictionaries of their distinct values; all code
-// vectors are empty. It is the compilation target for multi-table queries —
-// query.ParseWhere and query.Compile work against it unchanged.
+// LayoutTable assembles a schema-only table over the joined layout, named
+// after the join ("customers⋈orders⋈items"): base columns share their source
+// dictionaries (renamed "table.column") and fanout columns get integer
+// dictionaries of their distinct values; all code vectors are empty. It is
+// the compilation target for multi-table queries — query.ParseWhere and
+// query.Compile work against it unchanged.
 func (s *Sampler) LayoutTable() (*table.Table, error) {
 	cols := make([]*table.Column, len(s.layout.Cols))
 	for i, lc := range s.layout.Cols {
@@ -360,7 +362,11 @@ func (s *Sampler) LayoutTable() (*table.Table, error) {
 		cc.Codes = []int32{}
 		cols[i] = &cc
 	}
-	return table.New("join", cols)
+	names := make([]string, len(s.schema.Tables))
+	for i, t := range s.schema.Tables {
+		names[i] = t.Name
+	}
+	return table.New(strings.Join(names, "⋈"), cols)
 }
 
 // mixSeed derives a well-separated stream seed from (seed, k) by a splitmix64

@@ -113,7 +113,7 @@ func TestServerJoinTenantE2E(t *testing.T) {
 	if err := s.AddJoin(NewJoinTenant("joined", est)); err != nil {
 		t.Fatal(err)
 	}
-	// The two registries share one namespace.
+	// Join and single-table tenants share one registry and namespace.
 	if err := s.AddJoin(NewJoinTenant("flat", est)); err == nil {
 		t.Fatal("AddJoin accepted a name held by a single-table tenant")
 	}

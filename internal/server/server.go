@@ -23,18 +23,17 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Server hosts many serving tenants behind one mux: /v1/{tenant}/... routes
-// by name, the legacy single-tenant routes alias the default tenant, and the
-// process-level health probes aggregate across every tenant. Add tenants
-// before Start; the tenant set is immutable while serving.
+// Server hosts many serving tenants, single-table and join alike, behind one
+// mux: /v1/{tenant}/... routes by name, the legacy single-tenant routes alias
+// the default tenant, and the process-level health probes aggregate across
+// every tenant. Add tenants before Start; the tenant set is immutable while
+// serving.
 type Server struct {
 	opts    Options
 	mu      sync.Mutex
 	tenants map[string]*Tenant
 	order   []string // insertion order, for stable listings
 	def     string   // legacy-route alias target
-	joins   map[string]*JoinTenant
-	jorder  []string // join-tenant insertion order
 
 	ctx       context.Context // set by Start; scopes background refreshes
 	refreshWG sync.WaitGroup
@@ -114,32 +113,23 @@ func (s *Server) snapshotTenants() []*Tenant {
 func (s *Server) Start(ctx context.Context) {
 	s.mu.Lock()
 	s.ctx = ctx
-	tenants := make([]*Tenant, 0, len(s.order))
-	for _, name := range s.order {
-		tenants = append(tenants, s.tenants[name])
-	}
 	s.mu.Unlock()
+	tenants := s.snapshotTenants()
 	for _, tn := range tenants {
 		tn := tn
 		tn.onAppend = func() { s.kickRefresh(tn) }
 	}
-	joins := s.snapshotJoins()
-	for _, jt := range joins {
-		jt := jt
-		jt.onAppend = func() { s.kickJoinRefresh(jt) }
-	}
 	if s.opts.Metrics != nil {
-		s.opts.Metrics.Gauge("naru_tenants").Set(float64(len(tenants) + len(joins)))
+		s.opts.Metrics.Gauge("naru_tenants").Set(float64(len(tenants)))
 	}
 }
 
-// kickRefresh starts a background refresh for one tenant when its lifecycle
-// manager says one is warranted and none is running. The refresh inherits
-// the Start context: cancelling it aborts between gradient steps and the
-// final checkpoint is flushed before Close returns.
+// kickRefresh starts a background refresh for one tenant when its kind says
+// one is warranted and none is running. The refresh inherits the Start
+// context: cancelling it aborts between gradient steps (a single-table
+// refresh flushes its final checkpoint) before Close returns.
 func (s *Server) kickRefresh(tn *Tenant) {
-	lc := tn.est.Lifecycle()
-	if lc == nil || lc.Refreshing() || !lc.ShouldRefresh() {
+	if !tn.kind.refreshDue() {
 		return
 	}
 	ctx := s.ctx
@@ -149,14 +139,13 @@ func (s *Server) kickRefresh(tn *Tenant) {
 	s.refreshWG.Add(1)
 	go func() {
 		defer s.refreshWG.Done()
-		res, err := tn.est.RefreshCtx(ctx)
+		msg, err := tn.kind.refresh(ctx)
 		switch {
 		case errors.Is(err, lifecycle.ErrRefreshRunning):
 		case err != nil:
 			s.logf("lifecycle[%s]: refresh: %v", tn.name, err)
 		default:
-			s.logf("lifecycle[%s]: swapped in version %d (nll %.4f, %d rows)",
-				tn.name, res.Version, res.NLL, res.Rows)
+			s.logf("lifecycle[%s]: %s", tn.name, msg)
 		}
 	}()
 }
@@ -205,18 +194,11 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/", s.handleIndex)
 	mux.HandleFunc("/v1/tenants", s.handleTenants)
-	// forTenant routes /v1/{tenant}/... by name: single-table tenants first,
-	// then join tenants (one namespace, two registries — AddJoin rejects
-	// collisions, so the precedence never decides between live tenants).
-	forTenant := func(h func(*Tenant, http.ResponseWriter, *http.Request), jh func(*JoinTenant, http.ResponseWriter, *http.Request)) http.HandlerFunc {
+	forTenant := func(h func(*Tenant, http.ResponseWriter, *http.Request)) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			name := r.PathValue("tenant")
 			if tn := s.Tenant(name); tn != nil {
 				h(tn, w, r)
-				return
-			}
-			if jt := s.JoinTenant(name); jt != nil {
-				jh(jt, w, r)
 				return
 			}
 			http.Error(w, fmt.Sprintf("unknown tenant %q", name), http.StatusNotFound)
@@ -232,12 +214,12 @@ func (s *Server) Handler() http.Handler {
 			h(tn, w, r)
 		}
 	}
-	mux.HandleFunc("/v1/{tenant}/estimate", forTenant((*Tenant).handleEstimate, (*JoinTenant).handleEstimate))
-	mux.HandleFunc("/v1/{tenant}/append", forTenant((*Tenant).handleAppend, (*JoinTenant).handleAppend))
-	mux.HandleFunc("/v1/{tenant}/drift", forTenant((*Tenant).handleDrift, (*JoinTenant).handleDrift))
-	mux.HandleFunc("/v1/{tenant}/models", forTenant((*Tenant).handleModels, (*JoinTenant).handleModels))
-	mux.HandleFunc("/v1/{tenant}/healthz", forTenant((*Tenant).handleHealthz, (*JoinTenant).handleHealthz))
-	mux.HandleFunc("/v1/{tenant}/readyz", forTenant((*Tenant).handleReadyz, (*JoinTenant).handleReadyz))
+	mux.HandleFunc("/v1/{tenant}/estimate", forTenant((*Tenant).handleEstimate))
+	mux.HandleFunc("/v1/{tenant}/append", forTenant((*Tenant).handleAppend))
+	mux.HandleFunc("/v1/{tenant}/drift", forTenant((*Tenant).handleDrift))
+	mux.HandleFunc("/v1/{tenant}/models", forTenant((*Tenant).handleModels))
+	mux.HandleFunc("/v1/{tenant}/healthz", forTenant((*Tenant).handleHealthz))
+	mux.HandleFunc("/v1/{tenant}/readyz", forTenant((*Tenant).handleReadyz))
 	// Legacy single-tenant routes: aliases to the default tenant, so clients
 	// of the pre-multi-tenant server keep working against the same paths.
 	mux.HandleFunc("/estimate", forDefault((*Tenant).handleEstimate))
@@ -267,7 +249,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "naru estimation service (no tenants registered)")
 		return
 	}
-	fmt.Fprintf(w, "naru estimation service for %q\nGET /estimate?where=a<=5 AND b=x\nPOST /append (text/csv body, no header)\nGET /drift | /models | /healthz\n", def.snapshot().Name)
+	t, _ := def.snapshot()
+	fmt.Fprintf(w, "naru estimation service for %q\nGET /estimate?where=a<=5 AND b=x\nPOST /append (text/csv body, no header)\nGET /drift | /models | /healthz\n", t.Name)
 	names := s.Names()
 	if len(names) > 1 || names[0] != def.name {
 		fmt.Fprintf(w, "\ntenants (legacy routes serve %q):\n", def.name)
@@ -277,7 +260,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// tenantInfo is one row of the /v1/tenants listing.
+// tenantInfo is one row of the /v1/tenants listing. A join tenant's Table is
+// the join ("customers⋈orders⋈items") and its Rows the join size.
 type tenantInfo struct {
 	Name         string `json:"name"`
 	Table        string `json:"table"`
@@ -293,25 +277,14 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	infos := make([]tenantInfo, 0)
 	for _, tn := range s.snapshotTenants() {
-		snap := tn.snapshot()
+		t, rows := tn.snapshot()
 		infos = append(infos, tenantInfo{
 			Name:         tn.name,
-			Table:        snap.Name,
+			Table:        t.Name,
 			Default:      tn.name == def,
 			State:        tn.state().String(),
 			ModelVersion: tn.est.ModelVersion(),
-			Rows:         snap.NumRows(),
-		})
-	}
-	// Join tenants list alongside: Table is the join rendering, Rows the
-	// full-join cardinality the model was trained over.
-	for _, jt := range s.snapshotJoins() {
-		infos = append(infos, tenantInfo{
-			Name:         jt.name,
-			Table:        jt.joinLabel(),
-			State:        "healthy",
-			ModelVersion: jt.est.ModelVersion(),
-			Rows:         int(jt.est.JoinSize()),
+			Rows:         rows,
 		})
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -327,27 +300,18 @@ func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {
 // is registered. 503 only when no tenants are registered.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	tenants := s.snapshotTenants()
-	joins := s.snapshotJoins()
 	def := s.Default()
 	w.Header().Set("Content-Type", "application/json")
-	if def == nil && len(joins) == 0 {
+	if def == nil {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		_ = json.NewEncoder(w).Encode(HealthResponse{Status: "no model loaded"})
 		return
 	}
-	var resp HealthResponse
-	if def != nil {
-		resp = healthFor(def.est, def.brk)
-	} else {
-		resp = joins[0].health() // join-only server: first join tenant leads
-	}
-	if len(tenants)+len(joins) > 1 {
-		resp.Tenants = make(map[string]HealthResponse, len(tenants)+len(joins))
+	resp := healthFor(def.est, def.brk, def.kind)
+	if len(tenants) > 1 {
+		resp.Tenants = make(map[string]HealthResponse, len(tenants))
 		for _, tn := range tenants {
-			resp.Tenants[tn.name] = healthFor(tn.est, tn.brk)
-		}
-		for _, jt := range joins {
-			resp.Tenants[jt.name] = jt.health()
+			resp.Tenants[tn.name] = healthFor(tn.est, tn.brk, tn.kind)
 		}
 	}
 	_ = json.NewEncoder(w).Encode(resp)
@@ -359,12 +323,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // and the per-tenant split alongside.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	tenants := s.snapshotTenants()
-	joins := s.snapshotJoins()
-	ready := len(tenants)+len(joins) > 0
+	ready := len(tenants) > 0
 	worst := naru.StateHealthy
 	var perTenant map[string]ReadyResponse
-	if len(tenants)+len(joins) > 1 {
-		perTenant = make(map[string]ReadyResponse, len(tenants)+len(joins))
+	if len(tenants) > 1 {
+		perTenant = make(map[string]ReadyResponse, len(tenants))
 	}
 	for _, tn := range tenants {
 		st := tn.state()
@@ -376,13 +339,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		}
 		if perTenant != nil {
 			perTenant[tn.name] = ReadyResponse{Ready: st.Ready(), State: st.String()}
-		}
-	}
-	// Join tenants are ready whenever loaded: no breaker, and a refresh in
-	// progress serves the old version until the swap.
-	for _, jt := range joins {
-		if perTenant != nil {
-			perTenant[jt.name] = ReadyResponse{Ready: true, State: "healthy"}
 		}
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -427,16 +383,14 @@ type ReadyResponse struct {
 	Tenants map[string]ReadyResponse `json:"tenants,omitempty"`
 }
 
-// healthFor assembles one estimator's health reading.
-func healthFor(est *naru.Estimator, brk *naru.Breaker) HealthResponse {
+// healthFor assembles one estimator's health reading; k supplies the
+// refresh-in-progress and staleness flags.
+func healthFor(est *naru.Estimator, brk *naru.Breaker, k kind) HealthResponse {
 	resp := HealthResponse{Status: "ok", ModelVersion: est.ModelVersion()}
 	if brk != nil {
 		resp.State = brk.State().String()
 	}
-	if lc := est.Lifecycle(); lc != nil {
-		resp.Refreshing = lc.Refreshing()
-		resp.StaleModel = lc.Stale()
-	}
+	resp.Refreshing, resp.StaleModel = k.refreshState()
 	return resp
 }
 
@@ -454,7 +408,7 @@ func Healthz(w http.ResponseWriter, est *naru.Estimator, brk *naru.Breaker) {
 		_ = json.NewEncoder(w).Encode(HealthResponse{Status: "no model loaded"})
 		return
 	}
-	_ = json.NewEncoder(w).Encode(healthFor(est, brk))
+	_ = json.NewEncoder(w).Encode(healthFor(est, brk, tableKind{est}))
 }
 
 // Livez is pure process liveness: if this handler runs, the process is up.

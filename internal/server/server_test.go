@@ -336,3 +336,143 @@ func TestBuildTenantErrors(t *testing.T) {
 		t.Fatalf("missing csv: %v", err)
 	}
 }
+
+// contractKind is one tenant kind as the serving-contract test drives it.
+// fresh returns a new estimator seeded exactly like every other call's, with
+// its boot table (nil for a join); swap installs version 2.
+type contractKind struct {
+	name  string
+	where string // a query that samples (never enumerates)
+	fresh func(t *testing.T) (*naru.Estimator, *table.Table)
+	swap  func(t *testing.T, est *naru.Estimator)
+}
+
+// contractKinds are the two tenant kinds: a single table, and a 3-table join
+// served through naru.ServeJoin.
+func contractKinds() []contractKind {
+	return []contractKind{
+		{
+			name:  "table",
+			where: "a>=1 AND c>=1", // 19·20·19 points: above the enumeration threshold
+			fresh: func(t *testing.T) (*naru.Estimator, *table.Table) {
+				tbl := wideTable(t)
+				return makeEstimator(tbl, 5, nil), tbl
+			},
+			swap: func(t *testing.T, est *naru.Estimator) {
+				snap, rows := est.Snapshot()
+				est.InstallVersion(made.New(snap.DomainSizes(), made.Config{
+					HiddenSizes: []int{32, 32}, EmbedThreshold: 64, EmbedDim: 8, Seed: 77,
+				}), snap, rows, 2)
+			},
+		},
+		{
+			name:  "join",
+			where: "customers.region = east AND orders.amount >= 30", // scaled: always samples
+			fresh: func(t *testing.T) (*naru.Estimator, *table.Table) {
+				return naru.ServeJoin(makeJoinEstimator(t)), nil
+			},
+			swap: func(t *testing.T, est *naru.Estimator) {
+				if err := est.Join().Refresh(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			},
+		},
+	}
+}
+
+// wideTable is makeTable's correlation over three 20-value columns, so a
+// two-predicate query samples instead of enumerating.
+func wideTable(t *testing.T) *table.Table {
+	t.Helper()
+	rng := rand.New(rand.NewSource(4))
+	b := table.NewBuilder("wide", []string{"a", "b", "c"})
+	for i := 0; i < 1200; i++ {
+		a := rng.Intn(20)
+		bb := (a + rng.Intn(3)) % 20
+		c := (a + bb) % 20
+		if err := b.AppendRow([]string{strconv.Itoa(a), strconv.Itoa(bb), strconv.Itoa(c)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// serveOne answers one estimate through the tenant's handler under ctx.
+func serveOne(t *testing.T, ctx context.Context, tn *Tenant, where string) (EstimateResponse, int) {
+	t.Helper()
+	s := New(Options{})
+	if err := s.Add(tn); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	req := httptest.NewRequest(http.MethodGet, estimateURL("", tn.Name(), where), nil).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	var er EstimateResponse
+	if err := json.NewDecoder(rec.Body).Decode(&er); err != nil {
+		t.Fatalf("decoding %q: %v", rec.Body.String(), err)
+	}
+	return er, rec.Code
+}
+
+// TestTenantServingContract: single-table and join tenants get one serving
+// contract, direct and coalesced: a per-query deadline and a cancelled client
+// stop the walk instead of answering from the model, a repeated query
+// replays from the result cache, a hot-swap ends the replay, and the
+// coalesced answer is bit-identical to the direct one.
+func TestTenantServingContract(t *testing.T) {
+	for _, k := range contractKinds() {
+		t.Run(k.name, func(t *testing.T) {
+			// The coalesced window is long enough that a cancelled client
+			// returns before its batch could dispatch.
+			for _, window := range []time.Duration{0, 50 * time.Millisecond} {
+				est, tbl := k.fresh(t)
+				tn := NewTenant(k.name, est, tbl, TenantOptions{
+					Serve: naru.ServeOptions{Deadline: time.Nanosecond}, BatchWindow: window,
+				})
+				er, code := serveOne(t, context.Background(), tn, k.where)
+				if code != http.StatusInternalServerError || er.Source != "failed" || !strings.Contains(er.Err, "deadline") {
+					t.Fatalf("window %v: expired deadline answered %d %+v, want a failed deadline answer", window, code, er)
+				}
+
+				est, tbl = k.fresh(t)
+				tn = NewTenant(k.name, est, tbl, TenantOptions{BatchWindow: window})
+				ctx, cancel := context.WithCancel(context.Background())
+				cancel()
+				er, code = serveOne(t, ctx, tn, k.where)
+				if code != http.StatusInternalServerError || er.Source != "failed" || !strings.Contains(er.Err, "canceled") {
+					t.Fatalf("window %v: cancelled client answered %d %+v, want a failed cancel answer", window, code, er)
+				}
+			}
+
+			est, tbl := k.fresh(t)
+			tn := NewTenant(k.name, est, tbl, TenantOptions{})
+			_, base := startServer(t, Options{}, tn)
+			direct, code := getEstimate(t, estimateURL(base, k.name, k.where))
+			if code != http.StatusOK || direct.Source != "model" || direct.Cached || direct.Samples == 0 {
+				t.Fatalf("direct answer %d %+v, want an uncached sampled model answer", code, direct)
+			}
+			hit, _ := getEstimate(t, estimateURL(base, k.name, k.where))
+			if !hit.Cached || hit.Sel != direct.Sel || hit.StdErr != direct.StdErr || hit.Card != direct.Card {
+				t.Fatalf("replay %+v, want a cached copy of %+v", hit, direct)
+			}
+			k.swap(t, est)
+			swapped, _ := getEstimate(t, estimateURL(base, k.name, k.where))
+			if swapped.Cached || swapped.ModelVersion != 2 {
+				t.Fatalf("after the swap %+v, want an uncached answer at version 2", swapped)
+			}
+
+			est, tbl = k.fresh(t)
+			_, cbase := startServer(t, Options{}, NewTenant(k.name, est, tbl, TenantOptions{BatchWindow: time.Millisecond}))
+			coalesced, code := getEstimate(t, estimateURL(cbase, k.name, k.where))
+			if code != http.StatusOK || coalesced.Sel != direct.Sel || coalesced.StdErr != direct.StdErr ||
+				coalesced.Samples != direct.Samples || coalesced.Card != direct.Card {
+				t.Fatalf("coalesced answer %d %+v differs from direct %+v", code, coalesced, direct)
+			}
+		})
+	}
+}

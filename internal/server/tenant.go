@@ -64,13 +64,17 @@ type TenantOptions struct {
 // defaultCacheSize bounds a tenant's result cache when the config does not.
 const defaultCacheSize = 1024
 
-// Tenant is one table/model pair being served: an estimator with its
-// coalescer, breaker, lifecycle manager, result cache, and metrics namespace.
-// All handler methods are safe for concurrent use.
+// Tenant is one served model — over a single table or over a join — with
+// its coalescer, breaker, result cache, and metrics namespace. The estimate
+// path is the same for both kinds: the estimator's serving bundle decides how
+// a query compiles and which row count its selectivity multiplies. Only
+// ingestion, drift, refresh and the models listing go through the tenant's
+// kind. All handler methods are safe for concurrent use.
 type Tenant struct {
 	name string
 	est  *naru.Estimator
-	t    *table.Table // boot-time snapshot, used when lifecycle is off
+	kind kind
+	t    *table.Table // boot-time table, used when the estimator has none
 	opts naru.ServeOptions
 	coal *naru.Coalescer // non-nil routes estimates through fused batching
 	brk  *naru.Breaker   // non-nil gates estimates through the circuit breaker
@@ -86,17 +90,23 @@ type Tenant struct {
 }
 
 // NewTenant builds a serving tenant over a loaded estimator and its table
-// snapshot. When opts.Metrics is non-nil it is attached to the estimator
-// (replacing any prior registry) so the tenant's query families land in it.
-// Enable the estimator's lifecycle before constructing the tenant; the
-// tenant picks it up through the estimator.
+// snapshot (nil for a join estimator from naru.ServeJoin, which serves its
+// layout table). When opts.Metrics is non-nil it is attached to the
+// estimator (replacing any prior registry) so the tenant's query families
+// land in it. Enable the estimator's lifecycle before constructing the
+// tenant; the tenant picks it up through the estimator.
 func NewTenant(name string, est *naru.Estimator, t *table.Table, opts TenantOptions) *Tenant {
 	if opts.Metrics != nil {
 		est.SetMetrics(opts.Metrics)
 	}
+	var k kind = tableKind{est}
+	if je := est.Join(); je != nil {
+		k = &joinKind{est: je}
+	}
 	tn := &Tenant{
 		name:         name,
 		est:          est,
+		kind:         k,
 		t:            t,
 		opts:         opts.Serve,
 		reg:          opts.Metrics,
@@ -176,26 +186,22 @@ func (tn *Tenant) Estimator() *naru.Estimator { return tn.est }
 // Breaker returns the tenant's circuit breaker (nil when not armed).
 func (tn *Tenant) Breaker() *naru.Breaker { return tn.brk }
 
-// snapshot returns the table queries parse against: the lifecycle manager's
-// committed snapshot when ingestion is live (appended values and extended
-// dictionaries become queryable immediately), the boot table otherwise.
-func (tn *Tenant) snapshot() *table.Table {
-	if lc := tn.est.Lifecycle(); lc != nil {
-		return lc.Snapshot()
+// snapshot returns the table queries parse against and the row count their
+// selectivity multiplies (see naru.Estimator.Snapshot), falling back to the
+// boot table for an estimator loaded from disk without one.
+func (tn *Tenant) snapshot() (*table.Table, int) {
+	if t, rows := tn.est.Snapshot(); t != nil {
+		return t, int(rows)
 	}
-	return tn.t
+	return tn.t, tn.t.NumRows()
 }
 
-// epoch reads the tenant's current cache epoch. One read per request: the
-// version, stale flag, and snapshot row count a cached answer must match to
-// be servable.
-func (tn *Tenant) epoch() cacheEpoch {
-	ep := cacheEpoch{version: tn.est.ModelVersion()}
+// epoch reads the tenant's current cache epoch: the version, stale flag, and
+// snapshot row count a cached answer must match to be servable.
+func (tn *Tenant) epoch(rows int) cacheEpoch {
+	ep := cacheEpoch{version: tn.est.ModelVersion(), rows: rows}
 	if lc := tn.est.Lifecycle(); lc != nil {
 		ep.stale = lc.Stale()
-		ep.rows = lc.Snapshot().NumRows()
-	} else {
-		ep.rows = tn.t.NumRows()
 	}
 	return ep
 }
@@ -262,7 +268,7 @@ func (tn *Tenant) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	}
 	// One snapshot per request: literal-to-code mapping and the row count
 	// for cardinality come from the same table version.
-	t := tn.snapshot()
+	t, rows := tn.snapshot()
 	q, err := query.ParseWhere(where, t)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad query %q: %v", where, err), http.StatusBadRequest)
@@ -273,12 +279,12 @@ func (tn *Tenant) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	// read once, before serving, so an answer computed against a version
 	// being swapped out is stored under the old epoch and never replayed.
 	key := q.String(t)
-	epoch := tn.epoch()
+	epoch := tn.epoch(rows)
 	if res, ok := tn.cache.get(key, epoch); ok {
 		// A cache hit replays a deterministic model answer; it does not feed
 		// the breaker (no model path ran, so it is evidence of nothing).
 		tn.cacheHits.Inc()
-		tn.writeEstimate(w, key, t, res, true)
+		tn.writeEstimate(w, key, rows, res, true)
 		return
 	}
 	if tn.cache != nil {
@@ -314,16 +320,16 @@ func (tn *Tenant) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if cacheable(res) {
 		tn.cache.put(key, epoch, res)
 	}
-	tn.writeEstimate(w, key, t, res, false)
+	tn.writeEstimate(w, key, rows, res, false)
 }
 
 // writeEstimate renders one Result as the estimate JSON, mapping shed and
 // breaker back-pressure to 503 + Retry-After and genuine failures to 500.
-func (tn *Tenant) writeEstimate(w http.ResponseWriter, canonical string, t *table.Table, res naru.Result, cached bool) {
+func (tn *Tenant) writeEstimate(w http.ResponseWriter, canonical string, rows int, res naru.Result, cached bool) {
 	resp := EstimateResponse{
 		Query:        canonical,
 		Sel:          res.Sel,
-		Card:         res.Sel * float64(t.NumRows()),
+		Card:         res.Sel * float64(rows),
 		Source:       res.Source.String(),
 		ModelVersion: res.ModelVersion,
 		StdErr:       res.StdErr,
@@ -364,22 +370,13 @@ func (tn *Tenant) handleAppend(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST CSV rows (no header) to /append", http.StatusMethodNotAllowed)
 		return
 	}
-	added, err := tn.est.AppendCSV(r.Body)
+	resp, status, err := tn.kind.ingest(r)
 	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, naru.ErrLifecycleDisabled) {
-			status = http.StatusNotImplemented
-		}
 		http.Error(w, err.Error(), status)
 		return
 	}
-	drift, _ := tn.est.Drift()
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(AppendResponse{
-		Appended:  added,
-		TotalRows: tn.snapshot().NumRows(),
-		Drift:     drift,
-	})
+	_ = json.NewEncoder(w).Encode(resp)
 	if tn.userOnAppend != nil {
 		tn.userOnAppend()
 	}
@@ -389,7 +386,7 @@ func (tn *Tenant) handleAppend(w http.ResponseWriter, r *http.Request) {
 }
 
 func (tn *Tenant) handleDrift(w http.ResponseWriter, r *http.Request) {
-	drift, err := tn.est.Drift()
+	drift, err := tn.kind.drift()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotImplemented)
 		return
@@ -400,16 +397,80 @@ func (tn *Tenant) handleDrift(w http.ResponseWriter, r *http.Request) {
 
 func (tn *Tenant) handleModels(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(struct {
-		Active   uint64             `json:"active"`
-		Versions []naru.VersionMeta `json:"versions,omitempty"`
-	}{Active: tn.est.ModelVersion(), Versions: tn.est.Versions()})
+	_ = json.NewEncoder(w).Encode(tn.kind.models())
 }
 
 func (tn *Tenant) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	Healthz(w, tn.est, tn.brk)
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(healthFor(tn.est, tn.brk, tn.kind))
 }
 
 func (tn *Tenant) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	Readyz(w, tn.est, tn.brk)
+}
+
+// kind is what differs between a single-table and a join tenant outside the
+// estimate path: ingestion, the drift reading, refresh and the models
+// listing, each in its kind's HTTP shape. tableKind serves them through the
+// estimator's lifecycle manager, joinKind through the join estimator.
+type kind interface {
+	// ingest appends one POST /append body and returns the response to
+	// encode, or an error and its HTTP status.
+	ingest(r *http.Request) (resp any, status int, err error)
+	// drift returns the drift reading (an error answers 501).
+	drift() (any, error)
+	models() any
+	// refreshState feeds the health reading.
+	refreshState() (refreshing, stale bool)
+	// refreshDue reports whether a refresh is warranted and none is running.
+	refreshDue() bool
+	// refresh retrains and swaps in a new version, returning a log line.
+	refresh(ctx context.Context) (string, error)
+}
+
+// tableKind is a single-table tenant's ingestion, drift, refresh and models
+// listing: the estimator's lifecycle manager (501 without one).
+type tableKind struct{ est *naru.Estimator }
+
+// ingest appends the CSV body to the lifecycle snapshot.
+func (k tableKind) ingest(r *http.Request) (any, int, error) {
+	added, err := k.est.AppendCSV(r.Body)
+	if err != nil {
+		status := http.StatusBadRequest
+		if errors.Is(err, naru.ErrLifecycleDisabled) {
+			status = http.StatusNotImplemented
+		}
+		return nil, status, err
+	}
+	drift, _ := k.est.Drift()
+	return AppendResponse{Appended: added, TotalRows: k.est.Lifecycle().Snapshot().NumRows(), Drift: drift}, 0, nil
+}
+
+func (k tableKind) drift() (any, error) { return k.est.Drift() }
+
+func (k tableKind) models() any {
+	return struct {
+		Active   uint64             `json:"active"`
+		Versions []naru.VersionMeta `json:"versions,omitempty"`
+	}{Active: k.est.ModelVersion(), Versions: k.est.Versions()}
+}
+
+func (k tableKind) refreshState() (refreshing, stale bool) {
+	if lc := k.est.Lifecycle(); lc != nil {
+		return lc.Refreshing(), lc.Stale()
+	}
+	return false, false
+}
+
+func (k tableKind) refreshDue() bool {
+	lc := k.est.Lifecycle()
+	return lc != nil && !lc.Refreshing() && lc.ShouldRefresh()
+}
+
+func (k tableKind) refresh(ctx context.Context) (string, error) {
+	res, err := k.est.RefreshCtx(ctx)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("swapped in version %d (nll %.4f, %d rows)", res.Version, res.NLL, res.Rows), nil
 }

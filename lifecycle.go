@@ -23,6 +23,9 @@ func (e *Estimator) EnableLifecycle(t *Table, lc LifecycleConfig) error {
 	if e.lc != nil {
 		return errors.New("naru: lifecycle already enabled")
 	}
+	if e.join != nil {
+		return errors.New("naru: a join estimator ingests and refreshes through its neurocard.Estimator")
+	}
 	cfg := e.cfg
 	var reg *lifecycle.Registry
 	if lc.RegistryDir != "" {

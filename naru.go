@@ -38,6 +38,7 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/lifecycle"
 	"repro/internal/made"
+	"repro/internal/neurocard"
 	"repro/internal/query"
 	"repro/internal/table"
 	"repro/internal/transformer"
@@ -288,6 +289,11 @@ func (c Config) withDefaults() Config {
 // bundle through one atomic pointer, so a query that loaded a bundle keeps
 // model, sampler, domains, and row count mutually consistent for its entire
 // execution even while a new version is being installed.
+//
+// The bundle is also the one place single-table and join serving differ: a
+// join version's snap is its layout table, numRows its join size, and plan
+// adds each query's fanout scale columns (see ServeJoin). Every serving path
+// compiles through compileFor, so none of them branches on the kind.
 type estimatorVersion struct {
 	model   core.Trainable
 	sampler *core.Estimator
@@ -299,6 +305,7 @@ type estimatorVersion struct {
 	snap    *Table
 	numRows int64
 	id      uint64
+	plan    func(Query) ([]core.ScaleCol, error) // nil for a single table
 }
 
 // Estimator is a trained Naru estimator bound to a table schema. All query
@@ -313,7 +320,8 @@ type Estimator struct {
 	obsMu  sync.Mutex
 	obsReg *Metrics
 
-	lc *lifecycle.Manager
+	lc   *lifecycle.Manager
+	join *neurocard.Estimator // set by ServeJoin
 }
 
 // InstallVersion atomically replaces the serving bundle (the lifecycle.Target
@@ -431,10 +439,61 @@ func newEstimator(m core.Trainable, snap *Table, cfg Config, rows int64) *Estima
 	return e
 }
 
+// ServeJoin returns an estimator that serves a join estimator's versions:
+// queries parse against the layout table (columns named table.column), each
+// carries the fanout scale columns its sub-join needs, and a selectivity
+// multiplies the join size. Every refreshed version of je is installed here
+// before je itself switches to it. Ingestion, drift and refresh stay on je
+// (see Join).
+func ServeJoin(je *neurocard.Estimator) *Estimator {
+	e := &Estimator{join: je}
+	je.OnServe(e.installJoin)
+	return e
+}
+
+// installJoin installs one join version. The first one's observer becomes
+// the estimator's registry; a refreshed walk is moved onto it (SetMetrics may
+// have changed it) before this estimator serves through the walk.
+func (e *Estimator) installJoin(s neurocard.Serving) {
+	e.obsMu.Lock()
+	defer e.obsMu.Unlock()
+	if e.cur.Load() == nil {
+		e.obsReg = s.Walk.Observer()
+	} else if s.Walk.Observer() != e.obsReg {
+		s.Walk.SetObserver(e.obsReg)
+	}
+	e.cur.Store(&estimatorVersion{
+		model:   s.Model,
+		sampler: s.Walk,
+		domains: s.Model.DomainSizes(),
+		snap:    s.Layout,
+		numRows: s.JoinSize,
+		id:      s.ID,
+		plan:    s.Plan,
+	})
+}
+
+// Join returns the join estimator ServeJoin wrapped (nil for a single table).
+func (e *Estimator) Join() *neurocard.Estimator { return e.join }
+
+// Snapshot returns the table queries parse against and the row count their
+// selectivity multiplies, from one read: the lifecycle's committed snapshot
+// while ingestion is live (appended values are queryable at once), else the
+// serving version's table — for a join, the layout table and the join size.
+// The table is nil for an estimator loaded from disk without its table.
+func (e *Estimator) Snapshot() (*Table, int64) {
+	if e.lc != nil {
+		t := e.lc.Snapshot()
+		return t, int64(t.NumRows())
+	}
+	v := e.cur.Load()
+	return v.snap, v.numRows
+}
+
 // Selectivity estimates the fraction of rows satisfying the conjunction.
 func (e *Estimator) Selectivity(q Query) (float64, error) {
 	v := e.cur.Load()
-	reg, err := compileFor(v, q)
+	reg, err := regionOf(v, q)
 	if err != nil {
 		return 0, err
 	}
@@ -449,7 +508,7 @@ func (e *Estimator) SelectivityBatch(qs []Query, workers int) ([]float64, error)
 	v := e.cur.Load()
 	regs := make([]*Region, len(qs))
 	for i, q := range qs {
-		reg, err := compileFor(v, q)
+		reg, err := regionOf(v, q)
 		if err != nil {
 			return nil, fmt.Errorf("naru: query %d: %w", i, err)
 		}
@@ -470,25 +529,26 @@ func (e *Estimator) EstimateBatch(regs []*Region, workers int) []float64 {
 // budget (an anytime estimate with widened standard error) instead of
 // aborting, and failed queries route to opts.Fallback when one is set. Every
 // query gets a Result tagged with its provenance; queries that complete their
-// full model budget are bit-identical to a sequential serve.
+// full model budget are bit-identical to a sequential serve. Join queries
+// carry their scale columns (see ServeJoin).
 func (e *Estimator) SelectivityBatchCtx(ctx context.Context, qs []Query, opts ServeOptions) ([]Result, error) {
 	v := e.cur.Load()
-	regs := make([]*Region, len(qs))
+	reqs := make([]core.Request, len(qs))
 	for i, q := range qs {
-		reg, err := compileFor(v, q)
+		req, err := compileFor(v, q)
 		if err != nil {
 			return nil, fmt.Errorf("naru: query %d: %w", i, err)
 		}
-		regs[i] = reg
+		reqs[i] = req
 	}
-	return v.sampler.EstimateBatchCtx(ctx, regs, opts), nil
+	return v.sampler.EstimateBatchCtx(ctx, reqs, opts), nil
 }
 
 // EstimateBatchCtx serves pre-compiled regions with per-query fault
 // containment; see SelectivityBatchCtx. The whole batch runs on one model
 // version — a hot-swap during the batch does not split it.
 func (e *Estimator) EstimateBatchCtx(ctx context.Context, regs []*Region, opts ServeOptions) []Result {
-	return e.cur.Load().sampler.EstimateBatchCtx(ctx, regs, opts)
+	return e.cur.Load().sampler.EstimateBatchCtx(ctx, core.Requests(regs), opts)
 }
 
 // EstimateFused serves pre-compiled regions through the fused cross-query
@@ -499,7 +559,7 @@ func (e *Estimator) EstimateBatchCtx(ctx context.Context, regs []*Region, opts S
 // RNG streams); models without block-walk support fall back to it
 // transparently. The whole batch runs on one model version.
 func (e *Estimator) EstimateFused(ctx context.Context, regs []*Region, opts ServeOptions) []Result {
-	return e.cur.Load().sampler.EstimateFused(ctx, regs, opts)
+	return e.cur.Load().sampler.EstimateFused(ctx, core.Requests(regs), opts)
 }
 
 // NewFromModel wraps an already-trained model (and the table snapshot it was
@@ -529,7 +589,7 @@ func Fallback(t *Table) func(*Region) float64 {
 // hot-swap can never pair one version's selectivity with another's rows.
 func (e *Estimator) Cardinality(q Query) (float64, error) {
 	v := e.cur.Load()
-	reg, err := compileFor(v, q)
+	reg, err := regionOf(v, q)
 	if err != nil {
 		return 0, err
 	}
@@ -549,7 +609,7 @@ func (e *Estimator) SelectivityDisjunction(qs []Query) (float64, error) {
 	v := e.cur.Load()
 	regions := make([]*Region, len(qs))
 	for i, q := range qs {
-		reg, err := compileFor(v, q)
+		reg, err := regionOf(v, q)
 		if err != nil {
 			return 0, err
 		}
@@ -603,55 +663,6 @@ func (e *Estimator) SizeBytes() int64 { return e.cur.Load().model.SizeBytes() }
 // fresh data to measure staleness.
 func (e *Estimator) EntropyGapBits(t *Table) float64 {
 	return core.EntropyGap(e.cur.Load().model, t, 50000)
-}
-
-// Refresh fine-tunes the model on (new) data for the given number of epochs,
-// the paper's answer to data drift (§6.7.3). Cloneable architectures (MADE,
-// ColumnNet) fine-tune a private copy and hot-swap it in, so concurrent
-// queries never observe half-tuned weights; the Transformer tunes in place.
-//
-// With a lifecycle manager attached, Refresh refuses and returns an error:
-// installing a version id outside the registry's control would collide with
-// registry-assigned ids and leave the manager's drift baseline pointing at
-// the pre-refresh model (a later lifecycle refresh would then clone the stale
-// weights and silently discard this fine-tune). Ingest through Append and
-// refresh through RefreshCtx instead — they keep the snapshot, registry, and
-// version ids in step.
-func (e *Estimator) Refresh(t *Table, epochs int) error {
-	if e.lc != nil {
-		return errors.New("naru: estimator has a lifecycle manager; ingest with Append and refresh with RefreshCtx")
-	}
-	if epochs <= 0 {
-		epochs = 1
-	}
-	v := e.cur.Load()
-	m := v.model
-	if c, err := cloneModel(m); err == nil {
-		m = c
-	}
-	core.Train(m, t, core.TrainConfig{
-		Epochs: epochs, BatchSize: e.cfg.BatchSize, LR: e.cfg.LR / 2, Seed: e.cfg.Seed + 3,
-	})
-	e.InstallVersion(m, t, int64(t.NumRows()), v.id+1)
-	return nil
-}
-
-// cloneModel deep-copies a model's parameters when the architecture supports
-// it (a serialization round-trip; see made.Clone / colnet.Clone).
-func cloneModel(m core.Trainable) (core.Trainable, error) {
-	c, ok := m.(interface{ CloneModel() (any, error) })
-	if !ok {
-		return nil, fmt.Errorf("naru: %T cannot be cloned", m)
-	}
-	v, err := c.CloneModel()
-	if err != nil {
-		return nil, err
-	}
-	t, ok := v.(core.Trainable)
-	if !ok {
-		return nil, fmt.Errorf("naru: %T.CloneModel result is not trainable", m)
-	}
-	return t, nil
 }
 
 // Save serializes the trained model to w. MADE and ColumnNet models are
@@ -726,14 +737,31 @@ func (e *Estimator) OutlierScores(codes []int32, n int) []float64 {
 	return core.OutlierScores(e.cur.Load().model, codes, n)
 }
 
-// compileFor lowers a query onto one version bundle's schema. With the
-// bundle's training snapshot at hand, range predicates are compared in value
-// order via the snapshot's dictionaries — required once online appends have
-// extended a dictionary with an arrival-ordered tail, where code order is no
-// longer value order. Snapshot-less bundles (estimators loaded from disk)
-// compile in pure code space, exact while dictionaries are fully sorted.
-func compileFor(v *estimatorVersion, q Query) (*Region, error) {
-	return query.CompileSnapshot(q, v.domains, v.snap)
+// compileFor lowers a query onto one version bundle's schema: its region and,
+// for a join version, its scale columns. With the bundle's training snapshot
+// at hand, range predicates are compared in value order via the snapshot's
+// dictionaries — required once online appends have extended a dictionary
+// with an arrival-ordered tail, where code order is no longer value order.
+// Snapshot-less bundles (estimators loaded from disk) compile in pure code
+// space, exact while dictionaries are fully sorted.
+func compileFor(v *estimatorVersion, q Query) (core.Request, error) {
+	reg, err := query.CompileSnapshot(q, v.domains, v.snap)
+	if err != nil || v.plan == nil {
+		return core.Request{Region: reg}, err
+	}
+	scales, err := v.plan(q)
+	return core.Request{Region: reg, Scales: scales}, err
+}
+
+// regionOf compiles q for the entry points that serve bare regions. They
+// cannot carry scale columns, so a join query that needs them is refused
+// rather than answered as if it spanned the whole join.
+func regionOf(v *estimatorVersion, q Query) (*Region, error) {
+	req, err := compileFor(v, q)
+	if err == nil && req.Scales != nil {
+		err = errors.New("naru: a join query with scale columns is served by SelectivityBatchCtx or a Coalescer")
+	}
+	return req.Region, err
 }
 
 // Compile lowers a query against a table into a Region (exposed for use with

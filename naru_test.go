@@ -2,6 +2,7 @@ package naru
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"strconv"
@@ -161,8 +162,9 @@ func TestDisjunctionInclusionExclusion(t *testing.T) {
 }
 
 func TestRefreshImprovesOnNewData(t *testing.T) {
-	// Train on a skewed slice, then refresh on the full table; the entropy
-	// gap on the full table should shrink.
+	// Train on a skewed slice, ingest the rest through the lifecycle, and
+	// refresh on the grown snapshot; the entropy gap on the full table should
+	// shrink.
 	rng := rand.New(rand.NewSource(2))
 	b := table.NewBuilder("drift", []string{"x", "y"})
 	for i := 0; i < 6000; i++ {
@@ -186,12 +188,24 @@ func TestRefreshImprovesOnNewData(t *testing.T) {
 	cfg.HiddenSizes = []int{32, 32}
 	cfg.Epochs = 10
 	cfg.Samples = 500
+	cfg.Lifecycle = &LifecycleConfig{RefreshEpochs: 10}
 	est, err := Build(firstHalf, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := est.EntropyGapBits(full)
-	if err := est.Refresh(full, 10); err != nil {
+	// SliceRows shares the full table's dictionaries, so the second half's
+	// codes are valid in the snapshot.
+	codes := make([]int32, 0, 3000*full.NumCols())
+	row := make([]int32, full.NumCols())
+	for r := 3000; r < full.NumRows(); r++ {
+		full.Row(r, row)
+		codes = append(codes, row...)
+	}
+	if _, err := est.AppendCodes(codes, full.NumRows()-3000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := est.RefreshCtx(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	after := est.EntropyGapBits(full)

@@ -27,11 +27,13 @@
 #
 # `check.sh bench` is the serving-performance gate: it runs the fused
 # bit-identity and coalescer suites under the race detector, then a
-# small-scale inference benchmark twice through narubench's history recorder —
-# the first run records the baseline, the second must stay within 10% of it on
-# every gated metric (queries/sec down, latency/allocations up = failure) and
-# must report zero mismatches on both the fused-batch and parallel-fused
-# paths. A scaling check then re-runs the benchmark at GOMAXPROCS=1 and
+# small-scale inference benchmark (reference, sequential, fused-batch and
+# parallel-fused configurations; no closed-loop client stage — perfbench's
+# dmv-open is the latency benchmark) twice through narubench's history
+# recorder — the first run records the baseline, the second must stay within
+# 10% of it on every gated metric (queries/sec down, latency/allocations up =
+# failure) and must report zero mismatches on both the fused-batch and
+# parallel-fused paths. A scaling check then re-runs the benchmark at GOMAXPROCS=1 and
 # GOMAXPROCS=NumCPU: parallel-fused throughput must improve by more than 1.5x
 # on boxes with at least 4 cores (on smaller boxes only the bit-identity
 # lines are enforced). All four runs must print the same inference digest,
@@ -49,8 +51,10 @@
 # garbage, and a GC check proves stale temp files are swept and counted.
 #
 # `check.sh serve` is the multi-tenant serving gate: the internal/server
-# suite plus the coalescer/breaker regression tests under the race detector,
-# then a two-tenant smoke test — one `naru serve -tenants tenants.json`
+# suite (which runs the serving contract — deadline, cancellation, cache
+# replay, no replay after a swap, coalesced-vs-direct bit identity — over a
+# single-table and a join tenant) plus the coalescer/breaker regression tests
+# under the race detector, then a two-tenant smoke test — one `naru serve -tenants tenants.json`
 # process hosting two tables, driven per-tenant over /v1/{tenant}/... with
 # cache-replay checks, a per-tenant append -> drift -> hot-swap cycle that
 # must leave the other tenant untouched, tenant-labelled metric assertions
@@ -59,9 +63,11 @@
 #
 # `check.sh join` is the multi-table join-estimation gate: the neurocard suite
 # (join sampler, append-then-join vs the oracle, join queries in metrics and
-# traces) and the scaled-estimate tests under the race detector, plus the
-# join-tenant serving tests (a failed estimate answers 500) and the CLI
-# round-trip tests; a CLI smoke test (train -join over generated CSVs,
+# traces) and the scaled-estimate tests (per-query walk, and the fused walk
+# bit-identical to it at one worker and at NumCPU, with and without wildcard
+# skipping) under the race detector, plus the join-tenant serving tests (a
+# failed estimate answers 500; the serving contract a join tenant shares with
+# single-table ones) and the CLI round-trip tests; a CLI smoke test (train -join over generated CSVs,
 # estimate -join against the nested-loop truth); and the join benchmark run
 # twice through the history recorder with a pinned worker count — both runs
 # must print bit-identical estimate digests and a PASS on
@@ -643,7 +649,7 @@ if [ "${1:-}" = "join" ]; then
     echo "== join estimation suite (-race)"
     go test -race -count=1 ./internal/neurocard
     go test -race -count=1 -run 'TestEstimateScaled' ./internal/core
-    go test -race -count=1 -run 'TestServerJoinTenantE2E|TestJoinEstimateFailureIs500' ./internal/server
+    go test -race -count=1 -run 'TestServerJoinTenantE2E|TestJoinEstimateFailureIs500|TestTenantServingContract' ./internal/server
     go test -race -count=1 -run 'TestCLIJoin' ./cmd/naru
 
     tmp="$(mktemp -d)"
