@@ -191,7 +191,8 @@ func (b *Breaker) setState(s ServeState) {
 // streak — the model IS answering; a model-path failure (SourceFailed, or
 // SourceFallback where the fallback covered for the model) extends the
 // streak and trips the breaker at the threshold. Sheds, breaker rejections,
-// and client cancellations are not model failures and are ignored.
+// client cancellations and queries that do not compile (ErrCompile) are not
+// model failures and are ignored.
 func (b *Breaker) Observe(res Result) {
 	switch res.Source {
 	case SourceModel:
@@ -207,7 +208,8 @@ func (b *Breaker) Observe(res Result) {
 	case SourceFallback, SourceFailed:
 		if res.Err != nil &&
 			(errors.Is(res.Err, ErrShed) || errors.Is(res.Err, ErrBreakerOpen) ||
-				errors.Is(res.Err, ErrCoalescerClosed) || errors.Is(res.Err, context.Canceled)) {
+				errors.Is(res.Err, ErrCoalescerClosed) || errors.Is(res.Err, context.Canceled) ||
+				errors.Is(res.Err, ErrCompile)) {
 			return
 		}
 		if int(b.streak.Add(1)) >= b.opts.Threshold {

@@ -307,7 +307,7 @@ func cmdEstimate(args []string, stdout, stderr io.Writer) error {
 	modelPath := fs.String("model", "model.naru", "trained model path")
 	where := fs.String("where", "", "conjunction, e.g. \"a<=5 AND b=x\"")
 	queriesPath := fs.String("queries", "", "file of WHERE conjunctions, one per line")
-	workers := fs.Int("workers", 0, "concurrent query workers for -queries (0 = NumCPU)")
+	workers := fs.Int("workers", 0, "concurrent query workers for -queries (0 = GOMAXPROCS)")
 	samples := fs.Int("samples", 2000, "progressive samples")
 	timeout := fs.Duration("timeout", 0, "per-query deadline (0 = none); expiring degrades the sample budget")
 	fallback := fs.Bool("fallback", false, "answer failed queries from 1D statistics instead of erroring")

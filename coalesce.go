@@ -36,7 +36,7 @@ type CoalesceOptions struct {
 	MaxQueue int
 	// Serve configures each fused dispatch: target stderr, per-query
 	// deadline, fallback, and Workers — the fused scheduler's parallelism
-	// budget (query shards × row shards per block; NumCPU when 0, results
+	// budget (query shards × row shards per block; GOMAXPROCS when 0, results
 	// bit-identical at any setting). Serve.Fallback also answers shed
 	// queries.
 	Serve ServeOptions

@@ -49,6 +49,12 @@ var siteFusedWalk = faultinject.Site("core.fused.walk")
 //     restricted position is the same for every row still in the zero-input
 //     broadcast state, so it is computed once per (serve epoch, column) and
 //     shared across every lane, block, and query (see firstWaveProbs).
+//
+// Shards and row ranges are all the parallelism a walk has: the model's
+// kernels run on the goroutine that calls them (internal/made's block walk
+// never fans out), so Workers = 1 walks on one core and Workers > 1 never
+// nests one fan-out inside another. A serial walk decodes and draws in decodeTileRows
+// tiles so each column's logits and probabilities stay in L2.
 
 // maxFusedRows caps the height of one fused block. Taller blocks amortize
 // more fixed cost but grow the activation and probability buffers linearly;
@@ -75,10 +81,10 @@ type fusedState struct {
 	codes   []int32
 	weights []float64
 
-	// probs holds block-high probability rows for decodes that do not fit a
-	// serial tile (row-sharded walks). It grows on demand (blockProbs), so a
-	// serial walk never allocates it: at maxFusedRows rows of the widest
-	// domain it would be tens of megabytes on DMV.
+	// probs holds block-high probability rows for row-sharded walks, which
+	// decode a run in one pass. It grows on demand (blockProbs), so a serial
+	// walk never allocates it: at maxFusedRows rows of the widest domain it
+	// would be tens of megabytes on DMV.
 	probs  [][]float64
 	maxDom int
 
@@ -168,13 +174,14 @@ var fusedWaves = [3][2]int{{0, 2}, {2, 6}, {6, math.MaxInt32}}
 // (timing-dependent, so degraded budgets — unlike full-budget and
 // target-stopped results — are not bit-reproducible).
 //
-// opts.Workers (NumCPU when 0, rejected with ErrInvalidWorkers when
+// opts.Workers (GOMAXPROCS when 0, rejected with ErrInvalidWorkers when
 // negative) is spent on two levels: pending queries are partitioned into up
 // to Workers shards walked concurrently on pooled model replicas, and any
 // leftover budget (Workers / shards) fans the tall GEMMs of each block over
-// row ranges. Both splits are bit-identical to the single-threaded walk, so
-// the worker count is purely a throughput knob. Models served behind a mutex
-// (no Forkable) always run single-threaded.
+// row ranges. The model's kernels add no goroutines of their own, so a call
+// keeps at most Workers cores busy. Both splits are bit-identical to the
+// single-threaded walk, so the worker count is purely a throughput knob.
+// Models served behind a mutex (no Forkable) always run single-threaded.
 //
 // Models that don't implement BlockModel (through their serving forks) fall
 // back to EstimateBatchCtx.
@@ -203,7 +210,7 @@ func (e *Estimator) EstimateFused(ctx context.Context, reqs []Request, opts Serv
 
 	workers := opts.Workers
 	if workers == 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if !e.forkable {
 		// Non-forkable models serialize on the estimator mutex; a second
@@ -499,67 +506,74 @@ func (e *Estimator) decodeFused(bm BlockModel, st *fusedState, probs [][]float64
 	bm.DecodeBlock(col, r0, r1, probs[r0:r1])
 }
 
-// decodeTileRows caps how many rows one decode+draw pass covers when no row
-// sharding is active. Every tile of a block reuses the same pooled rows, so
-// the softmax and the draw re-read what the decode just wrote, and for most
-// columns a tile stays in L2. DMV's 2101-code valid_date is the exception: a
-// 256-row tile holds 256 × 2101 × (4 + 8) B ≈ 6.5 MB of float32 logits and
-// float64 probabilities, more than a 2 MB L2, so there the cap only bounds
-// the working set. Ignored under row sharding, where each worker's range is
-// its own locality domain and splitting the GEMM would defeat it.
-const decodeTileRows = 256
+// decodeTileRows is the height of one decode+draw pass of a serial walk.
+// The rows are fixed tiles of the block, not lanes: every tile reuses the
+// same pooled probability rows, so the softmax and the draw re-read what the
+// decode just wrote while it is still in L2. The widest column sets the
+// height: a 32-row tile of DMV's 2101-code valid_date holds 32 × 2101 ×
+// (4 + 8) B ≈ 0.8 MB of float32 logits and float64 probabilities, which fits
+// a 2 MB L2 beside the 0.54 MB packed decode weights; a 128-row lane would
+// hold 3.2 MB and spill. On the DMV benchmark model 32 rows measured best:
+// 16- and 64-row tiles cost 2–3% more CPU per query, 256-row tiles 12% more.
+// Row-sharded walks decode a run in one pass instead, each worker's range its
+// own locality domain.
+const decodeTileRows = 32
 
 // decodeDraw decodes column col for the contiguous lanes[j:k] and immediately
-// draws their codes, tiling the decode at lane granularity (≤ decodeTileRows
-// rows per pass) when the block is not row-sharded. Tiling is invisible to
-// results: decode is row-independent given the advanced trunk state, and each
-// lane's draws consume only its own rng in row order. When store is true the
-// first decoded row's conditional is published to the first-wave cache (the
-// caller guarantees lanes[j:k] are first-wave lanes sharing it).
+// draws their codes. A serial walk decodes the run in decodeTileRows-row
+// tiles and draws each tile's rows before decoding the next; a lane that
+// spans tiles is drawn in pieces, in ascending row order with its own rng.
+// Tiling is invisible to results: decode is row-independent given the
+// advanced trunk state, and each lane's draws consume only its own rng in
+// row order. When store is true the first decoded row's conditional is
+// published to the first-wave cache (the caller guarantees lanes[j:k] are
+// first-wave lanes sharing it).
 func (e *Estimator) decodeDraw(bm BlockModel, st *fusedState, lanes []*fusedLane, rngs []*rand.Rand, j, k, col, nc int, store bool, codes []int32, weights []float64) {
-	tile := decodeTileRows
+	r0, r1 := lanes[j].r0, lanes[k-1].r0+lanes[k-1].n
 	if st.inner > 1 {
-		tile = int(^uint(0) >> 1)
-	}
-	for j < k {
-		m, rows := j, 0
-		for m < k && (rows == 0 || rows+lanes[m].n <= tile) {
-			rows += lanes[m].n
-			m++
-		}
-		r0, r1 := lanes[j].r0, lanes[m-1].r0+lanes[m-1].n
-		var probs [][]float64
-		if st.inner <= 1 && r1-r0 <= decodeTileRows {
-			// Serial tile (a lane is at most anytimeChunk rows, so every
-			// serial tile fits): decode into the pooled tile rows so softmax
-			// and draw re-read the same small set of rows.
-			for r := r0; r < r1; r++ {
-				st.tileView[r] = st.tileProbs[r-r0]
-			}
-			probs = st.tileView
-		} else {
-			probs = st.blockProbs(r1)
-		}
+		probs := st.blockProbs(r1)
 		e.decodeFused(bm, st, probs, col, r0, r1)
 		if store {
 			e.storeFirstWave(col, probs[r0])
+		}
+		for ; j < k; j++ {
+			e.drawLane(rngs[j], lanes[j], codes, nc, col, probs, weights, lanes[j].r0, lanes[j].r0+lanes[j].n)
+		}
+		return
+	}
+	probs := st.tileView
+	for t0 := r0; t0 < r1; t0 += decodeTileRows {
+		t1 := min(t0+decodeTileRows, r1)
+		for r := t0; r < t1; r++ {
+			probs[r] = st.tileProbs[r-t0]
+		}
+		bm.DecodeBlock(col, t0, t1, probs[t0:t1])
+		if store {
+			e.storeFirstWave(col, probs[t0])
 			store = false
 		}
-		for ; j < m; j++ {
-			e.drawLane(rngs[j], lanes[j], codes, nc, col, probs, weights)
+		// Draw every lane's share of [t0, t1); a lane that runs past t1
+		// stays lanes[j] for the next tile.
+		for ; j < k && lanes[j].r0 < t1; j++ {
+			ln := lanes[j]
+			end := ln.r0 + ln.n
+			e.drawLane(rngs[j], ln, codes, nc, col, probs, weights, max(ln.r0, t0), min(end, t1))
+			if end > t1 {
+				break
+			}
 		}
 	}
 }
 
-// drawLane runs one lane's draw step at model position col over the lane's
-// rows: the scaled draw on a scale column of its query, the in-range draw
-// otherwise — the choice walkPaths makes per column.
-func (e *Estimator) drawLane(rng *rand.Rand, ln *fusedLane, codes []int32, nc, col int, probs [][]float64, weights []float64) {
+// drawLane runs one lane's draw step at model position col over rows
+// [r0, r1) of the lane: the scaled draw on a scale column of its query, the
+// in-range draw otherwise — the choice walkPaths makes per column.
+func (e *Estimator) drawLane(rng *rand.Rand, ln *fusedLane, codes []int32, nc, col int, probs [][]float64, weights []float64, r0, r1 int) {
 	if inv := ln.fq.scaleAt(col); inv != nil {
-		drawScaledRows(rng, inv, codes, nc, col, probs, weights, ln.r0, ln.r0+ln.n)
+		drawScaledRows(rng, inv, codes, nc, col, probs, weights, r0, r1)
 		return
 	}
-	drawRows(rng, ln.fq.reg.Cols[e.colAt(col)].IsAll(), ln.fq.valid[col], codes, nc, col, probs, weights, ln.r0, ln.r0+ln.n)
+	drawRows(rng, ln.fq.reg.Cols[e.colAt(col)].IsAll(), ln.fq.valid[col], codes, nc, col, probs, weights, r0, r1)
 }
 
 // skipDecodes reports whether a skipping walk decodes model position col for
@@ -575,16 +589,14 @@ func (e *Estimator) skipDecodes(fq *sampleQuery, col int) bool {
 // the model's AdvanceBlock contract. Returns a wrapped ErrPanicked if the
 // model panicked (block state is then poisoned; see reserveIndividually).
 //
-// The steady-state walk's scheduler machinery performs no per-block heap
-// allocations: lanes, RNGs, and every tall buffer are pooled in st, and the
+// A serial walk (st.inner == 1) performs no per-block heap allocations at any
+// block height: lanes, RNGs, and every tall buffer are pooled in st, the
 // model's own scratch reuse (capacity-preserving BeginSampling, packed-weight
-// caches, pooled view headers) covers the rest
-// (TestEstimateFusedWalkZeroAlloc pins this at exactly zero below the kernel
-// parallel thresholds). Products tall enough to cross the kernels'
-// threshold-gated fan-out (tensor.parallelThreshold, made.foldParallelMin)
-// additionally pay a bounded O(workers) goroutine-handoff allocation per
-// GEMM — profitable by construction, and tracked as allocs/query by
-// narubench.
+// caches, pooled view headers) covers the rest, and the model's kernels never
+// fan out on their own, so no product pays a goroutine handoff
+// (TestEstimateFusedWalkZeroAlloc pins this at exactly zero, on a small
+// block and on a 2048-row block of a DMV-wide model). Row-sharded walks pay
+// parallelRows' handoffs, O(st.inner) per advance and decode.
 func (e *Estimator) walkBlock(bm BlockModel, st *fusedState, lanes []*fusedLane, nc int, skip bool) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -650,8 +662,8 @@ func (e *Estimator) walkBlock(bm BlockModel, st *fusedState, lanes []*fusedLane,
 				for r := 0; r < nActive; r++ {
 					st.shared[r] = cached
 				}
-				for j := 0; j < act; j++ {
-					e.drawLane(rngs[j], lanes[j], codes, nc, col, st.shared, weights)
+				for j, ln := range lanes[:act] {
+					e.drawLane(rngs[j], ln, codes, nc, col, st.shared, weights, ln.r0, ln.r0+ln.n)
 				}
 			} else {
 				e.decodeDraw(bm, st, lanes, rngs, 0, act, col, nc, col == 0, codes, weights)
@@ -700,7 +712,8 @@ func (e *Estimator) walkBlock(bm BlockModel, st *fusedState, lanes []*fusedLane,
 							st.shared[r] = cached
 						}
 						for ; j < m; j++ {
-							e.drawLane(rngs[j], lanes[j], codes, nc, col, st.shared, weights)
+							ln := lanes[j]
+							e.drawLane(rngs[j], ln, codes, nc, col, st.shared, weights, ln.r0, ln.r0+ln.n)
 						}
 						continue
 					}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -485,69 +486,126 @@ func TestEstimateFusedSerialSkipsBlockProbs(t *testing.T) {
 
 // TestEstimateFusedWalkZeroAlloc asserts walkBlock's documented contract:
 // once the pooled buffers, RNGs, model scratch, and first-wave cache are
-// primed, the scheduler machinery of a block walk performs zero heap
-// allocations. The block is sized below the model kernels' parallel-dispatch
-// thresholds (tensor.parallelThreshold, made.foldParallelMin), whose
-// goroutine fan-out on taller products allocates bounded handoff objects by
-// design — this test isolates the scheduler's contribution, which must be
-// exactly zero.
+// primed, a serial block walk performs zero heap allocations at any block
+// height. The small case packs three short lanes through a narrow model; the
+// DMV-shaped case walks 16 full lanes (2048 rows) through hidden layers as
+// wide as the DMV benchmark model's, with an embedded column whose decode
+// spans many tiles and panels. Its products are far above any size at which
+// a kernel would fan out over goroutines, so a kernel under the walk that
+// starts one (each start allocates) fails this test.
 func TestEstimateFusedWalkZeroAlloc(t *testing.T) {
-	tbl := corrTable(t, 1500, 3)
-	regs := fusedWorkload(t, tbl)
-	domains := tbl.DomainSizes()
-	const samples, seed = 300, 42
-	// Narrow hidden layers keep every per-block product (fold, trunk, head
-	// decode) under the kernels' parallel thresholds at the lane sizes below.
-	model := made.New(domains, made.Config{HiddenSizes: []int{16, 16}, EmbedThreshold: 64, EmbedDim: 8, Seed: 5})
-
-	e := NewEstimator(model, samples, seed)
-	e.EnumThreshold = 40
-	// Prime every pool: model scratch capacity, packed-weight caches, the
-	// fused state, and the first-wave conditionals.
-	e.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: 1})
-
-	sc := e.acquire()
-	defer e.release(sc)
-	bm, ok := sc.model.(BlockModel)
-	if !ok {
-		t.Fatal("test model is not a BlockModel")
+	small := corrTable(t, 1500, 3)
+	wide := wideDomainTable(t, 1500, 3)
+	cases := []struct {
+		name       string
+		tbl        *table.Table
+		cfg        made.Config
+		samples    int
+		queries    int // sampling queries in the block
+		per        int // lanes (chunks) per query
+		rows, runs int // rows per lane, measured walks
+	}{
+		{"small", small, made.Config{HiddenSizes: []int{16, 16}, EmbedThreshold: 64, EmbedDim: 8, Seed: 5},
+			300, 3, 1, 48, 20},
+		// The DMV benchmark model's layer widths (bench.DMVModelConfig).
+		{"dmv-shaped", wide, made.Config{HiddenSizes: []int{256, 128, 256}, EmbedThreshold: 64, EmbedDim: 64, Seed: 5},
+			8 * anytimeChunk, 2, 8, anytimeChunk, 3},
 	}
-	st := e.getFusedState()
-	defer e.fusedPool.Put(st)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			regs := fusedWorkload(t, c.tbl)
+			e := NewEstimator(made.New(c.tbl.DomainSizes(), c.cfg), c.samples, 42)
+			e.EnumThreshold = 40
+			// Prime every pool: model scratch capacity, packed-weight caches,
+			// the fused state, and the first-wave conditionals.
+			e.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: 1})
 
-	// Rebuild a representative block by hand: one short chunk of each of
-	// three sampling queries, wave-sorted exactly as runFusedWaves would
-	// order it. 3×48 = 144 rows: tall enough to exercise multi-lane packing,
-	// short enough that every kernel product stays serial.
-	opts := ServeOptions{}
-	lanes := make([]*fusedLane, 0, len(regs))
-	for i, reg := range regs {
-		fq, _ := e.classify(context.Background(), sc, Request{Region: reg}, uint64(1000+i), i, &opts)
-		if fq == nil {
-			continue
-		}
-		lanes = append(lanes, &fusedLane{fq: fq, chunk: 0, n: 48})
-		if len(lanes) == 3 {
-			break
-		}
-	}
-	if len(lanes) < 3 {
-		t.Fatalf("only %d sampling lanes; workload too small", len(lanes))
-	}
-	sort.SliceStable(lanes, func(a, b int) bool { return lanes[a].fq.last > lanes[b].fq.last })
-	nc := sc.model.NumCols()
+			sc := e.acquire()
+			defer e.release(sc)
+			bm, ok := sc.model.(BlockModel)
+			if !ok {
+				t.Fatal("test model is not a BlockModel")
+			}
+			st := e.getFusedState()
+			defer e.fusedPool.Put(st)
 
-	// One warm walk grows st.rngs to the lane count and settles any remaining
-	// lazily-built model scratch.
-	if err := e.walkBlock(bm, st, lanes, nc, false); err != nil {
+			// Rebuild a representative block by hand: c.per chunks of each of
+			// c.queries sampling queries, wave-sorted exactly as
+			// runFusedWaves would order it.
+			opts := ServeOptions{}
+			var lanes []*fusedLane
+			queries := 0
+			for i, reg := range regs {
+				fq, _ := e.classify(context.Background(), sc, Request{Region: reg}, uint64(1000+i), i, &opts)
+				if fq == nil {
+					continue
+				}
+				for k := 0; k < c.per; k++ {
+					lanes = append(lanes, &fusedLane{fq: fq, chunk: k, n: c.rows})
+				}
+				if queries++; queries == c.queries {
+					break
+				}
+			}
+			if queries < c.queries {
+				t.Fatalf("only %d sampling queries; workload too small", queries)
+			}
+			sort.SliceStable(lanes, func(a, b int) bool { return lanes[a].fq.last > lanes[b].fq.last })
+			nc := sc.model.NumCols()
+
+			// One warm walk grows st.rngs to the lane count and settles any
+			// remaining lazily-built model scratch.
+			if err := e.walkBlock(bm, st, lanes, nc, false); err != nil {
+				t.Fatal(err)
+			}
+			avg := testing.AllocsPerRun(c.runs, func() {
+				if err := e.walkBlock(bm, st, lanes, nc, false); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg != 0 {
+				t.Fatalf("steady-state fused walk of %d rows allocates %.1f objects per block; want 0",
+					len(lanes)*c.rows, avg)
+			}
+		})
+	}
+}
+
+// wideDomainTable is corrTable with column b widened to 300 codes, past the
+// embedding threshold of the models above, so b is an embedded column:
+// folded by GEMM and decoded through its embedding.
+func wideDomainTable(t *testing.T, rows int, seed int64) *table.Table {
+	t.Helper()
+	src := corrTable(t, rows, seed)
+	rng := rand.New(rand.NewSource(seed))
+	domains := src.DomainSizes()
+	domains[1] = 300
+	codes := make([][]int32, len(domains))
+	for c := range codes {
+		codes[c] = append([]int32(nil), src.Cols[c].Codes...)
+	}
+	for r := range codes[1] {
+		codes[1][r] += 12 * int32(rng.Intn(25))
+	}
+	tbl, err := table.FromCodes("wide", []string{"a", "b", "c", "d"}, domains, codes)
+	if err != nil {
 		t.Fatal(err)
 	}
-	avg := testing.AllocsPerRun(20, func() {
-		if err := e.walkBlock(bm, st, lanes, nc, false); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state fused block walk allocates %.1f objects per block; want 0", avg)
+	return tbl
+}
+
+// TestEstimateFusedWorkersFollowGOMAXPROCS: Workers 0 means GOMAXPROCS, not
+// the machine's CPU count, so a process limited to one P walks one shard on
+// one core.
+func TestEstimateFusedWorkersFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tbl := corrTable(t, 1500, 3)
+	e := NewEstimator(testMADE(tbl.DomainSizes()), 300, 42)
+	e.EnumThreshold = 40
+	reg := obs.New()
+	e.SetObserver(reg)
+	e.EstimateFused(context.Background(), Requests(fusedWorkload(t, tbl)), ServeOptions{})
+	if w := reg.Gauge(metricFusedWorkers).Value(); w != 1 {
+		t.Fatalf("%s = %v under GOMAXPROCS(1) with Workers 0, want 1", metricFusedWorkers, w)
 	}
 }

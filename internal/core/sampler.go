@@ -254,7 +254,7 @@ func (e *Estimator) EstimateRegion(reg *query.Region) float64 {
 }
 
 // EstimateBatch estimates every region through EstimateBatchCtx with up to
-// workers goroutines (NumCPU when workers <= 0) and no deadline or fallback.
+// workers goroutines (GOMAXPROCS when workers <= 0) and no deadline or fallback.
 // Results are positionally aligned with regions and bit-identical to what
 // sequential EstimateRegion calls on a fresh estimator with the same base
 // seed would return. A region of the wrong width, or a model panic, panics

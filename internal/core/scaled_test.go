@@ -210,31 +210,36 @@ func scaledWorkload(t *testing.T, tbl *table.Table) []Request {
 // on, a scale column before the first restricted column must still be
 // decoded and drawn, and the first-wave memo must not serve the lane at its
 // first restricted column: the decoded scale column has moved its rows out of
-// the zero-input state.
+// the zero-input state. The second budget's last chunk is shorter than a
+// decode tile and not a multiple of its height, so the lanes after it start
+// mid-tile and the serial walk draws them in pieces across tiles.
 func TestEstimateScaledFusedMatchesPerQuery(t *testing.T) {
 	tbl := corrTable(t, 1500, 3)
 	reqs := scaledWorkload(t, tbl)
 	domains := tbl.DomainSizes()
-	const samples, seed = 300, 42
-	for _, skip := range []bool{false, true} {
-		seq := NewEstimator(testMADE(domains), samples, seed)
-		seq.EnumThreshold = 40
-		seq.SkipWildcards = skip
-		want := seq.EstimateBatchCtx(context.Background(), reqs, ServeOptions{Workers: 1})
-		for i, r := range reqs {
-			if r.Scales != nil && (want[i].Source != SourceModel || want[i].Samples != samples) {
-				t.Fatalf("skip=%v scaled query %d: %+v, want a full-budget sampled answer", skip, i, want[i])
+	const seed = 42
+	for _, samples := range []int{300, 2*anytimeChunk + decodeTileRows/2 + 3} {
+		for _, skip := range []bool{false, true} {
+			seq := NewEstimator(testMADE(domains), samples, seed)
+			seq.EnumThreshold = 40
+			seq.SkipWildcards = skip
+			want := seq.EstimateBatchCtx(context.Background(), reqs, ServeOptions{Workers: 1})
+			for i, r := range reqs {
+				if r.Scales != nil && (want[i].Source != SourceModel || want[i].Samples != samples) {
+					t.Fatalf("samples=%d skip=%v scaled query %d: %+v, want a full-budget sampled answer",
+						samples, skip, i, want[i])
+				}
 			}
-		}
-		for _, w := range []int{1, runtime.NumCPU()} {
-			fused := NewEstimator(testMADE(domains), samples, seed)
-			fused.EnumThreshold = 40
-			fused.SkipWildcards = skip
-			got := fused.EstimateFused(context.Background(), reqs, ServeOptions{Workers: w})
-			for i := range want {
-				if !resultEqual(got[i], want[i]) || got[i].Stop != want[i].Stop {
-					t.Fatalf("skip=%v workers=%d query %d (scales %v): fused %+v != per-query %+v",
-						skip, w, i, reqs[i].Scales != nil, got[i], want[i])
+			for _, w := range []int{1, runtime.NumCPU()} {
+				fused := NewEstimator(testMADE(domains), samples, seed)
+				fused.EnumThreshold = 40
+				fused.SkipWildcards = skip
+				got := fused.EstimateFused(context.Background(), reqs, ServeOptions{Workers: w})
+				for i := range want {
+					if !resultEqual(got[i], want[i]) || got[i].Stop != want[i].Stop {
+						t.Fatalf("samples=%d skip=%v workers=%d query %d (scales %v): fused %+v != per-query %+v",
+							samples, skip, w, i, reqs[i].Scales != nil, got[i], want[i])
+					}
 				}
 			}
 		}

@@ -143,13 +143,15 @@ var ErrInvalidWorkers = errors.New("core: ServeOptions.Workers must be >= 0")
 
 // ServeOptions configures fault-tolerant batch serving.
 type ServeOptions struct {
-	// Workers caps the serving goroutines (NumCPU when <= 0). On the
+	// Workers caps the serving goroutines (GOMAXPROCS when 0). On the
 	// per-query path it bounds the worker pool pulling queries off the
 	// batch; on the fused path it bounds both the shard count (an admission
 	// wave's queries are partitioned into Workers disjoint lane groups, one
 	// pooled model replica each) and the row-range fan-out inside a single
-	// tall block. Results are bit-identical at every worker count. Negative
-	// values are rejected with ErrInvalidWorkers rather than clamped.
+	// tall block. A MADE model's sampling kernels run on those goroutines
+	// and never start their own, so Workers = 1 serves it on one core.
+	// Results are bit-identical at every worker count. Negative values are
+	// rejected with ErrInvalidWorkers rather than clamped.
 	Workers int
 
 	// Deadline is the per-query wall-clock budget (measured from the moment
@@ -236,7 +238,7 @@ func (e *Estimator) EstimateBatchCtx(ctx context.Context, reqs []Request, opts S
 	base := e.nextQuery.Add(uint64(len(reqs))) - uint64(len(reqs))
 	workers := opts.Workers
 	if workers <= 0 {
-		workers = runtime.NumCPU()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > len(reqs) {
 		workers = len(reqs)

@@ -33,6 +33,14 @@ import (
 // prefixes, decode transposes, and the first layer's embedded-fold blocks —
 // are packed once and cached on the model (invalidated by training), so the
 // per-step GEMMs skip the pack pass entirely.
+//
+// Every kernel the walk runs (MatMulPackedPrefix, MatMulPackedWindow, the
+// fold's row loops, the row softmax) runs on the calling goroutine at any
+// block height. The walk's parallelism belongs to its caller: internal/core
+// spends its worker budget on query shards and, through the row-range entry
+// points (BeginAdvanceRows/AdvanceRows, PrepareDecode), on row ranges. A
+// kernel that fanned out on its own would nest a second fan-out under that
+// budget and turn one worker into several cores.
 
 // packCache holds pre-packed weight windows for the block sampling path. It
 // is per-model state (forks build their own) and is dropped whenever a
@@ -133,13 +141,6 @@ func (m *Model) w1Pack(col int) *tensor.PackedB {
 	return pb
 }
 
-// foldParallelMin gates the fold's clamp/Axpy loops between the inline
-// serial loop and ParallelFor, in rows × window elements: below it the
-// parallel dispatch (closure allocation + goroutine handoff) costs more than
-// the loop itself, and the serial branch keeps the steady-state block walk
-// allocation-free.
-const foldParallelMin = 1 << 15
-
 // foldRows folds column cc's freshly sampled codes into the first layer's
 // caches for rows [r0, r1) only: the embedding gather (or one-hot Axpy) into
 // h1pre's suffix window [hidStart[0][cc+1]:), then the post[0] re-clamp of
@@ -194,7 +195,7 @@ func (m *Model) foldRows(codes []int32, cc, r0, r1 int, vPre, vEmb *tensor.Matri
 // foldColumn folds the freshly sampled codes of column cc into the first
 // layer's caches for rows [0, n), exactly as the eager walk did, and marks
 // the deeper layers stale; AdvanceBlock refreshes them band-by-band on
-// demand. Large folds fan the row-independent work across cores.
+// demand.
 //
 // Rows whose code is negative (lanes that wildcard-skipped cc) are skipped
 // outright rather than folded as zeros: their input block contributes
@@ -222,15 +223,7 @@ func (m *Model) foldColumn(codes []int32, n, cc int) {
 			for r1 < n && codes[r1*nc+cc] >= 0 {
 				r1++
 			}
-			if (r1-r0)*(s.h1pre.Cols-s0) < foldParallelMin {
-				m.foldRows(codes, cc, r0, r1, &s.vFold, &s.vEmb)
-			} else {
-				base := r0
-				tensor.ParallelFor(r1-r0, func(start, end int) {
-					var vPre, vEmb tensor.Matrix
-					m.foldRows(codes, cc, base+start, base+end, &vPre, &vEmb)
-				})
-			}
+			m.foldRows(codes, cc, r0, r1, &s.vFold, &s.vEmb)
 			r0 = r1
 		}
 	}
@@ -457,7 +450,7 @@ func (m *Model) decodeWindow(h *tensor.Matrix, col, r0, r1 int, out [][]float64)
 		return
 	}
 	logits := viewRows(&vLogits, m.infer.logits, r0, r1)
-	tensor.MatMulPacked(logits, block, m.decPack(col), nil, false, false)
+	tensor.MatMulPackedWindow(logits, block, m.decPack(col), nil, false, false, 0)
 	for r := 0; r < n; r++ {
 		nn.SoftmaxProb(logits.Row(r), out[r][:c.domain])
 	}
@@ -484,7 +477,7 @@ func (m *Model) decodeHidden(h *tensor.Matrix, n, col int, out [][]float64) {
 	}
 	logits := resizeMat(m.infer.logits, n, c.domain)
 	m.infer.logits = logits
-	tensor.MatMulPacked(logits, block, m.decPack(col), nil, false, false)
+	tensor.MatMulPackedWindow(logits, block, m.decPack(col), nil, false, false, 0)
 	for r := 0; r < n; r++ {
 		nn.SoftmaxProb(logits.Row(r), out[r][:c.domain])
 	}

@@ -307,7 +307,13 @@ func (tn *Tenant) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		perReq.Workers = 1
 		results, err := tn.est.SelectivityBatchCtx(r.Context(), []naru.Query{q}, perReq)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			// A query that does not compile is the caller's, like a parse
+			// error.
+			status := http.StatusInternalServerError
+			if errors.Is(err, naru.ErrCompile) {
+				status = http.StatusBadRequest
+			}
+			http.Error(w, err.Error(), status)
 			return
 		}
 		res = results[0]
@@ -324,7 +330,8 @@ func (tn *Tenant) handleEstimate(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeEstimate renders one Result as the estimate JSON, mapping shed and
-// breaker back-pressure to 503 + Retry-After and genuine failures to 500.
+// breaker back-pressure to 503 + Retry-After, a query that does not compile
+// against the serving model to 400, and genuine failures to 500.
 func (tn *Tenant) writeEstimate(w http.ResponseWriter, canonical string, rows int, res naru.Result, cached bool) {
 	resp := EstimateResponse{
 		Query:        canonical,
@@ -343,12 +350,16 @@ func (tn *Tenant) writeEstimate(w http.ResponseWriter, canonical string, rows in
 	w.Header().Set("Content-Type", "application/json")
 	if res.Source == naru.SourceFailed {
 		// Shed and breaker-open failures are back-pressure, not server bugs:
-		// 503 + Retry-After tells well-behaved clients to ease off; everything
-		// else failing with no fallback is a genuine 500.
-		if errors.Is(res.Err, naru.ErrShed) || errors.Is(res.Err, naru.ErrBreakerOpen) {
+		// 503 + Retry-After tells well-behaved clients to ease off. A query
+		// that does not compile is the client's (400); everything else
+		// failing with no fallback is a genuine 500.
+		switch {
+		case errors.Is(res.Err, naru.ErrShed) || errors.Is(res.Err, naru.ErrBreakerOpen):
 			tn.setRetryAfter(w)
 			w.WriteHeader(http.StatusServiceUnavailable)
-		} else {
+		case errors.Is(res.Err, naru.ErrCompile):
+			w.WriteHeader(http.StatusBadRequest)
+		default:
 			w.WriteHeader(http.StatusInternalServerError)
 		}
 	}

@@ -11,11 +11,12 @@ import (
 // tiny matrices.
 const parallelThreshold = 1 << 16
 
-// ParallelFor splits [0, n) into contiguous chunks and runs fn on each chunk
-// concurrently. fn receives half-open index ranges. It is exported so higher
-// layers (batched sampling, workload execution) can reuse the same fan-out.
+// ParallelFor splits [0, n) into up to GOMAXPROCS contiguous chunks and runs
+// fn on each chunk concurrently. fn receives half-open index ranges. It is
+// exported so higher layers (training, workload execution) can reuse the same
+// fan-out.
 func ParallelFor(n int, fn func(start, end int)) {
-	workers := runtime.NumCPU()
+	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
 		workers = n
 	}

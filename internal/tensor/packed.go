@@ -60,14 +60,7 @@ func (pb *PackedB) reserve(k, n int) {
 }
 
 // Pack fills pb from B (K×N, row-major), reusing pb's storage when possible.
-func (pb *PackedB) Pack(b *Matrix) { pb.PackCols(b, 0) }
-
-// PackCols fills pb from the column suffix B[:, j0:], so a product against pb
-// yields only output columns j0 and up. This is the delta-forward primitive:
-// degree-sorted masked layers change only a suffix of their units per
-// sampling step, and packing just that suffix keeps the per-step GEMM
-// proportional to the changed width.
-func (pb *PackedB) PackCols(b *Matrix, j0 int) { pb.PackRange(b, 0, b.Rows, j0, b.Cols) }
+func (pb *PackedB) Pack(b *Matrix) { pb.PackRange(b, 0, b.Rows, 0, b.Cols) }
 
 // PackRange fills pb from the sub-block B[i0:i1, j0:j1). A product against the
 // result consumes a K = i1-i0 operand and yields N = j1-j0 output columns.
@@ -128,17 +121,32 @@ var packPool = sync.Pool{New: func() any { return new(PackedB) }}
 // relu is true negative results are clamped to zero in the same sweep.
 // accumulate adds into C instead of overwriting; it cannot be combined with
 // the epilogue (no caller needs that, and the combination is ambiguous).
+//
+// Products of parallelThreshold multiply-adds or more fan their rows out over
+// ParallelFor. Training and the full forward reach this entry through MatMul
+// and LinearReLU; the sampling walk calls the serial MatMulPackedWindow and
+// MatMulPackedPrefix instead, so its worker budget is its only parallelism.
 func MatMulPacked(c, a *Matrix, pb *PackedB, bias []float32, relu, accumulate bool) {
 	if c.Cols != pb.N {
 		panic(fmt.Sprintf("tensor: MatMulPacked C has %d columns, packed B has %d", c.Cols, pb.N))
 	}
-	matMulPackedAt(c, a, pb, bias, relu, accumulate, 0)
+	checkWindow(c, a, pb, bias, relu, accumulate, 0)
+	// The serial branch calls packedBody directly: creating the closure first
+	// would heap-allocate it even when ParallelFor is never reached (it
+	// escapes into the goroutine path).
+	if a.Rows*a.Cols*pb.N < parallelThreshold {
+		packedBody(c, a, a.Cols, pb, bias, relu, accumulate, 0, 0, a.Rows)
+		return
+	}
+	ParallelFor(a.Rows, func(start, end int) {
+		packedBody(c, a, a.Cols, pb, bias, relu, accumulate, 0, start, end)
+	})
 }
 
-// matMulPackedAt writes the product into the column window C[:, cOff:cOff+pb.N],
-// leaving the columns outside the window untouched. bias, when present, covers
-// just the window (pb.N entries).
-func matMulPackedAt(c, a *Matrix, pb *PackedB, bias []float32, relu, accumulate bool, cOff int) {
+// checkWindow panics unless C[:, cOff:cOff+pb.N] = A·B is a well-formed
+// product: A is K = pb.K wide, C has A's rows and holds the window, and bias,
+// when present, covers just the window (pb.N entries).
+func checkWindow(c, a *Matrix, pb *PackedB, bias []float32, relu, accumulate bool, cOff int) {
 	if a.Cols != pb.K || c.Rows != a.Rows || cOff < 0 || cOff+pb.N > c.Cols {
 		panic(fmt.Sprintf("tensor: MatMulPacked shape mismatch (%d×%d)·(%d×%d)→(%d×%d)+%d",
 			a.Rows, a.Cols, pb.K, pb.N, c.Rows, c.Cols, cOff))
@@ -149,25 +157,17 @@ func matMulPackedAt(c, a *Matrix, pb *PackedB, bias []float32, relu, accumulate 
 	if bias != nil && len(bias) != pb.N {
 		panic(fmt.Sprintf("tensor: MatMulPacked bias length %d for %d columns", len(bias), pb.N))
 	}
-	// The serial branch calls packedBody directly: creating the closure first
-	// would heap-allocate it even when ParallelFor is never reached (it
-	// escapes into the goroutine path), and the block-sampling walk relies on
-	// sub-threshold products being allocation-free.
-	if a.Rows*a.Cols*pb.N < parallelThreshold {
-		packedBody(c, a, a.Cols, pb, bias, relu, accumulate, cOff, 0, a.Rows)
-		return
-	}
-	ParallelFor(a.Rows, func(start, end int) {
-		packedBody(c, a, a.Cols, pb, bias, relu, accumulate, cOff, start, end)
-	})
 }
 
-// MatMulPackedWindow exposes the column-window product C[:, cOff:cOff+pb.N] =
-// A·B (or += with accumulate) against a caller-held packed operand. It is the
-// cached-pack counterpart of LinearReLUCols: the model packs a weight band
-// once and replays it every sampling step without the per-call pack pass.
+// MatMulPackedWindow computes the column window C[:, cOff:cOff+pb.N] = A·B
+// (or += with accumulate) against a caller-held packed operand, leaving the
+// columns outside the window untouched; bias, when present, covers just the
+// window. The model packs a weight window once and replays it every sampling
+// step without a pack pass. It runs on the calling goroutine at any size and
+// allocates nothing.
 func MatMulPackedWindow(c, a *Matrix, pb *PackedB, bias []float32, relu, accumulate bool, cOff int) {
-	matMulPackedAt(c, a, pb, bias, relu, accumulate, cOff)
+	checkWindow(c, a, pb, bias, relu, accumulate, cOff)
+	packedBody(c, a, a.Cols, pb, bias, relu, accumulate, cOff, 0, a.Rows)
 }
 
 // MatMulPackedPrefix computes C[:, cOff:cOff+pb.N] = A[:, :pb.K]·B from a
@@ -176,7 +176,8 @@ func MatMulPackedWindow(c, a *Matrix, pb *PackedB, bias []float32, relu, accumul
 // column — a prefix under degree sorting — so packing just those pb.K weight
 // rows and walking A with its full row stride skips the provably-zero tail of
 // the dot product while producing bit-identical sums (the skipped terms are
-// exact zeros appended after the same-order prefix accumulation).
+// exact zeros appended after the same-order prefix accumulation). Like
+// MatMulPackedWindow it runs on the calling goroutine and allocates nothing.
 func MatMulPackedPrefix(c, a *Matrix, pb *PackedB, bias []float32, relu, accumulate bool, cOff int) {
 	if a.Cols < pb.K || c.Rows != a.Rows || cOff < 0 || cOff+pb.N > c.Cols {
 		panic(fmt.Sprintf("tensor: MatMulPackedPrefix shape mismatch (%d×%d)·(%d×%d)→(%d×%d)+%d",
@@ -218,15 +219,7 @@ func MatMulPackedPrefix(c, a *Matrix, pb *PackedB, bias []float32, relu, accumul
 		}
 		return
 	}
-	// Serial branch first, closure only on the parallel path — same
-	// allocation-free contract as matMulPackedAt.
-	if a.Rows*pb.K*pb.N < parallelThreshold {
-		packedBody(c, a, a.Cols, pb, bias, relu, accumulate, cOff, 0, a.Rows)
-		return
-	}
-	ParallelFor(a.Rows, func(start, end int) {
-		packedBody(c, a, a.Cols, pb, bias, relu, accumulate, cOff, start, end)
-	})
+	packedBody(c, a, a.Cols, pb, bias, relu, accumulate, cOff, 0, a.Rows)
 }
 
 // Epilogue modes of the storing kernels (fmaStore8x8, fmaStore8x32, …), one
@@ -441,48 +434,6 @@ func LinearReLU(c, a, b *Matrix, bias []float32, relu bool) {
 	pb := packPool.Get().(*PackedB)
 	pb.Pack(b)
 	MatMulPacked(c, a, pb, bias, relu, false)
-	packPool.Put(pb)
-}
-
-// LinearReLUCols computes only the column window C[:, j0:] = A·B[:, j0:] +
-// bias[j0:] (optionally ReLU-fused), leaving columns below j0 untouched. C and
-// bias span B's full column count; j0 = 0 degenerates to LinearReLU and
-// j0 >= B.Cols is a no-op. Delta-forward sampling uses this to refresh just
-// the suffix of hidden units whose degree admits the newly revealed column.
-func LinearReLUCols(c, a, b *Matrix, bias []float32, relu bool, j0 int) {
-	if j0 <= 0 {
-		LinearReLU(c, a, b, bias, relu)
-		return
-	}
-	if j0 >= b.Cols {
-		return
-	}
-	pb := packPool.Get().(*PackedB)
-	pb.PackCols(b, j0)
-	var bw []float32
-	if bias != nil {
-		bw = bias[j0:]
-	}
-	matMulPackedAt(c, a, pb, bw, relu, false, j0)
-	packPool.Put(pb)
-}
-
-// LinearReLUBand computes only the column band C[:, j0:j1) = A·B[:, j0:j1) +
-// bias[j0:j1) (optionally ReLU-fused), leaving columns outside the band
-// untouched. Unlike LinearReLUCols this refreshes an interior window, which is
-// what a degree band of a masked hidden layer is: the units whose degree sits
-// strictly between two adjacent sampling steps.
-func LinearReLUBand(c, a, b *Matrix, bias []float32, relu bool, j0, j1 int) {
-	if j0 >= j1 {
-		return
-	}
-	pb := packPool.Get().(*PackedB)
-	pb.PackRange(b, 0, b.Rows, j0, j1)
-	var bw []float32
-	if bias != nil {
-		bw = bias[j0:j1]
-	}
-	matMulPackedAt(c, a, pb, bw, relu, false, j0)
 	packPool.Put(pb)
 }
 

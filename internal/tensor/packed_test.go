@@ -177,44 +177,6 @@ func TestMatMulDispatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestLinearReLUCols checks the column-window product against running the
-// full fused kernel and splicing: columns below j0 must be untouched, columns
-// at and above j0 must match the full product bitwise (same kernel, same
-// operand panels).
-func TestLinearReLUCols(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, sh := range [][3]int{{5, 12, 11}, {16, 32, 32}, {7, 9, 4}, {3, 6, 1}} {
-		m, k, n := sh[0], sh[1], sh[2]
-		a := randomMatrix(rng, m, k)
-		b := randomMatrix(rng, k, n)
-		bias := make([]float32, n)
-		for i := range bias {
-			bias[i] = float32(rng.NormFloat64())
-		}
-		full := New(m, n)
-		LinearReLU(full, a, b, bias, true)
-		for j0 := 0; j0 <= n+1; j0++ {
-			got := New(m, n)
-			for i := range got.Data {
-				got.Data[i] = -7 // sentinel: columns < j0 must keep it
-			}
-			LinearReLUCols(got, a, b, bias, true, j0)
-			for r := 0; r < m; r++ {
-				row, fullRow := got.Row(r), full.Row(r)
-				for j := 0; j < n; j++ {
-					if j < j0 {
-						if row[j] != -7 {
-							t.Fatalf("%v j0=%d: column %d below window was written", sh, j0, j)
-						}
-					} else if d := math.Abs(float64(row[j] - fullRow[j])); d > 1e-5 {
-						t.Fatalf("%v j0=%d: window column %d differs by %g", sh, j0, j, d)
-					}
-				}
-			}
-		}
-	}
-}
-
 // subMatrix copies the block src[i0:i1, j0:j1) into a fresh matrix.
 func subMatrix(src *Matrix, i0, i1, j0, j1 int) *Matrix {
 	out := New(i1-i0, j1-j0)
@@ -292,34 +254,6 @@ func TestMatMulPackedPrefixBitwise(t *testing.T) {
 			if got.Data[i] != want.Data[i] {
 				t.Fatalf("kc=%d: element %d differs: %g vs %g", kc, i, got.Data[i], want.Data[i])
 			}
-		}
-	}
-}
-
-// TestLinearReLUBandMatchesCols checks that refreshing adjacent interior bands
-// reproduces (bitwise) the suffix refresh of LinearReLUCols over their union.
-func TestLinearReLUBandMatchesCols(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	const m, k, n = 19, 31, 41
-	a := randomMatrix(rng, m, k)
-	b := randomMatrix(rng, k, n)
-	bias := make([]float32, n)
-	for j := range bias {
-		bias[j] = float32(rng.NormFloat64())
-	}
-	const j0 = 11
-	want := New(m, n)
-	want.Fill(-7)
-	LinearReLUCols(want, a, b, bias, true, j0)
-
-	got := New(m, n)
-	got.Fill(-7)
-	for _, band := range [][2]int{{j0, 18}, {18, 18}, {18, 33}, {33, n}} {
-		LinearReLUBand(got, a, b, bias, true, band[0], band[1])
-	}
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("element %d differs: %g vs %g", i, got.Data[i], want.Data[i])
 		}
 	}
 }
@@ -472,7 +406,8 @@ func requireSameBits(t *testing.T, what string, got, want *Matrix) {
 // TestFmaStoreMatchesScratchTile checks the register-resident epilogue of
 // every mode, at every panel width this CPU runs, against the scratch-tile
 // path, bit for bit, on shapes with partial panels, a K prefix (lda > K), a
-// column window (cOff > 0) and row counts that are not multiples of 8. NaN
+// column window (cOff > 0) and row counts that are not multiples of 8, through
+// MatMulPackedPrefix and, where A is exactly K wide, MatMulPackedWindow. NaN
 // and -0 are planted in A, the bias and C's prior contents: the epilogue
 // ReLU must keep NaN (`if v < 0`).
 func TestFmaStoreMatchesScratchTile(t *testing.T) {
@@ -498,8 +433,16 @@ func TestFmaStoreMatchesScratchTile(t *testing.T) {
 								want := kc.prior.Clone()
 								MatMulPackedPrefix(got, kc.a, &pb, bs, m.relu, m.accu, cOff)
 								scratchTileBody(want, kc.a, kc.lda, &pb, bs, m.relu, m.accu, cOff)
-								requireSameBits(t, fmt.Sprintf("%s nr=%d rows=%d k=%d lda=%d n=%d cOff=%d",
-									m.name, pb.nr, rows, k, kc.lda, n, cOff), got, want)
+								what := fmt.Sprintf("%s nr=%d rows=%d k=%d lda=%d n=%d cOff=%d",
+									m.name, pb.nr, rows, k, kc.lda, n, cOff)
+								requireSameBits(t, what, got, want)
+								if kPad == 0 {
+									// A full-width A: the window entry must write
+									// the same bits into the same columns.
+									win := kc.prior.Clone()
+									MatMulPackedWindow(win, kc.a, &pb, bs, m.relu, m.accu, cOff)
+									requireSameBits(t, "window "+what, win, want)
+								}
 							}
 						}
 					}

@@ -501,7 +501,7 @@ func (e *Estimator) Selectivity(q Query) (float64, error) {
 }
 
 // SelectivityBatch estimates every query's selectivity, fanning the work
-// across up to workers goroutines (NumCPU when workers <= 0). Results align
+// across up to workers goroutines (GOMAXPROCS when workers <= 0). Results align
 // positionally with qs and are bit-identical to sequential Selectivity calls
 // on a freshly built estimator with the same seed.
 func (e *Estimator) SelectivityBatch(qs []Query, workers int) ([]float64, error) {
@@ -737,20 +737,32 @@ func (e *Estimator) OutlierScores(codes []int32, n int) []float64 {
 	return core.OutlierScores(e.cur.Load().model, codes, n)
 }
 
+// ErrCompile tags a query that does not compile against the serving model:
+// a predicate on a column or code the model does not know, or one a join
+// model cannot serve (a predicate on a fanout column). The query is the
+// caller's error, not the model's: HTTP tenants answer it with 400 and the
+// circuit breaker does not count it as a model failure. Check with errors.Is;
+// the wrapped error says what did not compile.
+var ErrCompile = errors.New("naru: query does not compile against the serving model")
+
 // compileFor lowers a query onto one version bundle's schema: its region and,
 // for a join version, its scale columns. With the bundle's training snapshot
 // at hand, range predicates are compared in value order via the snapshot's
 // dictionaries — required once online appends have extended a dictionary
 // with an arrival-ordered tail, where code order is no longer value order.
 // Snapshot-less bundles (estimators loaded from disk) compile in pure code
-// space, exact while dictionaries are fully sorted.
+// space, exact while dictionaries are fully sorted. Every error wraps
+// ErrCompile.
 func compileFor(v *estimatorVersion, q Query) (core.Request, error) {
 	reg, err := query.CompileSnapshot(q, v.domains, v.snap)
-	if err != nil || v.plan == nil {
-		return core.Request{Region: reg}, err
+	req := core.Request{Region: reg}
+	if err == nil && v.plan != nil {
+		req.Scales, err = v.plan(q)
 	}
-	scales, err := v.plan(q)
-	return core.Request{Region: reg, Scales: scales}, err
+	if err != nil {
+		return req, fmt.Errorf("%w: %w", ErrCompile, err)
+	}
+	return req, nil
 }
 
 // regionOf compiles q for the entry points that serve bare regions. They

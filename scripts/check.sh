@@ -37,7 +37,10 @@
 # GOMAXPROCS=NumCPU: parallel-fused throughput must improve by more than 1.5x
 # on boxes with at least 4 cores (on smaller boxes only the bit-identity
 # lines are enforced). All four runs must print the same inference digest,
-# which the gate echoes with the GEMM kernel path (avx512, avx2 or portable).
+# which the gate echoes with the GEMM kernel path (avx512, avx2 or portable),
+# and must record at most 64 allocations per query on the one-worker fused
+# batch: its walk starts no goroutines, and a kernel that fanned out again
+# would pay hundreds of handoff allocations per query (484 when they did).
 #
 # `check.sh chaos` is the fault-injection gate: the breaker/recovery/heal
 # suites under the race detector, then a live kill matrix — for every
@@ -278,32 +281,45 @@ if [ "${1:-}" = "bench" ]; then
             echo "inference digest $d differs from the baseline's $digest ($1)"; exit 1
         fi
     }
+    # bench_value <name> <bench.json>: the value a run recorded for a metric.
+    bench_value() {
+        awk -v name="\"$1\"" '$0 ~ "\"name\": " name { hit = 1 }
+             hit && /"value":/ { gsub(/[",]/, ""); print $2; exit }' "$2"
+    }
+    # The one-worker fused walk must not start goroutines: each start is a
+    # heap allocation, so a walk whose kernels fan out again shows here.
+    require_serial_walk() {
+        a="$(bench_value dmv_batch_allocs_per_query "$1")"
+        awk -v a="$a" 'BEGIN { exit !(a != "" && a + 0 <= 64) }' \
+            || { echo "fused batch: ${a:-no} allocs/query recorded in $1, limit 64 (the W=1 walk starts goroutines)"; exit 1; }
+    }
 
     echo "-- baseline run"
     go run ./cmd/narubench $bench_flags inference > "$tmp/run1.out"
     require_bit_identity "$tmp/run1.out"
+    require_serial_walk "$tmp/BENCH_inference.json"
     grep -q "recorded .* in" "$tmp/run1.out" || { echo "history entry not recorded"; cat "$tmp/run1.out"; exit 1; }
 
     echo "-- gated re-run (must stay within 10% of the baseline)"
     go run ./cmd/narubench $bench_flags -check-regression inference > "$tmp/run2.out" \
         || { echo "regression gate tripped"; cat "$tmp/run2.out"; exit 1; }
     require_bit_identity "$tmp/run2.out"
+    require_serial_walk "$tmp/BENCH_inference.json"
 
     ncpu="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
     echo "-- parallel-fused scaling: GOMAXPROCS=1 vs GOMAXPROCS=$ncpu"
     scale_flags="-dmv-rows 12000 -queries 48 -epochs 1 -quiet"
     # qps <bench.json>: the parallel-fused throughput the run recorded.
-    qps() {
-        awk '/"name": "dmv_queries_per_sec_fused_parallel"/ { hit = 1 }
-             hit && /"value":/ { gsub(/[",]/, ""); print $2; exit }' "$1"
-    }
+    qps() { bench_value dmv_queries_per_sec_fused_parallel "$1"; }
     GOMAXPROCS=1 go run ./cmd/narubench $scale_flags -bench-out "$tmp/BENCH_p1.json" \
         inference > "$tmp/p1.out"
     require_bit_identity "$tmp/p1.out"
+    require_serial_walk "$tmp/BENCH_p1.json"
     if [ "$ncpu" -ge 2 ]; then
         GOMAXPROCS="$ncpu" go run ./cmd/narubench $scale_flags -bench-out "$tmp/BENCH_pN.json" \
             inference > "$tmp/pN.out"
         require_bit_identity "$tmp/pN.out"
+        require_serial_walk "$tmp/BENCH_pN.json"
         if [ "$ncpu" -ge 4 ]; then
             q1="$(qps "$tmp/BENCH_p1.json")"
             qN="$(qps "$tmp/BENCH_pN.json")"
