@@ -35,10 +35,11 @@ type CoalesceOptions struct {
 	// (default 256).
 	MaxQueue int
 	// Serve configures each fused dispatch: target stderr, per-query
-	// deadline, fallback, and Workers — the fused scheduler's parallelism
-	// budget (query shards × row shards per block; GOMAXPROCS when 0, results
+	// deadline, fallback, and Workers — the fused walk's parallelism budget
+	// (query shards × row shards per block; GOMAXPROCS when 0, results
 	// bit-identical at any setting). Serve.Fallback also answers shed
-	// queries.
+	// queries. A query's own deadline and cancellation come from the context
+	// its caller passed to Estimate.
 	Serve ServeOptions
 }
 
@@ -60,17 +61,19 @@ func (o CoalesceOptions) withDefaults() CoalesceOptions {
 
 type coalesceReq struct {
 	q     Query
-	ch    chan Result // buffered(1): dispatch never blocks on an abandoned caller
-	start time.Time   // arrival time, for the per-query latency observation
+	ctx   context.Context // the caller's: cancelling it stops the query at its next block
+	ch    chan Result     // buffered(1): dispatch never blocks on an abandoned caller
+	start time.Time       // arrival time, for the per-query latency observation
 }
 
-// Coalescer batches concurrent single-query requests into fused cross-query
-// dispatches: requests arriving within a micro-batch window are compiled and
-// served together through EstimateFused, so their progressive-sampling chunks
-// share tall model batches instead of each paying the per-column fixed costs
-// alone. Results are bit-identical to serving each query alone (the fused
-// scheduler's determinism contract), so coalescing changes latency and
-// throughput, never answers.
+// Coalescer batches concurrent single-query requests into fused dispatches:
+// requests arriving within a micro-batch window are compiled and served
+// together through EstimateFused, one admission wave of each query after
+// another, on one model replica and one set of block buffers per shard.
+// Results are bit-identical to serving each query alone (the fused walk's
+// determinism contract), so coalescing changes latency and throughput, never
+// answers. Each query carries its caller's context into the walk, so a
+// caller that gives up stops its query at the next block.
 //
 // Each dispatch loads the serving bundle once, so every query in a batch is
 // compiled and estimated against the same model version even across a
@@ -120,7 +123,7 @@ func (c *Coalescer) Estimate(ctx context.Context, q Query) Result {
 		c.mu.Unlock()
 		return c.shed(q, start)
 	}
-	req := coalesceReq{q: q, ch: make(chan Result, 1), start: start}
+	req := coalesceReq{q: q, ctx: ctx, ch: make(chan Result, 1), start: start}
 	c.queue = append(c.queue, req)
 	c.pending++
 	switch {
@@ -137,7 +140,8 @@ func (c *Coalescer) Estimate(ctx context.Context, q Query) Result {
 	case res := <-req.ch:
 		return res
 	case <-ctx.Done():
-		// The batch still runs; this caller just stops waiting for it.
+		// The batch still runs; this caller stops waiting for it, and its
+		// query stops at its next block.
 		return Result{Source: SourceFailed, Err: ctx.Err(), Stop: StopCancel}
 	}
 }
@@ -219,12 +223,15 @@ func (c *Coalescer) dispatch(batch []coalesceReq) {
 			req.ch <- res
 			continue
 		}
+		creq.Ctx = req.ctx
 		reqs = append(reqs, creq)
 		idx = append(idx, i)
 	}
 	if len(reqs) == 0 {
 		return
 	}
+	// The batch has no context of its own: each query runs under its
+	// caller's.
 	results := v.sampler.EstimateFused(context.Background(), reqs, c.opts.Serve)
 	for j, res := range results {
 		batch[idx[j]].ch <- res

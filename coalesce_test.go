@@ -3,11 +3,13 @@ package naru
 import (
 	"context"
 	"errors"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/made"
+	"repro/internal/table"
 )
 
 // fusedModel builds a small untrained MADE over the table's schema —
@@ -319,5 +321,70 @@ func TestCoalescerCompileErrorObserved(t *testing.T) {
 	if snap.Counters["naru_queries_total"] != 2 || snap.Counters["naru_query_path_failed_total"] != 1 {
 		t.Fatalf("good query miscounted: queries %d, failed %d (want 2, 1)",
 			snap.Counters["naru_queries_total"], snap.Counters["naru_query_path_failed_total"])
+	}
+}
+
+// wideTable is a 3-column table over a 32×32×10 domain, wide enough that a
+// query restricting all three columns samples instead of enumerating.
+func wideTable(t *testing.T) *Table {
+	t.Helper()
+	b := table.NewBuilder("w", []string{"a", "b", "c"})
+	for i := 0; i < 2048; i++ {
+		a, bb := i%32, (i/32)%32
+		if err := b.AppendRow([]string{strconv.Itoa(a), strconv.Itoa(bb), strconv.Itoa((a + bb) % 10)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tbl, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// TestCoalescerCancelledClientStopsItsQuery: two sampling queries coalesce
+// into one batch, and one client gives up before the batch is dispatched.
+// Its query carries the client's context into the walk and stops there, so
+// only the other query's sample paths are spent.
+func TestCoalescerCancelledClientStopsItsQuery(t *testing.T) {
+	tbl := wideTable(t)
+	est := NewFromModel(fusedModel(tbl), tbl, fusedConfig())
+	reg := NewMetrics()
+	est.SetMetrics(reg)
+	// The window never expires: the second arrival dispatches the batch.
+	c := est.NewCoalescer(CoalesceOptions{Window: time.Hour, MaxBatch: 2})
+	defer c.Close()
+	qs := []Query{
+		{Preds: []Predicate{{Col: 0, Op: OpGe, Code: 1}, {Col: 1, Op: OpGe, Code: 1}, {Col: 2, Op: OpGe, Code: 1}}},
+		{Preds: []Predicate{{Col: 0, Op: OpGe, Code: 2}, {Col: 1, Op: OpGe, Code: 2}, {Col: 2, Op: OpGe, Code: 1}}},
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	gone := make(chan Result, 1)
+	go func() { gone <- c.Estimate(ctx, qs[0]) }()
+	for i := 0; ; i++ {
+		c.mu.Lock()
+		p := c.pending
+		c.mu.Unlock()
+		if p >= 1 {
+			break
+		}
+		if i > 5000 {
+			t.Fatal("first query never queued")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if r := <-gone; !errors.Is(r.Err, context.Canceled) {
+		t.Fatalf("cancelled client got %+v", r)
+	}
+
+	res := c.Estimate(context.Background(), qs[1])
+	if res.Source != SourceModel || res.Samples != fusedConfig().Samples {
+		t.Fatalf("live client got %+v, want a full-budget model answer", res)
+	}
+	// Both answers were observed before the live client's was delivered.
+	if got := reg.Counter("naru_sample_paths_completed_total").Value(); got != uint64(res.Samples) {
+		t.Fatalf("naru_sample_paths_completed_total = %d, want %d: the cancelled query kept sampling", got, res.Samples)
 	}
 }

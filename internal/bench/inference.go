@@ -73,12 +73,11 @@ func Inference(out io.Writer, cfg Config) {
 	seqRes := RunWorkload(seq, w)
 	seqTotal := sumLatency(seqRes.Latencies)
 
-	// Fused cross-query batch on a fresh estimator (same seeds again, so the
-	// fused scheduler must reproduce the sequential fast-path answers
-	// bitwise). Workers is pinned to 1 so this row measures the scheduler
-	// itself — cross-query amortization with no thread parallelism — and the
-	// "fused at one worker must not lose to sequential" gate has a direct
-	// reading. Telemetry, when enabled, watches this configuration — the
+	// Fused batch on a fresh estimator (same seeds again, so the fused walk
+	// must reproduce the sequential fast-path answers bitwise). Workers is
+	// pinned to 1 so this row measures the block walk itself — a query's
+	// chunks of one wave in one tall block, with no thread parallelism — next
+	// to the sequential row's one CondBatch walk per chunk. Telemetry, when enabled, watches this configuration — the
 	// mismatch check below doubles as proof that observing it is free of
 	// perturbation. The Mallocs delta around the run prices the scheduler's
 	// allocation overhead per query.
@@ -169,7 +168,7 @@ func Inference(out io.Writer, cfg Config) {
 		{Name: "dmv_queries_per_sec_sequential", Value: seqQPS, Unit: "queries/sec",
 			Extra: "delta-forward + packed GEMM, sequential"},
 		{Name: "dmv_queries_per_sec_batch", Value: batchQPS, Unit: "queries/sec",
-			Extra: "fused cross-query scheduler (EstimateFused), one worker, whole workload in flight"},
+			Extra: "fused walk (EstimateFused), one worker, whole workload in one call"},
 		{Name: "dmv_queries_per_sec_fused_parallel", Value: parQPS, Unit: "queries/sec",
 			Extra: fmt.Sprintf("fused scheduler, shard + row parallelism, workers=%d", parWorkers)},
 		{Name: "dmv_fused_parallel_mismatches", Value: float64(parMismatches), Unit: "queries",

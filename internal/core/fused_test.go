@@ -4,11 +4,12 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/made"
@@ -224,9 +225,10 @@ func (p *panicBlock) AdvanceBlock(codes []int32, n, col int) {
 }
 
 // TestEstimateFusedBlockPanicReserved: a panic inside a fused block is
-// contained — every query in the poisoned block is re-served individually
-// and, because chunk streams are keyed by (query, chunk), still returns the
-// bit-identical sequential answer.
+// contained to the block's query. That query alone is re-served through the
+// per-query walk and, because chunk streams are keyed by (query, chunk),
+// still returns the bit-identical sequential answer; the other queries
+// carry on in blocks on the same replica.
 func TestEstimateFusedBlockPanicReserved(t *testing.T) {
 	tbl := corrTable(t, 1500, 3)
 	regs := fusedWorkload(t, tbl)
@@ -243,11 +245,16 @@ func TestEstimateFusedBlockPanicReserved(t *testing.T) {
 	pb := &panicBlock{Model: testMADE(domains)}
 	fused := NewEstimator(pb, samples, seed)
 	fused.EnumThreshold = 40
+	reg := obs.New()
+	fused.SetObserver(reg)
 	got := fused.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: 1})
 	if !pb.fired {
 		t.Fatal("block panic never triggered; fused path not taken")
 	}
 	requireFusedMatch(t, got, want)
+	if n := reg.Counter(metricFusedReserved).Value(); n != 1 {
+		t.Fatalf("re-served %d queries after one block panic; want 1", n)
+	}
 }
 
 // TestEstimateFusedWorkerMatrix is the parallel determinism contract: the
@@ -329,9 +336,9 @@ func (p *shardPanicBlock) AdvanceBlock(codes []int32, n, col int) {
 }
 
 // TestEstimateFusedShardPanicContained: with multiple shards in flight, a
-// panic inside one shard's walk re-serves only that shard's queries (the
-// naru_fused_reserved_total count never exceeds one round-robin group) and
-// every answer — re-served or not — stays bit-identical to sequential.
+// panic inside one shard's walk re-serves only the panicking block's query
+// (naru_fused_reserved_total reads 1) and every answer — re-served or not —
+// stays bit-identical to sequential.
 func TestEstimateFusedShardPanicContained(t *testing.T) {
 	tbl := corrTable(t, 1500, 3)
 	regs := fusedWorkload(t, tbl)
@@ -352,22 +359,8 @@ func TestEstimateFusedShardPanicContained(t *testing.T) {
 		t.Fatal("shard panic never triggered; fused path not taken")
 	}
 	requireFusedMatch(t, got, want)
-
-	sampling := 0
-	for _, r := range want {
-		if r.Samples > 0 {
-			sampling++
-		}
-	}
-	shards := workers
-	if shards > sampling {
-		shards = sampling
-	}
-	maxGroup := (sampling + shards - 1) / shards
-	reserved := int(reg.Counter(metricFusedReserved).Value())
-	if reserved == 0 || reserved > maxGroup {
-		t.Fatalf("re-served %d queries; want between 1 and %d (one shard's round-robin group of %d sampling queries)",
-			reserved, maxGroup, sampling)
+	if n := reg.Counter(metricFusedReserved).Value(); n != 1 {
+		t.Fatalf("re-served %d queries after one block panic; want 1", n)
 	}
 }
 
@@ -487,29 +480,27 @@ func TestEstimateFusedSerialSkipsBlockProbs(t *testing.T) {
 // TestEstimateFusedWalkZeroAlloc asserts walkBlock's documented contract:
 // once the pooled buffers, RNGs, model scratch, and first-wave cache are
 // primed, a serial block walk performs zero heap allocations at any block
-// height. The small case packs three short lanes through a narrow model; the
-// DMV-shaped case walks 16 full lanes (2048 rows) through hidden layers as
-// wide as the DMV benchmark model's, with an embedded column whose decode
-// spans many tiles and panels. Its products are far above any size at which
-// a kernel would fan out over goroutines, so a kernel under the walk that
-// starts one (each start allocates) fails this test.
+// height. The small case walks one query's three chunks (the last one short)
+// through a narrow model; the DMV-shaped case walks one query's 16 full
+// chunks (2048 rows) through hidden layers as wide as the DMV benchmark
+// model's, with an embedded column whose decode spans many tiles and panels.
+// Its products are far above any size at which a kernel would fan out over
+// goroutines, so a kernel under the walk that starts one (each start
+// allocates) fails this test.
 func TestEstimateFusedWalkZeroAlloc(t *testing.T) {
 	small := corrTable(t, 1500, 3)
 	wide := wideDomainTable(t, 1500, 3)
 	cases := []struct {
-		name       string
-		tbl        *table.Table
-		cfg        made.Config
-		samples    int
-		queries    int // sampling queries in the block
-		per        int // lanes (chunks) per query
-		rows, runs int // rows per lane, measured walks
+		name    string
+		tbl     *table.Table
+		cfg     made.Config
+		samples int // one block of every chunk: at most maxFusedRows
+		runs    int // measured walks
 	}{
-		{"small", small, made.Config{HiddenSizes: []int{16, 16}, EmbedThreshold: 64, EmbedDim: 8, Seed: 5},
-			300, 3, 1, 48, 20},
+		{"small", small, made.Config{HiddenSizes: []int{16, 16}, EmbedThreshold: 64, EmbedDim: 8, Seed: 5}, 300, 20},
 		// The DMV benchmark model's layer widths (bench.DMVModelConfig).
 		{"dmv-shaped", wide, made.Config{HiddenSizes: []int{256, 128, 256}, EmbedThreshold: 64, EmbedDim: 64, Seed: 5},
-			8 * anytimeChunk, 2, 8, anytimeChunk, 3},
+			maxFusedRows, 3},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -529,45 +520,81 @@ func TestEstimateFusedWalkZeroAlloc(t *testing.T) {
 			st := e.getFusedState()
 			defer e.fusedPool.Put(st)
 
-			// Rebuild a representative block by hand: c.per chunks of each of
-			// c.queries sampling queries, wave-sorted exactly as
-			// runFusedWaves would order it.
+			// The first sampling query of the workload, all of its chunks in
+			// one block.
 			opts := ServeOptions{}
-			var lanes []*fusedLane
-			queries := 0
+			var fq *sampleQuery
 			for i, reg := range regs {
-				fq, _ := e.classify(context.Background(), sc, Request{Region: reg}, uint64(1000+i), i, &opts)
-				if fq == nil {
-					continue
-				}
-				for k := 0; k < c.per; k++ {
-					lanes = append(lanes, &fusedLane{fq: fq, chunk: k, n: c.rows})
-				}
-				if queries++; queries == c.queries {
+				if fq, _ = e.classify(context.Background(), sc, Request{Region: reg}, uint64(1000+i), i, &opts, time.Now()); fq != nil {
 					break
 				}
 			}
-			if queries < c.queries {
-				t.Fatalf("only %d sampling queries; workload too small", queries)
+			if fq == nil {
+				t.Fatal("no sampling query; workload too small")
 			}
-			sort.SliceStable(lanes, func(a, b int) bool { return lanes[a].fq.last > lanes[b].fq.last })
-			nc := sc.model.NumCols()
+			chunks := (c.samples + anytimeChunk - 1) / anytimeChunk
 
-			// One warm walk grows st.rngs to the lane count and settles any
+			// One warm walk grows st.rngs to the chunk count and settles any
 			// remaining lazily-built model scratch.
-			if err := e.walkBlock(bm, st, lanes, nc, false); err != nil {
+			if err := e.walkBlock(bm, st, fq, 0, chunks, false); err != nil {
 				t.Fatal(err)
 			}
 			avg := testing.AllocsPerRun(c.runs, func() {
-				if err := e.walkBlock(bm, st, lanes, nc, false); err != nil {
+				if err := e.walkBlock(bm, st, fq, 0, chunks, false); err != nil {
 					t.Fatal(err)
 				}
 			})
 			if avg != 0 {
-				t.Fatalf("steady-state fused walk of %d rows allocates %.1f objects per block; want 0",
-					len(lanes)*c.rows, avg)
+				t.Fatalf("steady-state fused walk of %d rows allocates %.1f objects per block; want 0", c.samples, avg)
 			}
 		})
+	}
+}
+
+// heightModel records the height of every walk BeginSampling announces, on
+// itself and on every fork.
+type heightModel struct {
+	*made.Model
+	mu      *sync.Mutex
+	heights map[int]int
+}
+
+func (h *heightModel) ForkModel() any {
+	return &heightModel{Model: h.Model.Fork(), mu: h.mu, heights: h.heights}
+}
+
+func (h *heightModel) BeginSampling(n int) {
+	h.mu.Lock()
+	h.heights[n]++
+	h.mu.Unlock()
+	h.Model.BeginSampling(n)
+}
+
+// TestEstimateFusedBlockHoldsOneQuery: a fused block holds the chunks of one
+// query's wave. At S = 300 (chunks of 128, 128 and 44 paths) every sampling
+// query walks one 256-row block in the first wave and one 44-row block in
+// the second, however many queries the call carries.
+func TestEstimateFusedBlockHoldsOneQuery(t *testing.T) {
+	tbl := corrTable(t, 1500, 3)
+	regs := fusedWorkload(t, tbl)
+	hm := &heightModel{Model: testMADE(tbl.DomainSizes()), mu: new(sync.Mutex), heights: map[int]int{}}
+	e := NewEstimator(hm, 300, 42)
+	e.EnumThreshold = 0 // enumeration announces its own heights
+	got := e.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: 1})
+	sampled := 0
+	for _, r := range got {
+		if r.Samples == 300 {
+			sampled++
+		}
+	}
+	if sampled < 3 {
+		t.Fatalf("only %d queries sampled; the call must carry several", sampled)
+	}
+	hm.mu.Lock()
+	defer hm.mu.Unlock()
+	want := map[int]int{256: sampled, 44: sampled}
+	if !reflect.DeepEqual(hm.heights, want) {
+		t.Fatalf("block heights %v (height: blocks); want %v, one pair per sampling query", hm.heights, want)
 	}
 }
 

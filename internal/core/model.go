@@ -64,20 +64,19 @@ type SequentialModel interface {
 
 // BlockModel is an optional extension for models whose sampling walk is
 // separable into a trunk advance and a head readout — the hooks the fused
-// cross-query scheduler drives. One BeginSampling/AdvanceBlock/DecodeBlock
-// walk carries sample chunks of many queries stacked into one tall batch:
+// walk drives. One BeginSampling/AdvanceBlock/DecodeBlock walk carries the
+// sample chunks of one query's admission wave stacked into one tall batch:
 // the trunk refresh and the per-column GEMMs run once over all rows, while
-// each query keeps its own RNG stream, so the fused result is bit-identical
-// to serving the queries one at a time.
+// each chunk keeps its own RNG stream, so the fused result is bit-identical
+// to walking the chunks one at a time.
 type BlockModel interface {
 	SequentialModel
 
 	// AdvanceBlock folds the previously decoded column's codes (those with
 	// code -1 are treated as absent) and brings the trunk state current for
-	// decoding col. n may shrink between calls — retired tail rows drop out
-	// of the batch — but never grow; col must be strictly greater than the
-	// last advanced column (skipped intermediate columns are treated as
-	// absent for every row).
+	// decoding col over the block's n rows (the height BeginSampling
+	// announced). col must be strictly greater than the last advanced column
+	// (skipped intermediate columns are treated as absent for every row).
 	AdvanceBlock(codes []int32, n, col int)
 
 	// DecodeBlock writes P̂(X_col | x_<col) for rows [r0, r1) of the current

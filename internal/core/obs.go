@@ -46,7 +46,7 @@ type estObs struct {
 
 	// Fused-scheduler instrumentation: the worker count the last EstimateFused
 	// call resolved to (gauge), tall blocks walked, and queries re-served
-	// individually after a shard panic (counters).
+	// through the per-query walk after their block panicked (counters).
 	fusedWorkers  *obs.Gauge
 	fusedBlocks   *obs.Counter
 	fusedReserved *obs.Counter

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/query"
 )
@@ -68,15 +67,15 @@ type Estimator struct {
 	mu       sync.Mutex // guards primary otherwise
 	primary  *scratch
 
-	// fusedPool recycles the tall block buffers of the fused cross-query
-	// scheduler (see fused.go) across EstimateFused calls.
+	// fusedPool recycles the tall block buffers of the fused walk (see
+	// fused.go) across EstimateFused calls.
 	fusedPool sync.Pool
 
 	// fw caches first-wave conditionals: the distribution decoded at a walk's
 	// first restricted model position depends only on that position (every
 	// earlier column is a wildcard, so the trunk still holds its zero-input
 	// broadcast state — see the bit-identity argument in DESIGN.md), so it is
-	// computed once per (serve epoch, column) and shared across every lane,
+	// computed once per (serve epoch, column) and shared across every block,
 	// sample chunk, and query. serveEpoch keys the cache: SetVersion and
 	// BumpServeEpoch advance it, orphaning stale entries.
 	fw struct {
@@ -334,12 +333,16 @@ func appendValid(dst []int32, cr *query.ColumnRange) []int32 {
 // query region (§5, "Enumeration"): exact with respect to the model. Columns
 // after the last restricted one are wildcards and marginalize to 1, so the
 // walk covers codes of columns [0, last] and sums chain-rule conditionals.
+// A non-finite sum reads as 0; the serving walks fail such a query with
+// ErrNonFinite instead.
 func (e *Estimator) Enumerate(reg *query.Region) float64 {
 	sc := e.acquire()
 	defer e.release(sc)
-	return e.enumerate(sc, reg)
+	return clampProb(e.enumerate(sc, reg))
 }
 
+// enumerate returns Enumerate's sum before clamping, NaN for a poisoned
+// model.
 func (e *Estimator) enumerate(sc *scratch, reg *query.Region) float64 {
 	last := -1
 	for i := range reg.Cols {
@@ -384,7 +387,7 @@ func (e *Estimator) enumerate(sc *scratch, reg *query.Region) float64 {
 		}
 		total += e.sumDensityPrefix(sc, points, len(points)/n, last)
 	}
-	return clampProb(total)
+	return total
 }
 
 const enumBatch = 512
@@ -454,11 +457,11 @@ func (e *Estimator) skipEnabled(m Model) bool {
 // Chunk k draws from the stream mixSeed(seedFor(q), k) and the chunks
 // accumulate in chunk order — the same streams and order walkBlock uses — so
 // a query's estimate is bit-identical across entry points and never depends
-// on how its samples were scheduled. Deadline and cancellation are checked at
-// chunk boundaries (an expired budget returns the anytime estimate over the
-// completed chunks) and the adaptive budget at the wave boundaries. A panic
-// is contained to the query.
-func (e *Estimator) walkPaths(ctx context.Context, sc *scratch, sq *sampleQuery, deadline time.Time, targetRel float64) (res Result) {
+// on how its samples were scheduled. The query's contexts and deadline are
+// checked before every chunk (an interrupted query returns the anytime
+// estimate over the completed chunks) and the adaptive budget at the wave
+// boundaries. A panic is contained to the query.
+func (e *Estimator) walkPaths(ctx context.Context, sc *scratch, sq *sampleQuery, targetRel float64) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{Source: SourceFailed, Err: fmt.Errorf("%w: query %d: %v", ErrPanicked, sq.i, r)}
@@ -470,18 +473,9 @@ func (e *Estimator) walkPaths(ctx context.Context, sc *scratch, sq *sampleQuery,
 	if skip {
 		fill = -1 // unvisited columns read as absent, not as code 0
 	}
-	stop := StopNone
 	for sq.done < e.samples {
-		if err := ctx.Err(); err != nil {
-			if sq.done == 0 {
-				return Result{Source: SourceFailed, Err: err}
-			}
-			stop = StopCancel
-			break
-		}
-		if !deadline.IsZero() && !time.Now().Before(deadline) {
-			stop = StopDeadline
-			break
+		if stop, err := sq.interrupted(ctx); err != nil {
+			return e.stopResult(sq, stop, err)
 		}
 		s := min(e.samples-sq.done, anytimeChunk)
 		sc.rng.Seed(mixSeed(e.seedFor(sq.q), int64(sq.chunks)))
@@ -514,29 +508,29 @@ func (e *Estimator) walkPaths(ctx context.Context, sc *scratch, sq *sampleQuery,
 		sq.add(weights)
 		if targetRel > 0 && sq.done < e.samples && targetWaveBoundary(sq.chunks) &&
 			targetMet(sq.sum, sq.sumsq, sq.done, targetRel) {
-			stop = StopTargetStdErr
-			break
+			return e.finalizeSample(sq.sum, sq.sumsq, sq.done, StopTargetStdErr)
 		}
 	}
-	if sq.done == 0 {
-		return Result{Source: SourceFailed, Err: ErrBudgetExhausted}
-	}
-	return e.finalizeSample(sq.sum, sq.sumsq, sq.done, stop)
+	return e.finalizeSample(sq.sum, sq.sumsq, sq.done, StopNone)
 }
 
 // drawRows runs the per-row mass/draw step of Algorithm 1 for rows [r0, r1)
 // of one decoded column: multiply each live path's weight by the in-range
 // mass P̂(X_col ∈ R_col | x_<col) and draw its next code by inverse CDF over
-// the valid list. It is shared between the sequential walk (one rng, all
-// rows) and the fused scheduler (one rng per query-chunk lane, that lane's
-// row range) — rows are advanced in index order either way, so a lane's
-// draws depend only on its own rng stream and its rows' decoded
-// conditionals, never on where the lane sits in a block.
+// the valid list. It is shared between the per-query walk (one rng per
+// chunk) and the fused walk (one rng per chunk of a block, that chunk's row
+// range) — rows are advanced in index order either way, so a chunk's draws
+// depend only on its own rng stream and its rows' decoded conditionals.
+//
+// A path with no in-range mass dies (weight 0). A NaN mass — a poisoned
+// model — leaves NaN in the path's weight instead, so the query's estimate
+// is NaN and finalizeSample fails it with ErrNonFinite rather than answering
+// 0. Dead and poisoned paths draw nothing more.
 func drawRows(rng *rand.Rand, isAll bool, vs []int32, codes []int32, nc, col int, probs [][]float64, weights []float64, r0, r1 int) {
 	for r := r0; r < r1; r++ {
-		if weights[r] == 0 {
-			// Dead path: keep its codes valid so later CondBatch calls
-			// stay well-defined, but it contributes nothing.
+		if !(weights[r] > 0) {
+			// Dead or poisoned path: keep its codes valid so later CondBatch
+			// calls stay well-defined; its weight is final.
 			codes[r*nc+col] = vs[0]
 			continue
 		}
@@ -549,8 +543,8 @@ func drawRows(rng *rand.Rand, isAll bool, vs []int32, codes []int32, nc, col int
 				mass += p[v]
 			}
 		}
-		if mass <= 0 || math.IsNaN(mass) {
-			weights[r] = 0
+		if !(mass > 0) {
+			weights[r] = max(mass, 0) // NaN stays NaN
 			codes[r*nc+col] = vs[0]
 			continue
 		}

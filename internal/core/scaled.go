@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/query"
@@ -68,10 +67,11 @@ func (e *Estimator) scaleByPos(reg *query.Region, scales []ScaleCol) ([][]float6
 // live path's weight by the expected inverse fanout Σ_v p[v]·inv[v] and draw
 // the column's code from the tilted distribution p·inv/Σ, so later columns
 // condition on a value consistent with the reweighted path measure. One
-// uniform variate is consumed per live row, mirroring drawRows.
+// uniform variate is consumed per live row, and a NaN mass poisons the path,
+// mirroring drawRows.
 func drawScaledRows(rng *rand.Rand, inv []float64, codes []int32, nc, col int, probs [][]float64, weights []float64, r0, r1 int) {
 	for r := r0; r < r1; r++ {
-		if weights[r] == 0 {
+		if !(weights[r] > 0) {
 			codes[r*nc+col] = 0
 			continue
 		}
@@ -80,8 +80,8 @@ func drawScaledRows(rng *rand.Rand, inv []float64, codes []int32, nc, col int, p
 		for v := range inv {
 			mass += p[v] * inv[v]
 		}
-		if mass <= 0 || math.IsNaN(mass) {
-			weights[r] = 0
+		if !(mass > 0) {
+			weights[r] = max(mass, 0) // NaN stays NaN
 			codes[r*nc+col] = 0
 			continue
 		}

@@ -197,22 +197,21 @@ func scaledWorkload(t *testing.T, tbl *table.Table) []Request {
 		{query.Query{}, []ScaleCol{{Col: 2, Inv: inv(2)}}},
 	}
 	for i, c := range scaled {
-		// Interleave, so scaled lanes share blocks with unscaled ones.
+		// Interleave, so scaled and unscaled queries alternate in the waves.
 		at := min(2*i+1, len(reqs))
 		reqs = append(reqs[:at], append([]Request{{Region: mustRegion(t, c.q, tbl), Scales: c.scales}}, reqs[at:]...)...)
 	}
 	return reqs
 }
 
-// TestEstimateScaledFusedMatchesPerQuery: scaled requests packed in fused
-// blocks beside unscaled ones answer bit for bit like the per-query walk, at
-// one worker and at NumCPU, with and without wildcard skipping. With skipping
-// on, a scale column before the first restricted column must still be
-// decoded and drawn, and the first-wave memo must not serve the lane at its
-// first restricted column: the decoded scale column has moved its rows out of
-// the zero-input state. The second budget's last chunk is shorter than a
-// decode tile and not a multiple of its height, so the lanes after it start
-// mid-tile and the serial walk draws them in pieces across tiles.
+// TestEstimateScaledFusedMatchesPerQuery: scaled requests served in one fused
+// call with unscaled ones answer bit for bit like the per-query walk, at one
+// worker and at NumCPU, with and without wildcard skipping. With skipping on,
+// a scale column before the first restricted column must still be decoded
+// and drawn, and the first-wave memo must not serve the block at its first
+// restricted column: the decoded scale column has moved its rows out of the
+// zero-input state. The second budget's last chunk is shorter than a decode
+// tile and not a multiple of its height, so its block ends mid-tile.
 func TestEstimateScaledFusedMatchesPerQuery(t *testing.T) {
 	tbl := corrTable(t, 1500, 3)
 	reqs := scaledWorkload(t, tbl)

@@ -145,8 +145,8 @@ var ErrInvalidWorkers = errors.New("core: ServeOptions.Workers must be >= 0")
 type ServeOptions struct {
 	// Workers caps the serving goroutines (GOMAXPROCS when 0). On the
 	// per-query path it bounds the worker pool pulling queries off the
-	// batch; on the fused path it bounds both the shard count (an admission
-	// wave's queries are partitioned into Workers disjoint lane groups, one
+	// batch; on the fused path it bounds both the shard count (the batch's
+	// sampling queries are partitioned into Workers disjoint groups, one
 	// pooled model replica each) and the row-range fan-out inside a single
 	// tall block. A MADE model's sampling kernels run on those goroutines
 	// and never start their own, so Workers = 1 serves it on one core.
@@ -198,9 +198,16 @@ const anytimeChunk = 128
 // a single-table query; see ScaleCol). Scale columns must be unrestricted in
 // the region: a restricted, out of range or wrongly sized scale column fails
 // the query with an Err naming the column.
+//
+// Ctx, when non-nil, is the query's own context, honoured beside the call's:
+// the walks check both (and the earlier of their deadlines) before every
+// chunk or block, so a cancelled caller's query stops at the next one
+// instead of spending the rest of its budget. A nil Ctx leaves the call's
+// context in charge alone.
 type Request struct {
 	Region *query.Region
 	Scales []ScaleCol
+	Ctx    context.Context
 }
 
 // Requests wraps regions as unscaled requests.
@@ -281,22 +288,28 @@ func (e *Estimator) EstimateBatchCtx(ctx context.Context, reqs []Request, opts S
 // but the next walk's BeginSampling resets it.
 func (e *Estimator) serveOne(ctx context.Context, sc *scratch, req Request, q uint64, i int, opts *ServeOptions) Result {
 	start := time.Now()
-	sq, res := e.classify(ctx, sc, req, q, i, opts)
+	sq, res := e.classify(ctx, sc, req, q, i, opts, start)
 	if sq != nil {
-		res = e.walkPaths(ctx, sc, sq, queryDeadline(ctx, opts, start), opts.TargetRelStdErr)
+		res = e.walkPaths(ctx, sc, sq, opts.TargetRelStdErr)
 	}
 	return e.routeFallback(res, req.Region, opts, time.Since(start))
 }
 
 // queryDeadline composes opts.Deadline, counted from start, with the
-// context's deadline: whichever is sooner wins (zero when neither is set).
-func queryDeadline(ctx context.Context, opts *ServeOptions, start time.Time) time.Time {
+// deadlines of the call's context and the request's own (rctx, may be nil):
+// whichever is soonest wins (zero when none is set).
+func queryDeadline(ctx, rctx context.Context, opts *ServeOptions, start time.Time) time.Time {
 	var deadline time.Time
 	if opts.Deadline > 0 {
 		deadline = start.Add(opts.Deadline)
 	}
-	if dl, ok := ctx.Deadline(); ok && (deadline.IsZero() || dl.Before(deadline)) {
-		deadline = dl
+	for _, c := range [2]context.Context{ctx, rctx} {
+		if c == nil {
+			continue
+		}
+		if dl, ok := c.Deadline(); ok && (deadline.IsZero() || dl.Before(deadline)) {
+			deadline = dl
+		}
 	}
 	return deadline
 }
@@ -328,10 +341,12 @@ type sampleQuery struct {
 	i     int // position in the batch
 	q     uint64
 	reg   *query.Region
-	first int         // first restricted (or scale) model position
 	last  int         // last restricted (or scale) model position
 	valid [][]int32   // per-position valid-code lists, privately owned
 	scale [][]float64 // per-position inverse fanouts; nil without scale columns
+
+	ctx      context.Context // the request's own context; nil without one
+	deadline time.Time       // see queryDeadline; zero without one
 
 	sum, sumsq   float64
 	done, chunks int
@@ -351,6 +366,34 @@ func (sq *sampleQuery) scaleAt(pos int) []float64 {
 	return sq.scale[pos]
 }
 
+// interrupted reports why sq must stop before its next chunk or block: a
+// cancelled call or request context (StopCancel with the context's error),
+// or an expired deadline (StopDeadline with ErrBudgetExhausted). err is nil
+// when the query may go on.
+func (sq *sampleQuery) interrupted(ctx context.Context) (StopReason, error) {
+	err := ctx.Err()
+	if err == nil && sq.ctx != nil {
+		err = sq.ctx.Err()
+	}
+	if err != nil {
+		return StopCancel, err
+	}
+	if !sq.deadline.IsZero() && !time.Now().Before(sq.deadline) {
+		return StopDeadline, ErrBudgetExhausted
+	}
+	return StopNone, nil
+}
+
+// stopResult is the answer of a query interrupted before its budget ran out:
+// the anytime estimate over its completed chunks, or a failure carrying err
+// when none completed.
+func (e *Estimator) stopResult(sq *sampleQuery, stop StopReason, err error) Result {
+	if sq.done == 0 {
+		return Result{Source: SourceFailed, Err: err}
+	}
+	return e.finalizeSample(sq.sum, sq.sumsq, sq.done, stop)
+}
+
 // add folds one chunk's path weights into the running sums. Both walks add
 // a query's chunks in chunk order, so every bit of sum and sumsq agrees.
 func (sq *sampleQuery) add(weights []float64) {
@@ -364,12 +407,14 @@ func (sq *sampleQuery) add(weights []float64) {
 
 // classify runs the checks every serving entry point shares and dispatches
 // query i (global index q): the BeforeQuery hook, the fault point, the
-// context, the column count and the scale columns, then an empty region or
-// one small enough to enumerate is answered inline (a query with scale
-// columns always samples). Inline answers and failures come back as res with
-// a nil sq; a sampling query comes back as its walk state. Panics in the
-// hook or enumeration are contained to the query.
-func (e *Estimator) classify(ctx context.Context, sc *scratch, req Request, q uint64, i int, opts *ServeOptions) (sq *sampleQuery, res Result) {
+// call's and the request's contexts, the column count and the scale columns,
+// then an empty region or one small enough to enumerate is answered inline
+// (a query with scale columns always samples). Inline answers and failures
+// come back as res with a nil sq; a sampling query comes back as its walk
+// state, its deadline counted from start. Panics in the hook or enumeration
+// are contained to the query, and a non-finite enumeration fails it with
+// ErrNonFinite.
+func (e *Estimator) classify(ctx context.Context, sc *scratch, req Request, q uint64, i int, opts *ServeOptions, start time.Time) (sq *sampleQuery, res Result) {
 	reg := req.Region
 	defer func() {
 		if r := recover(); r != nil {
@@ -385,6 +430,11 @@ func (e *Estimator) classify(ctx context.Context, sc *scratch, req Request, q ui
 	if err := ctx.Err(); err != nil {
 		return nil, Result{Source: SourceFailed, Err: err}
 	}
+	if req.Ctx != nil {
+		if err := req.Ctx.Err(); err != nil {
+			return nil, Result{Source: SourceFailed, Err: err}
+		}
+	}
 	if err := e.checkWidth(reg); err != nil {
 		return nil, Result{Source: SourceFailed, Err: err}
 	}
@@ -399,25 +449,25 @@ func (e *Estimator) classify(ctx context.Context, sc *scratch, req Request, q ui
 		// Enumeration is exact with respect to the model and its work is
 		// bounded by EnumThreshold model evaluations, so it always runs to
 		// completion.
-		return nil, Result{Sel: e.enumerate(sc, reg), Source: SourceModel}
+		total := e.enumerate(sc, reg)
+		if !isFinite(total) {
+			return nil, Result{Source: SourceFailed, Err: ErrNonFinite}
+		}
+		return nil, Result{Sel: clampProb(total), Source: SourceModel}
 	}
 	// Trailing wildcards integrate to exactly 1 under the chain rule (their
 	// conditionals sum out over the full domain), so both walks stop at the
 	// last restricted or scale position — the cutoff enumeration uses. A
-	// fully wildcarded region has last = -1: every path keeps weight 1. A
-	// skipping walk decodes nothing before first, so a lane's rows are still
-	// in the zero-input state there (the first-wave memo's premise).
-	sq = &sampleQuery{i: i, q: q, reg: reg, first: -1, last: -1, scale: scale}
+	// fully wildcarded region has last = -1: every path keeps weight 1.
+	sq = &sampleQuery{i: i, q: q, reg: reg, last: -1, scale: scale,
+		ctx: req.Ctx, deadline: queryDeadline(ctx, req.Ctx, opts, start)}
 	for p := range reg.Cols {
 		if !reg.Cols[e.colAt(p)].IsAll() || sq.scaleAt(p) != nil {
-			if sq.first < 0 {
-				sq.first = p
-			}
 			sq.last = p
 		}
 	}
-	// Privately owned valid lists: the fused walk has many queries in flight
-	// at once, so the scratch's shared per-column lists cannot be used.
+	// Privately owned valid lists: the fused walk interleaves many queries'
+	// waves, so the scratch's shared per-column lists cannot be used.
 	sq.valid = make([][]int32, sq.last+1)
 	for p := range sq.valid {
 		cr := &reg.Cols[e.colAt(p)]

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/faultinject"
+	"repro/internal/made"
 	"repro/internal/query"
 )
 
@@ -278,6 +279,59 @@ func TestNonFiniteEstimateFallsBack(t *testing.T) {
 	}
 	if !errors.Is(got.Err, ErrNonFinite) {
 		t.Fatalf("err = %v, want ErrNonFinite", got.Err)
+	}
+}
+
+// poisonedMADE is testMADE with every weight NaN, as a diverged training run
+// saved anyway would leave it.
+func poisonedMADE(domains []int) *made.Model {
+	m := testMADE(domains)
+	for _, p := range m.Params() {
+		for i := range p.Val.Data {
+			p.Val.Data[i] = float32(math.NaN())
+		}
+	}
+	return m
+}
+
+// TestNonFinitePoisonedModel: on a model whose weights are all NaN, a
+// sampling, an enumerated and a scaled query each fail with ErrNonFinite on
+// both walks, or answer from the fallback when one is set, instead of
+// passing 0 off as a model estimate.
+func TestNonFinitePoisonedModel(t *testing.T) {
+	tbl := corrTable(t, 1500, 3)
+	domains := tbl.DomainSizes()
+	ones := make([]float64, domains[3])
+	for i := range ones {
+		ones[i] = 1
+	}
+	point := query.Query{Preds: []query.Predicate{{Col: 0, Op: query.OpEq, Code: 1}}}
+	reqs := []Request{
+		{Region: mustRegion(t, query.Query{Preds: []query.Predicate{
+			{Col: 0, Op: query.OpGe, Code: 1}, {Col: 2, Op: query.OpLt, Code: 4}}}, tbl)},
+		{Region: mustRegion(t, point, tbl)},
+		{Region: mustRegion(t, point, tbl), Scales: []ScaleCol{{Col: 3, Inv: ones}}},
+	}
+	walks := map[string]func(*Estimator, ServeOptions) []Result{
+		"per-query": func(e *Estimator, o ServeOptions) []Result { return e.EstimateBatchCtx(context.Background(), reqs, o) },
+		"fused":     func(e *Estimator, o ServeOptions) []Result { return e.EstimateFused(context.Background(), reqs, o) },
+	}
+	fallback := func(*query.Region) float64 { return 0.25 }
+	for name, walk := range walks {
+		for _, fb := range []func(*query.Region) float64{nil, fallback} {
+			e := NewEstimator(poisonedMADE(domains), 300, 42)
+			e.EnumThreshold = 40
+			want, sel := SourceFailed, 0.0
+			if fb != nil {
+				want, sel = SourceFallback, 0.25
+			}
+			for i, r := range walk(e, ServeOptions{Workers: 1, Fallback: fb}) {
+				if r.Source != want || r.Sel != sel || !errors.Is(r.Err, ErrNonFinite) {
+					t.Errorf("%s walk, query %d: %v sel %v err %v; want %v sel %v with ErrNonFinite",
+						name, i, r.Source, r.Sel, r.Err, want, sel)
+				}
+			}
+		}
 	}
 }
 

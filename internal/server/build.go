@@ -53,13 +53,14 @@ func BuildTenant(tc TenantConfig, reg *naru.Metrics, logf func(format string, ar
 		}
 	}
 	opts := TenantOptions{
-		Serve:            naru.ServeOptions{Deadline: time.Duration(tc.Timeout), TargetRelStdErr: tc.TargetStdErr, Workers: tc.Workers},
-		BatchWindow:      time.Duration(tc.BatchWindow),
-		MaxInFlight:      tc.MaxInFlight,
-		CacheSize:        tc.CacheSize,
-		BreakerThreshold: tc.BreakerThreshold,
-		ProbeInterval:    time.Duration(tc.ProbeInterval),
-		Metrics:          reg,
+		Serve:       naru.ServeOptions{Deadline: time.Duration(tc.Timeout), TargetRelStdErr: tc.TargetStdErr, Workers: tc.Workers},
+		BatchWindow: time.Duration(tc.BatchWindow),
+		MaxInFlight: tc.MaxInFlight,
+		CacheSize:   tc.CacheSize,
+		Metrics:     reg,
+	}
+	if tc.BreakerThreshold > 0 {
+		opts.Breaker = &naru.BreakerOptions{Threshold: tc.BreakerThreshold, ProbeInterval: time.Duration(tc.ProbeInterval)}
 	}
 	if tc.Fallback {
 		opts.Serve.Fallback = naru.FallbackObserved(t, reg)

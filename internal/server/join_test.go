@@ -3,6 +3,8 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -11,7 +13,9 @@ import (
 	"time"
 
 	naru "repro"
+	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/made"
 	"repro/internal/neurocard"
 	"repro/internal/table"
 )
@@ -272,7 +276,7 @@ func TestJoinCompileErrorIs400(t *testing.T) {
 	const bad = "fanout(customers→orders) = 1"
 	est := naru.ServeJoin(makeJoinEstimator(t))
 	for _, window := range []time.Duration{0, time.Millisecond} {
-		tn := NewTenant("joined", est, nil, TenantOptions{BatchWindow: window, BreakerThreshold: 2})
+		tn := NewTenant("joined", est, nil, TenantOptions{BatchWindow: window, Breaker: &naru.BreakerOptions{Threshold: 2}})
 		_, base := startServer(t, Options{}, tn)
 		for i := 0; i < 4; i++ {
 			if code := getStatus(t, estimateURL(base, "joined", bad)); code != http.StatusBadRequest {
@@ -284,6 +288,56 @@ func TestJoinCompileErrorIs400(t *testing.T) {
 		}
 		if _, code := getEstimate(t, estimateURL(base, "joined", "customers.region = east")); code != http.StatusOK {
 			t.Fatalf("window %v: a good query after them answered %d, want 200", window, code)
+		}
+	}
+}
+
+// poison sets every weight of m to NaN, as a diverged training run saved
+// anyway would leave it.
+func poison(m *made.Model) {
+	for _, p := range m.Params() {
+		for i := range p.Val.Data {
+			p.Val.Data[i] = float32(math.NaN())
+		}
+	}
+}
+
+// TestBreakerProbeRunsModel: the breaker's recovery probe runs the model, so
+// it fails on a tenant whose weights are NaN and passes on a healthy one, for
+// both tenant kinds. An unrestricted probe is answered without the model and
+// passed on a poisoned tenant.
+func TestBreakerProbeRunsModel(t *testing.T) {
+	kinds := []struct {
+		name  string
+		build func(t *testing.T, poisoned bool) (*naru.Estimator, *table.Table)
+	}{
+		{"table", func(t *testing.T, poisoned bool) (*naru.Estimator, *table.Table) {
+			tbl := wideTable(t)
+			cfg := naru.DefaultConfig()
+			m := made.New(tbl.DomainSizes(), made.Config{HiddenSizes: []int{32, 32}, EmbedThreshold: 64, EmbedDim: 8, Seed: 5})
+			if poisoned {
+				poison(m)
+			}
+			return naru.NewFromModel(m, tbl, cfg), tbl
+		}},
+		{"join", func(t *testing.T, poisoned bool) (*naru.Estimator, *table.Table) {
+			je := makeJoinEstimator(t)
+			if poisoned {
+				je.OnServe(func(s neurocard.Serving) { poison(s.Model) })
+			}
+			return naru.ServeJoin(je), nil
+		}},
+	}
+	for _, k := range kinds {
+		for _, poisoned := range []bool{false, true} {
+			est, tbl := k.build(t, poisoned)
+			err := NewTenant(k.name, est, tbl, TenantOptions{}).probe(context.Background())
+			switch {
+			case poisoned && !errors.Is(err, core.ErrNonFinite):
+				t.Errorf("%s: probe on a poisoned tenant returned %v, want ErrNonFinite", k.name, err)
+			case !poisoned && err != nil:
+				t.Errorf("%s: probe on a healthy tenant failed: %v", k.name, err)
+			}
 		}
 	}
 }

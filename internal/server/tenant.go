@@ -42,14 +42,10 @@ type TenantOptions struct {
 	MaxInFlight int
 	// CacheSize bounds the result cache (0 = default 1024, < 0 disables).
 	CacheSize int
-	// BreakerThreshold > 0 arms the circuit breaker at that many consecutive
-	// model-path failures.
-	BreakerThreshold int
-	// ProbeInterval is the breaker's initial recovery-probe delay.
-	ProbeInterval time.Duration
-	// Breaker, when non-nil, arms the circuit breaker with these full options
-	// instead of the BreakerThreshold/ProbeInterval pair (tests set seed and
-	// backoff cap through it). Metrics defaults to this struct's Metrics.
+	// Breaker, when non-nil, arms the circuit breaker with these options
+	// (BuildTenant fills it from TenantConfig's breaker_threshold and
+	// probe_interval). Metrics defaults to this struct's Metrics, and the
+	// probe interval to 1s.
 	Breaker *naru.BreakerOptions
 	// OnAppend, when non-nil, runs after every successful ingest, before the
 	// server's own refresh kick.
@@ -121,33 +117,17 @@ func NewTenant(name string, est *naru.Estimator, t *table.Table, opts TenantOpti
 		tn.cacheHits = opts.Metrics.Counter(metricCacheHits)
 		tn.cacheMisses = opts.Metrics.Counter(metricCacheMisses)
 	}
-	var bopts *naru.BreakerOptions
-	switch {
-	case opts.Breaker != nil:
-		b := *opts.Breaker
-		bopts = &b
-	case opts.BreakerThreshold > 0:
-		bopts = &naru.BreakerOptions{Threshold: opts.BreakerThreshold, ProbeInterval: opts.ProbeInterval}
-	}
-	if bopts != nil {
+	if opts.Breaker != nil {
+		bopts := *opts.Breaker
 		if bopts.Metrics == nil {
 			bopts.Metrics = opts.Metrics
 		}
-		probeInterval := bopts.ProbeInterval
-		if probeInterval <= 0 {
-			probeInterval = time.Second
+		if bopts.ProbeInterval <= 0 {
+			bopts.ProbeInterval = time.Second
 		}
-		bopts.ProbeInterval = probeInterval
-		tn.brk = est.NewBreaker(*bopts)
-		// The recovery probe runs a real unrestricted-region estimate through
-		// the serving path (no fallback configured, so a broken model cannot
-		// masquerade as recovered) and demands a model-path answer.
-		tn.brk.Start(func(ctx context.Context) error { return probeOnce(ctx, est) })
-		ra := int(probeInterval.Seconds())
-		if ra < 1 {
-			ra = 1
-		}
-		tn.retryAfter = fmt.Sprintf("%d", ra)
+		tn.brk = est.NewBreaker(bopts)
+		tn.brk.Start(tn.probe)
+		tn.retryAfter = fmt.Sprintf("%d", max(int(bopts.ProbeInterval.Seconds()), 1))
 	}
 	if opts.BatchWindow > 0 {
 		tn.coal = est.NewCoalescer(naru.CoalesceOptions{
@@ -159,21 +139,33 @@ func NewTenant(name string, est *naru.Estimator, t *table.Table, opts TenantOpti
 	return tn
 }
 
-// probeOnce is the breaker recovery probe: one unrestricted estimate that
-// must come back with model-path provenance.
-func probeOnce(ctx context.Context, est *naru.Estimator) error {
-	results, err := est.SelectivityBatchCtx(ctx, []naru.Query{{}}, naru.ServeOptions{Workers: 1})
-	if err != nil {
-		return err
-	}
-	r := results[0]
-	if r.Source != naru.SourceModel && r.Source != naru.SourceDegraded {
-		if r.Err != nil {
-			return r.Err
+// probe is the breaker's recovery probe: one estimate through the serving
+// path that must come back with model-path provenance. It restricts code 0
+// of the first snapshot column whose predicate compiles (a join layout's
+// fanout columns do not), so the model runs: an unrestricted query is
+// answered 1 without it, and a poisoned model would pass. No fallback is
+// configured, so a broken model cannot masquerade as recovered.
+func (tn *Tenant) probe(ctx context.Context) error {
+	t, _ := tn.snapshot()
+	for col := 0; col < t.NumCols(); col++ {
+		q := naru.Query{Preds: []naru.Predicate{{Col: col, Op: naru.OpEq, Code: 0}}}
+		results, err := tn.est.SelectivityBatchCtx(ctx, []naru.Query{q}, naru.ServeOptions{Workers: 1})
+		if errors.Is(err, naru.ErrCompile) {
+			continue
 		}
-		return fmt.Errorf("probe answered by %s", r.Source)
+		if err != nil {
+			return err
+		}
+		r := results[0]
+		if r.Source != naru.SourceModel && r.Source != naru.SourceDegraded {
+			if r.Err != nil {
+				return r.Err
+			}
+			return fmt.Errorf("probe answered by %s", r.Source)
+		}
+		return nil
 	}
-	return nil
+	return errors.New("server: no snapshot column compiles a probe query")
 }
 
 // Name returns the tenant's routing name.

@@ -551,10 +551,10 @@ func (e *Estimator) EstimateBatchCtx(ctx context.Context, regs []*Region, opts S
 	return e.cur.Load().sampler.EstimateBatchCtx(ctx, core.Requests(regs), opts)
 }
 
-// EstimateFused serves pre-compiled regions through the fused cross-query
-// scheduler: every query's progressive-sampling chunks are packed with its
-// peers' into shared tall model batches, amortizing per-column fixed costs
-// across the whole in-flight set. Results are bit-identical to
+// EstimateFused serves pre-compiled regions through the fused walk: each
+// query's progressive-sampling chunks of one admission wave run as one tall
+// model batch, so the per-column fixed costs are paid once per block instead
+// of once per 128-path chunk. Results are bit-identical to
 // EstimateBatchCtx with the same options (both consume the same per-query
 // RNG streams); models without block-walk support fall back to it
 // transparently. The whole batch runs on one model version.

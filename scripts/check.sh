@@ -10,8 +10,10 @@
 #
 # `check.sh fault` runs the fault-tolerance suite instead: the checkpoint/
 # resume, divergence-guard, corruption-rejection, and disrupted-serving tests
-# under the race detector, followed by a short fuzz pass over each fuzz
-# target (model deserialization, envelope framing, WHERE parsing).
+# under the race detector (a NaN-weight model fails its queries on both walks
+# and fails the breaker's recovery probe; a coalesced client that gives up
+# stops its query), followed by a short fuzz pass over each fuzz target
+# (model deserialization, envelope framing, WHERE parsing).
 #
 # `check.sh obs` is an end-to-end observability smoke test: it trains a tiny
 # model, starts `naru serve` with -metrics-addr, drives a few estimates over
@@ -26,7 +28,8 @@
 # refresh hot-swaps in version 2, then SIGTERM and require a clean exit.
 #
 # `check.sh bench` is the serving-performance gate: it runs the fused
-# bit-identity and coalescer suites under the race detector, then a
+# bit-identity suite (a block holds one query's wave; a poisoned model fails
+# on both walks) and the coalescer suite under the race detector, then a
 # small-scale inference benchmark (reference, sequential, fused-batch and
 # parallel-fused configurations; no closed-loop client stage — perfbench's
 # dmv-open is the latency benchmark) twice through narubench's history
@@ -56,7 +59,8 @@
 # `check.sh serve` is the multi-tenant serving gate: the internal/server
 # suite (which runs the serving contract — deadline, cancellation, cache
 # replay, no replay after a swap, coalesced-vs-direct bit identity — over a
-# single-table and a join tenant) plus the coalescer/breaker regression tests
+# single-table and a join tenant, and the breaker's recovery probe on a
+# poisoned tenant of each kind) plus the coalescer/breaker regression tests
 # under the race detector, then a two-tenant smoke test — one `naru serve -tenants tenants.json`
 # process hosting two tables, driven per-tenant over /v1/{tenant}/... with
 # cache-replay checks, a per-tenant append -> drift -> hot-swap cycle that
@@ -93,6 +97,8 @@ if [ "${1:-}" = "fault" ]; then
     go test -race -count=1 \
         -run 'TestResume|TestCheckpoint|TestDivergence|TestGradExplosion|TestEstimateBatchCtx|TestServeDisruption|TestPanic|TestDeadline|TestNonFinite|TestCancelled|TestFallback|TestLoadRejects|TestSaveSurfaces|TestCLI' \
         ./internal/core ./internal/made ./internal/colnet ./cmd/naru
+    go test -race -count=1 -run 'TestBreakerProbeRunsModel' ./internal/server
+    go test -race -count=1 -run 'TestCoalescerCancelledClient' .
 
     fuzztime="${FUZZTIME:-10s}"
     echo "== fuzz pass (${fuzztime} per target)"
@@ -255,7 +261,7 @@ fi
 
 if [ "${1:-}" = "bench" ]; then
     echo "== serving determinism (-race)"
-    go test -race -count=1 -run 'TestEstimateFused|TestHistory' ./internal/core ./internal/bench
+    go test -race -count=1 -run 'TestEstimateFused|TestNonFinitePoisonedModel|TestHistory' ./internal/core ./internal/bench
     go test -race -count=1 -run 'TestCoalescer' .
 
     echo "== benchmark regression gate (small-scale inference, 2 runs)"
@@ -538,7 +544,7 @@ fi
 if [ "${1:-}" = "serve" ]; then
     echo "== multi-tenant serve suite (-race)"
     go test -race -count=1 ./internal/server
-    go test -race -count=1 -run 'TestCoalescerStaleWindowTimer|TestCoalescerCompileError|TestBreakerDrain' .
+    go test -race -count=1 -run 'TestCoalescerStaleWindowTimer|TestCoalescerCompileError|TestCoalescerCancelledClient|TestBreakerDrain' .
 
     echo "== two-tenant serve smoke test"
     tmp="$(mktemp -d)"
