@@ -60,7 +60,7 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 	fallback := fs.Bool("fallback", false, "answer failed queries from 1D statistics")
 	batchWindow := fs.Duration("batch-window", 0, "coalesce concurrent requests arriving within this window into one fused dispatch (0 = serve each request alone)")
 	maxInflight := fs.Int("max-inflight", 2, "concurrent fused dispatches when coalescing; excess batches queue, and a full queue sheds to the fallback")
-	workers := fs.Int("workers", 0, "fused-scheduler parallelism per dispatch, and the most cores one dispatch uses: query shards x row shards per block (0 = GOMAXPROCS); results are bit-identical at any setting")
+	workers := fs.Int("workers", 0, "fused-walk parallelism per dispatch, and the most cores one dispatch uses: queries walked concurrently, leftover budget split over a block's rows (0 = GOMAXPROCS); results are bit-identical at any setting")
 	targetStderr := fs.Float64("target-stderr", 0, "stop sampling early once the relative standard error reaches this target (0 = always run the full budget)")
 	cacheSize := fs.Int("cache-size", 0, "result-cache entries per tenant (0 = default 1024, negative = disable)")
 	refreshAfter := fs.Int("refresh-after", 0, "refresh after this many appended rows (0 = only on drift)")

@@ -35,11 +35,12 @@ type CoalesceOptions struct {
 	// (default 256).
 	MaxQueue int
 	// Serve configures each fused dispatch: target stderr, per-query
-	// deadline, fallback, and Workers — the fused walk's parallelism budget
-	// (query shards × row shards per block; GOMAXPROCS when 0, results
-	// bit-identical at any setting). Serve.Fallback also answers shed
-	// queries. A query's own deadline and cancellation come from the context
-	// its caller passed to Estimate.
+	// deadline (counted from the moment a serving goroutine picks the query
+	// up), fallback, and Workers — the fused walk's parallelism budget
+	// (queries walked concurrently, leftover budget split over a block's
+	// rows; GOMAXPROCS when 0, results bit-identical at any setting).
+	// Serve.Fallback also answers shed queries. A query's own deadline and
+	// cancellation come from the context its caller passed to Estimate.
 	Serve ServeOptions
 }
 
@@ -68,8 +69,9 @@ type coalesceReq struct {
 
 // Coalescer batches concurrent single-query requests into fused dispatches:
 // requests arriving within a micro-batch window are compiled and served
-// together through EstimateFused, one admission wave of each query after
-// another, on one model replica and one set of block buffers per shard.
+// together through EstimateFused: each serving goroutine walks its queries'
+// admission waves back to back on one model replica and one set of block
+// buffers.
 // Results are bit-identical to serving each query alone (the fused walk's
 // determinism contract), so coalescing changes latency and throughput, never
 // answers. Each query carries its caller's context into the walk, so a

@@ -3,52 +3,49 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/rand"
-	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/faultinject"
 )
 
 // siteFusedWalk is the chaos fault point inside the fused block walk. It sits
 // under walkBlock's recover, so an injected panic or error exercises the
-// containment path: the block's query is re-served through walkPaths with a
+// containment path: the block's query restarts on CondBatch steps with a
 // bit-identical answer.
 var siteFusedWalk = faultinject.Site("core.fused.walk")
 
-// This file implements the fused walk: the unit of model work is a *sample
-// block*, the chunks one query runs in one admission wave stacked into one
-// tall batch that flows through the trunk and head GEMMs together
-// (BlockModel), instead of one CondBatch walk per 128-path chunk. A block
-// holds one query, so every row walks the same columns and draws against the
-// same valid lists.
+// This file implements the block step of the per-query driver (walkQuery):
+// the unit of model work is a *sample block*, the chunks one query runs in
+// one admission wave stacked into one tall batch that flows through the
+// trunk and head GEMMs together (BlockModel), instead of one CondBatch walk
+// per 128-path chunk. A block holds one query, so every row walks the same
+// columns and draws against the same valid lists.
 //
 // Determinism is the load-bearing wall: each query's chunk k draws from the
-// stream seeded by mixSeed(seedFor(q), k) — exactly the streams the
-// per-query walk (walkPaths) uses — and the model's block decode is
-// row-independent, so a query's estimate is bit-identical however tall its
-// blocks were, or whether it was served fused at all.
+// stream seeded by mixSeed(seedFor(q), k) — exactly the stream the CondBatch
+// step (walkChunk) uses — and the model's block decode is row-independent,
+// so a query's estimate is bit-identical however tall its blocks were, or
+// whether it was served fused at all.
 //
 // Parallelism layers on top of that invariant without touching it:
 //
-//   - *shard parallelism*: the pending queries are partitioned round-robin
-//     (by deterministic classification order) into up to Workers disjoint
-//     groups, each driven through the full wave schedule on its own pooled
-//     model replica. A query's chunks all live in its shard and accumulate in
-//     chunk order, so shard count never changes a single bit of any result.
-//   - *row parallelism*: inside one walk, blocks tall enough to amortize the
-//     goroutine handoff split their trunk advance and head decode over
-//     disjoint row ranges (BlockRowAdvancer / BlockRowDecoder). Both steps
-//     are row-independent, so the split is bit-identical to the full-height
-//     call.
+//   - *query parallelism*: the batch scheduler (serveBatch) runs up to
+//     Workers goroutines, each pulling whole queries off the batch and
+//     walking them on its own pooled model replica and block buffers. A
+//     query's chunks all run on one goroutine and accumulate in chunk order,
+//     so the goroutine count never changes a single bit of any result.
+//   - *row parallelism*: budget left over when the batch holds fewer queries
+//     than Workers fans the trunk advance and head decode of blocks tall
+//     enough to amortize the goroutine handoff over disjoint row ranges
+//     (BlockRowAdvancer / BlockRowDecoder). Both steps are row-independent,
+//     so the split is bit-identical to the full-height call.
 //   - *first-wave memoization*: the conditional decoded at a walk's first
 //     decoded column is the same for every row still in the zero-input
 //     broadcast state, so it is computed once per (serve epoch, column) and
 //     shared across every block and query (see firstWaveProbs).
 //
-// Shards and row ranges are all the parallelism a walk has: the model's
+// Queries and row ranges are all the parallelism a walk has: the model's
 // kernels run on the goroutine that calls them (internal/made's block walk
 // never fans out), so Workers = 1 walks on one core and Workers > 1 never
 // nests one fan-out inside another. A serial walk decodes and draws in
@@ -67,8 +64,8 @@ const maxFusedChunks = maxFusedRows / anytimeChunk
 const rowShardMin = 512
 
 // fusedState holds one block walk's tall buffers, pooled per estimator so
-// concurrent EstimateFused calls (coalescer dispatches overlapping, shard
-// workers within one call) don't reallocate them per call.
+// concurrent EstimateFused calls (coalescer dispatches overlapping, serving
+// goroutines within one call) don't reallocate them per call.
 type fusedState struct {
 	codes   []int32
 	weights []float64
@@ -141,196 +138,35 @@ func (st *fusedState) blockProbs(n int) [][]float64 {
 	return st.probs
 }
 
-// fusedWaves are the per-query chunk ranges of the three scheduling waves:
-// every active query walks 2 chunks, then 4 more, then everything left. The
-// first two boundaries are where the adaptive budget
-// (ServeOptions.TargetRelStdErr) may retire a query — the same boundaries
-// targetWaveBoundary pins for the per-query walk.
-var fusedWaves = [3][2]int{{0, 2}, {2, 6}, {6, math.MaxInt32}}
-
-// EstimateFused serves the whole batch through the fused walk: a sampling
-// query's chunks of one admission wave run as one tall block, scaled join
-// queries like unscaled ones (the block draws its query's scale columns with
-// drawScaledRows). Results align positionally with reqs and are bit-identical
-// to EstimateBatchCtx (any worker count) with the same options — including
-// adaptive-budget early stops — because both walks consume identical
-// per-(query, chunk) RNG streams and check TargetRelStdErr at identical
-// boundaries. Deadlines and cancellation, of ctx and of each request's own
-// Ctx, are honored before each block; affected queries degrade exactly like
-// the per-query walk (timing-dependent, so degraded budgets — unlike
-// full-budget and target-stopped results — are not bit-reproducible).
+// EstimateFused serves the batch exactly like EstimateBatchCtx — the same
+// scheduler, classifier and per-query driver (serveBatch, walkQuery) —
+// except that a sampling query's chunks of one admission wave (2 chunks,
+// then 4, then the rest) run as one tall block instead of one CondBatch walk
+// per chunk. Scaled join queries are served like unscaled ones (the block
+// draws its query's scale columns with drawScaledRows). Results align
+// positionally with reqs and are bit-identical to EstimateBatchCtx (any
+// worker count) with the same options — including adaptive-budget early
+// stops — because both column loops consume identical per-(query, chunk)
+// RNG streams and the driver checks TargetRelStdErr at identical boundaries.
+//
+// A goroutine walks each query's waves back to back before it picks up the
+// next query, and a query's ServeOptions.Deadline counts from that pickup,
+// as on EstimateBatchCtx. Deadlines and cancellation, of ctx and of each
+// request's own Ctx, are honored before each block; affected queries degrade
+// exactly as on EstimateBatchCtx (timing-dependent, so degraded budgets —
+// unlike full-budget and target-stopped results — are not bit-reproducible).
 //
 // opts.Workers (GOMAXPROCS when 0, rejected with ErrInvalidWorkers when
-// negative) is spent on two levels: pending queries are partitioned into up
-// to Workers shards walked concurrently on pooled model replicas, and any
-// leftover budget (Workers / shards) fans the tall GEMMs of each block over
-// row ranges. The model's kernels add no goroutines of their own, so a call
-// keeps at most Workers cores busy. Both splits are bit-identical to the
-// single-threaded walk, so the worker count is purely a throughput knob.
-// Models served behind a mutex (no Forkable) always run single-threaded.
-//
-// Models that don't implement BlockModel (through their serving forks) fall
-// back to EstimateBatchCtx.
+// negative) bounds the goroutines pulling queries off the batch, each on a
+// pooled model replica; budget left over when the batch holds fewer queries
+// than Workers fans the tall GEMMs of each block over row ranges. The model's
+// kernels add no goroutines of their own, so a call keeps at most Workers
+// cores busy. Both splits are bit-identical to the single-threaded walk, so
+// the worker count is purely a throughput knob. Models served behind a mutex
+// (no Forkable) always run on one goroutine, and models that don't implement
+// BlockModel (through their serving forks) walk every chunk through CondBatch.
 func (e *Estimator) EstimateFused(ctx context.Context, reqs []Request, opts ServeOptions) []Result {
-	out := make([]Result, len(reqs))
-	if len(reqs) == 0 {
-		return out
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opts.Workers < 0 {
-		err := fmt.Errorf("%w: got %d", ErrInvalidWorkers, opts.Workers)
-		for i := range out {
-			out[i] = Result{Source: SourceFailed, Err: err, ModelVersion: e.version.Load()}
-		}
-		return out
-	}
-	sc := e.acquire()
-	if _, ok := sc.model.(BlockModel); !ok {
-		e.release(sc)
-		return e.EstimateBatchCtx(ctx, reqs, opts)
-	}
-	defer e.release(sc)
-
-	workers := opts.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if !e.forkable {
-		// Non-forkable models serialize on the estimator mutex; a second
-		// acquire from a shard worker would deadlock against our own hold.
-		workers = 1
-	}
-	e.obs.fusedWorkers.Set(float64(workers))
-
-	base := e.nextQuery.Add(uint64(len(reqs))) - uint64(len(reqs))
-	start := time.Now()
-
-	// Classify: failures, empty and enumerable queries are answered inline
-	// (their work is bounded and a block buys nothing); sampling queries join
-	// the fused walk.
-	pend := make([]*sampleQuery, 0, len(reqs))
-	for i, req := range reqs {
-		fq, res := e.classify(ctx, sc, req, base+uint64(i), i, &opts, start)
-		if fq != nil {
-			pend = append(pend, fq)
-			continue
-		}
-		out[i] = e.routeFallback(res, req.Region, &opts, time.Since(start))
-	}
-
-	if len(pend) > 0 {
-		shards := min(workers, len(pend))
-		inner := max(workers/shards, 1)
-		if shards <= 1 {
-			e.walkShard(ctx, sc, pend, inner, &opts)
-		} else {
-			e.runFusedShards(ctx, pend, shards, inner, &opts)
-		}
-	}
-	for _, fq := range pend {
-		out[fq.i] = e.routeFallback(fq.res, fq.reg, &opts, fq.retireAt.Sub(start))
-	}
-	return out
-}
-
-// runFusedShards partitions the pending queries round-robin into shards
-// disjoint groups and walks each group on its own goroutine with its own
-// pooled model replica and block buffers. The partition is deterministic
-// (classification order) but results don't depend on it: a query's chunks
-// all run in its shard, in chunk order, on streams keyed only by (query
-// index, chunk index).
-func (e *Estimator) runFusedShards(ctx context.Context, pend []*sampleQuery, shards, inner int, opts *ServeOptions) {
-	groups := make([][]*sampleQuery, shards)
-	for i, fq := range pend {
-		groups[i%shards] = append(groups[i%shards], fq)
-	}
-	var wg sync.WaitGroup
-	for _, group := range groups {
-		wg.Add(1)
-		go func(group []*sampleQuery) {
-			defer wg.Done()
-			wsc := e.acquire()
-			defer e.release(wsc)
-			e.walkShard(ctx, wsc, group, inner, opts)
-		}(group)
-	}
-	wg.Wait()
-}
-
-// walkShard walks one shard's queries through the wave schedule on sc's
-// replica with pooled block buffers. A block panic is contained to its query
-// (runFusedWaves). A panic escaping the wave bookkeeping itself, or a
-// replica that lost the block interface (forks share their parent's type, so
-// it should not happen), leaves queries unfinished: each is re-served
-// through walkPaths, so other shards never notice.
-func (e *Estimator) walkShard(ctx context.Context, sc *scratch, group []*sampleQuery, inner int, opts *ServeOptions) {
-	defer func() {
-		recover()
-		for _, fq := range group {
-			if !fq.finished {
-				e.reserve(ctx, sc, fq, opts)
-			}
-		}
-	}()
-	if bm, ok := sc.model.(BlockModel); ok {
-		st := e.getFusedState()
-		st.inner = inner
-		e.runFusedWaves(ctx, sc, bm, st, group, opts)
-		e.fusedPool.Put(st)
-	}
-}
-
-// runFusedWaves drives the pending sampling queries to completion in three
-// admission waves, wave-major: every query walks its chunks of a wave — one
-// block, split only past maxFusedRows — before any query starts the next
-// wave, and the adaptive budget is consulted at the wave boundaries. Each
-// query's contexts and deadline are checked before each of its blocks. A
-// panic inside a block poisons only that block: its query is re-served
-// through walkPaths (same chunk streams, same answer), and the next block's
-// BeginSampling resets the replica.
-func (e *Estimator) runFusedWaves(ctx context.Context, sc *scratch, bm BlockModel, st *fusedState, pend []*sampleQuery, opts *ServeOptions) {
-	skip := e.skipEnabled(sc.model)
-	chunks := (e.samples + anytimeChunk - 1) / anytimeChunk
-	for _, wave := range fusedWaves {
-		hi := min(wave[1], chunks)
-		for _, fq := range pend {
-			for c0 := wave[0]; c0 < hi && !fq.finished; c0 += maxFusedChunks {
-				if stop, err := fq.interrupted(ctx); err != nil {
-					fq.finish(e.stopResult(fq, stop, err))
-				} else if err := e.walkBlock(bm, st, fq, c0, min(c0+maxFusedChunks, hi), skip); err != nil {
-					e.reserve(ctx, sc, fq, opts)
-				}
-			}
-			// Wave boundary: retire a completed query; consult the adaptive
-			// budget at the same chunk counts the per-query walk does.
-			switch {
-			case fq.finished:
-			case fq.done >= e.samples:
-				fq.finish(e.finalizeSample(fq.sum, fq.sumsq, fq.done, StopNone))
-			case opts.TargetRelStdErr > 0 && targetWaveBoundary(fq.chunks) &&
-				targetMet(fq.sum, fq.sumsq, fq.done, opts.TargetRelStdErr):
-				fq.finish(e.finalizeSample(fq.sum, fq.sumsq, fq.done, StopTargetStdErr))
-			}
-		}
-	}
-}
-
-func (fq *sampleQuery) finish(res Result) {
-	fq.res = res
-	fq.finished = true
-	fq.retireAt = time.Now()
-}
-
-// reserve re-runs fq through the per-query walk from chunk 0 after its block
-// panicked. Chunk streams are keyed by (query, chunk), so the restart
-// reproduces exactly what the fused walk would have produced; a query whose
-// own walk panics again fails alone with ErrPanicked.
-func (e *Estimator) reserve(ctx context.Context, sc *scratch, fq *sampleQuery, opts *ServeOptions) {
-	e.obs.fusedReserved.Inc()
-	fq.sum, fq.sumsq, fq.done, fq.chunks = 0, 0, 0, 0
-	fq.finish(e.walkPaths(ctx, sc, fq, opts.TargetRelStdErr))
+	return e.serveBatch(ctx, reqs, opts, true)
 }
 
 // parallelRows splits rows [0, n) into up to workers contiguous ranges and
@@ -451,8 +287,8 @@ func (e *Estimator) decodeDraw(bm BlockModel, st *fusedState, fq *sampleQuery, c
 // drawBlock runs the draw step at model position col over rows [r0, r1) of
 // the block, each chunk's rows from that chunk's stream: the scaled draw on
 // a scale column of the query, the in-range draw otherwise — the choice
-// walkPaths makes per column. Rows are drawn in ascending order, so a chunk
-// drawn one tile at a time consumes its stream exactly as walkPaths does.
+// walkChunk makes per column. Rows are drawn in ascending order, so a chunk
+// drawn one tile at a time consumes its stream exactly as walkChunk does.
 func (e *Estimator) drawBlock(st *fusedState, fq *sampleQuery, codes []int32, col int, probs [][]float64, weights []float64, r0, r1 int) {
 	nc := len(fq.reg.Cols)
 	inv := fq.scaleAt(col)
@@ -477,7 +313,7 @@ func (e *Estimator) skipDecodes(fq *sampleQuery, col int) bool {
 
 // walkBlock runs chunks [c0, c1) of one query as a single tall block: chunk
 // c0+j fills rows [j·anytimeChunk, (j+1)·anytimeChunk) and draws from its own
-// stream, so the block's draws are the ones walkPaths makes chunk by chunk.
+// stream, so the block's draws are the ones walkChunk makes chunk by chunk.
 // Every row walks to the query's last restricted (or scale) column. The
 // default walk decodes and draws every column on the way — wildcards have
 // mass 1 but still consume a draw — while a skipping walk jumps the columns
@@ -519,8 +355,8 @@ func (e *Estimator) walkBlock(bm BlockModel, st *fusedState, fq *sampleQuery, c0
 	for i := range weights {
 		weights[i] = 1
 	}
-	// One RNG per chunk, re-seeded in place exactly like the per-query walk's
-	// chunk stream. (Seed on the default source reinitializes the generator
+	// One RNG per chunk, re-seeded in place exactly like walkChunk's chunk
+	// stream. (Seed on the default source reinitializes the generator
 	// identically to a fresh NewSource, without the allocation.)
 	for len(st.rngs) < c1-c0 {
 		st.rngs = append(st.rngs, rand.New(rand.NewSource(0)))
@@ -555,7 +391,7 @@ func (e *Estimator) walkBlock(bm BlockModel, st *fusedState, fq *sampleQuery, c0
 	}
 	// Fold the chunks' weights back into their query in chunk order, so the
 	// accumulation order — and therefore every bit of sum and sumsq —
-	// matches walkPaths' chunk loop.
+	// matches walkChunk's, one chunk per step.
 	for r0 := 0; r0 < n; r0 += anytimeChunk {
 		fq.add(weights[r0:min(r0+anytimeChunk, n)])
 	}

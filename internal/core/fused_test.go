@@ -49,9 +49,9 @@ func requireFusedMatch(t *testing.T, got, want []Result) {
 }
 
 // TestEstimateFusedMatchesSequential is the tentpole determinism contract: a
-// mixed workload served through the fused cross-query scheduler is
-// bit-identical to a fresh estimator serving it sequentially, because both
-// consume the same per-(query, chunk) RNG streams.
+// mixed workload served through the fused block walk is bit-identical to a
+// fresh estimator serving it sequentially, because both consume the same
+// per-(query, chunk) RNG streams.
 func TestEstimateFusedMatchesSequential(t *testing.T) {
 	tbl := corrTable(t, 1500, 3)
 	regs := fusedWorkload(t, tbl)
@@ -225,10 +225,10 @@ func (p *panicBlock) AdvanceBlock(codes []int32, n, col int) {
 }
 
 // TestEstimateFusedBlockPanicReserved: a panic inside a fused block is
-// contained to the block's query. That query alone is re-served through the
-// per-query walk and, because chunk streams are keyed by (query, chunk),
-// still returns the bit-identical sequential answer; the other queries
-// carry on in blocks on the same replica.
+// contained to the block's query. That query alone restarts on CondBatch
+// steps and, because chunk streams are keyed by (query, chunk), still
+// returns the bit-identical sequential answer; the other queries carry on in
+// blocks on the same replica.
 func TestEstimateFusedBlockPanicReserved(t *testing.T) {
 	tbl := corrTable(t, 1500, 3)
 	regs := fusedWorkload(t, tbl)
@@ -239,9 +239,10 @@ func TestEstimateFusedBlockPanicReserved(t *testing.T) {
 	seq.EnumThreshold = 40
 	want := seq.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
 
-	// Workers pinned to 1: panicBlock forks to itself, so concurrent shards
-	// would share one model state. TestEstimateFusedShardPanicContained covers
-	// the multi-shard containment path with properly forking replicas.
+	// Workers pinned to 1: panicBlock forks to itself, so concurrent serving
+	// goroutines would share one model state. TestEstimateFusedShardPanicContained
+	// covers the multi-goroutine containment path with properly forking
+	// replicas.
 	pb := &panicBlock{Model: testMADE(domains)}
 	fused := NewEstimator(pb, samples, seed)
 	fused.EnumThreshold = 40
@@ -259,10 +260,11 @@ func TestEstimateFusedBlockPanicReserved(t *testing.T) {
 
 // TestEstimateFusedWorkerMatrix is the parallel determinism contract: the
 // same workload served at every worker count — and so through every
-// combination of shard counts and row-shard budgets — returns bit-identical
-// results to the per-query sequential path, with and without wildcard
-// skipping. Run under -race this also exercises the shard workers, the
-// row-shard goroutines, and the first-wave cache concurrently.
+// combination of serving goroutines and row-range budgets — returns
+// bit-identical results to the per-query sequential path, with and without
+// wildcard skipping. Run under -race this also exercises the serving
+// goroutines, the row-range goroutines, and the first-wave cache
+// concurrently.
 func TestEstimateFusedWorkerMatrix(t *testing.T) {
 	tbl := corrTable(t, 1500, 3)
 	regs := fusedWorkload(t, tbl)
@@ -317,7 +319,7 @@ func TestEstimateFusedInvalidWorkers(t *testing.T) {
 }
 
 // shardPanicBlock forks real model replicas (unlike panicBlock) but shares
-// one panic trigger across them, so exactly one shard worker's walk is
+// one panic trigger across them, so exactly one serving goroutine's walk is
 // poisoned no matter how the scheduler interleaves.
 type shardPanicBlock struct {
 	*made.Model
@@ -335,10 +337,10 @@ func (p *shardPanicBlock) AdvanceBlock(codes []int32, n, col int) {
 	p.Model.AdvanceBlock(codes, n, col)
 }
 
-// TestEstimateFusedShardPanicContained: with multiple shards in flight, a
-// panic inside one shard's walk re-serves only the panicking block's query
-// (naru_fused_reserved_total reads 1) and every answer — re-served or not —
-// stays bit-identical to sequential.
+// TestEstimateFusedShardPanicContained: with several serving goroutines in
+// flight, a panic inside one goroutine's walk re-serves only the panicking
+// block's query (naru_fused_reserved_total reads 1) and every answer —
+// re-served or not — stays bit-identical to sequential.
 func TestEstimateFusedShardPanicContained(t *testing.T) {
 	tbl := corrTable(t, 1500, 3)
 	regs := fusedWorkload(t, tbl)
@@ -598,6 +600,45 @@ func TestEstimateFusedBlockHoldsOneQuery(t *testing.T) {
 	}
 }
 
+// heightLog records, in call order, the height of every walk BeginSampling
+// announces, on itself and on every fork.
+type heightLog struct {
+	*made.Model
+	log *[]int
+}
+
+func (h *heightLog) ForkModel() any { return &heightLog{Model: h.Model.Fork(), log: h.log} }
+
+func (h *heightLog) BeginSampling(n int) {
+	*h.log = append(*h.log, n)
+	h.Model.BeginSampling(n)
+}
+
+// TestEstimateFusedWalksQueryWavesBackToBack: a serving goroutine walks each
+// query's admission waves back to back before it picks up the next query. At
+// W = 1 and S = 300 every sampling query's 256-row first-wave block is
+// followed at once by its 44-row second-wave block, in batch order.
+func TestEstimateFusedWalksQueryWavesBackToBack(t *testing.T) {
+	tbl := corrTable(t, 1500, 3)
+	regs := fusedWorkload(t, tbl)
+	hl := &heightLog{Model: testMADE(tbl.DomainSizes()), log: new([]int)}
+	e := NewEstimator(hl, 300, 42)
+	e.EnumThreshold = 0 // enumeration announces its own heights
+	got := e.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: 1})
+	var want []int
+	for _, r := range got {
+		if r.Samples == 300 {
+			want = append(want, 256, 44)
+		}
+	}
+	if len(want) < 6 {
+		t.Fatalf("only %d queries sampled; the call must carry several", len(want)/2)
+	}
+	if !reflect.DeepEqual(*hl.log, want) {
+		t.Fatalf("block heights in call order %v; want %v, each query's two waves back to back", *hl.log, want)
+	}
+}
+
 // wideDomainTable is corrTable with column b widened to 300 codes, past the
 // embedding threshold of the models above, so b is an embedded column:
 // folded by GEMM and decoded through its embedding.
@@ -622,8 +663,8 @@ func wideDomainTable(t *testing.T, rows int, seed int64) *table.Table {
 }
 
 // TestEstimateFusedWorkersFollowGOMAXPROCS: Workers 0 means GOMAXPROCS, not
-// the machine's CPU count, so a process limited to one P walks one shard on
-// one core.
+// the machine's CPU count, so a process limited to one P walks its queries on
+// one goroutine and one core.
 func TestEstimateFusedWorkersFollowGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	tbl := corrTable(t, 1500, 3)

@@ -44,9 +44,9 @@ type estObs struct {
 	samplesCompleted *obs.Counter
 	latency          *obs.Histogram
 
-	// Fused-scheduler instrumentation: the worker count the last EstimateFused
-	// call resolved to (gauge), tall blocks walked, and queries re-served
-	// through the per-query walk after their block panicked (counters).
+	// Fused-walk instrumentation: the worker count the last EstimateFused
+	// call resolved to (gauge), tall blocks walked, and queries restarted on
+	// CondBatch steps after their block panicked (counters).
 	fusedWorkers  *obs.Gauge
 	fusedBlocks   *obs.Counter
 	fusedReserved *obs.Counter

@@ -87,8 +87,8 @@ type Estimator struct {
 }
 
 // scratch bundles everything one in-flight query needs: a model (the shared
-// one, or a Forkable replica), the per-path sampling buffers, and an RNG
-// reseeded deterministically at the start of each query.
+// one, or a Forkable replica), one chunk's sampling buffers, and an RNG
+// reseeded deterministically at the start of each chunk.
 type scratch struct {
 	model   Model
 	rng     *rand.Rand
@@ -183,7 +183,10 @@ func (e *Estimator) storeFirstWave(col int, p []float64) {
 // in use).
 func (e *Estimator) Version() uint64 { return e.version.Load() }
 
-// newScratch allocates the per-query buffers around a model instance.
+// newScratch allocates the per-query buffers around a model instance, sized
+// for one CondBatch chunk: a step walks at most anytimeChunk paths.
+// Enumeration grows probs and lp to its batches, and UniformRegionSample
+// grows codes and lp to its sample count.
 func (e *Estimator) newScratch(m Model) *scratch {
 	maxDom := 0
 	for _, d := range m.DomainSizes() {
@@ -191,16 +194,16 @@ func (e *Estimator) newScratch(m Model) *scratch {
 			maxDom = d
 		}
 	}
-	probs := make([][]float64, e.samples)
+	rows := min(e.samples, anytimeChunk)
+	probs := make([][]float64, rows)
 	for i := range probs {
 		probs[i] = make([]float64, maxDom)
 	}
 	return &scratch{
 		model:   m,
 		rng:     rand.New(rand.NewSource(e.seed)),
-		codes:   make([]int32, e.samples*m.NumCols()),
-		weights: make([]float64, e.samples),
-		lp:      make([]float64, e.samples),
+		codes:   make([]int32, rows*m.NumCols()),
+		weights: make([]float64, rows),
 		probs:   probs,
 	}
 }
@@ -408,7 +411,7 @@ func (e *Estimator) sumDensityPrefix(sc *scratch, codes []int32, n, last int) fl
 		beg.BeginSampling(n)
 	}
 	if n > len(sc.probs) {
-		// Grow once and keep: batches above e.samples recur every call.
+		// Grow once and keep: batches above one chunk recur every call.
 		probs := make([][]float64, n)
 		maxDom := 0
 		for _, d := range sc.model.DomainSizes() {
@@ -446,66 +449,51 @@ func (e *Estimator) skipEnabled(m Model) bool {
 	return ok && ws.SkipsWildcards()
 }
 
-// walkPaths is the per-query walk of Algorithm 1: the query's S sample paths
+// walkQuery is the per-query driver of Algorithm 1, the one loop over a
+// query's chunks under both batch entry points: the query's S sample paths
 // run in independently seeded chunks of anytimeChunk, and each chunk advances
-// all its paths one model position per CondBatch call. The model's
-// conditional steers each path into the high-mass part of the query region;
-// the product of the per-column masses P̂(X_i ∈ Ri | x_<i) is the unbiased
-// density estimate (Theorem 1). Scale columns multiply in their expected
-// inverse fanout instead (drawScaledRows) and are never skipped.
+// all its paths one model position at a time. The model's conditional steers
+// each path into the high-mass part of the query region; the product of the
+// per-column masses P̂(X_i ∈ Ri | x_<i) is the unbiased density estimate
+// (Theorem 1). Scale columns multiply in their expected inverse fanout
+// instead (drawScaledRows) and are never skipped.
 //
-// Chunk k draws from the stream mixSeed(seedFor(q), k) and the chunks
-// accumulate in chunk order — the same streams and order walkBlock uses — so
-// a query's estimate is bit-identical across entry points and never depends
-// on how its samples were scheduled. The query's contexts and deadline are
-// checked before every chunk (an interrupted query returns the anytime
-// estimate over the completed chunks) and the adaptive budget at the wave
-// boundaries. A panic is contained to the query.
-func (e *Estimator) walkPaths(ctx context.Context, sc *scratch, sq *sampleQuery, targetRel float64) (res Result) {
+// A step is either one chunk walked by CondBatch (walkChunk) or, when the
+// walker holds a block walk, the query's chunks of one admission wave walked
+// as one block (walkBlock), split past maxFusedChunks. Chunk k draws from the
+// stream mixSeed(seedFor(q), k) and the chunks accumulate in chunk order
+// either way, so a query's estimate is bit-identical across entry points and
+// never depends on how its samples were scheduled. The query's contexts and
+// deadline are checked before every step (an interrupted query returns the
+// anytime estimate over the completed chunks) and the adaptive budget at the
+// 2- and 6-chunk wave boundaries, where every step ends. A panic is contained
+// to the query; a panic inside a block restarts the query from chunk 0 on
+// CondBatch steps (same chunk streams, same answer), and the next
+// BeginSampling resets the replica.
+func (e *Estimator) walkQuery(ctx context.Context, w *walker, sq *sampleQuery, targetRel float64) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{Source: SourceFailed, Err: fmt.Errorf("%w: query %d: %v", ErrPanicked, sq.i, r)}
 		}
 	}()
-	n := sc.model.NumCols()
-	skip := e.skipEnabled(sc.model)
-	fill := int32(0)
-	if skip {
-		fill = -1 // unvisited columns read as absent, not as code 0
-	}
+	skip := e.skipEnabled(w.sc.model)
+	chunks := (e.samples + anytimeChunk - 1) / anytimeChunk
+	bm := w.bm
 	for sq.done < e.samples {
 		if stop, err := sq.interrupted(ctx); err != nil {
 			return e.stopResult(sq, stop, err)
 		}
-		s := min(e.samples-sq.done, anytimeChunk)
-		sc.rng.Seed(mixSeed(e.seedFor(sq.q), int64(sq.chunks)))
-		codes := sc.codes[:s*n]
-		for i := range codes {
-			codes[i] = fill
-		}
-		weights := sc.weights[:s]
-		for i := range weights {
-			weights[i] = 1
-		}
-		if beg, ok := sc.model.(SequentialModel); ok {
-			beg.BeginSampling(s)
-		}
-		for col := 0; col <= sq.last; col++ {
-			if inv := sq.scaleAt(col); inv != nil {
-				sc.model.CondBatch(codes, s, col, sc.probs[:s])
-				drawScaledRows(sc.rng, inv, codes, n, col, sc.probs, weights, 0, s)
+		if bm == nil {
+			e.walkChunk(w.sc, sq, skip)
+		} else {
+			c1 := min(waveEnd(sq.chunks, chunks), sq.chunks+maxFusedChunks)
+			if err := e.walkBlock(bm, w.st, sq, sq.chunks, c1, skip); err != nil {
+				e.obs.fusedReserved.Inc()
+				sq.sum, sq.sumsq, sq.done, sq.chunks = 0, 0, 0, 0
+				bm = nil
 				continue
 			}
-			cr := &sq.reg.Cols[e.colAt(col)]
-			if skip && cr.IsAll() {
-				// Interior wildcard: no conditional, no draw — the model treats
-				// the column as absent when later folds see its -1 codes.
-				continue
-			}
-			sc.model.CondBatch(codes, s, col, sc.probs[:s])
-			drawRows(sc.rng, cr.IsAll(), sq.valid[col], codes, n, col, sc.probs, weights, 0, s)
 		}
-		sq.add(weights)
 		if targetRel > 0 && sq.done < e.samples && targetWaveBoundary(sq.chunks) &&
 			targetMet(sq.sum, sq.sumsq, sq.done, targetRel) {
 			return e.finalizeSample(sq.sum, sq.sumsq, sq.done, StopTargetStdErr)
@@ -514,11 +502,50 @@ func (e *Estimator) walkPaths(ctx context.Context, sc *scratch, sq *sampleQuery,
 	return e.finalizeSample(sq.sum, sq.sumsq, sq.done, StopNone)
 }
 
+// walkChunk walks the query's next chunk through CondBatch, one model
+// position per call, on sc's single-chunk buffers and re-seeded RNG.
+func (e *Estimator) walkChunk(sc *scratch, sq *sampleQuery, skip bool) {
+	n := sc.model.NumCols()
+	fill := int32(0)
+	if skip {
+		fill = -1 // unvisited columns read as absent, not as code 0
+	}
+	s := min(e.samples-sq.done, anytimeChunk)
+	sc.rng.Seed(mixSeed(e.seedFor(sq.q), int64(sq.chunks)))
+	codes := sc.codes[:s*n]
+	for i := range codes {
+		codes[i] = fill
+	}
+	weights := sc.weights[:s]
+	for i := range weights {
+		weights[i] = 1
+	}
+	if beg, ok := sc.model.(SequentialModel); ok {
+		beg.BeginSampling(s)
+	}
+	for col := 0; col <= sq.last; col++ {
+		if inv := sq.scaleAt(col); inv != nil {
+			sc.model.CondBatch(codes, s, col, sc.probs[:s])
+			drawScaledRows(sc.rng, inv, codes, n, col, sc.probs, weights, 0, s)
+			continue
+		}
+		cr := &sq.reg.Cols[e.colAt(col)]
+		if skip && cr.IsAll() {
+			// Interior wildcard: no conditional, no draw — the model treats
+			// the column as absent.
+			continue
+		}
+		sc.model.CondBatch(codes, s, col, sc.probs[:s])
+		drawRows(sc.rng, cr.IsAll(), sq.valid[col], codes, n, col, sc.probs, weights, 0, s)
+	}
+	sq.add(weights)
+}
+
 // drawRows runs the per-row mass/draw step of Algorithm 1 for rows [r0, r1)
 // of one decoded column: multiply each live path's weight by the in-range
 // mass P̂(X_col ∈ R_col | x_<col) and draw its next code by inverse CDF over
-// the valid list. It is shared between the per-query walk (one rng per
-// chunk) and the fused walk (one rng per chunk of a block, that chunk's row
+// the valid list. It is shared between the CondBatch step (one rng per
+// chunk) and the block step (one rng per chunk of a block, that chunk's row
 // range) — rows are advanced in index order either way, so a chunk's draws
 // depend only on its own rng stream and its rows' decoded conditionals.
 //
@@ -581,6 +608,9 @@ func (e *Estimator) UniformRegionSample(reg *query.Region, s int) float64 {
 	n := sc.model.NumCols()
 	if s > e.samples {
 		s = e.samples
+	}
+	if cap(sc.codes) < s*n {
+		sc.codes = make([]int32, s*n)
 	}
 	codes := sc.codes[:s*n]
 	valid := e.materializeValid(sc, reg, n)

@@ -192,3 +192,37 @@ func TestStdErrZeroForEnumeration(t *testing.T) {
 		t.Fatalf("enumeration stderr = %v over %d samples, want 0 over 0", res.StdErr, res.Samples)
 	}
 }
+
+// TestScratchHoldsOneChunk: a replica's CondBatch buffers hold one chunk,
+// not a query's S paths. After an S = 2000 batch that enumerates a query and
+// samples others, on both batch entry points, no scratch holds more
+// probability rows than a chunk or an enumeration batch needs.
+func TestScratchHoldsOneChunk(t *testing.T) {
+	tbl := corrTable(t, 1500, 31)
+	regs := batchRegions(t, tbl)
+	const samples = 2000
+	e := NewEstimator(testMADE(tbl.DomainSizes()), samples, 7)
+	e.EnumThreshold = 40
+	res := e.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
+	res = append(res, e.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: 1})...)
+	enumerated, sampled := 0, 0
+	for i, r := range res {
+		switch {
+		case r.Source == SourceModel && r.Samples == 0 && !regs[i%len(regs)].IsEmpty():
+			enumerated++
+		case r.Samples == samples:
+			sampled++
+		}
+	}
+	if enumerated == 0 || sampled == 0 {
+		t.Fatalf("%d enumerated and %d sampled answers; the batch must carry both", enumerated, sampled)
+	}
+	limit := max(anytimeChunk, enumBatch)
+	sc := e.acquire()
+	defer e.release(sc)
+	for _, s := range []*scratch{e.primary, sc} {
+		if len(s.probs) > limit {
+			t.Fatalf("a scratch holds %d probability rows; want at most %d", len(s.probs), limit)
+		}
+	}
+}

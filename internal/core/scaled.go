@@ -18,7 +18,8 @@ import (
 // Σ_v P̂(v|prefix)·Inv[v] exactly, then a value is drawn from the tilted
 // distribution P̂(v|prefix)·Inv[v]/Σ so later columns are conditioned under
 // the correctly reweighted path measure. A query's scale columns ride in its
-// Request, and both walks (walkPaths and the fused walkBlock) draw them.
+// Request, and both steps of the walk (walkChunk and the fused walkBlock)
+// draw them.
 
 // ScaleCol attaches an importance downscale to one model column: during the
 // walk the path weight is multiplied by E[Inv[X_col] | x_<col] under the

@@ -143,32 +143,33 @@ var ErrInvalidWorkers = errors.New("core: ServeOptions.Workers must be >= 0")
 
 // ServeOptions configures fault-tolerant batch serving.
 type ServeOptions struct {
-	// Workers caps the serving goroutines (GOMAXPROCS when 0). On the
-	// per-query path it bounds the worker pool pulling queries off the
-	// batch; on the fused path it bounds both the shard count (the batch's
-	// sampling queries are partitioned into Workers disjoint groups, one
-	// pooled model replica each) and the row-range fan-out inside a single
-	// tall block. A MADE model's sampling kernels run on those goroutines
-	// and never start their own, so Workers = 1 serves it on one core.
-	// Results are bit-identical at every worker count. Negative values are
-	// rejected with ErrInvalidWorkers rather than clamped.
+	// Workers caps the serving goroutines (GOMAXPROCS when 0). On both
+	// batch entry points it bounds the goroutines pulling queries off the
+	// batch, one pooled model replica each; on the fused path, budget left
+	// over when the batch holds fewer queries than Workers fans each tall
+	// block over row ranges. A MADE model's sampling kernels run on those
+	// goroutines and never start their own, so Workers = 1 serves it on one
+	// core. Results are bit-identical at every worker count. Negative values
+	// are rejected with ErrInvalidWorkers rather than clamped.
 	Workers int
 
-	// Deadline is the per-query wall-clock budget (measured from the moment
-	// the query is picked up; 0 means none). An expiring deadline does not
-	// abort the query: the progressive sampler stops at the next chunk
-	// boundary and returns the anytime estimate over the completed paths,
-	// tagged SourceDegraded. A context deadline composes with it — whichever
-	// is sooner wins.
+	// Deadline is the per-query wall-clock budget (0 means none), measured
+	// on both batch entry points from the moment a worker picks the query
+	// up, so time a batch spends on earlier queries never counts against a
+	// later one. An expiring deadline does not abort the query: the
+	// progressive sampler stops before its next chunk (or fused block) and
+	// returns the anytime estimate over the completed paths, tagged
+	// SourceDegraded. A context deadline composes with it — whichever is
+	// sooner wins.
 	Deadline time.Duration
 
 	// TargetRelStdErr, when positive, enables adaptive per-query sample
 	// budgets: a sampling query whose relative standard error
 	// (StdErr / estimate) has reached the target retires early instead of
 	// running its full budget. The check runs at fixed wave boundaries
-	// (after 2 and after 6 completed chunks — see anytimeChunk), the same
-	// boundaries the fused scheduler uses, so the early-stop decision and
-	// the resulting estimate are bit-identical across serving entry points.
+	// (after 2 and after 6 completed chunks — see anytimeChunk), where the
+	// fused walk's admission waves end, so the early-stop decision and the
+	// resulting estimate are bit-identical across serving entry points.
 	// Early-stopped results keep Source == SourceModel and carry
 	// Stop == StopTargetStdErr with Samples showing the spent budget.
 	TargetRelStdErr float64
@@ -226,8 +227,21 @@ func Requests(regions []*query.Region) []Request {
 // result slice aligns positionally with reqs and always has an entry for
 // every query. Queries that complete their full model budget return values
 // that are bit-identical to a sequential (Workers: 1) serve of the same
-// batch on a fresh estimator.
+// batch on a fresh estimator. A sampling query walks its chunks one at a time
+// through CondBatch; EstimateFused is the same call with block steps.
 func (e *Estimator) EstimateBatchCtx(ctx context.Context, reqs []Request, opts ServeOptions) []Result {
+	return e.serveBatch(ctx, reqs, opts, false)
+}
+
+// serveBatch is the one scheduler under both batch entry points. Up to
+// opts.Workers goroutines pull queries off the batch in index order; each
+// holds one pooled model replica and, when fused is set and the replica is a
+// BlockModel, one pooled set of block buffers, and classifies, walks and
+// routes its queries one at a time (serveOne). One goroutine serves on the
+// caller's. Budget left over when the batch holds fewer queries than Workers
+// fans each block over row ranges. Results never depend on the schedule: a
+// query's randomness is keyed by its global index and chunk index alone.
+func (e *Estimator) serveBatch(ctx context.Context, reqs []Request, opts ServeOptions, fused bool) []Result {
 	out := make([]Result, len(reqs))
 	if len(reqs) == 0 {
 		return out
@@ -242,55 +256,73 @@ func (e *Estimator) EstimateBatchCtx(ctx context.Context, reqs []Request, opts S
 		}
 		return out
 	}
-	base := e.nextQuery.Add(uint64(len(reqs))) - uint64(len(reqs))
 	workers := opts.Workers
-	if workers <= 0 {
+	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(reqs) {
-		workers = len(reqs)
+	if !e.forkable {
+		// Non-forkable models serialize on the estimator mutex: a second
+		// goroutine would only wait for the first.
+		workers = 1
 	}
-	if workers == 1 {
-		sc := e.acquire()
-		defer e.release(sc)
-		for i, req := range reqs {
-			out[i] = e.serveOne(ctx, sc, req, base+uint64(i), i, &opts)
+	if fused {
+		e.obs.fusedWorkers.Set(float64(workers))
+	}
+	base := e.nextQuery.Add(uint64(len(reqs))) - uint64(len(reqs))
+	goroutines := min(workers, len(reqs))
+	inner := max(workers/goroutines, 1)
+	var next atomic.Int64
+	run := func() {
+		w := walker{sc: e.acquire()}
+		defer e.release(w.sc)
+		if bm, ok := w.sc.model.(BlockModel); ok && fused {
+			w.bm, w.st = bm, e.getFusedState()
+			w.st.inner = inner
+			defer e.fusedPool.Put(w.st)
 		}
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(reqs) {
+				return
+			}
+			out[i] = e.serveOne(ctx, &w, reqs[i], base+uint64(i), i, &opts)
+		}
+	}
+	if goroutines == 1 {
+		run()
 		return out
 	}
-	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range goroutines {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One scratch per worker (not per query): the checkout is cheap
-			// but not free, and per-query round-trips through the fork pool
-			// were measurable against the per-query serving cost.
-			sc := e.acquire()
-			defer e.release(sc)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				out[i] = e.serveOne(ctx, sc, reqs[i], base+uint64(i), i, &opts)
-			}
+			run()
 		}()
 	}
 	wg.Wait()
 	return out
 }
 
-// serveOne answers query i (global index q) on the per-query path: the
-// shared classifier, walkPaths for a sampling query, then routeFallback. The
-// caller owns the scratch; a panic may leave its sampling state mid-walk,
-// but the next walk's BeginSampling resets it.
-func (e *Estimator) serveOne(ctx context.Context, sc *scratch, req Request, q uint64, i int, opts *ServeOptions) Result {
+// walker is what one serving goroutine walks with: a pooled scratch (model
+// replica and CondBatch buffers) and, on the fused entry over a BlockModel,
+// the block walk and its pooled buffers (bm and st nil otherwise).
+type walker struct {
+	sc *scratch
+	bm BlockModel
+	st *fusedState
+}
+
+// serveOne answers query i (global index q): the shared classifier, the
+// per-query driver for a sampling query, then routeFallback. Its deadline
+// counts from here, when a worker picks the query up. A panic may leave the
+// replica's sampling state mid-walk, but the next walk's BeginSampling
+// resets it.
+func (e *Estimator) serveOne(ctx context.Context, w *walker, req Request, q uint64, i int, opts *ServeOptions) Result {
 	start := time.Now()
-	sq, res := e.classify(ctx, sc, req, q, i, opts, start)
+	sq, res := e.classify(ctx, w.sc, req, q, i, opts, start)
 	if sq != nil {
-		res = e.walkPaths(ctx, sc, sq, opts.TargetRelStdErr)
+		res = e.walkQuery(ctx, w, sq, opts.TargetRelStdErr)
 	}
 	return e.routeFallback(res, req.Region, opts, time.Since(start))
 }
@@ -334,15 +366,16 @@ func (e *Estimator) routeFallback(res Result, reg *query.Region, opts *ServeOpti
 	return res
 }
 
-// sampleQuery is one sampling query's walk state, shared by both walks: the
-// region with its per-position valid-code lists and scale columns, the
-// query's global index, and the running sums its chunks accumulate into.
+// sampleQuery is one sampling query's walk state, shared by both steps of
+// the per-query driver: the region with its per-position valid-code lists
+// and scale columns, the query's global index, and the running sums its
+// chunks accumulate into.
 type sampleQuery struct {
 	i     int // position in the batch
 	q     uint64
 	reg   *query.Region
 	last  int         // last restricted (or scale) model position
-	valid [][]int32   // per-position valid-code lists, privately owned
+	valid [][]int32   // per-position valid-code lists (the scratch's)
 	scale [][]float64 // per-position inverse fanouts; nil without scale columns
 
 	ctx      context.Context // the request's own context; nil without one
@@ -350,11 +383,6 @@ type sampleQuery struct {
 
 	sum, sumsq   float64
 	done, chunks int
-
-	// Fused-walk bookkeeping: the final answer and when it was reached.
-	res      Result
-	finished bool
-	retireAt time.Time
 }
 
 // scaleAt returns the inverse fanouts of model position pos, or nil when pos
@@ -366,7 +394,7 @@ func (sq *sampleQuery) scaleAt(pos int) []float64 {
 	return sq.scale[pos]
 }
 
-// interrupted reports why sq must stop before its next chunk or block: a
+// interrupted reports why sq must stop before its next step: a
 // cancelled call or request context (StopCancel with the context's error),
 // or an expired deadline (StopDeadline with ErrBudgetExhausted). err is nil
 // when the query may go on.
@@ -456,7 +484,7 @@ func (e *Estimator) classify(ctx context.Context, sc *scratch, req Request, q ui
 		return nil, Result{Sel: clampProb(total), Source: SourceModel}
 	}
 	// Trailing wildcards integrate to exactly 1 under the chain rule (their
-	// conditionals sum out over the full domain), so both walks stop at the
+	// conditionals sum out over the full domain), so the walk stops at the
 	// last restricted or scale position — the cutoff enumeration uses. A
 	// fully wildcarded region has last = -1: every path keeps weight 1.
 	sq = &sampleQuery{i: i, q: q, reg: reg, last: -1, scale: scale,
@@ -466,24 +494,32 @@ func (e *Estimator) classify(ctx context.Context, sc *scratch, req Request, q ui
 			sq.last = p
 		}
 	}
-	// Privately owned valid lists: the fused walk interleaves many queries'
-	// waves, so the scratch's shared per-column lists cannot be used.
-	sq.valid = make([][]int32, sq.last+1)
-	for p := range sq.valid {
-		cr := &reg.Cols[e.colAt(p)]
-		sq.valid[p] = appendValid(make([]int32, 0, cr.Count), cr)
-	}
+	// A goroutine walks one query at a time, so the query can borrow the
+	// scratch's per-column lists until its walk ends.
+	sq.valid = e.materializeValid(sc, reg, sq.last+1)
 	return sq, Result{}
 }
 
 // targetWaveBoundary reports whether the adaptive budget is consulted after
-// this many completed chunks. The boundaries (2 chunks, then 6) are the
-// fused scheduler's wave sizes; checking at exactly these points — rather
-// than every chunk — keeps early-stop decisions bit-identical between
-// sequential and fused serving, since both see the same accumulated sums at
-// the same points.
+// this many completed chunks: where the first two admission waves end (see
+// waveEnd). Checking at exactly these points — rather than every chunk —
+// keeps early-stop decisions bit-identical between the CondBatch and block
+// steps, since both see the same accumulated sums at the same points.
 func targetWaveBoundary(chunksDone int) bool {
 	return chunksDone == 2 || chunksDone == 6
+}
+
+// waveEnd returns the completed-chunk count at which the admission wave
+// holding chunk c ends — 2, then 6, then the whole budget of chunks — capped
+// at chunks. A block step walks a query's chunks up to its wave's end.
+func waveEnd(c, chunks int) int {
+	switch {
+	case c < 2:
+		return min(2, chunks)
+	case c < 6:
+		return min(6, chunks)
+	}
+	return chunks
 }
 
 // meanStdErr turns running sums of the per-path weights into the Monte

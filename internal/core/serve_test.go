@@ -237,6 +237,45 @@ func TestDeadlineExhaustedFallsBack(t *testing.T) {
 	}
 }
 
+// TestBatchDeadlineCountsFromPickup: on both batch entry points a query's
+// Deadline counts from the moment a worker picks it up, so time the batch
+// spent on an earlier query never counts against a later one. Query 0's hook
+// sleeps past the deadline, so query 0 exhausts its budget before its first
+// chunk; query 1, picked up afterwards, still runs its full budget.
+func TestBatchDeadlineCountsFromPickup(t *testing.T) {
+	tbl := corrTable(t, 1500, 36)
+	reg := sampledRegion(t, tbl)
+	reqs := []Request{{Region: reg}, {Region: reg}}
+	const deadline = 300 * time.Millisecond
+	opts := ServeOptions{
+		Workers:  1,
+		Deadline: deadline,
+		BeforeQuery: func(i int) {
+			if i == 0 {
+				time.Sleep(deadline + 50*time.Millisecond)
+			}
+		},
+	}
+	est := NewEstimator(testMADE(tbl.DomainSizes()), 300, 7)
+	est.EnumThreshold = 0
+	entries := []struct {
+		name  string
+		serve func(context.Context, []Request, ServeOptions) []Result
+	}{
+		{"EstimateBatchCtx", est.EstimateBatchCtx},
+		{"EstimateFused", est.EstimateFused},
+	}
+	for _, entry := range entries {
+		got := entry.serve(context.Background(), reqs, opts)
+		if !errors.Is(got[0].Err, ErrBudgetExhausted) {
+			t.Fatalf("%s query 0: %+v, want ErrBudgetExhausted after its hook slept past the deadline", entry.name, got[0])
+		}
+		if got[1].Source != SourceModel || got[1].Samples != 300 || got[1].Err != nil {
+			t.Fatalf("%s query 1: %+v, want a full-budget model answer", entry.name, got[1])
+		}
+	}
+}
+
 // infModel yields +Inf conditionals: importance weights blow up to +Inf and
 // the serving layer must detect the non-finite mean and fall back.
 type infModel struct{ domains []int }

@@ -1,8 +1,6 @@
 package lifecycle
 
 import (
-	"math"
-
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/table"
@@ -109,10 +107,14 @@ type DriftStatus struct {
 }
 
 // driftMonitor accumulates the cheap staleness signals of the lifecycle
-// manager: a baseline snapshot of per-column marginals plus the model's NLL
-// on its own training data, compared against the same statistics over rows
-// appended since. All methods are called under the manager's mutex.
+// manager: the table's marginal drift (the embedded TableDrift: baseline and
+// appended marginals, and their TVD) plus the model's NLL on its own training
+// data, compared against the NLL of rows appended since, and the count of
+// appended values the model cannot represent. All methods are called under
+// the manager's mutex.
 type driftMonitor struct {
+	*TableDrift
+
 	// scorer is a private inference replica of the active model (nil when the
 	// model is not Forkable, which disables NLL scoring but not TVD).
 	scorer core.Model
@@ -120,15 +122,10 @@ type driftMonitor struct {
 	// these are unseen values the model cannot represent.
 	domains []int
 
-	baseNLL    float64 // mean NLL (nats) of the training snapshot under scorer
-	baseCounts [][]float64
-	baseRows   int
-
-	appCounts [][]float64
-	appRows   int
-	nllSum    float64
-	nllRows   int
-	unseen    int
+	baseNLL float64 // mean NLL (nats) of the training snapshot under scorer
+	nllSum  float64
+	nllRows int
+	unseen  int
 
 	buf []int32   // scoring batch buffer
 	lp  []float64 // scoring output buffer
@@ -138,17 +135,11 @@ type driftMonitor struct {
 // is forked for private scoring when possible, so scoring never races the
 // serving replicas.
 func newDriftMonitor(model core.Trainable, t *table.Table) *driftMonitor {
-	d := &driftMonitor{domains: model.DomainSizes()}
+	d := &driftMonitor{TableDrift: NewTableDrift(t), domains: model.DomainSizes()}
 	if f, ok := model.(core.Forkable); ok {
 		if fm, ok := f.ForkModel().(core.Model); ok {
 			d.scorer = fm
 		}
-	}
-	d.baseCounts = marginals(t, 0, t.NumRows())
-	d.baseRows = t.NumRows()
-	d.appCounts = make([][]float64, t.NumCols())
-	for i, c := range t.Cols {
-		d.appCounts[i] = make([]float64, c.DomainSize())
 	}
 	d.buf = make([]int32, driftScoreBatch*t.NumCols())
 	d.lp = make([]float64, driftScoreBatch)
@@ -180,9 +171,20 @@ func (d *driftMonitor) meanNLL(t *table.Table, lo, hi int) float64 {
 	if n := hi - lo; n > maxScore {
 		stride = (n + maxScore - 1) / maxScore
 	}
-	nc := t.NumCols()
 	var sum float64
 	rows := 0
+	d.score(t, lo, hi, stride, &sum, &rows)
+	if rows == 0 {
+		return 0
+	}
+	return sum / float64(rows)
+}
+
+// score adds the NLL of every stride-th row of [lo, hi) of t under the
+// scorer to *sum, one row at a time in row order, and counts the scored rows
+// in *rows. Rows with codes outside the model's domains are skipped.
+func (d *driftMonitor) score(t *table.Table, lo, hi, stride int, sum *float64, rows *int) {
+	nc := t.NumCols()
 	fill := 0
 	flush := func() {
 		if fill == 0 {
@@ -190,8 +192,8 @@ func (d *driftMonitor) meanNLL(t *table.Table, lo, hi int) float64 {
 		}
 		d.scorer.LogProbBatch(d.buf, fill, d.lp[:fill])
 		for _, lp := range d.lp[:fill] {
-			sum += -lp
-			rows++
+			*sum += -lp
+			*rows++
 		}
 		fill = 0
 	}
@@ -214,90 +216,22 @@ func (d *driftMonitor) meanNLL(t *table.Table, lo, hi int) float64 {
 		}
 	}
 	flush()
-	if rows == 0 {
-		return 0
-	}
-	return sum / float64(rows)
 }
 
 // observe folds rows [lo, hi) of the new snapshot into the appended-rows
 // statistics.
 func (d *driftMonitor) observe(t *table.Table, lo, hi int) {
+	d.Observe(t, lo, hi)
 	for i, c := range t.Cols {
-		// Dictionary extension can grow a column's domain past the histogram;
-		// grow in step (baseline keeps zero mass there).
-		if n := c.DomainSize(); n > len(d.appCounts[i]) {
-			grown := make([]float64, n)
-			copy(grown, d.appCounts[i])
-			d.appCounts[i] = grown
-			gb := make([]float64, n)
-			copy(gb, d.baseCounts[i])
-			d.baseCounts[i] = gb
-		}
 		for _, code := range c.Codes[lo:hi] {
-			d.appCounts[i][code]++
 			if int(code) >= d.domains[i] {
 				d.unseen++
 			}
 		}
 	}
-	d.appRows += hi - lo
 	if d.scorer != nil {
-		nc := t.NumCols()
-		fill := 0
-		flush := func() {
-			if fill == 0 {
-				return
-			}
-			d.scorer.LogProbBatch(d.buf, fill, d.lp[:fill])
-			for _, lp := range d.lp[:fill] {
-				d.nllSum += -lp
-				d.nllRows++
-			}
-			fill = 0
-		}
-		for r := lo; r < hi; r++ {
-			ok := true
-			for c := 0; c < nc; c++ {
-				code := t.Cols[c].Codes[r]
-				if int(code) >= d.domains[c] {
-					ok = false
-					break
-				}
-				d.buf[fill*nc+c] = code
-			}
-			if !ok {
-				continue
-			}
-			fill++
-			if fill == driftScoreBatch {
-				flush()
-			}
-		}
-		flush()
+		d.score(t, lo, hi, 1, &d.nllSum, &d.nllRows)
 	}
-}
-
-// tvd returns the maximum per-column total-variation distance between the
-// baseline and appended-row marginals (0 when nothing was appended).
-func (d *driftMonitor) tvd() float64 {
-	if d.appRows == 0 || d.baseRows == 0 {
-		return 0
-	}
-	maxD := 0.0
-	for i := range d.appCounts {
-		var dist float64
-		base, app := d.baseCounts[i], d.appCounts[i]
-		for code := range app {
-			p := base[code] / float64(d.baseRows)
-			q := app[code] / float64(d.appRows)
-			dist += math.Abs(p - q)
-		}
-		if dist /= 2; dist > maxD {
-			maxD = dist
-		}
-	}
-	return maxD
 }
 
 // nllExcess returns mean(appended NLL) − baseline NLL in nats (0 until a

@@ -422,7 +422,7 @@ func (m *Manager) driftLocked() DriftStatus {
 	st := DriftStatus{
 		AppendedRows: m.drift.appRows,
 		NLLExcess:    m.drift.nllExcess(),
-		TVD:          m.drift.tvd(),
+		TVD:          m.drift.TVD(),
 		UnseenValues: m.drift.unseen,
 	}
 	if st.AppendedRows >= m.cfg.MinDriftRows {

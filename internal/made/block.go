@@ -7,16 +7,17 @@ import (
 	"repro/internal/tensor"
 )
 
-// Block-granular sampling. The fused serving engine (internal/core) walks many
-// queries' sample rows through the network as one tall batch, column by
-// column. Two things distinguish that walk from the strict sequential one the
-// delta-forward cache (infer.go) was built for:
+// Block-granular sampling. The fused serving engine (internal/core) walks a
+// query's sample rows through the network as one tall batch, column by
+// column, at the one height BeginSampling announced. Two things distinguish
+// that walk from the strict sequential one the delta-forward cache
+// (infer.go) was built for:
 //
 //   - columns may be skipped: a query with an interior wildcard never samples
-//     the column, so its code stays -1 and the input block stays zero — the
-//     autoregressive state must advance across the gap without a decode;
-//   - only a row range of the batch may need a column's conditionals, and the
-//     active batch shrinks as finished queries retire from the tail.
+//     the column, so the input block stays zero — the autoregressive state
+//     must advance across the gap without a decode;
+//   - a column's conditionals may be decoded a row range at a time (tiles, or
+//     concurrent ranges after PrepareDecode).
 //
 // AdvanceBlock/DecodeBlock split CondBatch into those two halves, and the
 // suffix refresh of the old walk tightens into *degree bands*: revealing
@@ -37,9 +38,9 @@ import (
 // Every kernel the walk runs (MatMulPackedPrefix, MatMulPackedWindow, the
 // fold's row loops, the row softmax) runs on the calling goroutine at any
 // block height. The walk's parallelism belongs to its caller: internal/core
-// spends its worker budget on query shards and, through the row-range entry
-// points (BeginAdvanceRows/AdvanceRows, PrepareDecode), on row ranges. A
-// kernel that fanned out on its own would nest a second fan-out under that
+// spends its worker budget on concurrent queries and, through the row-range
+// entry points (BeginAdvanceRows/AdvanceRows, PrepareDecode), on row ranges.
+// A kernel that fanned out on its own would nest a second fan-out under that
 // budget and turn one worker into several cores.
 
 // packCache holds pre-packed weight windows for the block sampling path. It
@@ -144,9 +145,8 @@ func (m *Model) w1Pack(col int) *tensor.PackedB {
 // foldRows folds column cc's freshly sampled codes into the first layer's
 // caches for rows [r0, r1) only: the embedding gather (or one-hot Axpy) into
 // h1pre's suffix window [hidStart[0][cc+1]:), then the post[0] re-clamp of
-// the same window. Rows whose code is negative (wildcard-skipped or
-// already-retired lanes whose column never sampled) contribute nothing —
-// their input block stays zero. The step touches only rows [r0, r1), so
+// the same window. A row whose code is negative contributes nothing — its
+// input block stays zero. The step touches only rows [r0, r1), so
 // disjoint ranges may run concurrently once the shared scratch (embA sizing,
 // the w1 pack) is prepared; vPre/vEmb are view headers private to the
 // caller's range. Staleness markers for deeper layers are the caller's job.
@@ -196,36 +196,15 @@ func (m *Model) foldRows(codes []int32, cc, r0, r1 int, vPre, vEmb *tensor.Matri
 // layer's caches for rows [0, n), exactly as the eager walk did, and marks
 // the deeper layers stale; AdvanceBlock refreshes them band-by-band on
 // demand.
-//
-// Rows whose code is negative (lanes that wildcard-skipped cc) are skipped
-// outright rather than folded as zeros: their input block contributes
-// nothing, so their h1pre rows are unchanged and the earlier clamp of the
-// same rows still holds — bit-identical to never touching them, which is
-// exactly what the sequential walk does. In a fused block that packs lanes
-// with different footprints, this keeps the fold's cost proportional to the
-// rows that actually sampled cc instead of the full block height.
 func (m *Model) foldColumn(codes []int32, n, cc int) {
 	s := &m.samp
 	c := &m.codecs[cc]
-	s0 := m.hidStart[0][cc+1]
-	if s0 < s.h1pre.Cols {
+	if s0 := m.hidStart[0][cc+1]; s0 < s.h1pre.Cols {
 		if c.embedded {
 			m.infer.embA = resizeMat(m.infer.embA, n, c.inW)
 			m.w1Pack(cc)
 		}
-		nc := len(m.domains)
-		for r0 := 0; r0 < n; {
-			if codes[r0*nc+cc] < 0 {
-				r0++
-				continue
-			}
-			r1 := r0 + 1
-			for r1 < n && codes[r1*nc+cc] >= 0 {
-				r1++
-			}
-			m.foldRows(codes, cc, r0, r1, &s.vFold, &s.vEmb)
-			r0 = r1
-		}
+		m.foldRows(codes, cc, 0, n, &s.vFold, &s.vEmb)
 	}
 	// Deeper layers: revealing a column of input degree cc+1 dirties units of
 	// degree ≥ cc+1. Layer 0 was fully re-clamped above.
@@ -237,14 +216,14 @@ func (m *Model) foldColumn(codes []int32, n, cc int) {
 }
 
 // AdvanceBlock moves the walk's autoregressive state to column col over rows
-// [0, n): it folds the codes of the last decoded column (reading only columns
-// < col; negative codes contribute nothing) and refreshes each hidden layer's
-// stale degree bands up to what decoding col reads. Columns may be skipped —
-// their codes stay -1 — and n may shrink between calls as finished lanes
-// retire from the batch's tail; it must never grow within one walk.
+// [0, n), where n is the height BeginSampling announced: it folds the codes
+// of the last decoded column (reading only columns < col; negative codes
+// contribute nothing) and refreshes each hidden layer's stale degree bands up
+// to what decoding col reads. Columns may be skipped: they are never folded,
+// so the model treats them as absent.
 func (m *Model) AdvanceBlock(codes []int32, n, col int) {
 	s := &m.samp
-	if !s.active || n > s.n || col < 0 || col >= len(m.domains) {
+	if !s.active || n != s.n || col < 0 || col >= len(m.domains) {
 		panic(fmt.Sprintf("made: AdvanceBlock(n=%d, col=%d) outside active walk (n=%d, active=%v)",
 			n, col, s.n, s.active))
 	}
@@ -288,7 +267,7 @@ func (m *Model) AdvanceBlock(codes []int32, n, col int) {
 // same staleness bookkeeping a full-height advance would.
 func (m *Model) BeginAdvanceRows(n, col int) {
 	s := &m.samp
-	if !s.active || n > s.n || col < 0 || col >= len(m.domains) {
+	if !s.active || n != s.n || col < 0 || col >= len(m.domains) {
 		panic(fmt.Sprintf("made: BeginAdvanceRows(n=%d, col=%d) outside active walk (n=%d, active=%v)",
 			n, col, s.n, s.active))
 	}

@@ -6,9 +6,9 @@ import (
 )
 
 // TestBlockWalkMatchesReference drives the AdvanceBlock/DecodeBlock API the
-// way the fused serving engine does — interior wildcard skips, row-ranged
-// decodes, and a batch that shrinks as tail lanes retire — and checks every
-// decoded conditional against the training-path forward over the same
+// way the fused serving engine does — whole-column wildcard skips and
+// row-ranged decodes, at the height BeginSampling announced — and checks
+// every decoded conditional against the training-path forward over the same
 // -1-marked codes.
 func TestBlockWalkMatchesReference(t *testing.T) {
 	domains := []int{5, 80, 3, 100, 7, 64}
@@ -18,51 +18,26 @@ func TestBlockWalkMatchesReference(t *testing.T) {
 	nc := len(domains)
 	n := 13
 	codes := randomCodes(rng, domains, n)
-	// Rows [0,7) skip columns 1 and 4; rows [7,13) skip column 2. A column is
-	// decoded for the row range that wants it and left -1 elsewhere.
-	skips := func(r, col int) bool {
-		if r < 7 {
-			return col == 1 || col == 4
-		}
-		return col == 2
-	}
+	// Columns 1 and 4 are skipped: never advanced to or decoded, and -1 in
+	// every row.
+	skipped := map[int]bool{1: true, 4: true}
 	for r := 0; r < n; r++ {
-		for col := 0; col < nc; col++ {
-			if skips(r, col) {
-				codes[r*nc+col] = -1
-			}
+		for col := range skipped {
+			codes[r*nc+col] = -1
 		}
 	}
 
 	out := allocOut(domains, n)
 	want := allocOut(domains, n)
 	m.BeginSampling(n)
-	active := n
 	for col := 0; col < nc; col++ {
-		if col == 5 {
-			active = 7 // rows [7,13) retire from the tail mid-walk
-			for r := active; r < n; r++ {
-				codes[r*nc+col] = -1
-			}
+		if skipped[col] {
+			continue
 		}
-		// Row ranges wanting this column, in order.
-		var ranges [][2]int
-		switch {
-		case col == 1 || col == 4:
-			if active > 7 {
-				ranges = [][2]int{{7, active}}
-			}
-		case col == 2:
-			ranges = [][2]int{{0, 7}}
-		default:
-			ranges = [][2]int{{0, active}}
-		}
-		if len(ranges) == 0 {
-			continue // no active row samples this column
-		}
-		m.AdvanceBlock(codes, active, col)
-		condReference(ref, codes, active, col, want)
-		for _, rr := range ranges {
+		m.AdvanceBlock(codes, n, col)
+		condReference(ref, codes, n, col, want)
+		// Decode a row range at a time, as the tiled walk does.
+		for _, rr := range [][2]int{{0, 5}, {5, 12}, {12, n}} {
 			m.DecodeBlock(col, rr[0], rr[1], out[rr[0]:rr[1]])
 			if d := maxCondDiff(domains, out[rr[0]:rr[1]], want[rr[0]:rr[1]], col); d > 1e-5 {
 				t.Fatalf("col %d rows %v differ by %g", col, rr, d)
@@ -71,8 +46,9 @@ func TestBlockWalkMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBlockWalkGuards checks the contract panics: decode without advance and
-// backward advances must fail loudly rather than serve stale state.
+// TestBlockWalkGuards checks the contract panics: decode without advance,
+// backward advances and advances at any height but the one BeginSampling
+// announced must fail loudly rather than serve stale state.
 func TestBlockWalkGuards(t *testing.T) {
 	m := New([]int{5, 9, 4}, tinyConfig(22))
 	m.BeginSampling(4)
@@ -92,4 +68,6 @@ func TestBlockWalkGuards(t *testing.T) {
 	m.AdvanceBlock(codes, 4, 1)
 	mustPanic("backward AdvanceBlock", func() { m.AdvanceBlock(codes, 4, 0) })
 	mustPanic("growing batch", func() { m.AdvanceBlock(codes, 6, 2) })
+	mustPanic("shrinking batch", func() { m.AdvanceBlock(codes, 3, 2) })
+	mustPanic("shrinking ranged batch", func() { m.BeginAdvanceRows(3, 2) })
 }

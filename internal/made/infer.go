@@ -30,8 +30,8 @@ import (
 // out-of-sequence calls); tests assert the two agree.
 
 // sampState tracks one in-flight sampling walk (strictly sequential via
-// CondBatch, or block-granular with skips and tail retirement via
-// AdvanceBlock/DecodeBlock in block.go).
+// CondBatch, or block-granular with skipped columns and row-ranged decodes
+// via AdvanceBlock/DecodeBlock in block.go).
 type sampState struct {
 	active      bool
 	n           int // batch size announced by BeginSampling

@@ -159,8 +159,8 @@ func TestOutOfSequenceFallsBackToFull(t *testing.T) {
 
 	m.BeginSampling(n)
 	m.CondBatch(codes, n, 0, out)
-	// Shrink the batch below the announced size through CondBatch (only the
-	// block entry points accept shrinking batches): full-path fallback.
+	// Shrink the batch below the announced size through CondBatch (the
+	// block entry points panic instead): full-path fallback.
 	m.CondBatch(codes, n-2, 2, out)
 	condReference(ref, codes, n-2, 2, want)
 	if d := maxCondDiff(domains, out[:n-2], want[:n-2], 2); d > 1e-5 {

@@ -624,10 +624,10 @@ func (m *Model) ForkTrain() any { return m.TrainFork() }
 // Within an active sampling walk (BeginSampling), col may jump FORWARD past
 // columns the walk never sampled: those columns are treated as absent
 // (wildcard-skipped), exactly as if their codes were -1 — their input blocks
-// stay zero and the conditional is P̂(X_col | sampled x_<col). Callers that
-// jump must leave skipped columns' codes negative so the later fold agrees.
-// Any other out-of-contract call (batch-size change, backward column) falls
-// back to the stateless full forward pass.
+// stay zero and the conditional is P̂(X_col | sampled x_<col). Only the full
+// forward pass below reads a skipped column's code, so callers that jump
+// leave it negative. Any other out-of-contract call (batch-size change,
+// backward column) falls back to that stateless full forward pass.
 func (m *Model) CondBatch(codes []int32, n int, col int, out [][]float64) {
 	if col < 0 || col >= len(m.domains) {
 		panic(fmt.Sprintf("made: CondBatch column %d of %d", col, len(m.domains)))

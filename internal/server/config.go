@@ -75,11 +75,12 @@ type TenantConfig struct {
 	BatchWindow Duration `json:"batch_window,omitempty"`
 	// MaxInFlight caps concurrent fused dispatches when coalescing.
 	MaxInFlight int `json:"max_inflight,omitempty"`
-	// Workers is the fused scheduler's parallelism budget per dispatch (query
-	// shards × row shards per block), and so the most cores one dispatch
-	// keeps busy: the MADE model's sampling kernels start no goroutines of
-	// their own. 0 uses GOMAXPROCS; results are bit-identical at any setting.
-	// Negative values are rejected at load time.
+	// Workers is the fused walk's parallelism budget per dispatch (queries
+	// walked concurrently, leftover budget split over a block's rows), and
+	// so the most cores one dispatch keeps busy: the MADE model's sampling
+	// kernels start no goroutines of their own. 0 uses GOMAXPROCS; results
+	// are bit-identical at any setting. Negative values are rejected at load
+	// time.
 	Workers int `json:"workers,omitempty"`
 	// CacheSize bounds the tenant's predicate-fingerprint result cache
 	// (entries). 0 uses the default (1024); negative disables the cache.

@@ -28,8 +28,10 @@
 # refresh hot-swaps in version 2, then SIGTERM and require a clean exit.
 #
 # `check.sh bench` is the serving-performance gate: it runs the fused
-# bit-identity suite (a block holds one query's wave; a poisoned model fails
-# on both walks) and the coalescer suite under the race detector, then a
+# bit-identity suite (a block holds one query's wave, a query's waves run
+# back to back, a deadline counts from pickup on both entries; a poisoned
+# model fails on both walks) and the coalescer suite under the race
+# detector, then a
 # small-scale inference benchmark (reference, sequential, fused-batch and
 # parallel-fused configurations; no closed-loop client stage — perfbench's
 # dmv-open is the latency benchmark) twice through narubench's history
@@ -261,7 +263,7 @@ fi
 
 if [ "${1:-}" = "bench" ]; then
     echo "== serving determinism (-race)"
-    go test -race -count=1 -run 'TestEstimateFused|TestNonFinitePoisonedModel|TestHistory' ./internal/core ./internal/bench
+    go test -race -count=1 -run 'TestEstimateFused|TestBatchDeadlineCountsFromPickup|TestNonFinitePoisonedModel|TestHistory' ./internal/core ./internal/bench
     go test -race -count=1 -run 'TestCoalescer' .
 
     echo "== benchmark regression gate (small-scale inference, 2 runs)"
