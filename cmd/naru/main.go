@@ -107,7 +107,7 @@ func usage(w io.Writer) {
                 [-timeout 50ms] [-fallback] [-metrics-addr :8080]
   naru estimate -join spec.json -model join.naru -where "t1.a <= 5 AND t2.b = x"
   naru serve    -csv data.csv -model model.naru -addr :8081 [-metrics-addr :8080]
-                [-samples S] [-timeout 50ms] [-fallback] [-cache-size N]
+                [-samples S] [-timeout 50ms] [-fallback] [-cache-size N] [-max-inflight N]
                 [-refresh-after N] [-drift-threshold NATS] [-tvd-threshold D]
                 [-refresh-epochs N] [-registry DIR] [-lifecycle-checkpoint ckpt]
                 [-breaker-threshold N] [-probe-interval D]
@@ -120,8 +120,8 @@ The -metrics-addr endpoint exposes /metrics (Prometheus), /metrics.json,
 /traces, /debug/pprof/, and /healthz for whatever the command is doing.
 
 Multi-tenant serve: -tenants tenants.json hosts many table/model pairs, each
-routed under /v1/<name>/estimate|append|drift|models with its own coalescer,
-breaker, lifecycle budgets, and result cache; metric families carry a
+routed under /v1/<name>/estimate|append|drift|models with its own admission
+gate, breaker, lifecycle budgets, and result cache; metric families carry a
 tenant="name" label on the shared scrape, legacy routes alias the file's
 default tenant, and /readyz aggregates every tenant. Estimates are served
 through a per-tenant result cache invalidated by hot-swap, stale-flag, or
@@ -437,24 +437,9 @@ func estimateFile(est *naru.Estimator, t *table.Table, path string, opts naru.Se
 		return err
 	}
 	start := time.Now()
-	var results []naru.Result
-	if opts.Deadline == 0 && opts.Fallback == nil {
-		// Without resilience flags, serve through the legacy batch path so
-		// estimates stay bit-identical to sequential -where runs (the anytime
-		// path chunks its sample streams differently).
-		sels, err := est.SelectivityBatch(qs, opts.Workers)
-		if err != nil {
-			return err
-		}
-		results = make([]naru.Result, len(sels))
-		for i, sel := range sels {
-			results[i] = naru.Result{Sel: sel, Source: naru.SourceModel}
-		}
-	} else {
-		results, err = est.SelectivityBatchCtx(context.Background(), qs, opts)
-		if err != nil {
-			return err
-		}
+	results, err := est.SelectivityBatchCtx(context.Background(), qs, opts)
+	if err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
 	rows := float64(t.NumRows())

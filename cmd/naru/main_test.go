@@ -3,10 +3,14 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	naru "repro"
+	"repro/internal/made"
 )
 
 // writeTestCSV emits a small correlated two-column table.
@@ -132,5 +136,46 @@ func TestCLI(t *testing.T) {
 				t.Fatalf("stderr %q unexpectedly contains %q", stderr, tc.excludeErr)
 			}
 		})
+	}
+}
+
+// TestEstimateQueriesReportsFailedModel: with no resilience flags, a workload
+// served by a model whose weights are NaN reports every query as failed and
+// the command fails, instead of printing est=0 for each.
+func TestEstimateQueriesReportsFailedModel(t *testing.T) {
+	dir := t.TempDir()
+	csv := writeTestCSV(t, dir)
+	tbl, err := loadTable(csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := made.New(tbl.DomainSizes(), made.Config{HiddenSizes: []int{8, 8}, Seed: 1})
+	for _, p := range m.Params() {
+		for i := range p.Val.Data {
+			p.Val.Data[i] = float32(math.NaN())
+		}
+	}
+	model := filepath.Join(dir, "nan.naru")
+	f, err := os.Create(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := naru.NewFromModel(m, tbl, naru.DefaultConfig()).Save(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	workload := filepath.Join(dir, "w.txt")
+	if err := os.WriteFile(workload, []byte("state=NY\nqty<=30\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	code, stdout, stderr := runCLI("estimate", "-csv", csv, "-model", model, "-queries", workload)
+	if code != 1 || !strings.Contains(stderr, "2 of 2 queries failed") {
+		t.Fatalf("exit %d, stderr %q: want the command to fail on 2 of 2 queries", code, stderr)
+	}
+	if n := strings.Count(stdout, "[FAILED: "); n != 2 {
+		t.Fatalf("stdout %q tags %d queries failed, want 2", stdout, n)
 	}
 }

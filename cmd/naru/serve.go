@@ -26,8 +26,8 @@ import (
 // with the pre-multi-tenant server.
 //
 // Multi-tenant: -tenants tenants.json loads many table/model pairs into one
-// process. Each tenant serves under /v1/{name}/... with its own coalescer,
-// circuit breaker, lifecycle budgets, and result cache, and its metric
+// process. Each tenant serves under /v1/{name}/... with its own admission
+// gate, circuit breaker, lifecycle budgets, and result cache, and its metric
 // families carry a tenant="name" label in the shared registry. The legacy
 // routes alias the file's default tenant, so existing clients keep working;
 // /readyz aggregates readiness across every tenant.
@@ -58,9 +58,7 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 	samples := fs.Int("samples", 2000, "progressive samples per query")
 	timeout := fs.Duration("timeout", 0, "per-query deadline (0 = none); expiring degrades the sample budget")
 	fallback := fs.Bool("fallback", false, "answer failed queries from 1D statistics")
-	batchWindow := fs.Duration("batch-window", 0, "coalesce concurrent requests arriving within this window into one fused dispatch (0 = serve each request alone)")
-	maxInflight := fs.Int("max-inflight", 2, "concurrent fused dispatches when coalescing; excess batches queue, and a full queue sheds to the fallback")
-	workers := fs.Int("workers", 0, "fused-walk parallelism per dispatch, and the most cores one dispatch uses: queries walked concurrently, leftover budget split over a block's rows (0 = GOMAXPROCS); results are bit-identical at any setting")
+	maxInflight := fs.Int("max-inflight", 0, "queries walking at once, each on one core (0 = GOMAXPROCS); excess queries wait for a slot, and past 256 waiting a new one is shed to the fallback")
 	targetStderr := fs.Float64("target-stderr", 0, "stop sampling early once the relative standard error reaches this target (0 = always run the full budget)")
 	cacheSize := fs.Int("cache-size", 0, "result-cache entries per tenant (0 = default 1024, negative = disable)")
 	refreshAfter := fs.Int("refresh-after", 0, "refresh after this many appended rows (0 = only on drift)")
@@ -73,9 +71,6 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 	probeInterval := fs.Duration("probe-interval", time.Second, "initial recovery-probe delay after the breaker trips (doubles up to 30x with jitter)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *workers < 0 {
-		return fmt.Errorf("serve: -workers must be >= 0, got %d", *workers)
 	}
 	logf := func(format string, a ...any) { fmt.Fprintf(stderr, format+"\n", a...) }
 
@@ -119,9 +114,7 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 			Timeout:             server.Duration(*timeout),
 			Fallback:            *fallback,
 			TargetStdErr:        *targetStderr,
-			BatchWindow:         server.Duration(*batchWindow),
 			MaxInFlight:         *maxInflight,
-			Workers:             *workers,
 			CacheSize:           *cacheSize,
 			RefreshAfter:        *refreshAfter,
 			DriftThreshold:      *driftThreshold,

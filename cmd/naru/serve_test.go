@@ -10,9 +10,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	naru "repro"
+	"repro/internal/query"
 	"repro/internal/server"
 )
 
@@ -115,44 +115,42 @@ func TestEstimateHandler(t *testing.T) {
 	}
 }
 
-// TestEstimateHandlerCoalesced: routing /estimate through the request
-// coalescer returns the same JSON answer (bit-identical estimate fields) as
-// the direct per-request path on an identically trained model.
+// TestEstimateHandlerCoalesced: /estimate answers through the tenant's
+// admission gate with the same estimate fields, bit for bit, as
+// SelectivityBatchCtx at one worker on an identically trained model.
 func TestEstimateHandlerCoalesced(t *testing.T) {
-	where := "/estimate?where=" + url.QueryEscape("state=NY AND qty<=30")
-	fetch := func(h http.Handler) server.EstimateResponse {
-		t.Helper()
-		srv := httptest.NewServer(h)
-		defer srv.Close()
-		resp, err := http.Get(srv.URL + where)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		var got server.EstimateResponse
-		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-
+	const where = "state=NY AND qty<=30"
 	est, tbl, _ := buildServeFixture(t)
-	want := fetch(newTenantHandler(t, server.NewTenant("default", est, tbl, server.TenantOptions{})))
+	q, err := query.ParseWhere(where, tbl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := est.SelectivityBatchCtx(context.Background(), []naru.Query{q}, naru.ServeOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := results[0]
 
 	est2, tbl2, _ := buildServeFixture(t)
-	coalesced := server.NewTenant("default", est2, tbl2, server.TenantOptions{
-		BatchWindow: time.Millisecond,
-	})
-	got := fetch(newTenantHandler(t, coalesced))
-
+	srv := httptest.NewServer(newTenantHandler(t, server.NewTenant("default", est2, tbl2, server.TenantOptions{})))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/estimate?where=" + url.QueryEscape(where))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	var got server.EstimateResponse
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
 	if got.Source != "model" || got.Err != "" {
-		t.Fatalf("coalesced response %+v", got)
+		t.Fatalf("served response %+v", got)
 	}
 	if got.Sel != want.Sel || got.StdErr != want.StdErr || got.Samples != want.Samples {
-		t.Fatalf("coalesced answer %+v differs from direct %+v", got, want)
+		t.Fatalf("served answer %+v differs from SelectivityBatchCtx at one worker %+v", got, want)
 	}
 	if got.StopReason != "" {
 		t.Fatalf("full-budget answer carries stop reason %q", got.StopReason)

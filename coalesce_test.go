@@ -41,8 +41,8 @@ func coalesceQueries() []Query {
 }
 
 // TestCoalescerSequentialBitIdentity: one client submitting queries one at a
-// time through the coalescer gets bit-identical results to a sequential
-// ctx-serve of the same workload — coalescing changes scheduling, never
+// time through the admission gate gets bit-identical results to a sequential
+// ctx-serve of the same workload — the gate changes scheduling, never
 // answers.
 func TestCoalescerSequentialBitIdentity(t *testing.T) {
 	tbl := facadeTable(t, 1200)
@@ -55,26 +55,26 @@ func TestCoalescerSequentialBitIdentity(t *testing.T) {
 	}
 
 	est := NewFromModel(fusedModel(tbl), tbl, fusedConfig())
-	c := est.NewCoalescer(CoalesceOptions{Window: time.Millisecond})
+	c := est.NewCoalescer(CoalesceOptions{})
 	defer c.Close()
 	for i, q := range qs {
 		got := c.Estimate(context.Background(), q)
 		w := want[i]
 		if got.Sel != w.Sel || got.StdErr != w.StdErr || got.Samples != w.Samples ||
 			got.Source != w.Source || got.Stop != w.Stop {
-			t.Fatalf("query %d: coalesced %+v != sequential %+v", i, got, w)
+			t.Fatalf("query %d: gated %+v != sequential %+v", i, got, w)
 		}
 	}
 }
 
-// TestCoalescerConcurrentClients hammers one coalescer from many goroutines;
-// every request must come back as a well-formed full-budget model answer.
-// Under -race this is the coalescer's data-race check.
+// TestCoalescerConcurrentClients hammers one gate from many goroutines, more
+// than it has slots; every request must come back as a well-formed
+// full-budget model answer. Under -race this is the gate's data-race check.
 func TestCoalescerConcurrentClients(t *testing.T) {
 	tbl := facadeTable(t, 1200)
 	qs := coalesceQueries()
 	est := NewFromModel(fusedModel(tbl), tbl, fusedConfig())
-	c := est.NewCoalescer(CoalesceOptions{Window: 3 * time.Millisecond, MaxBatch: 16})
+	c := est.NewCoalescer(CoalesceOptions{MaxInFlight: 2})
 	defer c.Close()
 
 	const clients = 32
@@ -96,33 +96,76 @@ func TestCoalescerConcurrentClients(t *testing.T) {
 	wg.Wait()
 }
 
-// TestCoalescerSheds: once the backlog reaches MaxQueue, new arrivals are
-// answered by the fallback with StopShed/ErrShed instead of queueing, and the
-// queued query still completes on the model path.
-func TestCoalescerSheds(t *testing.T) {
-	tbl := facadeTable(t, 1200)
-	qs := coalesceQueries()
-	est := NewFromModel(fusedModel(tbl), tbl, fusedConfig())
-	c := est.NewCoalescer(CoalesceOptions{
-		Window:   time.Hour, // flush only via Close: keeps the backlog pinned
-		MaxQueue: 1,
-		Serve:    ServeOptions{Fallback: Fallback(tbl)},
-	})
+// walkGate holds the one walk slot of a MaxInFlight-1 gate: its hook, set
+// as Serve.BeforeQuery, blocks the query inside the walk until release, and
+// after release every query passes straight through.
+type walkGate struct {
+	// entered takes one send per query entering the walk; its 64 slots
+	// outnumber any test's queries, so the hook never blocks on it.
+	entered chan struct{}
+	hold    chan struct{} // closed by release
+	once    sync.Once
+}
 
-	queued := make(chan Result, 1)
-	go func() { queued <- c.Estimate(context.Background(), qs[2]) }()
+func newWalkGate() *walkGate {
+	return &walkGate{entered: make(chan struct{}, 64), hold: make(chan struct{})}
+}
+
+func (g *walkGate) hook(int) {
+	g.entered <- struct{}{}
+	<-g.hold
+}
+
+func (g *walkGate) release() { g.once.Do(func() { close(g.hold) }) }
+
+// await blocks until a query has entered the walk.
+func (g *walkGate) await(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no query entered the walk")
+	}
+}
+
+// awaitPending blocks until n admitted queries wait for a slot.
+func awaitPending(t *testing.T, c *Coalescer, n int) {
+	t.Helper()
 	for i := 0; ; i++ {
 		c.mu.Lock()
 		p := c.pending
 		c.mu.Unlock()
-		if p >= 1 {
-			break
+		if p == n {
+			return
 		}
 		if i > 5000 {
-			t.Fatal("queued query never registered")
+			t.Fatalf("%d queries waiting for a slot, want %d", p, n)
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// TestCoalescerSheds: once MaxQueue queries wait for a slot, new arrivals are
+// answered by the fallback with StopShed/ErrShed instead of waiting, and the
+// queries already admitted still complete on the model path.
+func TestCoalescerSheds(t *testing.T) {
+	tbl := facadeTable(t, 1200)
+	qs := coalesceQueries()
+	est := NewFromModel(fusedModel(tbl), tbl, fusedConfig())
+	g := newWalkGate()
+	defer g.release()
+	c := est.NewCoalescer(CoalesceOptions{
+		MaxInFlight: 1,
+		MaxQueue:    1,
+		Serve:       ServeOptions{Fallback: Fallback(tbl), BeforeQuery: g.hook},
+	})
+
+	walking := make(chan Result, 1)
+	go func() { walking <- c.Estimate(context.Background(), qs[2]) }()
+	g.await(t)
+	queued := make(chan Result, 1)
+	go func() { queued <- c.Estimate(context.Background(), qs[1]) }()
+	awaitPending(t, c, 1)
 
 	shed := c.Estimate(context.Background(), qs[0])
 	if shed.Stop != StopShed || !errors.Is(shed.Err, ErrShed) {
@@ -133,167 +176,66 @@ func TestCoalescerSheds(t *testing.T) {
 	}
 
 	c.Close()
-	res := <-queued
-	if res.Source != SourceModel || res.Err != nil {
-		t.Fatalf("queued query after shed: %+v", res)
+	g.release()
+	for name, ch := range map[string]chan Result{"walking": walking, "queued": queued} {
+		if res := <-ch; res.Source != SourceModel || res.Err != nil {
+			t.Fatalf("%s query after shed: %+v", name, res)
+		}
 	}
 	if after := c.Estimate(context.Background(), qs[0]); !errors.Is(after.Err, ErrCoalescerClosed) {
 		t.Fatalf("estimate after close: %+v", after)
 	}
 }
 
-// TestCoalescerHotSwapSingleVersionPerBatch: a hot-swap landing while a batch
-// is queued never splits the batch — every query in one dispatch is compiled
-// and served against the same version bundle, and later queries pick up the
-// new version.
-func TestCoalescerHotSwapSingleVersionPerBatch(t *testing.T) {
+// TestCoalescerHotSwapPinsEachQuery: a query compiles and walks against the
+// version it loaded when it took its slot. The query held inside the walk
+// across a hot-swap answers from version 1, and the queries that take a slot
+// after the swap answer from version 2.
+func TestCoalescerHotSwapPinsEachQuery(t *testing.T) {
 	tbl := facadeTable(t, 1200)
 	qs := coalesceQueries()
 	est := NewFromModel(fusedModel(tbl), tbl, fusedConfig())
-	c := est.NewCoalescer(CoalesceOptions{Window: 30 * time.Millisecond, MaxBatch: 64})
+	g := newWalkGate()
+	defer g.release()
+	c := est.NewCoalescer(CoalesceOptions{MaxInFlight: 1, Serve: ServeOptions{BeforeQuery: g.hook}})
 	defer c.Close()
 
-	const clients = 8
-	results := make(chan Result, clients)
-	var wg sync.WaitGroup
-	for g := 0; g < clients; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			results <- c.Estimate(context.Background(), qs[g%len(qs)])
-		}(g)
+	walking := make(chan Result, 1)
+	go func() { walking <- c.Estimate(context.Background(), qs[0]) }()
+	g.await(t)
+	const waiting = 4
+	results := make(chan Result, waiting)
+	for i := 0; i < waiting; i++ {
+		go func(i int) { results <- c.Estimate(context.Background(), qs[1+i%(len(qs)-1)]) }(i)
 	}
-	for i := 0; ; i++ {
-		c.mu.Lock()
-		p := c.pending
-		c.mu.Unlock()
-		if p == clients {
-			break
-		}
-		if i > 5000 {
-			t.Fatal("clients never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitPending(t, c, waiting)
+
 	m2 := made.New(tbl.DomainSizes(), made.Config{
 		HiddenSizes: []int{32, 32}, EmbedThreshold: 64, EmbedDim: 8, Seed: 7,
 	})
 	est.InstallVersion(m2, tbl, int64(tbl.NumRows()), 2)
-	wg.Wait()
-	close(results)
+	g.release()
 
-	var v uint64
-	for res := range results {
-		if res.Err != nil {
-			t.Fatalf("mid-swap query failed: %+v", res)
-		}
-		if v == 0 {
-			v = res.ModelVersion
-		}
-		if res.ModelVersion != v {
-			t.Fatalf("batch split across versions %d and %d", v, res.ModelVersion)
-		}
+	if res := <-walking; res.Err != nil || res.ModelVersion != 1 {
+		t.Fatalf("query walking across the swap: %+v, want a version-1 answer", res)
 	}
-	post := c.Estimate(context.Background(), qs[0])
-	if post.ModelVersion != 2 {
-		t.Fatalf("post-swap query served by version %d", post.ModelVersion)
+	for i := 0; i < waiting; i++ {
+		if res := <-results; res.Err != nil || res.ModelVersion != 2 {
+			t.Fatalf("query admitted before the swap: %+v, want a version-2 answer", res)
+		}
 	}
 }
 
-// TestCoalescerStaleWindowTimerIsNoOp is the regression test for the
-// stale-window-timer bug: a window's AfterFunc callback that loses the race
-// with a MaxBatch flush (Stop returns false once the callback has started)
-// used to run against the NEXT window, dispatching it before its own window
-// elapsed and clobbering its timer. With generation numbering the stale
-// callback must be a no-op: the next window keeps its queue, its timer, and
-// its full window span.
-func TestCoalescerStaleWindowTimerIsNoOp(t *testing.T) {
-	tbl := facadeTable(t, 1200)
-	qs := coalesceQueries()
-
-	ref := NewFromModel(fusedModel(tbl), tbl, fusedConfig())
-	want, err := ref.SelectivityBatchCtx(context.Background(), qs[:3], ServeOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	est := NewFromModel(fusedModel(tbl), tbl, fusedConfig())
-	const window = 40 * time.Millisecond
-	c := est.NewCoalescer(CoalesceOptions{Window: window, MaxBatch: 2})
-	defer c.Close()
-
-	waitQueued := func(n int) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			c.mu.Lock()
-			queued := len(c.queue)
-			c.mu.Unlock()
-			if queued == n {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("queue never reached %d entries", n)
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	submit := func(i int) chan Result {
-		out := make(chan Result, 1)
-		go func() { out <- c.Estimate(context.Background(), qs[i]) }()
-		return out
-	}
-
-	// Window 1: first query arms the gen-1 timer; the second hits MaxBatch and
-	// flushes the window early, consuming the timer but NOT the callback —
-	// exactly the state where the old code left a live gen-1 callback behind.
-	r0 := submit(0)
-	waitQueued(1)
-	r1 := submit(1)
-	for i, ch := range []chan Result{r0, r1} {
-		if res := <-ch; res.Sel != want[i].Sel || res.Source != SourceModel {
-			t.Fatalf("window-1 query %d: %+v, want sel %v from model", i, res, want[i].Sel)
-		}
-	}
-
-	// Window 2: a fresh query arms the gen-2 timer.
-	start := time.Now()
-	r2 := submit(2)
-	waitQueued(1)
-
-	// Replay the stale gen-1 callback, as if it had been blocked on the lock
-	// through the MaxBatch flush and only now got to run.
-	c.flush(1)
-
-	c.mu.Lock()
-	queued, timerLive := len(c.queue), c.timer != nil
-	c.mu.Unlock()
-	if queued != 1 || !timerLive {
-		t.Fatalf("stale callback dispatched window 2: %d queued, timer live %v (want 1, true)", queued, timerLive)
-	}
-
-	// The window still dispatches — by its own timer, after its full span —
-	// and the answer is bit-identical to the sequential serve.
-	res := <-r2
-	if elapsed := time.Since(start); elapsed < window {
-		t.Fatalf("window 2 dispatched after %v, before its %v window elapsed", elapsed, window)
-	}
-	if res.Sel != want[2].Sel || res.StdErr != want[2].StdErr || res.Source != SourceModel {
-		t.Fatalf("window-2 answer %+v, want %+v", res, want[2])
-	}
-}
-
-// TestCoalescerCompileErrorObserved: a query that fails compilation inside a
-// fused batch is answered directly, but must still land in the failed-path
-// metrics and the trace ring — before ObserveFailure, coalesced compile
-// errors were invisible to /metrics and /traces.
+// TestCoalescerCompileErrorObserved: a query that fails compilation is
+// answered by the gate without a walk, but must still land in the
+// failed-path metrics and the trace ring.
 func TestCoalescerCompileErrorObserved(t *testing.T) {
 	tbl := facadeTable(t, 1200)
 	cfg := fusedConfig()
 	reg := NewMetrics()
 	cfg.Metrics = reg
 	est := NewFromModel(fusedModel(tbl), tbl, cfg)
-	c := est.NewCoalescer(CoalesceOptions{Window: time.Millisecond})
+	c := est.NewCoalescer(CoalesceOptions{})
 	defer c.Close()
 
 	bad := Query{Preds: []Predicate{{Col: 99, Op: OpEq, Code: 0}}}
@@ -311,8 +253,7 @@ func TestCoalescerCompileErrorObserved(t *testing.T) {
 		t.Fatalf("compile error not traced: %+v", snap.Traces)
 	}
 
-	// The batch that carried the failure still serves its good peers, and
-	// they are counted on their own path.
+	// A good query after it is served and counted on its own path.
 	good := c.Estimate(context.Background(), Query{Preds: []Predicate{{Col: 0, Op: OpGe, Code: 1}}})
 	if good.Source != SourceModel || good.Err != nil {
 		t.Fatalf("good query after compile failure: %+v", good)
@@ -342,49 +283,43 @@ func wideTable(t *testing.T) *Table {
 	return tbl
 }
 
-// TestCoalescerCancelledClientStopsItsQuery: two sampling queries coalesce
-// into one batch, and one client gives up before the batch is dispatched.
-// Its query carries the client's context into the walk and stops there, so
-// only the other query's sample paths are spent.
+// TestCoalescerCancelledClientStopsItsQuery: a client that gives up while
+// its query waits for a slot gets a cancelled answer at once, and its query
+// never walks: only the sample paths of the query that held the slot are
+// spent.
 func TestCoalescerCancelledClientStopsItsQuery(t *testing.T) {
 	tbl := wideTable(t)
 	est := NewFromModel(fusedModel(tbl), tbl, fusedConfig())
 	reg := NewMetrics()
 	est.SetMetrics(reg)
-	// The window never expires: the second arrival dispatches the batch.
-	c := est.NewCoalescer(CoalesceOptions{Window: time.Hour, MaxBatch: 2})
+	g := newWalkGate()
+	defer g.release()
+	c := est.NewCoalescer(CoalesceOptions{MaxInFlight: 1, Serve: ServeOptions{BeforeQuery: g.hook}})
 	defer c.Close()
 	qs := []Query{
 		{Preds: []Predicate{{Col: 0, Op: OpGe, Code: 1}, {Col: 1, Op: OpGe, Code: 1}, {Col: 2, Op: OpGe, Code: 1}}},
 		{Preds: []Predicate{{Col: 0, Op: OpGe, Code: 2}, {Col: 1, Op: OpGe, Code: 2}, {Col: 2, Op: OpGe, Code: 1}}},
 	}
 
+	walking := make(chan Result, 1)
+	go func() { walking <- c.Estimate(context.Background(), qs[1]) }()
+	g.await(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	gone := make(chan Result, 1)
 	go func() { gone <- c.Estimate(ctx, qs[0]) }()
-	for i := 0; ; i++ {
-		c.mu.Lock()
-		p := c.pending
-		c.mu.Unlock()
-		if p >= 1 {
-			break
-		}
-		if i > 5000 {
-			t.Fatal("first query never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	awaitPending(t, c, 1)
 	cancel()
-	if r := <-gone; !errors.Is(r.Err, context.Canceled) {
+	if r := <-gone; !errors.Is(r.Err, context.Canceled) || r.Stop != StopCancel {
 		t.Fatalf("cancelled client got %+v", r)
 	}
+	awaitPending(t, c, 0)
 
-	res := c.Estimate(context.Background(), qs[1])
+	g.release()
+	res := <-walking
 	if res.Source != SourceModel || res.Samples != fusedConfig().Samples {
 		t.Fatalf("live client got %+v, want a full-budget model answer", res)
 	}
-	// Both answers were observed before the live client's was delivered.
 	if got := reg.Counter("naru_sample_paths_completed_total").Value(); got != uint64(res.Samples) {
-		t.Fatalf("naru_sample_paths_completed_total = %d, want %d: the cancelled query kept sampling", got, res.Samples)
+		t.Fatalf("naru_sample_paths_completed_total = %d, want %d: the cancelled query walked", got, res.Samples)
 	}
 }

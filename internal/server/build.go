@@ -53,8 +53,7 @@ func BuildTenant(tc TenantConfig, reg *naru.Metrics, logf func(format string, ar
 		}
 	}
 	opts := TenantOptions{
-		Serve:       naru.ServeOptions{Deadline: time.Duration(tc.Timeout), TargetRelStdErr: tc.TargetStdErr, Workers: tc.Workers},
-		BatchWindow: time.Duration(tc.BatchWindow),
+		Serve:       naru.ServeOptions{Deadline: time.Duration(tc.Timeout), TargetRelStdErr: tc.TargetStdErr},
 		MaxInFlight: tc.MaxInFlight,
 		CacheSize:   tc.CacheSize,
 		Metrics:     reg,
@@ -68,9 +67,6 @@ func BuildTenant(tc TenantConfig, reg *naru.Metrics, logf func(format string, ar
 	tn := NewTenant(tc.Name, est, t, opts)
 	if tn.brk != nil {
 		logf("circuit breaker[%s]: threshold %d, probe interval %v", tc.Name, tc.BreakerThreshold, time.Duration(tc.ProbeInterval))
-	}
-	if tn.coal != nil {
-		logf("coalescing[%s]: window %v, max in-flight %d", tc.Name, time.Duration(tc.BatchWindow), tc.MaxInFlight)
 	}
 	return tn, nil
 }

@@ -41,7 +41,7 @@ type cacheEntry struct {
 // resultCache is a per-tenant LRU of deterministic estimates keyed by
 // predicate fingerprint. Correctness leans entirely on the serving path's
 // determinism contract: for a fixed (model version, seed) a query's estimate
-// is bit-identical across the direct, batch, fused, and coalesced paths, so
+// is bit-identical across the batch, fused and gated entry points, so
 // replaying a stored Result is indistinguishable from re-running the query —
 // provided the epoch still matches. Safe for concurrent use.
 type resultCache struct {

@@ -1,6 +1,6 @@
 // Package server is the reusable multi-tenant serving engine behind
 // `naru serve`: one process hosts many tables/models, each a named tenant
-// with its own estimator, request coalescer, circuit breaker, lifecycle
+// with its own estimator, admission gate, circuit breaker, lifecycle
 // manager, result cache, and metrics namespace (naru_* families labelled
 // tenant="..." in one shared registry).
 //
@@ -71,17 +71,10 @@ type TenantConfig struct {
 	Fallback bool `json:"fallback,omitempty"`
 	// TargetStdErr stops sampling early at this relative standard error.
 	TargetStdErr float64 `json:"target_stderr,omitempty"`
-	// BatchWindow enables the request coalescer with this micro-batch window.
-	BatchWindow Duration `json:"batch_window,omitempty"`
-	// MaxInFlight caps concurrent fused dispatches when coalescing.
+	// MaxInFlight caps the tenant's queries walking at once, each on one
+	// core (0 = GOMAXPROCS). An estimate waits for a slot; past 256 waiting
+	// estimates a new one is shed.
 	MaxInFlight int `json:"max_inflight,omitempty"`
-	// Workers is the fused walk's parallelism budget per dispatch (queries
-	// walked concurrently, leftover budget split over a block's rows), and
-	// so the most cores one dispatch keeps busy: the MADE model's sampling
-	// kernels start no goroutines of their own. 0 uses GOMAXPROCS; results
-	// are bit-identical at any setting. Negative values are rejected at load
-	// time.
-	Workers int `json:"workers,omitempty"`
 	// CacheSize bounds the tenant's predicate-fingerprint result cache
 	// (entries). 0 uses the default (1024); negative disables the cache.
 	CacheSize int `json:"cache_size,omitempty"`
@@ -147,9 +140,6 @@ func LoadTenants(r io.Reader) ([]TenantConfig, string, error) {
 		seen[tc.Name] = true
 		if tc.CSV == "" || tc.Model == "" {
 			return nil, "", fmt.Errorf("tenants file: tenant %q needs both csv and model", tc.Name)
-		}
-		if tc.Workers < 0 {
-			return nil, "", fmt.Errorf("tenants file: tenant %q: workers must be >= 0, got %d", tc.Name, tc.Workers)
 		}
 	}
 	def := file.Default

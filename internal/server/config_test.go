@@ -32,7 +32,7 @@ func TestLoadTenantsObjectForm(t *testing.T) {
 		"default": "beta",
 		"tenants": [
 			{"name": "alpha", "csv": "a.csv", "model": "a.naru",
-			 "batch_window": "2ms", "timeout": 1000000, "cache_size": 16},
+			 "max_inflight": 3, "timeout": 1000000, "cache_size": 16},
 			{"name": "beta", "csv": "b.csv", "model": "b.naru",
 			 "refresh_after": 100, "breaker_threshold": 3}
 		]
@@ -44,7 +44,7 @@ func TestLoadTenantsObjectForm(t *testing.T) {
 		t.Fatalf("default %q, %d tenants", def, len(cfgs))
 	}
 	a := cfgs[0]
-	if time.Duration(a.BatchWindow) != 2*time.Millisecond || time.Duration(a.Timeout) != time.Millisecond || a.CacheSize != 16 {
+	if a.MaxInFlight != 3 || time.Duration(a.Timeout) != time.Millisecond || a.CacheSize != 16 {
 		t.Fatalf("alpha config %+v", a)
 	}
 	if a.lifecycleEnabled() {
@@ -52,6 +52,18 @@ func TestLoadTenantsObjectForm(t *testing.T) {
 	}
 	if !cfgs[1].lifecycleEnabled() {
 		t.Fatal("beta has refresh_after but reports lifecycle disabled")
+	}
+}
+
+// TestLoadTenantsIgnoresRemovedKeys: a tenants file written for the
+// batching server, with "batch_window" and "workers", still loads.
+func TestLoadTenantsIgnoresRemovedKeys(t *testing.T) {
+	cfgs, _, err := LoadTenants(strings.NewReader(`[
+		{"name": "old", "csv": "o.csv", "model": "o.naru",
+		 "batch_window": "2ms", "workers": 4, "max_inflight": 2}
+	]`))
+	if err != nil || len(cfgs) != 1 || cfgs[0].MaxInFlight != 2 {
+		t.Fatalf("old tenants file: cfgs %+v err %v", cfgs, err)
 	}
 }
 

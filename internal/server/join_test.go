@@ -270,25 +270,23 @@ func TestJoinEstimateFailureIs500(t *testing.T) {
 
 // TestJoinCompileErrorIs400: a query that parses but does not compile
 // against the join model (a predicate on a fanout column) is the caller's
-// error. It answers 400 on the direct and the coalesced path, and however
-// often it repeats, the circuit breaker does not count it as a model failure.
+// error. It answers 400 with the estimate JSON, and however often it
+// repeats, the circuit breaker does not count it as a model failure.
 func TestJoinCompileErrorIs400(t *testing.T) {
 	const bad = "fanout(customers→orders) = 1"
-	est := naru.ServeJoin(makeJoinEstimator(t))
-	for _, window := range []time.Duration{0, time.Millisecond} {
-		tn := NewTenant("joined", est, nil, TenantOptions{BatchWindow: window, Breaker: &naru.BreakerOptions{Threshold: 2}})
-		_, base := startServer(t, Options{}, tn)
-		for i := 0; i < 4; i++ {
-			if code := getStatus(t, estimateURL(base, "joined", bad)); code != http.StatusBadRequest {
-				t.Fatalf("window %v request %d: %q answered %d, want 400", window, i, bad, code)
-			}
+	tn := NewTenant("joined", naru.ServeJoin(makeJoinEstimator(t)), nil, TenantOptions{Breaker: &naru.BreakerOptions{Threshold: 2}})
+	_, base := startServer(t, Options{}, tn)
+	for i := 0; i < 4; i++ {
+		er, code := getEstimate(t, estimateURL(base, "joined", bad))
+		if code != http.StatusBadRequest || er.Source != "failed" || !strings.Contains(er.Err, "does not compile") {
+			t.Fatalf("request %d: %q answered %d %+v, want 400 with a compile error", i, bad, code, er)
 		}
-		if s := tn.Breaker().State(); s != naru.StateHealthy {
-			t.Fatalf("window %v: breaker %v after repeated uncompilable queries, want healthy", window, s)
-		}
-		if _, code := getEstimate(t, estimateURL(base, "joined", "customers.region = east")); code != http.StatusOK {
-			t.Fatalf("window %v: a good query after them answered %d, want 200", window, code)
-		}
+	}
+	if s := tn.Breaker().State(); s != naru.StateHealthy {
+		t.Fatalf("breaker %v after repeated uncompilable queries, want healthy", s)
+	}
+	if _, code := getEstimate(t, estimateURL(base, "joined", "customers.region = east")); code != http.StatusOK {
+		t.Fatalf("a good query after them answered %d, want 200", code)
 	}
 }
 

@@ -166,8 +166,8 @@ func (s *Server) Drain() {
 	}
 }
 
-// Close shuts the serving machinery down: every tenant's coalescer flushes
-// its last batch and its breaker probe loop stops, then in-flight lifecycle
+// Close shuts the serving machinery down: every tenant's admission gate
+// stops admitting and its breaker probe loop stops, then in-flight lifecycle
 // refreshes are waited for (cancel the Start context first so they abort and
 // checkpoint rather than run to completion).
 func (s *Server) Close() {

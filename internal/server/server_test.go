@@ -10,11 +10,13 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	naru "repro"
 	"repro/internal/made"
+	"repro/internal/query"
 	"repro/internal/table"
 )
 
@@ -420,45 +422,39 @@ func serveOne(t *testing.T, ctx context.Context, tn *Tenant, where string) (Esti
 }
 
 // TestTenantServingContract: single-table and join tenants get one serving
-// contract, direct and coalesced: a per-query deadline and a cancelled client
-// stop the walk instead of answering from the model, a repeated query
-// replays from the result cache, a hot-swap ends the replay, and the
-// coalesced answer is bit-identical to the direct one.
+// contract: a per-query deadline and a cancelled client stop the walk
+// instead of answering from the model, a repeated query replays from the
+// result cache, a hot-swap ends the replay, and a full-budget answer is
+// bit-identical to SelectivityBatchCtx at one worker on a fresh estimator.
 func TestTenantServingContract(t *testing.T) {
 	for _, k := range contractKinds() {
 		t.Run(k.name, func(t *testing.T) {
-			// The coalesced window is long enough that a cancelled client
-			// returns before its batch could dispatch.
-			for _, window := range []time.Duration{0, 50 * time.Millisecond} {
-				est, tbl := k.fresh(t)
-				tn := NewTenant(k.name, est, tbl, TenantOptions{
-					Serve: naru.ServeOptions{Deadline: time.Nanosecond}, BatchWindow: window,
-				})
-				er, code := serveOne(t, context.Background(), tn, k.where)
-				if code != http.StatusInternalServerError || er.Source != "failed" || !strings.Contains(er.Err, "deadline") {
-					t.Fatalf("window %v: expired deadline answered %d %+v, want a failed deadline answer", window, code, er)
-				}
-
-				est, tbl = k.fresh(t)
-				tn = NewTenant(k.name, est, tbl, TenantOptions{BatchWindow: window})
-				ctx, cancel := context.WithCancel(context.Background())
-				cancel()
-				er, code = serveOne(t, ctx, tn, k.where)
-				if code != http.StatusInternalServerError || er.Source != "failed" || !strings.Contains(er.Err, "canceled") {
-					t.Fatalf("window %v: cancelled client answered %d %+v, want a failed cancel answer", window, code, er)
-				}
+			est, tbl := k.fresh(t)
+			tn := NewTenant(k.name, est, tbl, TenantOptions{Serve: naru.ServeOptions{Deadline: time.Nanosecond}})
+			er, code := serveOne(t, context.Background(), tn, k.where)
+			if code != http.StatusInternalServerError || er.Source != "failed" || !strings.Contains(er.Err, "deadline") {
+				t.Fatalf("expired deadline answered %d %+v, want a failed deadline answer", code, er)
 			}
 
-			est, tbl := k.fresh(t)
-			tn := NewTenant(k.name, est, tbl, TenantOptions{})
+			est, tbl = k.fresh(t)
+			tn = NewTenant(k.name, est, tbl, TenantOptions{})
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			er, code = serveOne(t, ctx, tn, k.where)
+			if code != http.StatusInternalServerError || er.Source != "failed" || !strings.Contains(er.Err, "canceled") {
+				t.Fatalf("cancelled client answered %d %+v, want a failed cancel answer", code, er)
+			}
+
+			est, tbl = k.fresh(t)
+			tn = NewTenant(k.name, est, tbl, TenantOptions{})
 			_, base := startServer(t, Options{}, tn)
-			direct, code := getEstimate(t, estimateURL(base, k.name, k.where))
-			if code != http.StatusOK || direct.Source != "model" || direct.Cached || direct.Samples == 0 {
-				t.Fatalf("direct answer %d %+v, want an uncached sampled model answer", code, direct)
+			served, code := getEstimate(t, estimateURL(base, k.name, k.where))
+			if code != http.StatusOK || served.Source != "model" || served.Cached || served.Samples == 0 {
+				t.Fatalf("first answer %d %+v, want an uncached sampled model answer", code, served)
 			}
 			hit, _ := getEstimate(t, estimateURL(base, k.name, k.where))
-			if !hit.Cached || hit.Sel != direct.Sel || hit.StdErr != direct.StdErr || hit.Card != direct.Card {
-				t.Fatalf("replay %+v, want a cached copy of %+v", hit, direct)
+			if !hit.Cached || hit.Sel != served.Sel || hit.StdErr != served.StdErr || hit.Card != served.Card {
+				t.Fatalf("replay %+v, want a cached copy of %+v", hit, served)
 			}
 			k.swap(t, est)
 			swapped, _ := getEstimate(t, estimateURL(base, k.name, k.where))
@@ -466,13 +462,83 @@ func TestTenantServingContract(t *testing.T) {
 				t.Fatalf("after the swap %+v, want an uncached answer at version 2", swapped)
 			}
 
-			est, tbl = k.fresh(t)
-			_, cbase := startServer(t, Options{}, NewTenant(k.name, est, tbl, TenantOptions{BatchWindow: time.Millisecond}))
-			coalesced, code := getEstimate(t, estimateURL(cbase, k.name, k.where))
-			if code != http.StatusOK || coalesced.Sel != direct.Sel || coalesced.StdErr != direct.StdErr ||
-				coalesced.Samples != direct.Samples || coalesced.Card != direct.Card {
-				t.Fatalf("coalesced answer %d %+v differs from direct %+v", code, coalesced, direct)
+			ref, _ := k.fresh(t)
+			snap, _ := ref.Snapshot()
+			q, err := query.ParseWhere(k.where, snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.SelectivityBatchCtx(context.Background(), []naru.Query{q}, naru.ServeOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := want[0]; served.Sel != w.Sel || served.StdErr != w.StdErr || served.Samples != w.Samples {
+				t.Fatalf("served answer %+v differs from SelectivityBatchCtx at one worker %+v", served, w)
 			}
 		})
+	}
+}
+
+// TestTenantBoundsWorkInFlight: a tenant built with default options walks at
+// most MaxInFlight queries at once. With one slot and the walk held open,
+// three concurrent estimates enter the walk one after another, and all three
+// answer 200 from the model once released.
+func TestTenantBoundsWorkInFlight(t *testing.T) {
+	tbl := wideTable(t)
+	var inside atomic.Int32
+	entered := make(chan struct{}, 3)
+	release := make(chan struct{})
+	hook := func(int) {
+		if n := inside.Add(1); n > 1 {
+			t.Errorf("%d queries inside the walk at once, want at most 1", n)
+		}
+		entered <- struct{}{}
+		<-release
+		inside.Add(-1)
+	}
+	tn := NewTenant("t", makeEstimator(tbl, 5, nil), tbl, TenantOptions{
+		MaxInFlight: 1, Serve: naru.ServeOptions{BeforeQuery: hook},
+	})
+	_, base := startServer(t, Options{}, tn)
+
+	wheres := []string{"a>=1 AND c>=1", "a>=2 AND c>=1", "a>=1 AND c>=2"}
+	type answer struct {
+		er   EstimateResponse
+		code int
+		err  error
+	}
+	answers := make(chan answer, len(wheres))
+	for _, where := range wheres {
+		go func(where string) {
+			resp, err := http.Get(estimateURL(base, "t", where))
+			if err != nil {
+				answers <- answer{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			var er EstimateResponse
+			err = json.NewDecoder(resp.Body).Decode(&er)
+			answers <- answer{er, resp.StatusCode, err}
+		}(where)
+	}
+	for range wheres {
+		select {
+		case <-entered:
+		case <-time.After(10 * time.Second):
+			t.Fatal("no query entered the walk")
+		}
+		// Give the other requests time to arrive: they must wait for the
+		// slot, not walk beside the held query.
+		time.Sleep(50 * time.Millisecond)
+		release <- struct{}{}
+	}
+	for range wheres {
+		a := <-answers
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		if a.code != http.StatusOK || a.er.Source != "model" {
+			t.Fatalf("answer %d %+v, want 200 from the model", a.code, a.er)
+		}
 	}
 }

@@ -31,14 +31,18 @@ const (
 // table — the construction path for tests and embedders. BuildTenant is the
 // from-disk path driven by a TenantConfig.
 type TenantOptions struct {
-	// Serve configures per-query serving: deadline, target stderr, fallback,
-	// and Workers (the fused scheduler's parallelism budget for coalesced
-	// dispatches; direct single-query serving pins Workers to 1).
+	// Serve configures per-query serving: deadline, target stderr and
+	// fallback. Workers is ignored: the tenant's admission gate walks every
+	// query on one core (see naru.CoalesceOptions.Serve).
 	Serve naru.ServeOptions
-	// BatchWindow > 0 routes /estimate through a request coalescer with this
-	// micro-batch window.
+	// BatchWindow is ignored: every estimate goes through the tenant's
+	// admission gate, which does not batch.
+	//
+	// Deprecated: BatchWindow has no effect and will be removed.
 	BatchWindow time.Duration
-	// MaxInFlight caps concurrent fused dispatches when coalescing.
+	// MaxInFlight caps the queries walking at once (0 = GOMAXPROCS); an
+	// estimate waits for a slot, and past 256 waiting estimates a new one is
+	// shed.
 	MaxInFlight int
 	// CacheSize bounds the result cache (0 = default 1024, < 0 disables).
 	CacheSize int
@@ -61,20 +65,20 @@ type TenantOptions struct {
 const defaultCacheSize = 1024
 
 // Tenant is one served model — over a single table or over a join — with
-// its coalescer, breaker, result cache, and metrics namespace. The estimate
-// path is the same for both kinds: the estimator's serving bundle decides how
-// a query compiles and which row count its selectivity multiplies. Only
-// ingestion, drift, refresh and the models listing go through the tenant's
-// kind. All handler methods are safe for concurrent use.
+// its admission gate, breaker, result cache, and metrics namespace. The
+// estimate path is the same for both kinds: the estimator's serving bundle
+// decides how a query compiles and which row count its selectivity
+// multiplies. Only ingestion, drift, refresh and the models listing go
+// through the tenant's kind. All handler methods are safe for concurrent use.
 type Tenant struct {
-	name string
-	est  *naru.Estimator
-	kind kind
-	t    *table.Table // boot-time table, used when the estimator has none
-	opts naru.ServeOptions
-	coal *naru.Coalescer // non-nil routes estimates through fused batching
-	brk  *naru.Breaker   // non-nil gates estimates through the circuit breaker
-	reg  *naru.Metrics   // the tenant's (possibly labelled) registry view
+	name     string
+	est      *naru.Estimator
+	kind     kind
+	t        *table.Table               // boot-time table, used when the estimator has none
+	fallback func(*naru.Region) float64 // answers while the breaker is open
+	coal     *naru.Coalescer            // the admission gate every model estimate passes
+	brk      *naru.Breaker              // non-nil gates estimates through the circuit breaker
+	reg      *naru.Metrics              // the tenant's (possibly labelled) registry view
 
 	cache       *resultCache
 	cacheHits   *obs.Counter
@@ -104,7 +108,7 @@ func NewTenant(name string, est *naru.Estimator, t *table.Table, opts TenantOpti
 		est:          est,
 		kind:         k,
 		t:            t,
-		opts:         opts.Serve,
+		fallback:     opts.Serve.Fallback,
 		reg:          opts.Metrics,
 		userOnAppend: opts.OnAppend,
 	}
@@ -129,13 +133,7 @@ func NewTenant(name string, est *naru.Estimator, t *table.Table, opts TenantOpti
 		tn.brk.Start(tn.probe)
 		tn.retryAfter = fmt.Sprintf("%d", max(int(bopts.ProbeInterval.Seconds()), 1))
 	}
-	if opts.BatchWindow > 0 {
-		tn.coal = est.NewCoalescer(naru.CoalesceOptions{
-			Window:      opts.BatchWindow,
-			MaxInFlight: opts.MaxInFlight,
-			Serve:       opts.Serve,
-		})
-	}
+	tn.coal = est.NewCoalescer(naru.CoalesceOptions{MaxInFlight: opts.MaxInFlight, Serve: opts.Serve})
 	return tn
 }
 
@@ -213,11 +211,9 @@ func (tn *Tenant) drain() {
 	}
 }
 
-// close shuts down the tenant's coalescer and breaker probe loop.
+// close shuts down the tenant's admission gate and breaker probe loop.
 func (tn *Tenant) close() {
-	if tn.coal != nil {
-		tn.coal.Close()
-	}
+	tn.coal.Close()
 	if tn.brk != nil {
 		tn.brk.Close()
 	}
@@ -245,8 +241,7 @@ type AppendResponse struct {
 }
 
 // handleEstimate answers one ?where= conjunction: cache, then breaker gate,
-// then the coalesced or direct serving path, exactly as the single-tenant
-// server did.
+// then the admission gate.
 func (tn *Tenant) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if err := faultinject.Point(SiteServeRequest); err != nil {
 		tn.setRetryAfter(w)
@@ -286,29 +281,12 @@ func (tn *Tenant) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	if tn.brk != nil && !tn.brk.Allow() {
 		// Breaker open (or draining): the model path is bypassed and the
 		// fallback answers, with ErrBreakerOpen preserved as provenance.
-		res = tn.brk.Reject(q, tn.opts.Fallback)
-	} else if tn.coal != nil {
-		// Coalesced: the request joins whatever fused batch is forming. The
-		// answer is bit-identical to serving it alone (the fused scheduler's
-		// determinism contract), only the scheduling changes.
-		res = tn.coal.Estimate(r.Context(), q)
+		res = tn.brk.Reject(q, tn.fallback)
 	} else {
-		// One query per request: the per-request deadline and fallback come
-		// from the tenant options, cancellation from the client connection.
-		perReq := tn.opts
-		perReq.Workers = 1
-		results, err := tn.est.SelectivityBatchCtx(r.Context(), []naru.Query{q}, perReq)
-		if err != nil {
-			// A query that does not compile is the caller's, like a parse
-			// error.
-			status := http.StatusInternalServerError
-			if errors.Is(err, naru.ErrCompile) {
-				status = http.StatusBadRequest
-			}
-			http.Error(w, err.Error(), status)
-			return
-		}
-		res = results[0]
+		// The query waits for a walk slot and walks alone, under the client
+		// connection's context; the gate answers a query that does not
+		// compile with ErrCompile (400), and sheds past its queue bound.
+		res = tn.coal.Estimate(r.Context(), q)
 	}
 	if tn.brk != nil {
 		// Every served result feeds the state machine (breaker rejections and

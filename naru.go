@@ -62,7 +62,9 @@ type (
 	// Result is one served estimate with provenance (see EstimateBatchCtx).
 	Result = core.Result
 	// ServeOptions configures fault-tolerant batch serving: worker count,
-	// per-query deadline, fallback estimator, fault-injection hook.
+	// per-query deadline, fallback estimator, fault-injection hook. Workers
+	// applies to the batch calls; the admission gate (Coalescer), and so
+	// every server tenant, always walks a query at Workers = 1.
 	ServeOptions = core.ServeOptions
 	// Source tags where a served estimate came from.
 	Source = core.Source

@@ -11,8 +11,9 @@
 # `check.sh fault` runs the fault-tolerance suite instead: the checkpoint/
 # resume, divergence-guard, corruption-rejection, and disrupted-serving tests
 # under the race detector (a NaN-weight model fails its queries on both walks
-# and fails the breaker's recovery probe; a coalesced client that gives up
-# stops its query), followed by a short fuzz pass over each fuzz target
+# and fails the breaker's recovery probe; a client that gives up while its
+# query waits for a walk slot stops it; a full admission gate sheds), followed
+# by a short fuzz pass over each fuzz target
 # (model deserialization, envelope framing, WHERE parsing).
 #
 # `check.sh obs` is an end-to-end observability smoke test: it trains a tiny
@@ -30,14 +31,16 @@
 # `check.sh bench` is the serving-performance gate: it runs the fused
 # bit-identity suite (a block holds one query's wave, a query's waves run
 # back to back, a deadline counts from pickup on both entries; a poisoned
-# model fails on both walks) and the coalescer suite under the race
+# model fails on both walks) and the admission-gate suite under the race
 # detector, then a
 # small-scale inference benchmark (reference, sequential, fused-batch and
 # parallel-fused configurations; no closed-loop client stage — perfbench's
-# dmv-open is the latency benchmark) twice through narubench's history
-# recorder — the first run records the baseline, the second must stay within
-# 10% of it on every gated metric (queries/sec down, latency/allocations up =
-# failure) and must report zero mismatches on both the fused-batch and
+# dmv-open is the latency benchmark) six times through narubench's history
+# recorder, as three pairs of a baseline and a gated run, alternating which
+# runs first: on every gated
+# metric (queries/sec down, latency/allocations up = failure) the median of
+# the gated runs must stay within 10% of the median of the baseline runs, and
+# every run must report zero mismatches on both the fused-batch and
 # parallel-fused paths. A scaling check then re-runs the benchmark at GOMAXPROCS=1 and
 # GOMAXPROCS=NumCPU: parallel-fused throughput must improve by more than 1.5x
 # on boxes with at least 4 cores (on smaller boxes only the bit-identity
@@ -60,9 +63,10 @@
 #
 # `check.sh serve` is the multi-tenant serving gate: the internal/server
 # suite (which runs the serving contract — deadline, cancellation, cache
-# replay, no replay after a swap, coalesced-vs-direct bit identity — over a
-# single-table and a join tenant, and the breaker's recovery probe on a
-# poisoned tenant of each kind) plus the coalescer/breaker regression tests
+# replay, no replay after a swap, bit identity with a one-worker batch call —
+# over a single-table and a join tenant, the in-flight bound of a default
+# tenant, and the breaker's recovery probe on a poisoned tenant of each kind)
+# plus the admission-gate/breaker regression tests
 # under the race detector, then a two-tenant smoke test — one `naru serve -tenants tenants.json`
 # process hosting two tables, driven per-tenant over /v1/{tenant}/... with
 # cache-replay checks, a per-tenant append -> drift -> hot-swap cycle that
@@ -97,10 +101,12 @@ if [ "${1:-}" = "fault" ]; then
     echo "== fault suite (-race)"
     go test -race -count=1 ./internal/envelope ./internal/faultinject
     go test -race -count=1 \
-        -run 'TestResume|TestCheckpoint|TestDivergence|TestGradExplosion|TestEstimateBatchCtx|TestServeDisruption|TestPanic|TestDeadline|TestNonFinite|TestCancelled|TestFallback|TestLoadRejects|TestSaveSurfaces|TestCLI' \
+        -run 'TestResume|TestCheckpoint|TestDivergence|TestGradExplosion|TestEstimateBatchCtx|TestServeDisruption|TestPanic|TestDeadline|TestNonFinite|TestCancelled|TestFallback|TestLoadRejects|TestSaveSurfaces|TestCLI|TestEstimateQueriesReportsFailedModel|TestEstimateHandlerCoalesced' \
         ./internal/core ./internal/made ./internal/colnet ./cmd/naru
-    go test -race -count=1 -run 'TestBreakerProbeRunsModel' ./internal/server
-    go test -race -count=1 -run 'TestCoalescerCancelledClient' .
+    go test -race -count=1 \
+        -run 'TestBreakerProbeRunsModel|TestTenantServingContract|TestTenantBoundsWorkInFlight|TestJoinCompileErrorIs400|TestLoadTenants' \
+        ./internal/server
+    go test -race -count=1 -run 'TestCoalescerSheds|TestCoalescerHotSwapPinsEachQuery|TestCoalescerCancelledClient' .
 
     fuzztime="${FUZZTIME:-10s}"
     echo "== fuzz pass (${fuzztime} per target)"
@@ -266,17 +272,17 @@ if [ "${1:-}" = "bench" ]; then
     go test -race -count=1 -run 'TestEstimateFused|TestBatchDeadlineCountsFromPickup|TestNonFinitePoisonedModel|TestHistory' ./internal/core ./internal/bench
     go test -race -count=1 -run 'TestCoalescer' .
 
-    echo "== benchmark regression gate (small-scale inference, 2 runs)"
+    echo "== benchmark regression gate (small-scale inference, 3 baseline + 3 gated runs)"
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' EXIT INT TERM
     bench_flags="-dmv-rows 12000 -queries 48 -epochs 1 -quiet
-        -bench-out $tmp/BENCH_inference.json -history $tmp/history.json"
+        -bench-out $tmp/BENCH_inference.json"
 
     # Both the fused-batch and the parallel-fused runs print a mismatch line;
     # each must be 0/48 (a single grep -q would pass with one of them broken).
     # Every run must also print the baseline's inference digest: the hash of
     # all reference, sequential, fused and parallel-fused estimates, so the
-    # four runs (two GOMAXPROCS settings among them) agree bit for bit.
+    # eight runs (two GOMAXPROCS settings among them) agree bit for bit.
     require_bit_identity() {
         [ "$(grep -c "0/48 mismatched" "$1")" -eq 2 ] \
             || { echo "fused serving mismatched sequential ($1)"; cat "$1"; exit 1; }
@@ -301,18 +307,57 @@ if [ "${1:-}" = "bench" ]; then
         awk -v a="$a" 'BEGIN { exit !(a != "" && a + 0 <= 64) }' \
             || { echo "fused batch: ${a:-no} allocs/query recorded in $1, limit 64 (the W=1 walk starts goroutines)"; exit 1; }
     }
+    # median_gate <baseline history> <gated history>: every gated metric's
+    # median over the gated runs must stay within 10% of its median over the
+    # baseline runs. The gated units and their directions are narubench's
+    # -check-regression ones. One run on a small shared guest moves by more
+    # than 10% with no code change; the median of three moves less.
+    median_gate() {
+        awk '
+            function median(s, name,    i, j, m, t, a) {
+                m = n[s, name]
+                for (i = 1; i <= m; i++) a[i] = v[s, name, i]
+                for (i = 2; i <= m; i++)
+                    for (j = i; j > 1 && a[j-1] > a[j]; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
+                return m % 2 ? a[(m+1)/2] : (a[m/2] + a[m/2+1]) / 2
+            }
+            FNR == 1   { side++ }
+            /"name":/  { gsub(/[",]/, ""); name = $2 }
+            /"value":/ { gsub(/[",]/, ""); value = $2 }
+            /"unit":/  { gsub(/[",]/, ""); unit[name] = $2; v[side, name, ++n[side, name]] = value }
+            END {
+                for (name in unit) {
+                    u = unit[name]
+                    dir = 0
+                    if (u == "queries/sec" || u == "x" || u == "rows/sec" || u == "steps/sec") dir = 1
+                    if (u == "ms" || u == "allocs/query" || u == "s" || u == "bytes") dir = -1
+                    if (dir == 0 || !n[1, name] || !n[2, name]) continue
+                    b = median(1, name); g = median(2, name)
+                    if (b <= 0) continue
+                    loss = dir > 0 ? (b - g) / b : (g - b) / b
+                    mark = loss > 0.10 ? "  REGRESSED" : ""
+                    printf "   %-38s %10.4g -> %10.4g %-12s%s\n", name, b, g, u, mark
+                    if (mark != "") bad = 1
+                }
+                exit bad
+            }' "$1" "$2"
+    }
 
-    echo "-- baseline run"
-    go run ./cmd/narubench $bench_flags inference > "$tmp/run1.out"
-    require_bit_identity "$tmp/run1.out"
-    require_serial_walk "$tmp/BENCH_inference.json"
-    grep -q "recorded .* in" "$tmp/run1.out" || { echo "history entry not recorded"; cat "$tmp/run1.out"; exit 1; }
-
-    echo "-- gated re-run (must stay within 10% of the baseline)"
-    go run ./cmd/narubench $bench_flags -check-regression inference > "$tmp/run2.out" \
-        || { echo "regression gate tripped"; cat "$tmp/run2.out"; exit 1; }
-    require_bit_identity "$tmp/run2.out"
-    require_serial_walk "$tmp/BENCH_inference.json"
+    # Which side runs first alternates, so a drift in host speed over the
+    # six runs does not favour either side.
+    i=0
+    for order in "baseline gated" "gated baseline" "baseline gated"; do
+        i=$((i + 1))
+        for side in $order; do
+            echo "-- $side run $i"
+            go run ./cmd/narubench $bench_flags -history "$tmp/$side.json" inference > "$tmp/$side$i.out"
+            require_bit_identity "$tmp/$side$i.out"
+            require_serial_walk "$tmp/BENCH_inference.json"
+            grep -q "recorded .* in" "$tmp/$side$i.out" || { echo "history entry not recorded"; cat "$tmp/$side$i.out"; exit 1; }
+        done
+    done
+    echo "-- gate: median of 3 gated runs within 10% of the median of 3 baseline runs"
+    median_gate "$tmp/baseline.json" "$tmp/gated.json" || { echo "regression gate tripped"; exit 1; }
 
     ncpu="$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)"
     echo "-- parallel-fused scaling: GOMAXPROCS=1 vs GOMAXPROCS=$ncpu"
@@ -338,16 +383,14 @@ if [ "${1:-}" = "bench" ]; then
     fi
 
     echo "-- gate must trip on a doctored baseline"
-    # Inflate the recorded batch throughput 1000x; the gate (checked against
-    # the last entry, i.e. the doctored one) must now report a regression.
+    # Inflate the batch throughput every baseline run recorded 1000x; the
+    # gate must now report a regression against the same gated runs.
     awk '
         /"name": "dmv_queries_per_sec_batch"/ { hit = 1 }
         hit && /"value":/ { sub(/"value": [0-9.eE+-]+/, "\"value\": 1000000"); hit = 0 }
         { print }
-    ' "$tmp/history.json" > "$tmp/doctored.json"
-    if go run ./cmd/narubench -history "$tmp/doctored.json" -check-regression \
-        -bench-out "$tmp/BENCH_inference.json" -dmv-rows 12000 -queries 48 -epochs 1 -quiet \
-        inference >/dev/null 2>&1; then
+    ' "$tmp/baseline.json" > "$tmp/doctored.json"
+    if median_gate "$tmp/doctored.json" "$tmp/gated.json" >/dev/null; then
         echo "regression gate failed to trip on doctored baseline"; exit 1
     fi
 
@@ -374,8 +417,8 @@ if [ "${1:-}" = "chaos" ]; then
     # Three correlated columns spanning a 32x32x10 domain. The probe queries
     # below restrict all three columns without covering any of them, so the
     # region (31*31*9 ~ 8600 points) exceeds the enumeration threshold in any
-    # sampling order and estimates exercise the sampling (and, with
-    # -batch-window, fused-walk) fault sites.
+    # sampling order and estimates exercise the sampling and fused-walk fault
+    # sites.
     awk 'BEGIN{
         print "a,b,c";
         for (i = 0; i < 2048; i++) {
@@ -393,7 +436,7 @@ if [ "${1:-}" = "chaos" ]; then
         -epochs 1 -hidden 8,8 -samples 64 > /dev/null
 
     serve_flags="-csv $tmp/data.csv -model $tmp/model.naru -samples 64
-        -addr 127.0.0.1:0 -batch-window 2ms
+        -addr 127.0.0.1:0
         -refresh-after 8 -drift-threshold 0.001 -refresh-epochs 1
         -registry $tmp/registry -lifecycle-checkpoint $tmp/lc.ckpt"
 
@@ -490,7 +533,7 @@ if [ "${1:-}" = "chaos" ]; then
     serve_pid=$!
     wait_serving brk || { echo "breaker serve exited early"; cat "$tmp/brk.err"; exit 1; }
     url="$(serve_url brk)"
-    grep -q "circuit breaker: threshold 3" "$tmp/brk.err" || { echo "breaker not armed"; cat "$tmp/brk.err"; exit 1; }
+    grep -q "circuit breaker\[default\]: threshold 3" "$tmp/brk.err" || { echo "breaker not armed"; cat "$tmp/brk.err"; exit 1; }
     metrics_url="$(sed -n 's/^metrics on \(http:\/\/[^/]*\).*/\1/p' "$tmp/brk.err")"
     for i in 1 2 3; do
         curl -fsS --get "$url/estimate" --data-urlencode "where=$q1" | grep -q '"source":"fallback"' \
@@ -531,7 +574,7 @@ if [ "${1:-}" = "chaos" ]; then
         > "$tmp/gc.out" 2> "$tmp/gc.err" &
     serve_pid=$!
     wait_serving gc || { echo "gc serve exited early"; cat "$tmp/gc.err"; exit 1; }
-    grep -q "registry: self-healed" "$tmp/gc.err" || { echo "self-heal not announced"; cat "$tmp/gc.err"; exit 1; }
+    grep -q "registry\[default\]: self-healed" "$tmp/gc.err" || { echo "self-heal not announced"; cat "$tmp/gc.err"; exit 1; }
     metrics_url="$(sed -n 's/^metrics on \(http:\/\/[^/]*\).*/\1/p' "$tmp/gc.err")"
     curl -fsS "$metrics_url/metrics" | grep -q '^naru_lifecycle_gc_total [1-9]' \
         || { echo "gc not counted"; curl -s "$metrics_url/metrics" | grep naru_lifecycle || true; exit 1; }
@@ -546,7 +589,8 @@ fi
 if [ "${1:-}" = "serve" ]; then
     echo "== multi-tenant serve suite (-race)"
     go test -race -count=1 ./internal/server
-    go test -race -count=1 -run 'TestCoalescerStaleWindowTimer|TestCoalescerCompileError|TestCoalescerCancelledClient|TestBreakerDrain' .
+    go test -race -count=1 -run 'TestCoalescer|TestBreakerDrain' .
+    go test -race -count=1 -run 'TestEstimateHandler' ./cmd/naru
 
     echo "== two-tenant serve smoke test"
     tmp="$(mktemp -d)"
@@ -582,7 +626,7 @@ if [ "${1:-}" = "serve" ]; then
      "refresh_after": 8, "drift_threshold": 0.05, "refresh_epochs": 1,
      "registry": "$tmp/registry", "lifecycle_checkpoint": "$tmp/alpha.ckpt"},
     {"name": "beta", "csv": "$tmp/beta.csv", "model": "$tmp/beta.naru",
-     "samples": 64, "batch_window": "2ms"}
+     "samples": 64}
   ]
 }
 EOF
