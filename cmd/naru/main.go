@@ -359,31 +359,17 @@ func cmdEstimate(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if *timeout > 0 || *fallback {
-		opts.Workers = 1
-		results, err := est.SelectivityBatchCtx(context.Background(), []naru.Query{q}, opts)
-		if err != nil {
-			return err
-		}
-		return printServed(q, results[0], t, stdout)
-	}
-	sel, err := est.Selectivity(q)
+	opts.Workers = 1
+	results, err := est.SelectivityBatchCtx(context.Background(), []naru.Query{q}, opts)
 	if err != nil {
 		return err
 	}
-	card, _ := est.Cardinality(q)
-	truth, err := naru.TrueSelectivity(q, t)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "query: %s\n", q.String(t))
-	fmt.Fprintf(stdout, "estimate: sel=%.6g card=%.1f\n", sel, card)
-	fmt.Fprintf(stdout, "truth:    sel=%.6g card=%d\n", truth, int64(truth*float64(t.NumRows())))
-	return nil
+	return printServed(q, results[0], t, stdout)
 }
 
-// printServed reports one fault-tolerant estimate, including its provenance
-// when the model path did not fully answer.
+// printServed reports one served estimate, its card the printed sel × the
+// table's rows, with its provenance when the model path did not fully
+// answer.
 func printServed(q naru.Query, r naru.Result, t *table.Table, stdout io.Writer) error {
 	if r.Source == naru.SourceFailed {
 		return fmt.Errorf("estimate: query failed: %w", r.Err)

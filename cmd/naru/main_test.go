@@ -179,3 +179,66 @@ func TestEstimateQueriesReportsFailedModel(t *testing.T) {
 		t.Fatalf("stdout %q tags %d queries failed, want 2", stdout, n)
 	}
 }
+
+// TestEstimateWhereCardIsSelTimesRows: `estimate -where` walks the model
+// once, so the card it prints is the printed sel × the table's rows, and
+// both match the `-queries` line a fresh process prints for the same query.
+// The query restricts all three columns of a 32×32×10 table, so it samples
+// rather than enumerates: a second walk would draw other paths.
+func TestEstimateWhereCardIsSelTimesRows(t *testing.T) {
+	dir := t.TempDir()
+	var b strings.Builder
+	b.WriteString("a,b,c\n")
+	const rows = 2048
+	for i := 0; i < rows; i++ {
+		a, bb := i%32, (i/32)%32
+		fmt.Fprintf(&b, "%d,%d,%d\n", a, bb, (a+bb)%10)
+	}
+	csv := filepath.Join(dir, "wide.csv")
+	if err := os.WriteFile(csv, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	model := filepath.Join(dir, "model.naru")
+	if code, _, stderr := runCLI("train", "-csv", csv, "-out", model,
+		"-epochs", "1", "-hidden", "8,8", "-samples", "64"); code != 0 {
+		t.Fatalf("train: %s", stderr)
+	}
+	const where = "a>=1 AND b>=1 AND c>=1"
+	workload := filepath.Join(dir, "w.txt")
+	if err := os.WriteFile(workload, []byte(where+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	code, out, stderr := runCLI("estimate", "-csv", csv, "-model", model, "-samples", "300", "-where", where)
+	if code != 0 {
+		t.Fatalf("estimate -where: exit %d, stderr %q", code, stderr)
+	}
+	var sel, card float64
+	var selText, cardText string
+	for _, line := range strings.Split(out, "\n") {
+		if rest, ok := strings.CutPrefix(line, "estimate: "); ok {
+			if _, err := fmt.Sscanf(rest, "sel=%s card=%s", &selText, &cardText); err != nil {
+				t.Fatalf("estimate line %q: %v", line, err)
+			}
+		}
+	}
+	if _, err := fmt.Sscan(selText, &sel); err != nil {
+		t.Fatalf("no estimate line in %q", out)
+	}
+	if _, err := fmt.Sscan(cardText, &card); err != nil {
+		t.Fatalf("no card in %q", out)
+	}
+	// sel prints 6 significant digits and card one decimal.
+	if d := math.Abs(card - sel*rows); d > 0.05+5e-6*card {
+		t.Fatalf("printed card %v is not printed sel %v × %d rows = %v", card, sel, rows, sel*rows)
+	}
+
+	code, out, stderr = runCLI("estimate", "-csv", csv, "-model", model, "-samples", "300", "-queries", workload)
+	if code != 0 {
+		t.Fatalf("estimate -queries: exit %d, stderr %q", code, stderr)
+	}
+	want := fmt.Sprintf("est=%s ", selText)
+	if !strings.Contains(out, want) || !strings.Contains(out, "card="+cardText+"\n") {
+		t.Fatalf("-where printed sel=%s card=%s; -queries printed:\n%s", selText, cardText, out)
+	}
+}

@@ -40,10 +40,12 @@ var siteFusedWalk = faultinject.Site("core.fused.walk")
 //     enough to amortize the goroutine handoff over disjoint row ranges
 //     (BlockRowAdvancer / BlockRowDecoder). Both steps are row-independent,
 //     so the split is bit-identical to the full-height call.
-//   - *first-wave memoization*: the conditional decoded at a walk's first
-//     decoded column is the same for every row still in the zero-input
-//     broadcast state, so it is computed once per (serve epoch, column) and
-//     shared across every block and query (see firstWaveProbs).
+//
+// Within a block, rows that have drawn the same codes so far share the next
+// column's conditional, so the walk decodes it once per *prefix group* (see
+// prefixGroups): only each group's first live row reaches the model, and
+// every row draws from its group's cumulative table. A block starts as one
+// group, so its first decoded column costs one decoded row.
 //
 // Queries and row ranges are all the parallelism a walk has: the model's
 // kernels run on the goroutine that calls them (internal/made's block walk
@@ -82,19 +84,19 @@ type fusedState struct {
 	// would), so the steady-state walk allocates no generator state.
 	rngs []*rand.Rand
 
-	// shared aliases a memoized first-wave probability vector by row, letting
-	// the draw read a cached conditional through its usual absolute-row
-	// indexing without copying it per row.
-	shared [][]float64
-
-	// tileProbs is a decodeTileRows-high pool of probability rows, and
-	// tileView aliases them at absolute block rows (like shared). Serial
+	// tileProbs is a decodeTileRows-high pool of probability rows. Serial
 	// tiled decodes write here instead of st.probs so every tile of a tall
 	// block reuses the same small, cache-resident set of rows — cycling
 	// through maxFusedRows distinct probs rows per column is what made the
 	// fused softmax/draw memory-bound at W=1.
 	tileProbs [][]float64
-	tileView  [][]float64
+
+	// view is the out argument of DecodeBlock, indexed by absolute block
+	// row: a decoded group's first row points at its probability row, every
+	// other row is nil, so the model skips it.
+	view [][]float64
+
+	groups prefixGroups
 
 	// inner is this walk's row-shard budget: how many goroutines a single
 	// tall block may fan its advance/decode across (1 = serial).
@@ -115,9 +117,9 @@ func (e *Estimator) getFusedState() *fusedState {
 		codes:     make([]int32, maxFusedRows*e.model.NumCols()),
 		weights:   make([]float64, maxFusedRows),
 		maxDom:    maxDom,
-		shared:    make([][]float64, maxFusedRows),
 		tileProbs: make([][]float64, decodeTileRows),
-		tileView:  make([][]float64, maxFusedRows),
+		view:      make([][]float64, maxFusedRows),
+		groups:    newPrefixGroups(maxDom),
 		inner:     1,
 	}
 	for i := range st.tileProbs {
@@ -138,16 +140,189 @@ func (st *fusedState) blockProbs(n int) [][]float64 {
 	return st.probs
 }
 
+// prefixGroups partitions a block's live rows by the codes they have drawn
+// so far. Every row of a group holds the same codes at every column the walk
+// has drawn, so the model's trunk state — and with it the next column's
+// conditional — is bit-identical across the group: the walk decodes it for
+// the group's first live row only and lets every member draw from one
+// cumulative table. A row's group at the next column is its group at this
+// one plus the code it drew here (split). A dead row (weight 0 or NaN)
+// leaves its group for good: it draws nothing more and is never decoded.
+type prefixGroups struct {
+	of    []int32 // row → group; -1 for a dead row
+	size  []int32 // group → live rows
+	first []int32 // group → its first live row, the one the model decodes
+	reps  []int32 // every group's first row, ascending
+	multi int     // groups of more than one row
+
+	// tab and mass hold each group's draw table and mass at the column
+	// being drawn. A group of one row builds its table in place over its
+	// decoded row (tile scratch); a larger group's table goes to arena,
+	// where it stays until the column is drawn, since later tiles hold more
+	// of its rows. scan marks a one-row group on a wildcard column, whose
+	// tab is its decoded row and which draws by scanDraw.
+	tab   [][]float64
+	mass  []float64
+	scan  []bool
+	arena []float64
+	used  int
+
+	// split's scratch: live rows ordered by group, the counting sort's
+	// offsets, and per code the stamp of the group being split with the id
+	// its rows that drew that code get.
+	order  []int32
+	ends   []int32
+	stamp  []uint32
+	id     []int32
+	stampv uint32
+}
+
+func newPrefixGroups(maxDom int) prefixGroups {
+	return prefixGroups{
+		of:    make([]int32, maxFusedRows),
+		size:  make([]int32, maxFusedRows),
+		first: make([]int32, maxFusedRows),
+		reps:  make([]int32, 0, maxFusedRows),
+		tab:   make([][]float64, maxFusedRows),
+		mass:  make([]float64, maxFusedRows),
+		scan:  make([]bool, maxFusedRows),
+		order: make([]int32, maxFusedRows),
+		ends:  make([]int32, maxFusedRows),
+		stamp: make([]uint32, maxDom),
+		id:    make([]int32, maxDom),
+	}
+}
+
+// reset starts a block of n rows, all live and in one group: every row
+// enters the walk in the same zero-input state.
+func (g *prefixGroups) reset(n int) {
+	for r := range g.of[:n] {
+		g.of[r] = 0
+	}
+	g.size[0], g.first[0] = int32(n), 0
+	g.reps = append(g.reps[:0], 0)
+	g.multi = 0
+	if n > 1 {
+		g.multi = 1
+	}
+}
+
+// startColumn readies the table storage of a column with width valid codes.
+// The arena grows at least twofold, so a walk's first queries reach its
+// steady size in a few allocations.
+func (g *prefixGroups) startColumn(width int) {
+	need := g.multi * width
+	if cap(g.arena) < need {
+		g.arena = make([]float64, max(need, 2*cap(g.arena)))
+	}
+	g.arena = g.arena[:need]
+	g.used = 0
+}
+
+// setTable readies group k's draw from its decoded row p: a table and mass
+// (buildTable; a wildcard column's mass is 1), or, for a one-row group on a
+// wildcard column, p itself for scanDraw.
+func (g *prefixGroups) setTable(k int32, p []float64, vs []int32, inv []float64, wildcard bool) {
+	tab := p[:len(vs)]
+	g.scan[k] = wildcard && g.size[k] == 1
+	if g.scan[k] {
+		g.tab[k] = tab
+		return
+	}
+	if g.size[k] > 1 {
+		tab = g.arena[g.used : g.used+len(vs)]
+		g.used += len(vs)
+	}
+	mass := buildTable(tab, p, vs, inv)
+	if wildcard {
+		mass = 1
+	}
+	g.tab[k], g.mass[k] = tab, mass
+}
+
+// split moves the block's rows to their groups at the next decoded column
+// once column col is drawn: rows still live are grouped by (group, code at
+// col); rows that died at col leave. Groups are numbered in order of their
+// parent group, then of their first row, and reps lists their first rows in
+// ascending order. Once every group has one row, rows only leave.
+func (g *prefixGroups) split(codes []int32, weights []float64, nc, col, n int) {
+	of := g.of[:n]
+	if g.multi == 0 {
+		g.reps = g.reps[:0]
+		for r := range of {
+			if weights[r] > 0 {
+				g.reps = append(g.reps, int32(r))
+			} else {
+				of[r] = -1
+			}
+		}
+		return
+	}
+	// Counting sort of the live rows by group: ends[k] ends up one past
+	// group k's last entry in order.
+	ngroups := len(g.reps)
+	ends := g.ends[:ngroups]
+	clear(ends)
+	for r, k := range of {
+		if weights[r] > 0 {
+			ends[k]++
+		} else {
+			of[r] = -1
+		}
+	}
+	at := int32(0)
+	for k, c := range ends {
+		ends[k] = at
+		at += c
+	}
+	for r, k := range of {
+		if k >= 0 {
+			g.order[ends[k]] = int32(r)
+			ends[k]++
+		}
+	}
+	next, multi, from := int32(0), 0, int32(0)
+	for _, to := range ends {
+		g.stampv++
+		if g.stampv == 0 {
+			clear(g.stamp)
+			g.stampv = 1
+		}
+		for _, r := range g.order[from:to] {
+			code := codes[int(r)*nc+col]
+			if g.stamp[code] != g.stampv {
+				g.stamp[code], g.id[code] = g.stampv, next
+				g.size[next], g.first[next] = 0, r
+				next++
+			}
+			k := g.id[code]
+			of[r] = k
+			if g.size[k]++; g.size[k] == 2 {
+				multi++
+			}
+		}
+		from = to
+	}
+	g.multi = multi
+	g.reps = g.reps[:0]
+	for r, k := range of {
+		if k >= 0 && g.first[k] == int32(r) {
+			g.reps = append(g.reps, int32(r))
+		}
+	}
+}
+
 // EstimateFused serves the batch exactly like EstimateBatchCtx — the same
 // scheduler, classifier and per-query driver (serveBatch, walkQuery) —
 // except that a sampling query's chunks of one admission wave (2 chunks,
 // then 4, then the rest) run as one tall block instead of one CondBatch walk
 // per chunk. Scaled join queries are served like unscaled ones (the block
-// draws its query's scale columns with drawScaledRows). Results align
-// positionally with reqs and are bit-identical to EstimateBatchCtx (any
-// worker count) with the same options — including adaptive-budget early
-// stops — because both column loops consume identical per-(query, chunk)
-// RNG streams and the driver checks TargetRelStdErr at identical boundaries.
+// draws its query's scale columns from tables of the tilted terms). Results
+// align positionally with reqs and are bit-identical to EstimateBatchCtx
+// (any worker count) with the same options — including adaptive-budget
+// early stops — because both column loops consume identical per-(query,
+// chunk) RNG streams and the driver checks TargetRelStdErr at identical
+// boundaries.
 //
 // A goroutine walks each query's waves back to back before it picks up the
 // next query, and a query's ServeOptions.Deadline counts from that pickup,
@@ -229,8 +404,9 @@ func (e *Estimator) advanceFused(bm BlockModel, st *fusedState, codes []int32, n
 	bm.AdvanceBlock(codes, n, col)
 }
 
-// decodeFused decodes rows [0, n) of col into probs, row-sharded like
-// advanceFused when the model supports concurrent range decodes.
+// decodeFused decodes the requested rows of col (those with a non-nil
+// probs entry) over rows [0, n), row-sharded like advanceFused when the
+// model supports concurrent range decodes.
 func (e *Estimator) decodeFused(bm BlockModel, st *fusedState, probs [][]float64, col, n int) {
 	if st.inner > 1 && n >= rowShardMin {
 		if dec, ok := bm.(BlockRowDecoder); ok {
@@ -242,9 +418,9 @@ func (e *Estimator) decodeFused(bm BlockModel, st *fusedState, probs [][]float64
 	bm.DecodeBlock(col, 0, n, probs[:n])
 }
 
-// decodeTileRows is the height of one decode+draw pass of a serial walk.
-// Every tile reuses the same pooled probability rows, so the softmax and the
-// draw re-read what the decode just wrote while it is still in L2. The
+// decodeTileRows is the number of rows one decode+draw pass of a serial walk
+// decodes. Every tile reuses the same pooled probability rows, so the table
+// build re-reads what the decode just wrote while it is still in L2. The
 // widest column sets the height: a 32-row tile of DMV's 2101-code valid_date
 // holds 32 × 2101 × (4 + 8) B ≈ 0.8 MB of float32 logits and float64
 // probabilities, which fits a 2 MB L2 beside the 0.54 MB packed decode
@@ -254,52 +430,78 @@ func (e *Estimator) decodeFused(bm BlockModel, st *fusedState, probs [][]float64
 // pass instead, each worker's range its own locality domain.
 const decodeTileRows = 32
 
-// decodeDraw decodes column col for the block's n rows and draws their
-// codes. A serial walk decodes in decodeTileRows-row tiles and draws each
-// tile's rows before decoding the next. Tiling is invisible to results:
+// decodeDraw decodes column col for the first row of every prefix group of
+// the block and draws the codes of all n rows. A serial walk decodes the
+// groups' first rows decodeTileRows at a time and, after each tile, draws
+// every row up to the next tile's first row: each of those rows belongs to a
+// group whose first row is decoded by then. Tiling is invisible to results:
 // decode is row-independent given the advanced trunk state, and drawBlock
-// draws a chunk in pieces exactly as it draws it whole. When store is true
-// the first row's conditional is published to the first-wave cache.
-func (e *Estimator) decodeDraw(bm BlockModel, st *fusedState, fq *sampleQuery, codes []int32, weights []float64, n, col int, store bool) {
+// draws a chunk in pieces exactly as it draws it whole.
+func (e *Estimator) decodeDraw(bm BlockModel, st *fusedState, fq *sampleQuery, codes []int32, weights []float64, n, col int) {
+	g := &st.groups
+	vs, inv := fq.valid[col], fq.scaleAt(col)
+	wildcard := inv == nil && fq.reg.Cols[e.colAt(col)].IsAll()
+	g.startColumn(len(vs))
 	if st.inner > 1 {
-		probs := st.blockProbs(n)
-		e.decodeFused(bm, st, probs, col, n)
-		if store {
-			e.storeFirstWave(col, probs[0])
+		probs, view := st.blockProbs(n), st.view[:n]
+		clear(view)
+		for _, r := range g.reps {
+			view[r] = probs[r]
 		}
-		e.drawBlock(st, fq, codes, col, probs, weights, 0, n)
+		e.decodeFused(bm, st, view, col, n)
+		for _, r := range g.reps {
+			g.setTable(g.of[r], probs[r], vs, inv, wildcard)
+		}
+		e.drawBlock(st, fq, codes, col, weights, 0, n)
 		return
 	}
-	probs := st.tileView
-	for t0 := 0; t0 < n; t0 += decodeTileRows {
-		t1 := min(t0+decodeTileRows, n)
-		for r := t0; r < t1; r++ {
-			probs[r] = st.tileProbs[r-t0]
+	drawn := 0
+	for i0 := 0; i0 < len(g.reps); i0 += decodeTileRows {
+		tile := g.reps[i0:min(i0+decodeTileRows, len(g.reps))]
+		a, b := int(tile[0]), int(tile[len(tile)-1])+1
+		clear(st.view[a:b])
+		for i, r := range tile {
+			st.view[r] = st.tileProbs[i]
 		}
-		bm.DecodeBlock(col, t0, t1, probs[t0:t1])
-		if store && t0 == 0 {
-			e.storeFirstWave(col, probs[0])
+		bm.DecodeBlock(col, a, b, st.view[a:b])
+		for i, r := range tile {
+			g.setTable(g.of[r], st.tileProbs[i], vs, inv, wildcard)
 		}
-		e.drawBlock(st, fq, codes, col, probs, weights, t0, t1)
+		end := n
+		if next := i0 + len(tile); next < len(g.reps) {
+			end = int(g.reps[next])
+		}
+		e.drawBlock(st, fq, codes, col, weights, drawn, end)
+		drawn = end
 	}
+	// A block with no live row left decodes nothing; its rows still take
+	// their dead-path codes.
+	e.drawBlock(st, fq, codes, col, weights, drawn, n)
 }
 
 // drawBlock runs the draw step at model position col over rows [r0, r1) of
-// the block, each chunk's rows from that chunk's stream: the scaled draw on
-// a scale column of the query, the in-range draw otherwise — the choice
-// walkChunk makes per column. Rows are drawn in ascending order, so a chunk
-// drawn one tile at a time consumes its stream exactly as walkChunk does.
-func (e *Estimator) drawBlock(st *fusedState, fq *sampleQuery, codes []int32, col int, probs [][]float64, weights []float64, r0, r1 int) {
+// the block, each chunk's rows from that chunk's stream and each live row
+// from its group's table: the step walkChunk takes per row. Rows are drawn
+// in ascending order, so a chunk drawn one tile at a time consumes its
+// stream exactly as walkChunk does.
+func (e *Estimator) drawBlock(st *fusedState, fq *sampleQuery, codes []int32, col int, weights []float64, r0, r1 int) {
 	nc := len(fq.reg.Cols)
-	inv := fq.scaleAt(col)
-	isAll := fq.reg.Cols[e.colAt(col)].IsAll()
+	vs := fq.valid[col]
+	g := &st.groups
 	for r0 < r1 {
 		j := r0 / anytimeChunk
 		end := min(r1, (j+1)*anytimeChunk)
-		if inv != nil {
-			drawScaledRows(st.rngs[j], inv, codes, nc, col, probs, weights, r0, end)
-		} else {
-			drawRows(st.rngs[j], isAll, fq.valid[col], codes, nc, col, probs, weights, r0, end)
+		rng := st.rngs[j]
+		for r := r0; r < end; r++ {
+			if !(weights[r] > 0) {
+				codes[r*nc+col] = vs[0]
+				continue
+			}
+			if k := g.of[r]; g.scan[k] {
+				codes[r*nc+col] = scanDraw(rng, g.tab[k], vs)
+			} else {
+				codes[r*nc+col] = drawRow(rng, g.tab[k], g.mass[k], vs, &weights[r])
+			}
 		}
 		r0 = end
 	}
@@ -318,21 +520,20 @@ func (e *Estimator) skipDecodes(fq *sampleQuery, col int) bool {
 // default walk decodes and draws every column on the way — wildcards have
 // mass 1 but still consume a draw — while a skipping walk jumps the columns
 // the query does not decode (skipDecodes), which the model then treats as
-// absent. The first column the walk decodes (column 0, or the first
-// restricted or scale column when skipping) sees only the zero-input
-// broadcast state every row shares, so its conditional comes from, or goes
-// into, the first-wave cache. Returns a
-// wrapped ErrPanicked if the model panicked (the replica's walk state is then
-// poisoned until the next BeginSampling).
+// absent. Each decoded column reaches the model for one row per prefix group
+// (prefixGroups); the first one, where every row still shares the
+// zero-input state, for one row in all. Returns a wrapped ErrPanicked if the
+// model panicked (the replica's walk state is then poisoned until the next
+// BeginSampling).
 //
 // A serial walk (st.inner == 1) performs no per-block heap allocations at any
-// block height: RNGs and every tall buffer are pooled in st, the model's own
-// scratch reuse (capacity-preserving BeginSampling, packed-weight caches,
-// pooled view headers) covers the rest, and the model's kernels never fan
-// out on their own, so no product pays a goroutine handoff
-// (TestEstimateFusedWalkZeroAlloc pins this at exactly zero, on a small
-// block and on a 2048-row block of a DMV-wide model). Row-sharded walks pay
-// parallelRows' handoffs, O(st.inner) per advance and decode.
+// block height: RNGs, groups, tables and every tall buffer are pooled in st,
+// the model's own scratch reuse (capacity-preserving BeginSampling,
+// packed-weight caches, pooled view headers) covers the rest, and the
+// model's kernels never fan out on their own, so no product pays a goroutine
+// handoff (TestEstimateFusedWalkZeroAlloc pins this at exactly zero, on a
+// small block and on a 2048-row block of a DMV-wide model). Row-sharded
+// walks pay parallelRows' handoffs, O(st.inner) per advance and decode.
 func (e *Estimator) walkBlock(bm BlockModel, st *fusedState, fq *sampleQuery, c0, c1 int, skip bool) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -343,7 +544,8 @@ func (e *Estimator) walkBlock(bm BlockModel, st *fusedState, fq *sampleQuery, c0
 		return err
 	}
 	n := min(e.samples, c1*anytimeChunk) - c0*anytimeChunk
-	codes := st.codes[:n*len(fq.reg.Cols)]
+	nc := len(fq.reg.Cols)
+	codes := st.codes[:n*nc]
 	fill := int32(0)
 	if skip {
 		fill = -1
@@ -367,27 +569,21 @@ func (e *Estimator) walkBlock(bm BlockModel, st *fusedState, fq *sampleQuery, c0
 	}
 
 	bm.BeginSampling(n)
-	first := true
+	st.groups.reset(n)
+	var walked, decoded int
+	prev := -1 // the last column drawn
 	for col := 0; col <= fq.last; col++ {
 		if skip && !e.skipDecodes(fq, col) {
 			continue
 		}
-		// The advance runs even when the decode is served from the cache: it
-		// folds the previously drawn column's codes and keeps the model's
-		// column cursor in step.
-		e.advanceFused(bm, st, codes, n, col)
-		if first {
-			if cached := e.firstWaveProbs(col); cached != nil {
-				for r := 0; r < n; r++ {
-					st.shared[r] = cached
-				}
-				e.drawBlock(st, fq, codes, col, st.shared, weights, 0, n)
-				first = false
-				continue
-			}
+		if prev >= 0 {
+			st.groups.split(codes, weights, nc, prev, n)
 		}
-		e.decodeDraw(bm, st, fq, codes, weights, n, col, first)
-		first = false
+		e.advanceFused(bm, st, codes, n, col)
+		decoded += len(st.groups.reps)
+		e.decodeDraw(bm, st, fq, codes, weights, n, col)
+		walked += n
+		prev = col
 	}
 	// Fold the chunks' weights back into their query in chunk order, so the
 	// accumulation order — and therefore every bit of sum and sumsq —
@@ -396,5 +592,7 @@ func (e *Estimator) walkBlock(bm BlockModel, st *fusedState, fq *sampleQuery, c0
 		fq.add(weights[r0:min(r0+anytimeChunk, n)])
 	}
 	e.obs.fusedBlocks.Inc()
+	e.obs.fusedRowsWalked.Add(uint64(walked))
+	e.obs.fusedRowsDecoded.Add(uint64(decoded))
 	return nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -263,8 +264,7 @@ func TestEstimateFusedBlockPanicReserved(t *testing.T) {
 // combination of serving goroutines and row-range budgets — returns
 // bit-identical results to the per-query sequential path, with and without
 // wildcard skipping. Run under -race this also exercises the serving
-// goroutines, the row-range goroutines, and the first-wave cache
-// concurrently.
+// goroutines and the row-range goroutines concurrently.
 func TestEstimateFusedWorkerMatrix(t *testing.T) {
 	tbl := corrTable(t, 1500, 3)
 	regs := fusedWorkload(t, tbl)
@@ -366,94 +366,291 @@ func TestEstimateFusedShardPanicContained(t *testing.T) {
 	}
 }
 
-// TestEstimateFusedFirstWaveEpoch: the memoized first-wave conditionals are
-// keyed to the serve epoch — populated by a fused serve, invalidated by
-// BumpServeEpoch and SetVersion (the in-place weight-mutation hooks), and
-// repopulated on the next serve with bit-identical answers.
-func TestEstimateFusedFirstWaveEpoch(t *testing.T) {
-	tbl := corrTable(t, 1500, 3)
-	regs := fusedWorkload(t, tbl)
-	domains := tbl.DomainSizes()
-	const samples, seed = 300, 42
+// decodeCounter wraps a MADE model and logs, per block walk, which rows
+// reach the model at each decoded column, next to the number of distinct
+// prefixes the block's rows have drawn by then. When live is set (a test
+// driving walkBlock directly points it at the block's weights), only live
+// rows count toward the prefixes, and kill zeroes the conditional of every
+// prefix whose codes sum to a multiple of 3 past column 0, so that paths
+// die at restricted columns. Forks log to the same decodeLog.
+type decodeCounter struct {
+	*made.Model
+	log  *decodeLog
+	live func(r int) bool
+	kill bool
 
-	// Query seeds advance with the estimator's global counter, so the
-	// reference estimator serves the batch the same number of times: round k
-	// of both estimators consumes identical per-(query, chunk) streams.
-	seq := NewEstimator(testMADE(domains), samples, seed)
-	seq.EnumThreshold = 40
-	want := seq.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
-	want2 := seq.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
+	mu      sync.Mutex // a row-sharded decode's ranges call concurrently
+	codes   []int32
+	decoded map[string]bool // prefixes decoded at the current column
+	cur     *blockDecodes
+}
 
-	e := NewEstimator(testMADE(domains), samples, seed)
-	e.EnumThreshold = 40
-	first := e.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: 1})
-	requireFusedMatch(t, first, want)
-	if e.firstWaveProbs(0) == nil {
-		t.Fatal("fused serve did not memoize the column-0 first-wave conditional")
+type decodeLog struct {
+	mu     sync.Mutex
+	blocks []*blockDecodes
+}
+
+// blockDecodes is one block walk's log: for each decoded column in order,
+// the rows decoded and the distinct prefixes, plus decodes of a dead row or
+// of a prefix already decoded at the same column.
+type blockDecodes struct {
+	n                 int
+	cols              []int
+	decoded, distinct []int
+	dead, repeated    int
+	deadRows          int // dead rows seen at advances, when live is set
+}
+
+func newDecodeCounter(m *made.Model) *decodeCounter {
+	return &decodeCounter{Model: m, log: new(decodeLog)}
+}
+
+func (d *decodeCounter) ForkModel() any {
+	return &decodeCounter{Model: d.Model.Fork(), log: d.log, live: d.live}
+}
+
+func (d *decodeCounter) BeginSampling(n int) {
+	d.cur = &blockDecodes{n: n}
+	d.log.mu.Lock()
+	d.log.blocks = append(d.log.blocks, d.cur)
+	d.log.mu.Unlock()
+	d.Model.BeginSampling(n)
+}
+
+// prefix is row r's codes before col, as a map key.
+func (d *decodeCounter) prefix(r, col int) string {
+	nc := d.NumCols()
+	return fmt.Sprint(d.codes[r*nc : r*nc+col])
+}
+
+// advanced logs column col's distinct prefixes once the block's rows have
+// drawn every earlier column.
+func (d *decodeCounter) advanced(codes []int32, col int) {
+	d.codes = codes
+	d.decoded = map[string]bool{}
+	distinct := map[string]bool{}
+	for r := 0; r < d.cur.n; r++ {
+		if d.live == nil || d.live(r) {
+			distinct[d.prefix(r, col)] = true
+		} else {
+			d.cur.deadRows++
+		}
 	}
+	d.cur.cols = append(d.cur.cols, col)
+	d.cur.decoded = append(d.cur.decoded, 0)
+	d.cur.distinct = append(d.cur.distinct, len(distinct))
+}
 
-	e.BumpServeEpoch()
-	if e.firstWaveProbs(0) != nil {
-		t.Fatal("BumpServeEpoch left a stale first-wave entry servable")
+func (d *decodeCounter) AdvanceBlock(codes []int32, n, col int) {
+	d.Model.AdvanceBlock(codes, n, col)
+	d.advanced(codes, col)
+}
+
+func (d *decodeCounter) AdvanceRows(codes []int32, col, r0, r1 int) {
+	d.mu.Lock()
+	d.codes = codes
+	d.mu.Unlock()
+	d.Model.AdvanceRows(codes, col, r0, r1)
+}
+
+func (d *decodeCounter) FinishAdvanceRows(col int) {
+	d.Model.FinishAdvanceRows(col)
+	d.advanced(d.codes, col)
+}
+
+func (d *decodeCounter) DecodeBlock(col, r0, r1 int, out [][]float64) {
+	d.mu.Lock()
+	last := len(d.cur.cols) - 1
+	for j, o := range out[:r1-r0] {
+		if o == nil {
+			continue
+		}
+		r := r0 + j
+		d.cur.decoded[last]++
+		if d.live != nil && !d.live(r) {
+			d.cur.dead++
+		}
+		if key := d.prefix(r, col); d.decoded[key] {
+			d.cur.repeated++
+		} else {
+			d.decoded[key] = true
+		}
 	}
-
-	again := e.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: 1})
-	requireFusedMatch(t, again, want2)
-	if e.firstWaveProbs(0) == nil {
-		t.Fatal("cache not repopulated after invalidation")
+	d.mu.Unlock()
+	d.Model.DecodeBlock(col, r0, r1, out)
+	if !d.kill || col == 0 {
+		return
 	}
-
-	e.SetVersion(7)
-	if e.firstWaveProbs(0) != nil {
-		t.Fatal("SetVersion left a stale first-wave entry servable")
+	nc := d.NumCols()
+	for j, o := range out[:r1-r0] {
+		sum := int32(0)
+		for _, c := range d.codes[(r0+j)*nc : (r0+j)*nc+col] {
+			sum += c
+		}
+		if o != nil && sum%3 == 0 {
+			clear(o)
+		}
 	}
 }
 
-// TestEstimateFusedEpochRaceBitIdentical: serving fused batches at Workers=4
-// while another goroutine hammers SetVersion — the mid-batch hot-swap shape:
-// version bumps and first-wave cache invalidation racing in-flight walks —
-// never changes a bit of any estimate, because cached and freshly decoded
-// first-wave conditionals are the same vector.
-func TestEstimateFusedEpochRaceBitIdentical(t *testing.T) {
+// check requires every logged block walk to decode one row per distinct
+// prefix at each column (per live prefix, exactly, when wantExact is set;
+// at most, otherwise), no dead row and no prefix twice, and exactly one row
+// at its first decoded column. It returns the walk's row-column totals and
+// the dead rows its advances saw.
+func (l *decodeLog) check(t *testing.T, wantExact bool) (walked, decoded, deadRows int) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	blocks := 0
+	for _, b := range l.blocks {
+		if len(b.cols) == 0 {
+			continue // a CondBatch walk: enumeration, or a per-query chunk
+		}
+		blocks++
+		if b.dead != 0 || b.repeated != 0 {
+			t.Fatalf("block of %d rows decoded %d dead rows and %d repeated prefixes", b.n, b.dead, b.repeated)
+		}
+		if b.decoded[0] != 1 {
+			t.Fatalf("block of %d rows decoded %d rows at its first decoded column %d, want 1",
+				b.n, b.decoded[0], b.cols[0])
+		}
+		for i, col := range b.cols {
+			if b.decoded[i] > b.distinct[i] || wantExact && b.decoded[i] != b.distinct[i] {
+				t.Fatalf("block of %d rows decoded %d rows at column %d over %d distinct prefixes",
+					b.n, b.decoded[i], col, b.distinct[i])
+			}
+			decoded += b.decoded[i]
+		}
+		walked += b.n * len(b.cols)
+		deadRows += b.deadRows
+	}
+	if blocks == 0 {
+		t.Fatal("no block walk reached the model")
+	}
+	return walked, decoded, deadRows
+}
+
+// TestEstimateFusedFirstColumnDecodesOneRow: every row of a block enters
+// the walk in the same zero-input state, so the first column a block decodes
+// — column 0, or a skipping walk's first restricted or scale column — reaches
+// the model for one row, on every block of every query.
+func TestEstimateFusedFirstColumnDecodesOneRow(t *testing.T) {
+	tbl := corrTable(t, 1500, 3)
+	reqs := scaledWorkload(t, tbl)
+	for _, skip := range []bool{false, true} {
+		dc := newDecodeCounter(testMADE(tbl.DomainSizes()))
+		e := NewEstimator(dc, 300, 42)
+		e.EnumThreshold = 40
+		e.SkipWildcards = skip
+		e.EstimateFused(context.Background(), reqs, ServeOptions{Workers: 1})
+		dc.log.check(t, false)
+	}
+}
+
+// TestEstimateFusedDecodesOneRowPerLivePrefix drives walkBlock directly, so
+// the counter can read the block's weights: at every decoded column the
+// model decodes exactly one row per distinct prefix among the live rows and
+// never a dead row, on serial and row-sharded blocks, in default and
+// skipping walks. The weights start at 1 and only the draw changes them, so
+// a row is live at a decode iff its weight is positive. The counter zeroes
+// some conditionals, since a softmax alone leaves no path without mass.
+func TestEstimateFusedDecodesOneRowPerLivePrefix(t *testing.T) {
 	tbl := corrTable(t, 1500, 3)
 	regs := fusedWorkload(t, tbl)
-	domains := tbl.DomainSizes()
-	const samples, seed = 300, 42
-
-	// The reference estimator serves round-for-round so its query counter —
-	// and with it every per-(query, chunk) seed — stays in lockstep.
-	seq := NewEstimator(testMADE(domains), samples, seed)
-	seq.EnumThreshold = 40
-
-	e := NewEstimator(testMADE(domains), samples, seed)
-	e.EnumThreshold = 40
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for v := uint64(1); ; v++ {
-			select {
-			case <-stop:
-				return
-			default:
-				e.SetVersion(v)
-				runtime.Gosched()
+	const samples = 5 * anytimeChunk // one 640-row block: past rowShardMin
+	for _, inner := range []int{1, 4} {
+		for _, skip := range []bool{false, true} {
+			dc := newDecodeCounter(testMADE(tbl.DomainSizes()))
+			e := NewEstimator(dc, samples, 42)
+			e.EnumThreshold = 40
+			e.SkipWildcards = skip
+			sc := e.acquire()
+			st := e.getFusedState()
+			st.inner = inner
+			bm := sc.model.(*decodeCounter)
+			bm.live = func(r int) bool { return st.weights[r] > 0 }
+			bm.kill = true
+			opts := ServeOptions{}
+			walkedBlocks := 0
+			for i, reg := range regs {
+				fq, _ := e.classify(context.Background(), sc, Request{Region: reg}, uint64(i), i, &opts, time.Now())
+				if fq == nil {
+					continue
+				}
+				if err := e.walkBlock(bm, st, fq, 0, samples/anytimeChunk, e.skipEnabled(bm)); err != nil {
+					t.Fatal(err)
+				}
+				walkedBlocks++
 			}
-		}
-	}()
-	for round := 0; round < 4; round++ {
-		want := seq.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
-		got := e.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: 4})
-		for i := range want {
-			if !resultEqual(got[i], want[i]) || got[i].Stop != want[i].Stop {
-				t.Fatalf("round %d query %d under epoch churn: fused %+v != sequential %+v",
-					round, i, got[i], want[i])
+			e.release(sc)
+			if walkedBlocks < 3 {
+				t.Fatalf("only %d sampling queries; workload too small", walkedBlocks)
+			}
+			walked, decoded, deadRows := dc.log.check(t, true)
+			if decoded >= walked || deadRows == 0 {
+				t.Fatalf("inner=%d skip=%v: %d of %d row-columns decoded, %d dead rows seen; the walk must share prefixes and kill paths",
+					inner, skip, decoded, walked, deadRows)
 			}
 		}
 	}
-	close(stop)
-	wg.Wait()
+}
+
+// TestEstimateFusedPrefixGroupsBitIdentical: decoding one row per prefix
+// group changes no bit of any answer. Single-table and scaled join requests
+// served fused at W ∈ {1, 2, 4, 8}, in default and skipping walks, answer
+// exactly like the per-query walk; at W > 1 the one-query budget left over
+// row-shards the 640-row last wave, whose ranges skip rows too. With an
+// observer attached, naru_fused_rows_walked_total and
+// naru_fused_rows_decoded_total count the row-columns the blocks walked and
+// the rows the model decoded, and the answers stay the same.
+func TestEstimateFusedPrefixGroupsBitIdentical(t *testing.T) {
+	tbl := corrTable(t, 1500, 3)
+	reqs := scaledWorkload(t, tbl)
+	domains := tbl.DomainSizes()
+	const samples, seed = 6*anytimeChunk + 5*anytimeChunk, 42
+	for _, skip := range []bool{false, true} {
+		seq := NewEstimator(testMADE(domains), samples, seed)
+		seq.EnumThreshold = 40
+		seq.SkipWildcards = skip
+		want := seq.EstimateBatchCtx(context.Background(), reqs, ServeOptions{Workers: 1})
+		for _, w := range []int{1, 2, 4, 8} {
+			for _, observed := range []bool{false, true} {
+				dc := newDecodeCounter(testMADE(domains))
+				fused := NewEstimator(dc, samples, seed)
+				fused.EnumThreshold = 40
+				fused.SkipWildcards = skip
+				reg := obs.New()
+				if observed {
+					fused.SetObserver(reg)
+				}
+				var got []Result
+				for i := range reqs {
+					// One query per call, so W > 1 row-shards its blocks.
+					got = append(got, fused.EstimateFused(context.Background(), reqs[i:i+1], ServeOptions{Workers: w})...)
+				}
+				for i := range want {
+					if !resultEqual(got[i], want[i]) || got[i].Stop != want[i].Stop {
+						t.Fatalf("skip=%v workers=%d observed=%v query %d (scales %v): fused %+v != per-query %+v",
+							skip, w, observed, i, reqs[i].Scales != nil, got[i], want[i])
+					}
+				}
+				walked, decoded, _ := dc.log.check(t, false)
+				if !observed {
+					continue
+				}
+				if c := reg.Counter(metricFusedRowsWalked).Value(); c != uint64(walked) {
+					t.Fatalf("%s = %d, the blocks walked %d row-columns", metricFusedRowsWalked, c, walked)
+				}
+				if c := reg.Counter(metricFusedRowsDecoded).Value(); c != uint64(decoded) {
+					t.Fatalf("%s = %d, the model decoded %d rows", metricFusedRowsDecoded, c, decoded)
+				}
+				if decoded >= walked {
+					t.Fatalf("%d of %d row-columns decoded; no prefix was shared", decoded, walked)
+				}
+			}
+		}
+	}
 }
 
 // TestEstimateFusedSerialSkipsBlockProbs checks that a serial walk decodes
@@ -480,8 +677,8 @@ func TestEstimateFusedSerialSkipsBlockProbs(t *testing.T) {
 }
 
 // TestEstimateFusedWalkZeroAlloc asserts walkBlock's documented contract:
-// once the pooled buffers, RNGs, model scratch, and first-wave cache are
-// primed, a serial block walk performs zero heap allocations at any block
+// once the pooled buffers, RNGs, group tables and model scratch are primed,
+// a serial block walk performs zero heap allocations at any block
 // height. The small case walks one query's three chunks (the last one short)
 // through a narrow model; the DMV-shaped case walks one query's 16 full
 // chunks (2048 rows) through hidden layers as wide as the DMV benchmark
@@ -509,8 +706,8 @@ func TestEstimateFusedWalkZeroAlloc(t *testing.T) {
 			regs := fusedWorkload(t, c.tbl)
 			e := NewEstimator(made.New(c.tbl.DomainSizes(), c.cfg), c.samples, 42)
 			e.EnumThreshold = 40
-			// Prime every pool: model scratch capacity, packed-weight caches,
-			// the fused state, and the first-wave conditionals.
+			// Prime every pool: model scratch capacity, packed-weight caches
+			// and the fused state.
 			e.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: 1})
 
 			sc := e.acquire()

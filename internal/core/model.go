@@ -80,8 +80,10 @@ type BlockModel interface {
 	AdvanceBlock(codes []int32, n, col int)
 
 	// DecodeBlock writes P̂(X_col | x_<col) for rows [r0, r1) of the current
-	// block into out (out[i] holds row r0+i). AdvanceBlock(_, _, col) must
-	// have run first.
+	// block into out (out[i] holds row r0+i). A nil out[i] marks a row the
+	// caller does not need: the model neither decodes nor writes it, and
+	// every other row's vector is the one a decode of the whole range
+	// writes. AdvanceBlock(_, _, col) must have run first.
 	DecodeBlock(col, r0, r1 int, out [][]float64)
 }
 

@@ -27,6 +27,8 @@ const (
 	metricQueryLatency     = "naru_query_latency_seconds"
 	metricFusedWorkers     = "naru_fused_workers"
 	metricFusedBlocks      = "naru_fused_blocks_total"
+	metricFusedRowsWalked  = "naru_fused_rows_walked_total"
+	metricFusedRowsDecoded = "naru_fused_rows_decoded_total"
 	metricFusedReserved    = "naru_fused_reserved_total"
 )
 
@@ -45,11 +47,15 @@ type estObs struct {
 	latency          *obs.Histogram
 
 	// Fused-walk instrumentation: the worker count the last EstimateFused
-	// call resolved to (gauge), tall blocks walked, and queries restarted on
-	// CondBatch steps after their block panicked (counters).
-	fusedWorkers  *obs.Gauge
-	fusedBlocks   *obs.Counter
-	fusedReserved *obs.Counter
+	// call resolved to (gauge), tall blocks walked, the row-columns those
+	// blocks walked and the ones the model decoded (one per prefix group;
+	// their ratio is the share of rows that reach the model), and queries
+	// restarted on CondBatch steps after their block panicked (counters).
+	fusedWorkers     *obs.Gauge
+	fusedBlocks      *obs.Counter
+	fusedRowsWalked  *obs.Counter
+	fusedRowsDecoded *obs.Counter
+	fusedReserved    *obs.Counter
 }
 
 // SetObserver attaches a metrics registry to the estimator: every query
@@ -80,6 +86,8 @@ func (e *Estimator) SetObserver(r *obs.Registry) {
 		latency:          r.Histogram(metricQueryLatency, obs.LatencyBuckets),
 		fusedWorkers:     r.Gauge(metricFusedWorkers),
 		fusedBlocks:      r.Counter(metricFusedBlocks),
+		fusedRowsWalked:  r.Counter(metricFusedRowsWalked),
+		fusedRowsDecoded: r.Counter(metricFusedRowsDecoded),
 		fusedReserved:    r.Counter(metricFusedReserved),
 	}
 }

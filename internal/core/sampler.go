@@ -70,20 +70,6 @@ type Estimator struct {
 	// fusedPool recycles the tall block buffers of the fused walk (see
 	// fused.go) across EstimateFused calls.
 	fusedPool sync.Pool
-
-	// fw caches first-wave conditionals: the distribution decoded at a walk's
-	// first restricted model position depends only on that position (every
-	// earlier column is a wildcard, so the trunk still holds its zero-input
-	// broadcast state — see the bit-identity argument in DESIGN.md), so it is
-	// computed once per (serve epoch, column) and shared across every block,
-	// sample chunk, and query. serveEpoch keys the cache: SetVersion and
-	// BumpServeEpoch advance it, orphaning stale entries.
-	fw struct {
-		mu    sync.RWMutex
-		epoch uint64
-		probs map[int][]float64
-	}
-	serveEpoch atomic.Uint64
 }
 
 // scratch bundles everything one in-flight query needs: a model (the shared
@@ -136,48 +122,8 @@ func NewEstimator(m Model, samples int, seed int64) *Estimator {
 // SetVersion stamps the lifecycle model-version id this estimator serves;
 // every Result and trace it produces afterwards carries the id. Versioned
 // estimators are immutable bundles behind an atomic swap point, so this is
-// called once before the estimator starts serving. It also bumps the serve
-// epoch, so any first-wave conditionals memoized under the previous version
-// id are orphaned.
-func (e *Estimator) SetVersion(v uint64) {
-	e.version.Store(v)
-	e.BumpServeEpoch()
-}
-
-// BumpServeEpoch invalidates the memoized first-wave conditionals. Call it
-// after anything that changes the model's weights in place (incremental
-// append training, for example); hot-swap lifecycles that install a fresh
-// Estimator per version get a fresh cache for free.
-func (e *Estimator) BumpServeEpoch() { e.serveEpoch.Add(1) }
-
-// firstWaveProbs returns the memoized first-wave conditional for model
-// position col under the current serve epoch, or nil on a miss. The returned
-// slice is shared and must be treated as read-only.
-func (e *Estimator) firstWaveProbs(col int) []float64 {
-	epoch := e.serveEpoch.Load()
-	e.fw.mu.RLock()
-	defer e.fw.mu.RUnlock()
-	if e.fw.epoch != epoch {
-		return nil
-	}
-	return e.fw.probs[col]
-}
-
-// storeFirstWave memoizes p (copied, truncated to col's domain) as the
-// first-wave conditional of model position col. The entry is keyed to the
-// epoch current at call time; a concurrent bump simply orphans it.
-func (e *Estimator) storeFirstWave(col int, p []float64) {
-	epoch := e.serveEpoch.Load()
-	dom := e.model.DomainSizes()[col]
-	cp := append([]float64(nil), p[:dom]...)
-	e.fw.mu.Lock()
-	defer e.fw.mu.Unlock()
-	if e.fw.epoch != epoch || e.fw.probs == nil {
-		e.fw.epoch = epoch
-		e.fw.probs = make(map[int][]float64)
-	}
-	e.fw.probs[col] = cp
-}
+// called once before the estimator starts serving.
+func (e *Estimator) SetVersion(v uint64) { e.version.Store(v) }
 
 // Version returns the lifecycle model-version id (0 when versioning is not
 // in use).
@@ -456,7 +402,7 @@ func (e *Estimator) skipEnabled(m Model) bool {
 // each path into the high-mass part of the query region; the product of the
 // per-column masses P̂(X_i ∈ Ri | x_<i) is the unbiased density estimate
 // (Theorem 1). Scale columns multiply in their expected inverse fanout
-// instead (drawScaledRows) and are never skipped.
+// instead (buildTable) and are never skipped.
 //
 // A step is either one chunk walked by CondBatch (walkChunk) or, when the
 // walker holds a block walk, the query's chunks of one admission wave walked
@@ -524,73 +470,139 @@ func (e *Estimator) walkChunk(sc *scratch, sq *sampleQuery, skip bool) {
 		beg.BeginSampling(s)
 	}
 	for col := 0; col <= sq.last; col++ {
-		if inv := sq.scaleAt(col); inv != nil {
-			sc.model.CondBatch(codes, s, col, sc.probs[:s])
-			drawScaledRows(sc.rng, inv, codes, n, col, sc.probs, weights, 0, s)
-			continue
-		}
-		cr := &sq.reg.Cols[e.colAt(col)]
-		if skip && cr.IsAll() {
+		inv := sq.scaleAt(col)
+		wildcard := inv == nil && sq.reg.Cols[e.colAt(col)].IsAll()
+		if skip && wildcard {
 			// Interior wildcard: no conditional, no draw — the model treats
 			// the column as absent.
 			continue
 		}
 		sc.model.CondBatch(codes, s, col, sc.probs[:s])
-		drawRows(sc.rng, cr.IsAll(), sq.valid[col], codes, n, col, sc.probs, weights, 0, s)
+		drawRows(sc.rng, sq.valid[col], inv, wildcard, codes, n, col, sc.probs, weights, 0, s)
 	}
 	sq.add(weights)
 }
 
-// drawRows runs the per-row mass/draw step of Algorithm 1 for rows [r0, r1)
-// of one decoded column: multiply each live path's weight by the in-range
-// mass P̂(X_col ∈ R_col | x_<col) and draw its next code by inverse CDF over
-// the valid list. It is shared between the CondBatch step (one rng per
-// chunk) and the block step (one rng per chunk of a block, that chunk's row
-// range) — rows are advanced in index order either way, so a chunk's draws
-// depend only on its own rng stream and its rows' decoded conditionals.
-//
-// A path with no in-range mass dies (weight 0). A NaN mass — a poisoned
-// model — leaves NaN in the path's weight instead, so the query's estimate
-// is NaN and finalizeSample fails it with ErrNonFinite rather than answering
-// 0. Dead and poisoned paths draw nothing more.
-func drawRows(rng *rand.Rand, isAll bool, vs []int32, codes []int32, nc, col int, probs [][]float64, weights []float64, r0, r1 int) {
+// drawRows runs the draw step at column col over rows [r0, r1) for rows
+// that share no conditional: on a wildcard column each live row scans its
+// own decoded row (scanDraw); otherwise it builds its table in place over
+// that row and searches it (drawRow). vs is the column's valid list, inv
+// its inverse fanouts on a scale column (nil otherwise), and wildcard marks
+// an unrestricted, unscaled column.
+func drawRows(rng *rand.Rand, vs []int32, inv []float64, wildcard bool, codes []int32, nc, col int, probs [][]float64, weights []float64, r0, r1 int) {
 	for r := r0; r < r1; r++ {
-		if !(weights[r] > 0) {
-			// Dead or poisoned path: keep its codes valid so later CondBatch
-			// calls stay well-defined; its weight is final.
+		switch {
+		case !(weights[r] > 0):
 			codes[r*nc+col] = vs[0]
-			continue
+		case wildcard:
+			codes[r*nc+col] = scanDraw(rng, probs[r], vs)
+		default:
+			p := probs[r]
+			tab := p[:len(vs)]
+			codes[r*nc+col] = drawRow(rng, tab, buildTable(tab, p, vs, inv), vs, &weights[r])
 		}
-		p := probs[r]
-		var mass float64
-		if isAll {
-			mass = 1
-		} else {
-			for _, v := range vs {
-				mass += p[v]
-			}
-		}
-		if !(mass > 0) {
-			weights[r] = max(mass, 0) // NaN stays NaN
-			codes[r*nc+col] = vs[0]
-			continue
-		}
-		weights[r] *= mass
-		// Draw x_col ~ P̂(X_col | X_col ∈ R_col, x_<col): inverse-CDF
-		// over the re-normalized in-range slice (Alg. 1 lines 12-15),
-		// falling back to the last valid code on numerical slack.
-		u := rng.Float64() * mass
-		var cum float64
-		pick := vs[len(vs)-1]
-		for _, v := range vs {
-			cum += p[v]
-			if cum >= u {
-				pick = v
-				break
-			}
-		}
-		codes[r*nc+col] = pick
 	}
+}
+
+// buildTable writes the draw table of one decoded conditional p at a column
+// whose valid codes are vs into tab (len(vs) entries) and returns the
+// column's mass: Σ_j p[vs[j]] over the in-range codes, or Σ_v p[v]·inv[v]
+// on a scale column (whose valid list is the whole domain). tab[j] is the
+// running sum through vs[j], summed in exactly the order Algorithm 1's
+// linear inverse-CDF scan sums it, so a binary search for the first entry
+// that reaches u finds the scan's pick (see drawRow). The search needs a
+// sorted table: after a negative term, or a NaN one (every running sum
+// after it is NaN), each entry is raised to the largest running sum so far
+// instead, NaN never counting, and the first entry to reach u is still the
+// scan's. tab may alias p: entry j is written after p[vs[j]] is read, and
+// every later read is at a higher index (vs ascends, vs[j] ≥ j).
+func buildTable(tab, p []float64, vs []int32, inv []float64) float64 {
+	var cum float64
+	var signs uint64 // the OR of every term's bits: bit 63 is set by a negative term
+	tab = tab[:len(vs)]
+	if inv != nil {
+		inv = inv[:len(tab)]
+		for v := range tab {
+			t := p[v] * inv[v]
+			signs |= math.Float64bits(t)
+			cum += t
+			tab[v] = cum
+		}
+	} else {
+		for j, v := range vs {
+			t := p[v]
+			signs |= math.Float64bits(t)
+			cum += t
+			tab[j] = cum
+		}
+	}
+	if int64(signs) >= 0 && cum == cum {
+		return cum
+	}
+	top := math.Inf(-1)
+	for j, c := range tab {
+		if c > top {
+			top = c
+		}
+		tab[j] = top
+	}
+	return cum
+}
+
+// drawRow runs the mass/draw step of Algorithm 1 for one live path:
+// multiply its weight *w by the column's mass — the in-range mass
+// P̂(X_col ∈ R_col | x_<col), 1 on a wildcard, the expected inverse fanout
+// on a scale column — and draw its next code from vs by inverse CDF over
+// the table buildTable made. It consumes one uniform variate, scaled by the
+// mass, and returns the first code whose running sum reaches it — exactly
+// the code the linear scan over the re-normalized in-range slice picks
+// (Alg. 1 lines 12-15) — falling back to the last valid code on numerical
+// slack (a wildcard whose sum falls short of 1, or a NaN term before the
+// pick).
+//
+// A path with no mass dies (weight 0) and draws nothing. A NaN mass — a
+// poisoned model — leaves NaN in the weight instead, so the query's estimate
+// is NaN and finalizeSample fails it with ErrNonFinite rather than answering
+// 0. Either way the path keeps vs[0] so later CondBatch calls stay
+// well-defined; its weight is final.
+func drawRow(rng *rand.Rand, tab []float64, mass float64, vs []int32, w *float64) int32 {
+	if !(mass > 0) {
+		*w = max(mass, 0) // NaN stays NaN
+		return vs[0]
+	}
+	*w *= mass
+	u := rng.Float64() * mass
+	lo, hi := 0, len(tab)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if tab[h] >= u {
+			hi = h
+		} else {
+			lo = h + 1
+		}
+	}
+	if lo == len(tab) {
+		return vs[len(vs)-1]
+	}
+	return vs[lo]
+}
+
+// scanDraw draws a path's code at a wildcard column straight from its
+// decoded row p, by the linear scan drawRow's search stands in for: the
+// mass is 1, so the weight stays as it is and the uniform variate is used
+// as drawn, and the scan stops at the pick (the last code when p sums short
+// of 1). A row whose conditional no other row shares draws this way: a
+// table would sum all of p, the scan only up to the pick.
+func scanDraw(rng *rand.Rand, p []float64, vs []int32) int32 {
+	u := rng.Float64()
+	var cum float64
+	for _, v := range vs {
+		cum += p[v]
+		if cum >= u {
+			return v
+		}
+	}
+	return vs[len(vs)-1]
 }
 
 // UniformRegionSample is the §5.1 "first attempt" baseline: draw points

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"repro/internal/query"
 )
@@ -19,7 +18,8 @@ import (
 // distribution P̂(v|prefix)·Inv[v]/Σ so later columns are conditioned under
 // the correctly reweighted path measure. A query's scale columns ride in its
 // Request, and both steps of the walk (walkChunk and the fused walkBlock)
-// draw them.
+// draw them: the tilted terms p[v]·inv[v] fill the column's draw table
+// (buildTable) where an in-range column's terms are p[v].
 
 // ScaleCol attaches an importance downscale to one model column: during the
 // walk the path weight is multiplied by E[Inv[X_col] | x_<col] under the
@@ -62,41 +62,4 @@ func (e *Estimator) scaleByPos(reg *query.Region, scales []ScaleCol) ([][]float6
 		byPos[pos] = byCol[e.colAt(pos)]
 	}
 	return byPos, nil
-}
-
-// drawScaledRows runs the scale-column step for rows [r0, r1): multiply each
-// live path's weight by the expected inverse fanout Σ_v p[v]·inv[v] and draw
-// the column's code from the tilted distribution p·inv/Σ, so later columns
-// condition on a value consistent with the reweighted path measure. One
-// uniform variate is consumed per live row, and a NaN mass poisons the path,
-// mirroring drawRows.
-func drawScaledRows(rng *rand.Rand, inv []float64, codes []int32, nc, col int, probs [][]float64, weights []float64, r0, r1 int) {
-	for r := r0; r < r1; r++ {
-		if !(weights[r] > 0) {
-			codes[r*nc+col] = 0
-			continue
-		}
-		p := probs[r]
-		var mass float64
-		for v := range inv {
-			mass += p[v] * inv[v]
-		}
-		if !(mass > 0) {
-			weights[r] = max(mass, 0) // NaN stays NaN
-			codes[r*nc+col] = 0
-			continue
-		}
-		weights[r] *= mass
-		u := rng.Float64() * mass
-		var cum float64
-		pick := int32(len(inv) - 1)
-		for v := range inv {
-			cum += p[v] * inv[v]
-			if cum >= u {
-				pick = int32(v)
-				break
-			}
-		}
-		codes[r*nc+col] = pick
-	}
 }

@@ -208,10 +208,10 @@ func scaledWorkload(t *testing.T, tbl *table.Table) []Request {
 // call with unscaled ones answer bit for bit like the per-query walk, at one
 // worker and at NumCPU, with and without wildcard skipping. With skipping on,
 // a scale column before the first restricted column must still be decoded
-// and drawn, and the first-wave memo must not serve the block at its first
-// restricted column: the decoded scale column has moved its rows out of the
-// zero-input state. The second budget's last chunk is shorter than a decode
-// tile and not a multiple of its height, so its block ends mid-tile.
+// and drawn, and split the block's rows by the codes drawn there before the
+// restricted column is decoded. The second budget's last chunk is shorter
+// than a decode tile and not a multiple of its height, so its block ends
+// mid-tile.
 func TestEstimateScaledFusedMatchesPerQuery(t *testing.T) {
 	tbl := corrTable(t, 1500, 3)
 	reqs := scaledWorkload(t, tbl)

@@ -98,9 +98,8 @@ func (m *Model) headPack(col int) *tensor.PackedB {
 	pb := pc.head[col]
 	if pb == nil {
 		c := &m.codecs[col]
-		kc := m.hidStart[len(m.hidStart)-1][col+1]
 		pb = new(tensor.PackedB)
-		pb.PackRange(m.head.W.Val, 0, kc, c.headOff, c.headOff+c.headW)
+		pb.PackRange(m.head.W.Val, 0, m.headPrefix(col), c.headOff, c.headOff+c.headW)
 		pc.head[col] = pb
 	}
 	return pb
@@ -365,11 +364,11 @@ func (m *Model) FinishAdvanceRows(col int) {
 }
 
 // PrepareDecode implements core.BlockRowDecoder: it sizes the column's
-// decode scratch for the full walk height and pre-builds its packed weight
-// windows, after which DecodeBlock calls over disjoint row ranges of the
-// current column may run concurrently — each range reads and writes only its
-// own rows of the shared scratch. The armed mode lasts until the next
-// advance or BeginSampling.
+// decode and gather scratch for the full walk height and pre-builds its
+// packed weight windows, after which DecodeBlock calls over disjoint row
+// ranges of the current column may run concurrently — each range reads and
+// writes only its own rows of the shared scratch. The armed mode lasts until
+// the next advance or BeginSampling.
 func (m *Model) PrepareDecode(col int) {
 	s := &m.samp
 	if !s.active || s.lastDecoded != col {
@@ -382,14 +381,23 @@ func (m *Model) PrepareDecode(col int) {
 		m.infer.logits = resizeMat(m.infer.logits, s.n, c.domain)
 		m.decPack(col)
 	}
+	m.infer.gath = resizeMat(m.infer.gath, s.n, m.headPrefix(col))
+	if cap(m.infer.outs) < s.n {
+		m.infer.outs = make([][]float64, s.n)
+	}
+	m.infer.outs = m.infer.outs[:s.n]
 	s.decodeShared = true
 }
 
 // DecodeBlock writes P̂(X_col | x_<col) for rows [r0, r1) of the walk into
-// out (one probability vector per row, out[j] for row r0+j). The walk must
-// have been advanced to col. After PrepareDecode(col), calls over disjoint
-// row ranges may run concurrently; otherwise the decode reuses per-model
-// scratch and callers must serialize.
+// out (one probability vector per row, out[j] for row r0+j). A row whose
+// out[j] is nil is one the caller does not need: it is neither decoded nor
+// written. When rows are skipped, the requested rows' head-prefix
+// activations are gathered and decoded together; otherwise the range is
+// decoded in place. Either way each row's vector is bit-identical, since the
+// decode is row-independent. The walk must have been advanced to col. After
+// PrepareDecode(col), calls over disjoint row ranges may run concurrently;
+// otherwise the decode reuses per-model scratch and callers must serialize.
 func (m *Model) DecodeBlock(col, r0, r1 int, out [][]float64) {
 	s := &m.samp
 	if !s.active || s.lastDecoded != col {
@@ -398,18 +406,60 @@ func (m *Model) DecodeBlock(col, r0, r1 int, out [][]float64) {
 	if r0 < 0 || r1 < r0 || r1 > s.n {
 		panic(fmt.Sprintf("made: DecodeBlock rows [%d:%d) of %d", r0, r1, s.n))
 	}
-	if r0 == r1 {
+	out = out[:r1-r0]
+	k := 0
+	for _, o := range out {
+		if o != nil {
+			k++
+		}
+	}
+	if k == 0 {
 		return
 	}
 	last := s.post[len(s.post)-1]
 	if s.decodeShared {
 		// Concurrent window mode: stack-local view headers, offset-addressed
-		// rows of the scratch PrepareDecode sized for the full walk.
+		// rows of the scratch PrepareDecode sized for the full walk. A range
+		// gathers into its own first k rows of the full-height gather buffer.
 		var vH tensor.Matrix
-		m.decodeWindow(viewRows(&vH, last, r0, r1), col, r0, r1, out)
+		h := viewRows(&vH, last, r0, r1)
+		if k < len(out) {
+			h = gatherRows(viewRows(&vH, m.infer.gath, r0, r0+k), last, r0, out, m.infer.outs[r0:r0+k])
+			out = m.infer.outs[r0 : r0+k]
+		}
+		m.decodeWindow(h, col, r0, r0+k, out)
 		return
 	}
-	m.decodeHidden(viewRows(&s.vHid, last, r0, r1), r1-r0, col, out)
+	h := viewRows(&s.vHid, last, r0, r1)
+	if k < len(out) {
+		m.infer.gath = resizeMat(m.infer.gath, k, m.headPrefix(col))
+		if cap(m.infer.outs) < k {
+			m.infer.outs = make([][]float64, k)
+		}
+		h = gatherRows(m.infer.gath, last, r0, out, m.infer.outs[:k])
+		out = m.infer.outs[:k]
+	}
+	m.decodeHidden(h, k, col, out)
+}
+
+// headPrefix is the number of last-layer units column col's head reads:
+// those of degree ≤ col, a prefix under degree sorting.
+func (m *Model) headPrefix(col int) int { return m.hidStart[len(m.hidStart)-1][col+1] }
+
+// gatherRows copies the head prefix (dst.Cols units) of every requested row
+// of last — row r0+j for each non-nil out[j] — into the rows of dst in
+// order, and the matching out entries into outs, and returns dst.
+func gatherRows(dst, last *tensor.Matrix, r0 int, out, outs [][]float64) *tensor.Matrix {
+	i := 0
+	for j, o := range out {
+		if o == nil {
+			continue
+		}
+		copy(dst.Row(i), last.Row(r0 + j)[:dst.Cols])
+		outs[i] = o
+		i++
+	}
+	return dst
 }
 
 // decodeWindow is decodeHidden over rows [r0, r1) of the full-height decode

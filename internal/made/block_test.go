@@ -1,6 +1,7 @@
 package made
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -41,6 +42,56 @@ func TestBlockWalkMatchesReference(t *testing.T) {
 			m.DecodeBlock(col, rr[0], rr[1], out[rr[0]:rr[1]])
 			if d := maxCondDiff(domains, out[rr[0]:rr[1]], want[rr[0]:rr[1]], col); d > 1e-5 {
 				t.Fatalf("col %d rows %v differ by %g", col, rr, d)
+			}
+		}
+	}
+}
+
+// TestBlockDecodeSkipsNilRows: a decode whose out holds nil rows decodes
+// only the others, each bit-identical to a decode of the whole range, and
+// never writes a skipped row — serially (the gathered rows change the GEMM's
+// row bands) and in the concurrent-range mode PrepareDecode arms, where two
+// ranges gather into disjoint rows of the full-height scratch.
+func TestBlockDecodeSkipsNilRows(t *testing.T) {
+	domains := []int{5, 80, 3, 100, 7, 64}
+	m := New(domains, tinyConfig(23))
+	rng := rand.New(rand.NewSource(41))
+	const n = 37
+	codes := randomCodes(rng, domains, n)
+	full, part := allocOut(domains, n), allocOut(domains, n)
+	m.BeginSampling(n)
+	for col := range domains {
+		m.AdvanceBlock(codes, n, col)
+		m.DecodeBlock(col, 0, n, full)
+		for _, shared := range []bool{false, true} {
+			want := make([]bool, n)
+			view := make([][]float64, n)
+			for r := range view {
+				for v := range part[r] {
+					part[r][v] = -1
+				}
+				if want[r] = rng.Float64() < 0.4; want[r] {
+					view[r] = part[r]
+				}
+			}
+			if shared {
+				m.PrepareDecode(col)
+				m.DecodeBlock(col, 0, 20, view[:20])
+				m.DecodeBlock(col, 20, n, view[20:])
+			} else {
+				m.DecodeBlock(col, 3, n, view[3:])
+			}
+			for r := range view {
+				decoded := want[r] && (shared || r >= 3)
+				for v := 0; v < domains[col]; v++ {
+					if !decoded && part[r][v] != -1 {
+						t.Fatalf("col %d shared=%v: skipped row %d written", col, shared, r)
+					}
+					if decoded && math.Float64bits(part[r][v]) != math.Float64bits(full[r][v]) {
+						t.Fatalf("col %d shared=%v row %d code %d: %v, whole-range decode %v",
+							col, shared, r, v, part[r][v], full[r][v])
+					}
+				}
 			}
 		}
 	}

@@ -81,6 +81,8 @@ type inferScratch struct {
 	head   *tensor.Matrix // column head-slice output
 	logits *tensor.Matrix // decoded logits for embedded columns
 	embA   *tensor.Matrix // gathered embedding rows for the fold GEMM
+	gath   *tensor.Matrix // gathered head-prefix rows of a decode that skips rows
+	outs   [][]float64    // the out vectors of the gathered rows
 }
 
 // BeginSampling implements core.SequentialModel: it arms the delta-forward

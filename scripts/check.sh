@@ -31,8 +31,9 @@
 # `check.sh bench` is the serving-performance gate: it runs the fused
 # bit-identity suite (a block holds one query's wave, a query's waves run
 # back to back, a deadline counts from pickup on both entries; a poisoned
-# model fails on both walks) and the admission-gate suite under the race
-# detector, then a
+# model fails on both walks; a block decodes one row per live prefix, and
+# the table draw matches the linear scan bit for bit) and the
+# admission-gate suite under the race detector, then a
 # small-scale inference benchmark (reference, sequential, fused-batch and
 # parallel-fused configurations; no closed-loop client stage — perfbench's
 # dmv-open is the latency benchmark) six times through narubench's history
