@@ -33,9 +33,8 @@ type CoalesceOptions struct {
 	// (counted from the moment the query takes its slot) and fallback, which
 	// also answers shed queries. A query's own deadline and cancellation come
 	// from the context its caller passed to Estimate. Workers is ignored: the
-	// gate always walks at Workers = 1, since a one-query walk at more
-	// workers fans each block over row ranges and costs more CPU than the
-	// wall time it saves.
+	// gate walks each query alone at Workers = 1, on its caller's goroutine,
+	// and MaxInFlight bounds how many walk at once.
 	Serve ServeOptions
 }
 

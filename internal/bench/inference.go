@@ -105,9 +105,9 @@ func Inference(out io.Writer, cfg Config) {
 	allocsPerQuery := float64(ms1.Mallocs-ms0.Mallocs) / float64(len(w.Regions))
 
 	// Parallel fused: the same scheduler with its full worker budget —
-	// queries walked concurrently on pooled replicas, leftover budget
-	// splitting tall blocks' rows across cores. Results must still match the
-	// sequential fast path bitwise (worker count is a pure throughput knob).
+	// queries walked concurrently, one per goroutine, on pooled replicas.
+	// Results must still match the sequential fast path bitwise (worker
+	// count is a pure throughput knob).
 	parWorkers := cfg.Workers
 	if parWorkers <= 0 {
 		parWorkers = runtime.NumCPU()
@@ -170,7 +170,7 @@ func Inference(out io.Writer, cfg Config) {
 		{Name: "dmv_queries_per_sec_batch", Value: batchQPS, Unit: "queries/sec",
 			Extra: "fused walk (EstimateFused), one worker, whole workload in one call"},
 		{Name: "dmv_queries_per_sec_fused_parallel", Value: parQPS, Unit: "queries/sec",
-			Extra: fmt.Sprintf("fused walk, query + row parallelism, workers=%d", parWorkers)},
+			Extra: fmt.Sprintf("fused walk, query parallelism, workers=%d", parWorkers)},
 		{Name: "dmv_fused_parallel_mismatches", Value: float64(parMismatches), Unit: "queries",
 			Extra: fmt.Sprintf("parallel fused (workers=%d) vs sequential fast path, bitwise", parWorkers)},
 		{Name: "dmv_fused_parallel_allocs_per_query", Value: parAllocsPerQuery, Unit: "allocs/query",

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/faultinject"
 )
@@ -28,18 +27,12 @@ var siteFusedWalk = faultinject.Site("core.fused.walk")
 // so a query's estimate is bit-identical however tall its blocks were, or
 // whether it was served fused at all.
 //
-// Parallelism layers on top of that invariant without touching it:
-//
-//   - *query parallelism*: the batch scheduler (serveBatch) runs up to
-//     Workers goroutines, each pulling whole queries off the batch and
-//     walking them on its own pooled model replica and block buffers. A
-//     query's chunks all run on one goroutine and accumulate in chunk order,
-//     so the goroutine count never changes a single bit of any result.
-//   - *row parallelism*: budget left over when the batch holds fewer queries
-//     than Workers fans the trunk advance and head decode of blocks tall
-//     enough to amortize the goroutine handoff over disjoint row ranges
-//     (BlockRowAdvancer / BlockRowDecoder). Both steps are row-independent,
-//     so the split is bit-identical to the full-height call.
+// Parallelism layers on top of that invariant without touching it: the batch
+// scheduler (serveBatch) runs up to Workers goroutines, each pulling whole
+// queries off the batch and walking them on its own pooled model replica and
+// block buffers. A query's chunks all run on one goroutine and accumulate in
+// chunk order, so the goroutine count never changes a single bit of any
+// result.
 //
 // Within a block, rows that have drawn the same codes so far share the next
 // column's conditional, so the walk decodes it once per *prefix group* (see
@@ -47,11 +40,11 @@ var siteFusedWalk = faultinject.Site("core.fused.walk")
 // every row draws from its group's cumulative table. A block starts as one
 // group, so its first decoded column costs one decoded row.
 //
-// Queries and row ranges are all the parallelism a walk has: the model's
-// kernels run on the goroutine that calls them (internal/made's block walk
-// never fans out), so Workers = 1 walks on one core and Workers > 1 never
-// nests one fan-out inside another. A serial walk decodes and draws in
-// decodeTileRows tiles so each column's logits and probabilities stay in L2.
+// Queries are all the parallelism a walk has: the model's kernels run on the
+// goroutine that calls them (internal/made's block walk never fans out), so
+// Workers = 1 walks on one core and a query always walks on one. The walk
+// decodes and draws in decodeTileRows tiles so each column's logits and
+// probabilities stay in L2.
 
 // maxFusedRows caps the height of one fused block. A query's wave of chunks
 // is one block unless it holds more rows than this (only the last wave of a
@@ -61,10 +54,6 @@ const maxFusedRows = 2048
 // maxFusedChunks is maxFusedRows in whole chunks.
 const maxFusedChunks = maxFusedRows / anytimeChunk
 
-// rowShardMin is the minimum block height worth splitting across row-shard
-// goroutines: below it the handoff overhead exceeds the per-row model work.
-const rowShardMin = 512
-
 // fusedState holds one block walk's tall buffers, pooled per estimator so
 // concurrent EstimateFused calls (coalescer dispatches overlapping, serving
 // goroutines within one call) don't reallocate them per call.
@@ -72,23 +61,14 @@ type fusedState struct {
 	codes   []int32
 	weights []float64
 
-	// probs holds block-high probability rows for row-sharded walks, which
-	// decode a block in one pass. It grows on demand (blockProbs), so a serial
-	// walk never allocates it: at maxFusedRows rows of the widest domain it
-	// would be tens of megabytes on DMV.
-	probs  [][]float64
-	maxDom int
-
 	// rngs persists one RNG per chunk of a block; walkBlock re-seeds them in
 	// place (Seed reinitializes the generator exactly as a fresh NewSource
 	// would), so the steady-state walk allocates no generator state.
 	rngs []*rand.Rand
 
-	// tileProbs is a decodeTileRows-high pool of probability rows. Serial
-	// tiled decodes write here instead of st.probs so every tile of a tall
-	// block reuses the same small, cache-resident set of rows — cycling
-	// through maxFusedRows distinct probs rows per column is what made the
-	// fused softmax/draw memory-bound at W=1.
+	// tileProbs is a decodeTileRows-high pool of probability rows. Every
+	// tile of a tall block decodes into the same small set of rows, so the
+	// table build and the draw re-read rows still in L2.
 	tileProbs [][]float64
 
 	// view is the out argument of DecodeBlock, indexed by absolute block
@@ -97,10 +77,6 @@ type fusedState struct {
 	view [][]float64
 
 	groups prefixGroups
-
-	// inner is this walk's row-shard budget: how many goroutines a single
-	// tall block may fan its advance/decode across (1 = serial).
-	inner int
 }
 
 func (e *Estimator) getFusedState() *fusedState {
@@ -116,28 +92,14 @@ func (e *Estimator) getFusedState() *fusedState {
 	st := &fusedState{
 		codes:     make([]int32, maxFusedRows*e.model.NumCols()),
 		weights:   make([]float64, maxFusedRows),
-		maxDom:    maxDom,
 		tileProbs: make([][]float64, decodeTileRows),
 		view:      make([][]float64, maxFusedRows),
 		groups:    newPrefixGroups(maxDom),
-		inner:     1,
 	}
 	for i := range st.tileProbs {
 		st.tileProbs[i] = make([]float64, maxDom)
 	}
 	return st
-}
-
-// blockProbs returns st.probs with rows [0, n) allocated, growing it on the
-// first decode that reaches row n-1.
-func (st *fusedState) blockProbs(n int) [][]float64 {
-	if st.probs == nil {
-		st.probs = make([][]float64, 0, maxFusedRows)
-	}
-	for len(st.probs) < n {
-		st.probs = append(st.probs, make([]float64, st.maxDom))
-	}
-	return st.probs
 }
 
 // prefixGroups partitions a block's live rows by the codes they have drawn
@@ -333,92 +295,18 @@ func (g *prefixGroups) split(codes []int32, weights []float64, nc, col, n int) {
 //
 // opts.Workers (GOMAXPROCS when 0, rejected with ErrInvalidWorkers when
 // negative) bounds the goroutines pulling queries off the batch, each on a
-// pooled model replica; budget left over when the batch holds fewer queries
-// than Workers fans the tall GEMMs of each block over row ranges. The model's
-// kernels add no goroutines of their own, so a call keeps at most Workers
-// cores busy. Both splits are bit-identical to the single-threaded walk, so
-// the worker count is purely a throughput knob. Models served behind a mutex
-// (no Forkable) always run on one goroutine, and models that don't implement
-// BlockModel (through their serving forks) walk every chunk through CondBatch.
+// pooled model replica; a query walks on one goroutine, so a call of fewer
+// queries than Workers leaves the rest idle. The model's kernels add no
+// goroutines of their own, so a call keeps at most Workers cores busy.
+// Results are bit-identical at every worker count, so the worker count is
+// purely a throughput knob. Models served behind a mutex (no Forkable)
+// always run on one goroutine, and models that don't implement BlockModel
+// (through their serving forks) walk every chunk through CondBatch.
 func (e *Estimator) EstimateFused(ctx context.Context, reqs []Request, opts ServeOptions) []Result {
 	return e.serveBatch(ctx, reqs, opts, true)
 }
 
-// parallelRows splits rows [0, n) into up to workers contiguous ranges and
-// runs fn on each concurrently, rethrowing the first worker panic on the
-// calling goroutine so walkBlock's recover sees it exactly like a serial
-// panic. Callers gate on workers > 1, so the serial walk never pays the
-// closure or goroutine cost.
-func parallelRows(n, workers int, fn func(r0, r1 int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	var pv any
-	for r0 := 0; r0 < n; r0 += chunk {
-		r1 := r0 + chunk
-		if r1 > n {
-			r1 = n
-		}
-		wg.Add(1)
-		go func(r0, r1 int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if pv == nil {
-						pv = r
-					}
-					mu.Unlock()
-				}
-			}()
-			fn(r0, r1)
-		}(r0, r1)
-	}
-	wg.Wait()
-	if pv != nil {
-		panic(pv)
-	}
-}
-
-// advanceFused advances the block's trunk state to col, fanning the
-// row-independent fold + band refresh across st.inner goroutines when the
-// model supports ranged advances and the block is tall enough to amortize
-// the handoff. Bit-identical to AdvanceBlock either way (the ranged protocol
-// guarantees it; see core.BlockRowAdvancer).
-func (e *Estimator) advanceFused(bm BlockModel, st *fusedState, codes []int32, n, col int) {
-	if st.inner > 1 && n >= rowShardMin {
-		if adv, ok := bm.(BlockRowAdvancer); ok {
-			adv.BeginAdvanceRows(n, col)
-			parallelRows(n, st.inner, func(r0, r1 int) { adv.AdvanceRows(codes, col, r0, r1) })
-			adv.FinishAdvanceRows(col)
-			return
-		}
-	}
-	bm.AdvanceBlock(codes, n, col)
-}
-
-// decodeFused decodes the requested rows of col (those with a non-nil
-// probs entry) over rows [0, n), row-sharded like advanceFused when the
-// model supports concurrent range decodes.
-func (e *Estimator) decodeFused(bm BlockModel, st *fusedState, probs [][]float64, col, n int) {
-	if st.inner > 1 && n >= rowShardMin {
-		if dec, ok := bm.(BlockRowDecoder); ok {
-			dec.PrepareDecode(col)
-			parallelRows(n, st.inner, func(a, b int) { bm.DecodeBlock(col, a, b, probs[a:b]) })
-			return
-		}
-	}
-	bm.DecodeBlock(col, 0, n, probs[:n])
-}
-
-// decodeTileRows is the number of rows one decode+draw pass of a serial walk
+// decodeTileRows is the number of rows one decode+draw pass of the walk
 // decodes. Every tile reuses the same pooled probability rows, so the table
 // build re-reads what the decode just wrote while it is still in L2. The
 // widest column sets the height: a 32-row tile of DMV's 2101-code valid_date
@@ -426,35 +314,21 @@ func (e *Estimator) decodeFused(bm BlockModel, st *fusedState, probs [][]float64
 // probabilities, which fits a 2 MB L2 beside the 0.54 MB packed decode
 // weights; a 128-row chunk would hold 3.2 MB and spill. On the DMV benchmark
 // model 32 rows measured best: 16- and 64-row tiles cost 2–3% more CPU per
-// query, 256-row tiles 12% more. Row-sharded walks decode a block in one
-// pass instead, each worker's range its own locality domain.
+// query, 256-row tiles 12% more.
 const decodeTileRows = 32
 
 // decodeDraw decodes column col for the first row of every prefix group of
-// the block and draws the codes of all n rows. A serial walk decodes the
-// groups' first rows decodeTileRows at a time and, after each tile, draws
-// every row up to the next tile's first row: each of those rows belongs to a
-// group whose first row is decoded by then. Tiling is invisible to results:
-// decode is row-independent given the advanced trunk state, and drawBlock
-// draws a chunk in pieces exactly as it draws it whole.
+// the block and draws the codes of all n rows. It decodes the groups' first
+// rows decodeTileRows at a time and, after each tile, draws every row up to
+// the next tile's first row: each of those rows belongs to a group whose
+// first row is decoded by then. Tiling is invisible to results: decode is
+// row-independent given the advanced trunk state, and drawBlock draws a
+// chunk in pieces exactly as it draws it whole.
 func (e *Estimator) decodeDraw(bm BlockModel, st *fusedState, fq *sampleQuery, codes []int32, weights []float64, n, col int) {
 	g := &st.groups
 	vs, inv := fq.valid[col], fq.scaleAt(col)
 	wildcard := inv == nil && fq.reg.Cols[e.colAt(col)].IsAll()
 	g.startColumn(len(vs))
-	if st.inner > 1 {
-		probs, view := st.blockProbs(n), st.view[:n]
-		clear(view)
-		for _, r := range g.reps {
-			view[r] = probs[r]
-		}
-		e.decodeFused(bm, st, view, col, n)
-		for _, r := range g.reps {
-			g.setTable(g.of[r], probs[r], vs, inv, wildcard)
-		}
-		e.drawBlock(st, fq, codes, col, weights, 0, n)
-		return
-	}
 	drawn := 0
 	for i0 := 0; i0 < len(g.reps); i0 += decodeTileRows {
 		tile := g.reps[i0:min(i0+decodeTileRows, len(g.reps))]
@@ -507,34 +381,25 @@ func (e *Estimator) drawBlock(st *fusedState, fq *sampleQuery, codes []int32, co
 	}
 }
 
-// skipDecodes reports whether a skipping walk decodes model position col for
-// fq: a restricted column, or one of its scale columns (never skipped).
-func (e *Estimator) skipDecodes(fq *sampleQuery, col int) bool {
-	return !fq.reg.Cols[e.colAt(col)].IsAll() || fq.scaleAt(col) != nil
-}
-
 // walkBlock runs chunks [c0, c1) of one query as a single tall block: chunk
 // c0+j fills rows [j·anytimeChunk, (j+1)·anytimeChunk) and draws from its own
 // stream, so the block's draws are the ones walkChunk makes chunk by chunk.
-// Every row walks to the query's last restricted (or scale) column. The
-// default walk decodes and draws every column on the way — wildcards have
-// mass 1 but still consume a draw — while a skipping walk jumps the columns
-// the query does not decode (skipDecodes), which the model then treats as
-// absent. Each decoded column reaches the model for one row per prefix group
-// (prefixGroups); the first one, where every row still shares the
-// zero-input state, for one row in all. Returns a wrapped ErrPanicked if the
-// model panicked (the replica's walk state is then poisoned until the next
-// BeginSampling).
+// Every row walks every column from 0 to the query's last restricted (or
+// scale) column, advancing, decoding and drawing each one — wildcards have
+// mass 1 but still consume a draw. Each column reaches the model for one row
+// per prefix group (prefixGroups); column 0, where every row still shares
+// the zero-input state, for one row in all. Returns a wrapped ErrPanicked if
+// the model panicked (the replica's walk state is then poisoned until the
+// next BeginSampling).
 //
-// A serial walk (st.inner == 1) performs no per-block heap allocations at any
-// block height: RNGs, groups, tables and every tall buffer are pooled in st,
-// the model's own scratch reuse (capacity-preserving BeginSampling,
-// packed-weight caches, pooled view headers) covers the rest, and the
-// model's kernels never fan out on their own, so no product pays a goroutine
-// handoff (TestEstimateFusedWalkZeroAlloc pins this at exactly zero, on a
-// small block and on a 2048-row block of a DMV-wide model). Row-sharded
-// walks pay parallelRows' handoffs, O(st.inner) per advance and decode.
-func (e *Estimator) walkBlock(bm BlockModel, st *fusedState, fq *sampleQuery, c0, c1 int, skip bool) (err error) {
+// The walk performs no per-block heap allocations at any block height: RNGs,
+// groups, tables and every tall buffer are pooled in st, the model's own
+// scratch reuse (capacity-preserving BeginSampling, packed-weight caches,
+// pooled view headers) covers the rest, and the model's kernels never fan
+// out on their own, so no product pays a goroutine handoff
+// (TestEstimateFusedWalkZeroAlloc pins this at exactly zero, on a small
+// block and on a 2048-row block of a DMV-wide model).
+func (e *Estimator) walkBlock(bm BlockModel, st *fusedState, fq *sampleQuery, c0, c1 int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("%w: fused block: %v", ErrPanicked, r)
@@ -546,13 +411,7 @@ func (e *Estimator) walkBlock(bm BlockModel, st *fusedState, fq *sampleQuery, c0
 	n := min(e.samples, c1*anytimeChunk) - c0*anytimeChunk
 	nc := len(fq.reg.Cols)
 	codes := st.codes[:n*nc]
-	fill := int32(0)
-	if skip {
-		fill = -1
-	}
-	for i := range codes {
-		codes[i] = fill
-	}
+	clear(codes)
 	weights := st.weights[:n]
 	for i := range weights {
 		weights[i] = 1
@@ -570,20 +429,14 @@ func (e *Estimator) walkBlock(bm BlockModel, st *fusedState, fq *sampleQuery, c0
 
 	bm.BeginSampling(n)
 	st.groups.reset(n)
-	var walked, decoded int
-	prev := -1 // the last column drawn
+	decoded := 0
 	for col := 0; col <= fq.last; col++ {
-		if skip && !e.skipDecodes(fq, col) {
-			continue
+		if col > 0 {
+			st.groups.split(codes, weights, nc, col-1, n)
 		}
-		if prev >= 0 {
-			st.groups.split(codes, weights, nc, prev, n)
-		}
-		e.advanceFused(bm, st, codes, n, col)
+		bm.AdvanceBlock(codes, n, col)
 		decoded += len(st.groups.reps)
 		e.decodeDraw(bm, st, fq, codes, weights, n, col)
-		walked += n
-		prev = col
 	}
 	// Fold the chunks' weights back into their query in chunk order, so the
 	// accumulation order — and therefore every bit of sum and sumsq —
@@ -592,7 +445,7 @@ func (e *Estimator) walkBlock(bm BlockModel, st *fusedState, fq *sampleQuery, c0
 		fq.add(weights[r0:min(r0+anytimeChunk, n)])
 	}
 	e.obs.fusedBlocks.Inc()
-	e.obs.fusedRowsWalked.Add(uint64(walked))
+	e.obs.fusedRowsWalked.Add(uint64(n * (fq.last + 1)))
 	e.obs.fusedRowsDecoded.Add(uint64(decoded))
 	return nil
 }

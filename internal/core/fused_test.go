@@ -154,42 +154,6 @@ func TestEstimateFusedFallbackBeforeSampling(t *testing.T) {
 	}
 }
 
-// TestEstimateFusedSkipWildcards: with wildcard skipping enabled on both
-// paths, fused and sequential serving stay bit-identical, and skipping
-// actually changes the RNG consumption (so results differ from non-skip) for
-// queries with absent columns.
-func TestEstimateFusedSkipWildcards(t *testing.T) {
-	tbl := corrTable(t, 1500, 3)
-	regs := fusedWorkload(t, tbl)
-	domains := tbl.DomainSizes()
-	const samples, seed = 300, 42
-
-	seq := NewEstimator(testMADE(domains), samples, seed)
-	seq.EnumThreshold = 40
-	seq.SkipWildcards = true
-	want := seq.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
-
-	fused := NewEstimator(testMADE(domains), samples, seed)
-	fused.EnumThreshold = 40
-	fused.SkipWildcards = true
-	got := fused.EstimateFused(context.Background(), Requests(regs), ServeOptions{})
-	requireFusedMatch(t, got, want)
-
-	noskip := NewEstimator(testMADE(domains), samples, seed)
-	noskip.EnumThreshold = 40
-	plain := noskip.EstimateFused(context.Background(), Requests(regs), ServeOptions{})
-	differs := false
-	for i := range got {
-		if got[i].Samples == samples && got[i].Sel != plain[i].Sel {
-			differs = true
-			break
-		}
-	}
-	if !differs {
-		t.Fatal("skip-wildcards results identical to non-skip; skipping never engaged")
-	}
-}
-
 // TestEstimateFusedNonBlockModelDelegates: a model that doesn't expose the
 // block walk is served through the sequential ctx path transparently.
 func TestEstimateFusedNonBlockModelDelegates(t *testing.T) {
@@ -260,35 +224,156 @@ func TestEstimateFusedBlockPanicReserved(t *testing.T) {
 }
 
 // TestEstimateFusedWorkerMatrix is the parallel determinism contract: the
-// same workload served at every worker count — and so through every
-// combination of serving goroutines and row-range budgets — returns
-// bit-identical results to the per-query sequential path, with and without
-// wildcard skipping. Run under -race this also exercises the serving
-// goroutines and the row-range goroutines concurrently.
+// same workload served at every worker count — and so by every number of
+// serving goroutines — returns bit-identical results to the per-query
+// sequential path. Run under -race this also exercises the serving
+// goroutines concurrently.
 func TestEstimateFusedWorkerMatrix(t *testing.T) {
 	tbl := corrTable(t, 1500, 3)
 	regs := fusedWorkload(t, tbl)
 	domains := tbl.DomainSizes()
 	const samples, seed = 300, 42
 
-	for _, skip := range []bool{false, true} {
-		seq := NewEstimator(testMADE(domains), samples, seed)
-		seq.EnumThreshold = 40
-		seq.SkipWildcards = skip
-		want := seq.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
+	seq := NewEstimator(testMADE(domains), samples, seed)
+	seq.EnumThreshold = 40
+	want := seq.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
 
-		for _, w := range []int{1, 2, 4, 8} {
-			fused := NewEstimator(testMADE(domains), samples, seed)
-			fused.EnumThreshold = 40
-			fused.SkipWildcards = skip
-			got := fused.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: w})
-			for i := range want {
-				if !resultEqual(got[i], want[i]) || got[i].Stop != want[i].Stop {
-					t.Fatalf("skip=%v workers=%d query %d: fused %+v != sequential %+v",
-						skip, w, i, got[i], want[i])
-				}
+	for _, w := range []int{1, 2, 4, 8} {
+		fused := NewEstimator(testMADE(domains), samples, seed)
+		fused.EnumThreshold = 40
+		got := fused.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: w})
+		for i := range want {
+			if !resultEqual(got[i], want[i]) || got[i].Stop != want[i].Stop {
+				t.Fatalf("workers=%d query %d: fused %+v != sequential %+v", w, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// callCounter wraps a MADE model and, shared across its forks, counts the
+// calls of the row-range entry points (BeginAdvanceRows, AdvanceRows,
+// PrepareDecode), tracks the most model calls in flight at once, and
+// records the height of every walk BeginSampling announces.
+type callCounter struct {
+	*made.Model
+	c *modelCalls
+}
+
+type modelCalls struct {
+	ranged      atomic.Int64
+	inFlight    atomic.Int64
+	maxInFlight atomic.Int64
+
+	mu      sync.Mutex
+	heights map[int]int
+}
+
+func (m *callCounter) ForkModel() any { return &callCounter{Model: m.Model.Fork(), c: m.c} }
+
+// enter counts one model call in flight; the returned func ends it.
+func (c *modelCalls) enter() func() {
+	n := c.inFlight.Add(1)
+	for top := c.maxInFlight.Load(); n > top; top = c.maxInFlight.Load() {
+		if c.maxInFlight.CompareAndSwap(top, n) {
+			break
+		}
+	}
+	return func() { c.inFlight.Add(-1) }
+}
+
+func (m *callCounter) BeginSampling(n int) {
+	defer m.c.enter()()
+	m.c.mu.Lock()
+	m.c.heights[n]++
+	m.c.mu.Unlock()
+	m.Model.BeginSampling(n)
+}
+
+func (m *callCounter) CondBatch(codes []int32, n, col int, out [][]float64) {
+	defer m.c.enter()()
+	m.Model.CondBatch(codes, n, col, out)
+}
+
+func (m *callCounter) AdvanceBlock(codes []int32, n, col int) {
+	defer m.c.enter()()
+	m.Model.AdvanceBlock(codes, n, col)
+}
+
+func (m *callCounter) DecodeBlock(col, r0, r1 int, out [][]float64) {
+	defer m.c.enter()()
+	m.Model.DecodeBlock(col, r0, r1, out)
+}
+
+func (m *callCounter) BeginAdvanceRows(n, col int) {
+	m.c.ranged.Add(1)
+	defer m.c.enter()()
+	m.Model.BeginAdvanceRows(n, col)
+}
+
+func (m *callCounter) AdvanceRows(codes []int32, col, r0, r1 int) {
+	m.c.ranged.Add(1)
+	defer m.c.enter()()
+	m.Model.AdvanceRows(codes, col, r0, r1)
+}
+
+func (m *callCounter) FinishAdvanceRows(col int) {
+	defer m.c.enter()()
+	m.Model.FinishAdvanceRows(col)
+}
+
+func (m *callCounter) PrepareDecode(col int) {
+	m.c.ranged.Add(1)
+	defer m.c.enter()()
+	m.Model.PrepareDecode(col)
+}
+
+// TestEstimateFusedOneQueryWalksOnOneGoroutine: Workers bounds how many
+// queries walk at once, and a query always walks on one goroutine. Served
+// one per EstimateFused call at Workers: 4, with S = 11 chunks so each query
+// walks blocks of 256, 512 and 640 rows, no query reaches the model's
+// row-range entry points, no two model calls overlap, and every answer is
+// bit-identical to Workers: 1.
+func TestEstimateFusedOneQueryWalksOnOneGoroutine(t *testing.T) {
+	tbl := corrTable(t, 1500, 3)
+	regs := fusedWorkload(t, tbl)
+	domains := tbl.DomainSizes()
+	const samples, seed = 11 * anytimeChunk, 42
+	serve := func(m Model, workers int) []Result {
+		e := NewEstimator(m, samples, seed)
+		e.EnumThreshold = 40
+		var res []Result
+		for _, req := range Requests(regs) {
+			res = append(res, e.EstimateFused(context.Background(), []Request{req}, ServeOptions{Workers: workers})...)
+		}
+		return res
+	}
+	want := serve(testMADE(domains), 1)
+	cc := &callCounter{Model: testMADE(domains), c: &modelCalls{heights: map[int]int{}}}
+	got := serve(cc, 4)
+	sampled := 0
+	for i := range want {
+		if !resultEqual(got[i], want[i]) || got[i].Stop != want[i].Stop {
+			t.Fatalf("query %d: workers=4 %+v != workers=1 %+v", i, got[i], want[i])
+		}
+		if want[i].Samples == samples {
+			sampled++
+		}
+	}
+	if sampled < 3 {
+		t.Fatalf("only %d queries sampled; the workload must carry several", sampled)
+	}
+	cc.c.mu.Lock()
+	for _, h := range []int{256, 512, 640} {
+		if cc.c.heights[h] != sampled {
+			t.Fatalf("%d blocks of %d rows for %d sampling queries; heights %v", cc.c.heights[h], h, sampled, cc.c.heights)
+		}
+	}
+	cc.c.mu.Unlock()
+	if n := cc.c.ranged.Load(); n != 0 {
+		t.Fatalf("the walk made %d row-range model calls; a query must walk on one goroutine", n)
+	}
+	if n := cc.c.maxInFlight.Load(); n > 1 {
+		t.Fatalf("%d model calls ran at once; a one-query call must walk on one goroutine", n)
 	}
 }
 
@@ -379,7 +464,6 @@ type decodeCounter struct {
 	live func(r int) bool
 	kill bool
 
-	mu      sync.Mutex // a row-sharded decode's ranges call concurrently
 	codes   []int32
 	decoded map[string]bool // prefixes decoded at the current column
 	cur     *blockDecodes
@@ -446,20 +530,7 @@ func (d *decodeCounter) AdvanceBlock(codes []int32, n, col int) {
 	d.advanced(codes, col)
 }
 
-func (d *decodeCounter) AdvanceRows(codes []int32, col, r0, r1 int) {
-	d.mu.Lock()
-	d.codes = codes
-	d.mu.Unlock()
-	d.Model.AdvanceRows(codes, col, r0, r1)
-}
-
-func (d *decodeCounter) FinishAdvanceRows(col int) {
-	d.Model.FinishAdvanceRows(col)
-	d.advanced(d.codes, col)
-}
-
 func (d *decodeCounter) DecodeBlock(col, r0, r1 int, out [][]float64) {
-	d.mu.Lock()
 	last := len(d.cur.cols) - 1
 	for j, o := range out[:r1-r0] {
 		if o == nil {
@@ -476,7 +547,6 @@ func (d *decodeCounter) DecodeBlock(col, r0, r1 int, out [][]float64) {
 			d.decoded[key] = true
 		}
 	}
-	d.mu.Unlock()
 	d.Model.DecodeBlock(col, r0, r1, out)
 	if !d.kill || col == 0 {
 		return
@@ -532,154 +602,113 @@ func (l *decodeLog) check(t *testing.T, wantExact bool) (walked, decoded, deadRo
 }
 
 // TestEstimateFusedFirstColumnDecodesOneRow: every row of a block enters
-// the walk in the same zero-input state, so the first column a block decodes
-// — column 0, or a skipping walk's first restricted or scale column — reaches
-// the model for one row, on every block of every query.
+// the walk in the same zero-input state, so column 0 reaches the model for
+// one row, on every block of every query.
 func TestEstimateFusedFirstColumnDecodesOneRow(t *testing.T) {
 	tbl := corrTable(t, 1500, 3)
 	reqs := scaledWorkload(t, tbl)
-	for _, skip := range []bool{false, true} {
-		dc := newDecodeCounter(testMADE(tbl.DomainSizes()))
-		e := NewEstimator(dc, 300, 42)
-		e.EnumThreshold = 40
-		e.SkipWildcards = skip
-		e.EstimateFused(context.Background(), reqs, ServeOptions{Workers: 1})
-		dc.log.check(t, false)
-	}
+	dc := newDecodeCounter(testMADE(tbl.DomainSizes()))
+	e := NewEstimator(dc, 300, 42)
+	e.EnumThreshold = 40
+	e.EstimateFused(context.Background(), reqs, ServeOptions{Workers: 1})
+	dc.log.check(t, false)
 }
 
 // TestEstimateFusedDecodesOneRowPerLivePrefix drives walkBlock directly, so
 // the counter can read the block's weights: at every decoded column the
 // model decodes exactly one row per distinct prefix among the live rows and
-// never a dead row, on serial and row-sharded blocks, in default and
-// skipping walks. The weights start at 1 and only the draw changes them, so
-// a row is live at a decode iff its weight is positive. The counter zeroes
-// some conditionals, since a softmax alone leaves no path without mass.
+// never a dead row. The weights start at 1 and only the draw changes them,
+// so a row is live at a decode iff its weight is positive. The counter
+// zeroes some conditionals, since a softmax alone leaves no path without
+// mass.
 func TestEstimateFusedDecodesOneRowPerLivePrefix(t *testing.T) {
 	tbl := corrTable(t, 1500, 3)
 	regs := fusedWorkload(t, tbl)
-	const samples = 5 * anytimeChunk // one 640-row block: past rowShardMin
-	for _, inner := range []int{1, 4} {
-		for _, skip := range []bool{false, true} {
-			dc := newDecodeCounter(testMADE(tbl.DomainSizes()))
-			e := NewEstimator(dc, samples, 42)
-			e.EnumThreshold = 40
-			e.SkipWildcards = skip
-			sc := e.acquire()
-			st := e.getFusedState()
-			st.inner = inner
-			bm := sc.model.(*decodeCounter)
-			bm.live = func(r int) bool { return st.weights[r] > 0 }
-			bm.kill = true
-			opts := ServeOptions{}
-			walkedBlocks := 0
-			for i, reg := range regs {
-				fq, _ := e.classify(context.Background(), sc, Request{Region: reg}, uint64(i), i, &opts, time.Now())
-				if fq == nil {
-					continue
-				}
-				if err := e.walkBlock(bm, st, fq, 0, samples/anytimeChunk, e.skipEnabled(bm)); err != nil {
-					t.Fatal(err)
-				}
-				walkedBlocks++
-			}
-			e.release(sc)
-			if walkedBlocks < 3 {
-				t.Fatalf("only %d sampling queries; workload too small", walkedBlocks)
-			}
-			walked, decoded, deadRows := dc.log.check(t, true)
-			if decoded >= walked || deadRows == 0 {
-				t.Fatalf("inner=%d skip=%v: %d of %d row-columns decoded, %d dead rows seen; the walk must share prefixes and kill paths",
-					inner, skip, decoded, walked, deadRows)
-			}
+	const samples = 5 * anytimeChunk // one 640-row block of 20 decode tiles
+	dc := newDecodeCounter(testMADE(tbl.DomainSizes()))
+	e := NewEstimator(dc, samples, 42)
+	e.EnumThreshold = 40
+	sc := e.acquire()
+	st := e.getFusedState()
+	bm := sc.model.(*decodeCounter)
+	bm.live = func(r int) bool { return st.weights[r] > 0 }
+	bm.kill = true
+	opts := ServeOptions{}
+	walkedBlocks := 0
+	for i, reg := range regs {
+		fq, _ := e.classify(context.Background(), sc, Request{Region: reg}, uint64(i), i, &opts, time.Now())
+		if fq == nil {
+			continue
 		}
+		if err := e.walkBlock(bm, st, fq, 0, samples/anytimeChunk); err != nil {
+			t.Fatal(err)
+		}
+		walkedBlocks++
+	}
+	e.release(sc)
+	if walkedBlocks < 3 {
+		t.Fatalf("only %d sampling queries; workload too small", walkedBlocks)
+	}
+	walked, decoded, deadRows := dc.log.check(t, true)
+	if decoded >= walked || deadRows == 0 {
+		t.Fatalf("%d of %d row-columns decoded, %d dead rows seen; the walk must share prefixes and kill paths",
+			decoded, walked, deadRows)
 	}
 }
 
 // TestEstimateFusedPrefixGroupsBitIdentical: decoding one row per prefix
 // group changes no bit of any answer. Single-table and scaled join requests
-// served fused at W ∈ {1, 2, 4, 8}, in default and skipping walks, answer
-// exactly like the per-query walk; at W > 1 the one-query budget left over
-// row-shards the 640-row last wave, whose ranges skip rows too. With an
-// observer attached, naru_fused_rows_walked_total and
-// naru_fused_rows_decoded_total count the row-columns the blocks walked and
-// the rows the model decoded, and the answers stay the same.
+// served fused, one per call, at W ∈ {1, 2, 4, 8}, answer exactly like the
+// per-query walk. With an observer attached, naru_fused_rows_walked_total
+// and naru_fused_rows_decoded_total count the row-columns the blocks walked
+// and the rows the model decoded, and the answers stay the same.
 func TestEstimateFusedPrefixGroupsBitIdentical(t *testing.T) {
 	tbl := corrTable(t, 1500, 3)
 	reqs := scaledWorkload(t, tbl)
 	domains := tbl.DomainSizes()
 	const samples, seed = 6*anytimeChunk + 5*anytimeChunk, 42
-	for _, skip := range []bool{false, true} {
-		seq := NewEstimator(testMADE(domains), samples, seed)
-		seq.EnumThreshold = 40
-		seq.SkipWildcards = skip
-		want := seq.EstimateBatchCtx(context.Background(), reqs, ServeOptions{Workers: 1})
-		for _, w := range []int{1, 2, 4, 8} {
-			for _, observed := range []bool{false, true} {
-				dc := newDecodeCounter(testMADE(domains))
-				fused := NewEstimator(dc, samples, seed)
-				fused.EnumThreshold = 40
-				fused.SkipWildcards = skip
-				reg := obs.New()
-				if observed {
-					fused.SetObserver(reg)
+	seq := NewEstimator(testMADE(domains), samples, seed)
+	seq.EnumThreshold = 40
+	want := seq.EstimateBatchCtx(context.Background(), reqs, ServeOptions{Workers: 1})
+	for _, w := range []int{1, 2, 4, 8} {
+		for _, observed := range []bool{false, true} {
+			dc := newDecodeCounter(testMADE(domains))
+			fused := NewEstimator(dc, samples, seed)
+			fused.EnumThreshold = 40
+			reg := obs.New()
+			if observed {
+				fused.SetObserver(reg)
+			}
+			var got []Result
+			for i := range reqs {
+				got = append(got, fused.EstimateFused(context.Background(), reqs[i:i+1], ServeOptions{Workers: w})...)
+			}
+			for i := range want {
+				if !resultEqual(got[i], want[i]) || got[i].Stop != want[i].Stop {
+					t.Fatalf("workers=%d observed=%v query %d (scales %v): fused %+v != per-query %+v",
+						w, observed, i, reqs[i].Scales != nil, got[i], want[i])
 				}
-				var got []Result
-				for i := range reqs {
-					// One query per call, so W > 1 row-shards its blocks.
-					got = append(got, fused.EstimateFused(context.Background(), reqs[i:i+1], ServeOptions{Workers: w})...)
-				}
-				for i := range want {
-					if !resultEqual(got[i], want[i]) || got[i].Stop != want[i].Stop {
-						t.Fatalf("skip=%v workers=%d observed=%v query %d (scales %v): fused %+v != per-query %+v",
-							skip, w, observed, i, reqs[i].Scales != nil, got[i], want[i])
-					}
-				}
-				walked, decoded, _ := dc.log.check(t, false)
-				if !observed {
-					continue
-				}
-				if c := reg.Counter(metricFusedRowsWalked).Value(); c != uint64(walked) {
-					t.Fatalf("%s = %d, the blocks walked %d row-columns", metricFusedRowsWalked, c, walked)
-				}
-				if c := reg.Counter(metricFusedRowsDecoded).Value(); c != uint64(decoded) {
-					t.Fatalf("%s = %d, the model decoded %d rows", metricFusedRowsDecoded, c, decoded)
-				}
-				if decoded >= walked {
-					t.Fatalf("%d of %d row-columns decoded; no prefix was shared", decoded, walked)
-				}
+			}
+			walked, decoded, _ := dc.log.check(t, false)
+			if !observed {
+				continue
+			}
+			if c := reg.Counter(metricFusedRowsWalked).Value(); c != uint64(walked) {
+				t.Fatalf("%s = %d, the blocks walked %d row-columns", metricFusedRowsWalked, c, walked)
+			}
+			if c := reg.Counter(metricFusedRowsDecoded).Value(); c != uint64(decoded) {
+				t.Fatalf("%s = %d, the model decoded %d rows", metricFusedRowsDecoded, c, decoded)
+			}
+			if decoded >= walked {
+				t.Fatalf("%d of %d row-columns decoded; no prefix was shared", decoded, walked)
 			}
 		}
 	}
 }
 
-// TestEstimateFusedSerialSkipsBlockProbs checks that a serial walk decodes
-// only into the pooled tile rows: the state it leaves in the pool holds no
-// block-high probability rows (maxFusedRows × the widest domain of float64).
-func TestEstimateFusedSerialSkipsBlockProbs(t *testing.T) {
-	tbl := corrTable(t, 1500, 3)
-	regs := fusedWorkload(t, tbl)
-	model := made.New(tbl.DomainSizes(), made.Config{HiddenSizes: []int{16, 16}, EmbedThreshold: 64, EmbedDim: 8, Seed: 5})
-	e := NewEstimator(model, 300, 42)
-	e.EnumThreshold = 40
-	for attempt := 0; attempt < 8; attempt++ {
-		e.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: 1})
-		st, ok := e.fusedPool.Get().(*fusedState)
-		if !ok {
-			continue // the race detector drops some pool Puts
-		}
-		if len(st.probs) != 0 {
-			t.Fatalf("serial walk allocated %d block-high probability rows", len(st.probs))
-		}
-		return
-	}
-	t.Skip("the pool kept no fused state")
-}
-
 // TestEstimateFusedWalkZeroAlloc asserts walkBlock's documented contract:
 // once the pooled buffers, RNGs, group tables and model scratch are primed,
-// a serial block walk performs zero heap allocations at any block
-// height. The small case walks one query's three chunks (the last one short)
+// a block walk performs zero heap allocations at any block height. The small case walks one query's three chunks (the last one short)
 // through a narrow model; the DMV-shaped case walks one query's 16 full
 // chunks (2048 rows) through hidden layers as wide as the DMV benchmark
 // model's, with an embedded column whose decode spans many tiles and panels.
@@ -735,11 +764,11 @@ func TestEstimateFusedWalkZeroAlloc(t *testing.T) {
 
 			// One warm walk grows st.rngs to the chunk count and settles any
 			// remaining lazily-built model scratch.
-			if err := e.walkBlock(bm, st, fq, 0, chunks, false); err != nil {
+			if err := e.walkBlock(bm, st, fq, 0, chunks); err != nil {
 				t.Fatal(err)
 			}
 			avg := testing.AllocsPerRun(c.runs, func() {
-				if err := e.walkBlock(bm, st, fq, 0, chunks, false); err != nil {
+				if err := e.walkBlock(bm, st, fq, 0, chunks); err != nil {
 					t.Fatal(err)
 				}
 			})

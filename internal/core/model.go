@@ -72,11 +72,10 @@ type SequentialModel interface {
 type BlockModel interface {
 	SequentialModel
 
-	// AdvanceBlock folds the previously decoded column's codes (those with
-	// code -1 are treated as absent) and brings the trunk state current for
-	// decoding col over the block's n rows (the height BeginSampling
-	// announced). col must be strictly greater than the last advanced column
-	// (skipped intermediate columns are treated as absent for every row).
+	// AdvanceBlock folds the previously decoded column's codes and brings
+	// the trunk state current for decoding col over the block's n rows (the
+	// height BeginSampling announced). The walk advances every column in
+	// order, 0 first, each one after the previous column's codes are drawn.
 	AdvanceBlock(codes []int32, n, col int)
 
 	// DecodeBlock writes P̂(X_col | x_<col) for rows [r0, r1) of the current
@@ -88,9 +87,7 @@ type BlockModel interface {
 }
 
 // BlockRowAdvancer is an optional extension of BlockModel for models whose
-// trunk advance can be split over disjoint row ranges — the hook the fused
-// scheduler uses to spread one tall block's advance across cores. The
-// sequence
+// trunk advance can be split over disjoint row ranges. The sequence
 //
 //	BeginAdvanceRows(n, col)
 //	AdvanceRows(codes, col, r0, r1)   // ranges covering [0, n), any order,
@@ -101,6 +98,9 @@ type BlockModel interface {
 // and refresh are row-independent, BeginAdvanceRows prepares any lazily
 // built shared state (so concurrent ranges never race on it), and
 // FinishAdvanceRows commits the walk bookkeeping once.
+//
+// Deprecated: the sampling walk no longer splits a block over row ranges
+// and never calls it. It will be removed.
 type BlockRowAdvancer interface {
 	BlockModel
 
@@ -121,6 +121,9 @@ type BlockRowAdvancer interface {
 // height and builds any lazily packed weights; afterwards DecodeBlock calls
 // with disjoint [r0, r1) may run in parallel, each touching only its own
 // rows, until the next advance re-arms single-threaded mode.
+//
+// Deprecated: the sampling walk no longer splits a block over row ranges
+// and never calls it. It will be removed.
 type BlockRowDecoder interface {
 	BlockModel
 
@@ -129,10 +132,10 @@ type BlockRowDecoder interface {
 }
 
 // WildcardSkipper is an optional extension for models that accept code -1 as
-// "column absent" in CondBatch/AdvanceBlock inputs, letting the sampler skip
-// the sampling step for interior wildcard columns entirely instead of
-// drawing through them. Estimators only take the skip path when the model
-// opts in AND Estimator.SkipWildcards is set.
+// "column absent" in CondBatch/AdvanceBlock inputs.
+//
+// Deprecated: the sampling walk no longer skips wildcard columns and never
+// calls it. It will be removed.
 type WildcardSkipper interface {
 	// SkipsWildcards reports whether absent-column (-1) codes are supported.
 	SkipsWildcards() bool

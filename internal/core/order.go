@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"repro/internal/nn"
-	"repro/internal/query"
 	"repro/internal/table"
 )
 
@@ -13,9 +12,7 @@ import (
 // can be architected to use any ordering(s) of the attributes; in this work
 // we simply pick the table order"). This file implements the generalization:
 // training a model under an arbitrary column permutation and querying it
-// through an order-aware estimator, plus a multi-order ensemble that averages
-// the (individually unbiased) estimates of several orderings — the direction
-// later follow-up work explored to cut progressive-sampling variance.
+// through an order-aware estimator.
 
 // PermutedDomains returns the table's domain sizes rearranged so model
 // position i holds original column perm[i].
@@ -108,36 +105,4 @@ func (e *Estimator) colAt(modelPos int) int {
 		return modelPos
 	}
 	return e.order[modelPos]
-}
-
-// Ensemble averages several Naru estimators — typically the same data
-// modeled under different column orders. Progressive-sampling estimates are
-// individually unbiased (Theorem 1), so the average is unbiased with lower
-// variance when the members' errors are de-correlated by their orderings.
-type Ensemble struct {
-	Members []*Estimator
-}
-
-// Name implements the estimator interface.
-func (e *Ensemble) Name() string { return fmt.Sprintf("Naru-ens%d", len(e.Members)) }
-
-// SizeBytes totals the member models.
-func (e *Ensemble) SizeBytes() int64 {
-	var b int64
-	for _, m := range e.Members {
-		b += m.SizeBytes()
-	}
-	return b
-}
-
-// EstimateRegion averages the members' estimates.
-func (e *Ensemble) EstimateRegion(reg *query.Region) float64 {
-	if len(e.Members) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, m := range e.Members {
-		sum += m.EstimateRegion(reg)
-	}
-	return sum / float64(len(e.Members))
 }

@@ -71,54 +71,3 @@ func TestNewEstimatorWithOrderRejectsBadPerm(t *testing.T) {
 		t.Fatal("want error for invalid permutation")
 	}
 }
-
-func TestEnsembleAveragesAndSizes(t *testing.T) {
-	tbl := corrTable(t, 2000, 47)
-	o := NewOracle(tbl)
-	a := NewEstimator(o, 500, 1)
-	b := NewEstimator(o, 500, 2)
-	ens := &Ensemble{Members: []*Estimator{a, b}}
-	if ens.Name() != "Naru-ens2" {
-		t.Fatalf("Name = %q", ens.Name())
-	}
-	if ens.SizeBytes() != a.SizeBytes()+b.SizeBytes() {
-		t.Fatal("SizeBytes should sum members")
-	}
-	reg := mustRegion(t, query.Query{Preds: []query.Predicate{
-		{Col: 0, Op: query.OpLe, Code: 3}}}, tbl)
-	ea, eb := a.EstimateRegion(reg), b.EstimateRegion(reg)
-	got := ens.EstimateRegion(reg)
-	if math.Abs(got-(ea+eb)/2) > 1e-12 {
-		t.Fatalf("ensemble %v, members avg %v", got, (ea+eb)/2)
-	}
-	empty := &Ensemble{}
-	if empty.EstimateRegion(reg) != 0 {
-		t.Fatal("empty ensemble should return 0")
-	}
-}
-
-// TestTwoOrderEnsembleUnbiased: the average of two order-specific unbiased
-// estimators must track truth on the oracle-equivalent correlated table.
-func TestTwoOrderEnsembleUnbiased(t *testing.T) {
-	tbl := corrTable(t, 4000, 48)
-	natural := NewEstimator(NewOracle(tbl), 2000, 1)
-	// Oracle only supports natural order; emulate a second member with a
-	// different seed (independent sampler randomness).
-	second := NewEstimator(NewOracle(tbl), 2000, 99)
-	ens := &Ensemble{Members: []*Estimator{natural, second}}
-	gen := query.NewGenerator(tbl, query.GeneratorConfig{MinFilters: 2, MaxFilters: 3, SmallDomainThreshold: 5}, 49)
-	for i := 0; i < 8; i++ {
-		reg := mustRegion(t, gen.Next(), tbl)
-		truth := query.Selectivity(reg, tbl)
-		got := ens.EstimateRegion(reg)
-		if truth == 0 {
-			if got > 1e-6 {
-				t.Fatalf("query %d: truth 0, ensemble %v", i, got)
-			}
-			continue
-		}
-		if r := got / truth; r < 0.7 || r > 1.4 {
-			t.Fatalf("query %d: ensemble %v vs truth %v", i, got, truth)
-		}
-	}
-}

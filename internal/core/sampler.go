@@ -33,17 +33,6 @@ type Estimator struct {
 	// up to which exact enumeration is used instead of sampling.
 	EnumThreshold float64
 
-	// SkipWildcards, on models that support absent-column codes (see
-	// WildcardSkipper), makes the sampling walk skip interior wildcard
-	// columns entirely: no conditional is decoded and no code drawn, the
-	// trunk treats the column as absent. This trades per-query model passes
-	// for a zero-input approximation of the marginal — exact only for models
-	// trained with wildcard input masking — so it is off by default; the
-	// default walk draws through wildcards, which marginalizes them without
-	// bias. Changing it changes the RNG consumption pattern, so flip it only
-	// between batches, never while comparing against a run made without it.
-	SkipWildcards bool
-
 	// order, when non-nil, maps model positions to original column indices
 	// for models trained under a column permutation (see
 	// NewEstimatorWithOrder).
@@ -385,16 +374,6 @@ func (e *Estimator) sumDensityPrefix(sc *scratch, codes []int32, n, last int) fl
 	return s
 }
 
-// skipEnabled reports whether the walk may skip interior wildcard columns:
-// the estimator opted in AND the model accepts absent-column codes.
-func (e *Estimator) skipEnabled(m Model) bool {
-	if !e.SkipWildcards {
-		return false
-	}
-	ws, ok := m.(WildcardSkipper)
-	return ok && ws.SkipsWildcards()
-}
-
 // walkQuery is the per-query driver of Algorithm 1, the one loop over a
 // query's chunks under both batch entry points: the query's S sample paths
 // run in independently seeded chunks of anytimeChunk, and each chunk advances
@@ -402,7 +381,8 @@ func (e *Estimator) skipEnabled(m Model) bool {
 // each path into the high-mass part of the query region; the product of the
 // per-column masses P̂(X_i ∈ Ri | x_<i) is the unbiased density estimate
 // (Theorem 1). Scale columns multiply in their expected inverse fanout
-// instead (buildTable) and are never skipped.
+// instead (buildTable). Both steps walk every column from 0 to the query's
+// last restricted or scale column and draw through wildcards, whose mass is 1.
 //
 // A step is either one chunk walked by CondBatch (walkChunk) or, when the
 // walker holds a block walk, the query's chunks of one admission wave walked
@@ -422,7 +402,6 @@ func (e *Estimator) walkQuery(ctx context.Context, w *walker, sq *sampleQuery, t
 			res = Result{Source: SourceFailed, Err: fmt.Errorf("%w: query %d: %v", ErrPanicked, sq.i, r)}
 		}
 	}()
-	skip := e.skipEnabled(w.sc.model)
 	chunks := (e.samples + anytimeChunk - 1) / anytimeChunk
 	bm := w.bm
 	for sq.done < e.samples {
@@ -430,10 +409,10 @@ func (e *Estimator) walkQuery(ctx context.Context, w *walker, sq *sampleQuery, t
 			return e.stopResult(sq, stop, err)
 		}
 		if bm == nil {
-			e.walkChunk(w.sc, sq, skip)
+			e.walkChunk(w.sc, sq)
 		} else {
 			c1 := min(waveEnd(sq.chunks, chunks), sq.chunks+maxFusedChunks)
-			if err := e.walkBlock(bm, w.st, sq, sq.chunks, c1, skip); err != nil {
+			if err := e.walkBlock(bm, w.st, sq, sq.chunks, c1); err != nil {
 				e.obs.fusedReserved.Inc()
 				sq.sum, sq.sumsq, sq.done, sq.chunks = 0, 0, 0, 0
 				bm = nil
@@ -450,18 +429,12 @@ func (e *Estimator) walkQuery(ctx context.Context, w *walker, sq *sampleQuery, t
 
 // walkChunk walks the query's next chunk through CondBatch, one model
 // position per call, on sc's single-chunk buffers and re-seeded RNG.
-func (e *Estimator) walkChunk(sc *scratch, sq *sampleQuery, skip bool) {
+func (e *Estimator) walkChunk(sc *scratch, sq *sampleQuery) {
 	n := sc.model.NumCols()
-	fill := int32(0)
-	if skip {
-		fill = -1 // unvisited columns read as absent, not as code 0
-	}
 	s := min(e.samples-sq.done, anytimeChunk)
 	sc.rng.Seed(mixSeed(e.seedFor(sq.q), int64(sq.chunks)))
 	codes := sc.codes[:s*n]
-	for i := range codes {
-		codes[i] = fill
-	}
+	clear(codes)
 	weights := sc.weights[:s]
 	for i := range weights {
 		weights[i] = 1
@@ -472,11 +445,6 @@ func (e *Estimator) walkChunk(sc *scratch, sq *sampleQuery, skip bool) {
 	for col := 0; col <= sq.last; col++ {
 		inv := sq.scaleAt(col)
 		wildcard := inv == nil && sq.reg.Cols[e.colAt(col)].IsAll()
-		if skip && wildcard {
-			// Interior wildcard: no conditional, no draw — the model treats
-			// the column as absent.
-			continue
-		}
 		sc.model.CondBatch(codes, s, col, sc.probs[:s])
 		drawRows(sc.rng, sq.valid[col], inv, wildcard, codes, n, col, sc.probs, weights, 0, s)
 	}

@@ -206,39 +206,34 @@ func scaledWorkload(t *testing.T, tbl *table.Table) []Request {
 
 // TestEstimateScaledFusedMatchesPerQuery: scaled requests served in one fused
 // call with unscaled ones answer bit for bit like the per-query walk, at one
-// worker and at NumCPU, with and without wildcard skipping. With skipping on,
-// a scale column before the first restricted column must still be decoded
-// and drawn, and split the block's rows by the codes drawn there before the
-// restricted column is decoded. The second budget's last chunk is shorter
-// than a decode tile and not a multiple of its height, so its block ends
-// mid-tile.
+// worker and at NumCPU. A scale column before the first restricted column is
+// decoded and drawn, and splits the block's rows by the codes drawn there
+// before the restricted column is decoded. The second budget's last chunk is
+// shorter than a decode tile and not a multiple of its height, so its block
+// ends mid-tile.
 func TestEstimateScaledFusedMatchesPerQuery(t *testing.T) {
 	tbl := corrTable(t, 1500, 3)
 	reqs := scaledWorkload(t, tbl)
 	domains := tbl.DomainSizes()
 	const seed = 42
 	for _, samples := range []int{300, 2*anytimeChunk + decodeTileRows/2 + 3} {
-		for _, skip := range []bool{false, true} {
-			seq := NewEstimator(testMADE(domains), samples, seed)
-			seq.EnumThreshold = 40
-			seq.SkipWildcards = skip
-			want := seq.EstimateBatchCtx(context.Background(), reqs, ServeOptions{Workers: 1})
-			for i, r := range reqs {
-				if r.Scales != nil && (want[i].Source != SourceModel || want[i].Samples != samples) {
-					t.Fatalf("samples=%d skip=%v scaled query %d: %+v, want a full-budget sampled answer",
-						samples, skip, i, want[i])
-				}
+		seq := NewEstimator(testMADE(domains), samples, seed)
+		seq.EnumThreshold = 40
+		want := seq.EstimateBatchCtx(context.Background(), reqs, ServeOptions{Workers: 1})
+		for i, r := range reqs {
+			if r.Scales != nil && (want[i].Source != SourceModel || want[i].Samples != samples) {
+				t.Fatalf("samples=%d scaled query %d: %+v, want a full-budget sampled answer",
+					samples, i, want[i])
 			}
-			for _, w := range []int{1, runtime.NumCPU()} {
-				fused := NewEstimator(testMADE(domains), samples, seed)
-				fused.EnumThreshold = 40
-				fused.SkipWildcards = skip
-				got := fused.EstimateFused(context.Background(), reqs, ServeOptions{Workers: w})
-				for i := range want {
-					if !resultEqual(got[i], want[i]) || got[i].Stop != want[i].Stop {
-						t.Fatalf("samples=%d skip=%v workers=%d query %d (scales %v): fused %+v != per-query %+v",
-							samples, skip, w, i, reqs[i].Scales != nil, got[i], want[i])
-					}
+		}
+		for _, w := range []int{1, runtime.NumCPU()} {
+			fused := NewEstimator(testMADE(domains), samples, seed)
+			fused.EnumThreshold = 40
+			got := fused.EstimateFused(context.Background(), reqs, ServeOptions{Workers: w})
+			for i := range want {
+				if !resultEqual(got[i], want[i]) || got[i].Stop != want[i].Stop {
+					t.Fatalf("samples=%d workers=%d query %d (scales %v): fused %+v != per-query %+v",
+						samples, w, i, reqs[i].Scales != nil, got[i], want[i])
 				}
 			}
 		}

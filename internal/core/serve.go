@@ -143,14 +143,13 @@ var ErrInvalidWorkers = errors.New("core: ServeOptions.Workers must be >= 0")
 
 // ServeOptions configures fault-tolerant batch serving.
 type ServeOptions struct {
-	// Workers caps the serving goroutines (GOMAXPROCS when 0). On both
-	// batch entry points it bounds the goroutines pulling queries off the
-	// batch, one pooled model replica each; on the fused path, budget left
-	// over when the batch holds fewer queries than Workers fans each tall
-	// block over row ranges. A MADE model's sampling kernels run on those
-	// goroutines and never start their own, so Workers = 1 serves it on one
-	// core. Results are bit-identical at every worker count. Negative values
-	// are rejected with ErrInvalidWorkers rather than clamped.
+	// Workers caps how many queries walk at once (GOMAXPROCS when 0): on
+	// both batch entry points it bounds the goroutines pulling queries off
+	// the batch, one pooled model replica each, and a query walks on one of
+	// them. A MADE model's sampling kernels run on those goroutines and
+	// never start their own, so Workers = 1 serves it on one core. Results
+	// are bit-identical at every worker count. Negative values are rejected
+	// with ErrInvalidWorkers rather than clamped.
 	Workers int
 
 	// Deadline is the per-query wall-clock budget (0 means none), measured
@@ -238,9 +237,8 @@ func (e *Estimator) EstimateBatchCtx(ctx context.Context, reqs []Request, opts S
 // holds one pooled model replica and, when fused is set and the replica is a
 // BlockModel, one pooled set of block buffers, and classifies, walks and
 // routes its queries one at a time (serveOne). One goroutine serves on the
-// caller's. Budget left over when the batch holds fewer queries than Workers
-// fans each block over row ranges. Results never depend on the schedule: a
-// query's randomness is keyed by its global index and chunk index alone.
+// caller's. Results never depend on the schedule: a query's randomness is
+// keyed by its global index and chunk index alone.
 func (e *Estimator) serveBatch(ctx context.Context, reqs []Request, opts ServeOptions, fused bool) []Result {
 	out := make([]Result, len(reqs))
 	if len(reqs) == 0 {
@@ -270,14 +268,12 @@ func (e *Estimator) serveBatch(ctx context.Context, reqs []Request, opts ServeOp
 	}
 	base := e.nextQuery.Add(uint64(len(reqs))) - uint64(len(reqs))
 	goroutines := min(workers, len(reqs))
-	inner := max(workers/goroutines, 1)
 	var next atomic.Int64
 	run := func() {
 		w := walker{sc: e.acquire()}
 		defer e.release(w.sc)
 		if bm, ok := w.sc.model.(BlockModel); ok && fused {
 			w.bm, w.st = bm, e.getFusedState()
-			w.st.inner = inner
 			defer e.fusedPool.Put(w.st)
 		}
 		for {

@@ -9,15 +9,10 @@ import (
 
 // Block-granular sampling. The fused serving engine (internal/core) walks a
 // query's sample rows through the network as one tall batch, column by
-// column, at the one height BeginSampling announced. Two things distinguish
-// that walk from the strict sequential one the delta-forward cache
-// (infer.go) was built for:
-//
-//   - columns may be skipped: a query with an interior wildcard never samples
-//     the column, so the input block stays zero — the autoregressive state
-//     must advance across the gap without a decode;
-//   - a column's conditionals may be decoded a row range at a time (tiles, or
-//     concurrent ranges after PrepareDecode).
+// column, at the one height BeginSampling announced. What distinguishes that
+// walk from the strict sequential one the delta-forward cache (infer.go) was
+// built for is that a column's conditionals are decoded a row tile at a
+// time, and only for the rows the caller asks for (one per prefix group).
 //
 // AdvanceBlock/DecodeBlock split CondBatch into those two halves, and the
 // suffix refresh of the old walk tightens into *degree bands*: revealing
@@ -38,10 +33,11 @@ import (
 // Every kernel the walk runs (MatMulPackedPrefix, MatMulPackedWindow, the
 // fold's row loops, the row softmax) runs on the calling goroutine at any
 // block height. The walk's parallelism belongs to its caller: internal/core
-// spends its worker budget on concurrent queries and, through the row-range
-// entry points (BeginAdvanceRows/AdvanceRows, PrepareDecode), on row ranges.
-// A kernel that fanned out on its own would nest a second fan-out under that
-// budget and turn one worker into several cores.
+// spends its worker budget on concurrent queries, one goroutine each. A
+// kernel that fanned out on its own would nest a second fan-out under that
+// budget and turn one worker into several cores. The row-range entry points (BeginAdvanceRows,
+// AdvanceRows, FinishAdvanceRows, PrepareDecode) and SkipsWildcards remain
+// for callers outside the walk and are deprecated.
 
 // packCache holds pre-packed weight windows for the block sampling path. It
 // is per-model state (forks build their own) and is dropped whenever a
@@ -264,6 +260,9 @@ func (m *Model) AdvanceBlock(codes []int32, n, col int) {
 // bit-identical to one AdvanceBlock(codes, n, col) call: folds, band GEMMs,
 // and ReLU clamps are all row-independent, and FinishAdvanceRows commits the
 // same staleness bookkeeping a full-height advance would.
+//
+// Deprecated: internal/core no longer advances a block by row ranges. It
+// will be removed with core.BlockRowAdvancer.
 func (m *Model) BeginAdvanceRows(n, col int) {
 	s := &m.samp
 	if !s.active || n != s.n || col < 0 || col >= len(m.domains) {
@@ -317,6 +316,9 @@ func (m *Model) advanceWindow(l, col int) (hi, lo int) {
 // ranges must cover [0, n). Each range's layer stack is self-contained:
 // layer l's band GEMM reads layer l-1's rows of the same range, which the
 // range itself just refreshed.
+//
+// Deprecated: internal/core no longer advances a block by row ranges. It
+// will be removed with core.BlockRowAdvancer.
 func (m *Model) AdvanceRows(codes []int32, col, r0, r1 int) {
 	s := &m.samp
 	if cc := s.lastDecoded; cc >= 0 {
@@ -345,6 +347,9 @@ func (m *Model) AdvanceRows(codes []int32, col, r0, r1 int) {
 // FinishAdvanceRows commits the advance begun by BeginAdvanceRows after
 // every row range has run: the same staleness markers and column cursor a
 // full-height AdvanceBlock would leave.
+//
+// Deprecated: internal/core no longer advances a block by row ranges. It
+// will be removed with core.BlockRowAdvancer.
 func (m *Model) FinishAdvanceRows(col int) {
 	s := &m.samp
 	if cc := s.lastDecoded; cc >= 0 {
@@ -369,6 +374,9 @@ func (m *Model) FinishAdvanceRows(col int) {
 // ranges of the current column may run concurrently — each range reads and
 // writes only its own rows of the shared scratch. The armed mode lasts until
 // the next advance or BeginSampling.
+//
+// Deprecated: internal/core no longer decodes a block by concurrent row
+// ranges. It will be removed with core.BlockRowDecoder.
 func (m *Model) PrepareDecode(col int) {
 	s := &m.samp
 	if !s.active || s.lastDecoded != col {
@@ -514,4 +522,7 @@ func (m *Model) decodeHidden(h *tensor.Matrix, n, col int, out [][]float64) {
 
 // SkipsWildcards implements core.WildcardSkipper: the walk tolerates skipped
 // columns (codes left at -1 advance the state with a zero input block).
+//
+// Deprecated: internal/core no longer skips wildcard columns. It will be
+// removed with core.WildcardSkipper.
 func (m *Model) SkipsWildcards() bool { return true }

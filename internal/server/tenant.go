@@ -32,8 +32,9 @@ const (
 // from-disk path driven by a TenantConfig.
 type TenantOptions struct {
 	// Serve configures per-query serving: deadline, target stderr and
-	// fallback. Workers is ignored: the tenant's admission gate walks every
-	// query on one core (see naru.CoalesceOptions.Serve).
+	// fallback. Workers is ignored: the tenant's admission gate walks each
+	// query alone on one core, and MaxInFlight bounds how many walk at once
+	// (see naru.CoalesceOptions.Serve).
 	Serve naru.ServeOptions
 	// BatchWindow is ignored: every estimate goes through the tenant's
 	// admission gate, which does not batch.

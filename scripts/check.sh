@@ -78,8 +78,8 @@
 # `check.sh join` is the multi-table join-estimation gate: the neurocard suite
 # (join sampler, append-then-join vs the oracle, join queries in metrics and
 # traces) and the scaled-estimate tests (per-query walk, and the fused walk
-# bit-identical to it at one worker and at NumCPU, with and without wildcard
-# skipping) under the race detector, plus the join-tenant serving tests (a
+# bit-identical to it at one worker and at NumCPU) under the race detector,
+# plus the join-tenant serving tests (a
 # failed estimate answers 500; the serving contract a join tenant shares with
 # single-table ones) and the CLI round-trip tests; a CLI smoke test (train -join over generated CSVs,
 # estimate -join against the nested-loop truth); and the join benchmark run
