@@ -903,3 +903,18 @@ func TestEstimateFusedWorkersFollowGOMAXPROCS(t *testing.T) {
 		t.Fatalf("%s = %v under GOMAXPROCS(1) with Workers 0, want 1", metricFusedWorkers, w)
 	}
 }
+
+// TestEstimateFusedWorkersGaugeCountsGoroutines: the gauge reads the
+// goroutines a call walks on, not its Workers budget, which a batch smaller
+// than the budget cannot use. One query at Workers 4 walks on one goroutine.
+func TestEstimateFusedWorkersGaugeCountsGoroutines(t *testing.T) {
+	tbl := corrTable(t, 1500, 3)
+	e := NewEstimator(testMADE(tbl.DomainSizes()), 300, 42)
+	e.EnumThreshold = 40
+	reg := obs.New()
+	e.SetObserver(reg)
+	e.EstimateFused(context.Background(), Requests(fusedWorkload(t, tbl)[:1]), ServeOptions{Workers: 4})
+	if w := reg.Gauge(metricFusedWorkers).Value(); w != 1 {
+		t.Fatalf("%s = %v for one query at Workers 4, want 1", metricFusedWorkers, w)
+	}
+}

@@ -263,11 +263,11 @@ func (e *Estimator) serveBatch(ctx context.Context, reqs []Request, opts ServeOp
 		// goroutine would only wait for the first.
 		workers = 1
 	}
-	if fused {
-		e.obs.fusedWorkers.Set(float64(workers))
-	}
 	base := e.nextQuery.Add(uint64(len(reqs))) - uint64(len(reqs))
 	goroutines := min(workers, len(reqs))
+	if fused {
+		e.obs.fusedWorkers.Set(float64(goroutines))
+	}
 	var next atomic.Int64
 	run := func() {
 		w := walker{sc: e.acquire()}

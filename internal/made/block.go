@@ -25,10 +25,19 @@ import (
 // previous layer admitted by its degree, and the masked weights above that
 // prefix are exactly zero.
 //
+// Layer 0 gets the same lazy treatment: a fold only adds to the first
+// layer's pre-activations (h1pre), and AdvanceBlock re-clamps post[0] over
+// the stale units [refreshed[0], hidStart[0][col+1]) just before the band
+// GEMMs (or, on a one-hidden-layer model, the head) read them. Each unit is
+// clamped once per walk, from its final pre-activation, instead of once per
+// fold that reaches it.
+//
 // All weight windows the walk replays — degree bands, per-column head
-// prefixes, decode transposes, and the first layer's embedded-fold blocks —
-// are packed once and cached on the model (invalidated by training), so the
-// per-step GEMMs skip the pack pass entirely.
+// prefixes and decode transposes — are packed once and cached on the model
+// (invalidated by training), so the per-step GEMMs skip the pack pass
+// entirely. So are the embedded columns' fold tables: the first layer's
+// product with each code's embedding, which turns an embedded fold into one
+// row add, as a one-hot column's fold already is.
 //
 // Every kernel the walk runs (MatMulPackedPrefix, MatMulPackedWindow, the
 // fold's row loops, the row softmax) runs on the calling goroutine at any
@@ -46,12 +55,12 @@ type packCache struct {
 	band [][]*tensor.PackedB // [layer][degree]: W_l rows [:Kprev], cols = degree band
 	head []*tensor.PackedB   // [col]: head.W rows [:Kc], cols = col's head block
 	dec  []*tensor.PackedB   // [col]: PackTrans of the column's decode matrix
-	w1   []*tensor.PackedB   // [col]: W1 rows = col's input block, cols [s0:)
+	fold []*tensor.Matrix    // [col]: embedded col's fold table, domain × (W1 cols − s0)
 }
 
-// invalidatePacks drops every cached packing and the zero-input forward
-// snapshot; the next block walk repacks (and re-snapshots) lazily from the
-// updated weights.
+// invalidatePacks drops every cached packing, the fold tables and the
+// zero-input forward snapshot; the next block walk repacks (and
+// re-snapshots) lazily from the updated weights.
 func (m *Model) invalidatePacks() {
 	m.packs = packCache{}
 	m.samp.zeroH1 = nil
@@ -117,35 +126,43 @@ func (m *Model) decPack(col int) *tensor.PackedB {
 	return pb
 }
 
-// w1Pack returns the packed window of the first layer's weights for folding
-// an embedded column col: rows = the column's input block, columns = the
-// suffix its degree can reach.
-func (m *Model) w1Pack(col int) *tensor.PackedB {
+// foldTable returns (building if needed) embedded column col's fold table:
+// row v is E[v]·W1[col's input block, s0:), the first layer's pre-activation
+// increment for code v over the suffix [s0, W1 cols) its degree can reach
+// (s0 = hidStart[0][col+1] < W1 cols). The table is the per-row fold's GEMM
+// run once per code, with the same packed kernel in store mode, so each
+// element is that kernel's FMA chain from +0, and adding a row to h1pre is
+// the one IEEE add its accumulate epilogue made: bit-identical. Like the
+// zero-input snapshot, a table keeps the bits of the kernel path that built
+// it. On DMV the tables take about 1 MB per replica.
+func (m *Model) foldTable(col int) *tensor.Matrix {
 	pc := &m.packs
-	if pc.w1 == nil {
-		pc.w1 = make([]*tensor.PackedB, len(m.domains))
+	if pc.fold == nil {
+		pc.fold = make([]*tensor.Matrix, len(m.domains))
 	}
-	pb := pc.w1[col]
-	if pb == nil {
+	t := pc.fold[col]
+	if t == nil {
 		c := &m.codecs[col]
 		w1 := m.firstLinear().W.Val
 		s0 := m.hidStart[0][col+1]
-		pb = new(tensor.PackedB)
+		var pb tensor.PackedB
 		pb.PackRange(w1, c.inOff, c.inOff+c.inW, s0, w1.Cols)
-		pc.w1[col] = pb
+		t = tensor.New(c.domain, w1.Cols-s0)
+		tensor.MatMulPackedWindow(t, c.emb.W.Val, &pb, nil, false, false, 0)
+		pc.fold[col] = t
 	}
-	return pb
+	return t
 }
 
 // foldRows folds column cc's freshly sampled codes into the first layer's
-// caches for rows [r0, r1) only: the embedding gather (or one-hot Axpy) into
-// h1pre's suffix window [hidStart[0][cc+1]:), then the post[0] re-clamp of
-// the same window. A row whose code is negative contributes nothing — its
-// input block stays zero. The step touches only rows [r0, r1), so
-// disjoint ranges may run concurrently once the shared scratch (embA sizing,
-// the w1 pack) is prepared; vPre/vEmb are view headers private to the
-// caller's range. Staleness markers for deeper layers are the caller's job.
-func (m *Model) foldRows(codes []int32, cc, r0, r1 int, vPre, vEmb *tensor.Matrix) {
+// pre-activations for rows [r0, r1) only: one row add into h1pre's suffix
+// window [hidStart[0][cc+1]:) per row, of the code's W1 row for a one-hot
+// column or of its fold-table row for an embedded one. A row whose code is
+// negative contributes nothing — its input block stays zero. post[0] is
+// re-clamped later (refreshRows), and the staleness markers are the
+// caller's job. The step touches only rows [r0, r1), so disjoint ranges may
+// run concurrently once the fold table is built.
+func (m *Model) foldRows(codes []int32, cc, r0, r1 int) {
 	s := &m.samp
 	c := &m.codecs[cc]
 	nc := len(m.domains)
@@ -153,69 +170,63 @@ func (m *Model) foldRows(codes []int32, cc, r0, r1 int, vPre, vEmb *tensor.Matri
 	if s0 >= s.h1pre.Cols {
 		return
 	}
-	pre, post0 := s.h1pre, s.post[0]
+	src, off, j0 := m.firstLinear().W.Val, c.inOff, s0
 	if c.embedded {
-		// Gather the embedding rows and fold them with one accumulating
-		// GEMM against the cached weight window; zero rows (negative
-		// codes) add exact zeros.
-		embA := m.infer.embA // pre-sized to the full batch by the caller
-		for r := r0; r < r1; r++ {
-			dst := embA.Row(r)
-			if code := codes[r*nc+cc]; code >= 0 {
-				c.emb.Lookup(code, dst)
-			} else {
-				for j := range dst {
-					dst[j] = 0
-				}
-			}
-		}
-		preView := viewRows(vPre, pre, r0, r1)
-		embView := viewRows(vEmb, embA, r0, r1)
-		tensor.MatMulPackedWindow(preView, embView, m.w1Pack(cc), nil, false, true, s0)
-		for r := r0; r < r1; r++ {
-			tensor.PositivePart(post0.Row(r)[s0:], pre.Row(r)[s0:])
-		}
-	} else {
-		w1 := m.firstLinear().W.Val
-		for r := r0; r < r1; r++ {
-			dst := pre.Row(r)[s0:]
-			if code := codes[r*nc+cc]; code >= 0 {
-				tensor.Axpy(1, w1.Row(c.inOff + int(code))[s0:], dst)
-			}
-			tensor.PositivePart(post0.Row(r)[s0:], dst)
+		src, off, j0 = m.foldTable(cc), 0, 0
+	}
+	for r := r0; r < r1; r++ {
+		if code := codes[r*nc+cc]; code >= 0 {
+			tensor.Axpy(1, src.Row(off + int(code))[j0:], s.h1pre.Row(r)[s0:])
 		}
 	}
 }
 
 // foldColumn folds the freshly sampled codes of column cc into the first
-// layer's caches for rows [0, n), exactly as the eager walk did, and marks
-// the deeper layers stale; AdvanceBlock refreshes them band-by-band on
-// demand.
+// layer's pre-activations for rows [0, n) and marks every layer stale from
+// the first unit the column reaches; AdvanceBlock refreshes them on demand.
 func (m *Model) foldColumn(codes []int32, n, cc int) {
 	s := &m.samp
-	c := &m.codecs[cc]
-	if s0 := m.hidStart[0][cc+1]; s0 < s.h1pre.Cols {
-		if c.embedded {
-			m.infer.embA = resizeMat(m.infer.embA, n, c.inW)
-			m.w1Pack(cc)
-		}
-		m.foldRows(codes, cc, 0, n, &s.vFold, &s.vEmb)
-	}
-	// Deeper layers: revealing a column of input degree cc+1 dirties units of
-	// degree ≥ cc+1. Layer 0 was fully re-clamped above.
-	for l := 1; l < len(s.post); l++ {
+	m.foldRows(codes, cc, 0, n)
+	// Revealing a column of input degree cc+1 dirties units of degree ≥ cc+1.
+	for l := range s.post {
 		if t := m.hidStart[l][cc+1]; t < s.refreshed[l] {
 			s.refreshed[l] = t
 		}
 	}
 }
 
+// refreshRows brings rows [r0, r1) of hidden layer l current over the stale
+// units [lo, hi): layer 0 re-clamps its pre-activations, and a deeper layer
+// reruns the degree bands the window overlaps from the layer below, which
+// must already be current over the prefix those bands read. vCur and vPrev
+// are view headers private to the caller's range.
+func (m *Model) refreshRows(l, lo, hi, r0, r1 int, vCur, vPrev *tensor.Matrix) {
+	s := &m.samp
+	if l == 0 {
+		for r := r0; r < r1; r++ {
+			tensor.PositivePart(s.post[0].Row(r)[lo:hi], s.h1pre.Row(r)[lo:hi])
+		}
+		return
+	}
+	curView := viewRows(vCur, s.post[l], r0, r1)
+	prevView := viewRows(vPrev, s.post[l-1], r0, r1)
+	bias := m.trunk.Layers[2*l].(*nn.Linear).B.Val.Data
+	for d := 1; d <= len(m.domains); d++ {
+		b0, b1 := m.hidStart[l][d], m.hidStart[l][d+1]
+		if b1 <= lo || b0 >= hi || b0 == b1 {
+			continue // outside the stale window, or an empty band
+		}
+		tensor.MatMulPackedPrefix(curView, prevView, m.bandPack(l, d), bias[b0:b1], true, false, b0)
+	}
+}
+
 // AdvanceBlock moves the walk's autoregressive state to column col over rows
 // [0, n), where n is the height BeginSampling announced: it folds the codes
 // of the last decoded column (reading only columns < col; negative codes
-// contribute nothing) and refreshes each hidden layer's stale degree bands up
-// to what decoding col reads. Columns may be skipped: they are never folded,
-// so the model treats them as absent.
+// contribute nothing), then brings each hidden layer current up to what
+// decoding col reads — layer 0's clamp, then the deeper layers' stale degree
+// bands. Columns may be skipped: they are never folded, so the model treats
+// them as absent.
 func (m *Model) AdvanceBlock(codes []int32, n, col int) {
 	s := &m.samp
 	if !s.active || n != s.n || col < 0 || col >= len(m.domains) {
@@ -229,23 +240,11 @@ func (m *Model) AdvanceBlock(codes []int32, n, col int) {
 	if s.lastDecoded >= 0 {
 		m.foldColumn(codes, n, s.lastDecoded)
 	}
-	for l := 1; l < len(s.post); l++ {
-		hi := m.hidStart[l][col+1]
-		lo := s.refreshed[l]
-		if hi <= lo {
-			continue
+	for l := range s.post {
+		if hi, lo := m.hidStart[l][col+1], s.refreshed[l]; lo < hi {
+			m.refreshRows(l, lo, hi, 0, n, &s.vCur, &s.vPrev)
+			s.refreshed[l] = hi
 		}
-		curView := viewRows(&s.vCur, s.post[l], 0, n)
-		prevView := viewRows(&s.vPrev, s.post[l-1], 0, n)
-		bias := m.trunk.Layers[2*l].(*nn.Linear).B.Val.Data
-		for d := 1; d <= len(m.domains); d++ {
-			b0, b1 := m.hidStart[l][d], m.hidStart[l][d+1]
-			if b1 <= lo || b0 >= hi || b0 == b1 {
-				continue // outside the stale window, or an empty band
-			}
-			tensor.MatMulPackedPrefix(curView, prevView, m.bandPack(l, d), bias[b0:b1], true, false, b0)
-		}
-		s.refreshed[l] = hi
 	}
 	s.lastDecoded = col
 	s.nextCol = col + 1
@@ -253,10 +252,10 @@ func (m *Model) AdvanceBlock(codes []int32, n, col int) {
 
 // BeginAdvanceRows implements the row-range advance protocol (see
 // core.BlockRowAdvancer): it validates the advance to col exactly like
-// AdvanceBlock over rows [0, n) and prepares the shared scratch — the
-// embedding-gather buffer and every packed weight window the advance will
-// replay — so AdvanceRows calls over disjoint row ranges can run
-// concurrently without racing on lazy pack construction. The split is
+// AdvanceBlock over rows [0, n) and builds what the advance will read — the
+// folded column's fold table and every packed weight window — so
+// AdvanceRows calls over disjoint row ranges can run concurrently without
+// racing on lazy construction. The split is
 // bit-identical to one AdvanceBlock(codes, n, col) call: folds, band GEMMs,
 // and ReLU clamps are all row-independent, and FinishAdvanceRows commits the
 // same staleness bookkeeping a full-height advance would.
@@ -274,9 +273,8 @@ func (m *Model) BeginAdvanceRows(n, col int) {
 	}
 	s.decodeShared = false
 	if cc := s.lastDecoded; cc >= 0 {
-		if c := &m.codecs[cc]; c.embedded && m.hidStart[0][cc+1] < s.h1pre.Cols {
-			m.infer.embA = resizeMat(m.infer.embA, n, c.inW)
-			m.w1Pack(cc)
+		if m.codecs[cc].embedded && m.hidStart[0][cc+1] < s.h1pre.Cols {
+			m.foldTable(cc)
 		}
 	}
 	for l := 1; l < len(s.post); l++ {
@@ -310,8 +308,8 @@ func (m *Model) advanceWindow(l, col int) (hi, lo int) {
 	return hi, lo
 }
 
-// AdvanceRows performs the fold + band refresh of an advance to col for rows
-// [r0, r1) only. Disjoint ranges may run concurrently between one
+// AdvanceRows performs the fold, clamp and band refresh of an advance to col
+// for rows [r0, r1) only. Disjoint ranges may run concurrently between one
 // BeginAdvanceRows(n, col) and one FinishAdvanceRows(col); the union of the
 // ranges must cover [0, n). Each range's layer stack is self-contained:
 // layer l's band GEMM reads layer l-1's rows of the same range, which the
@@ -322,24 +320,12 @@ func (m *Model) advanceWindow(l, col int) (hi, lo int) {
 func (m *Model) AdvanceRows(codes []int32, col, r0, r1 int) {
 	s := &m.samp
 	if cc := s.lastDecoded; cc >= 0 {
-		var vPre, vEmb tensor.Matrix
-		m.foldRows(codes, cc, r0, r1, &vPre, &vEmb)
+		m.foldRows(codes, cc, r0, r1)
 	}
-	for l := 1; l < len(s.post); l++ {
-		hi, lo := m.advanceWindow(l, col)
-		if hi <= lo {
-			continue
-		}
-		var vCur, vPrev tensor.Matrix
-		curView := viewRows(&vCur, s.post[l], r0, r1)
-		prevView := viewRows(&vPrev, s.post[l-1], r0, r1)
-		bias := m.trunk.Layers[2*l].(*nn.Linear).B.Val.Data
-		for d := 1; d <= len(m.domains); d++ {
-			b0, b1 := m.hidStart[l][d], m.hidStart[l][d+1]
-			if b1 <= lo || b0 >= hi || b0 == b1 {
-				continue
-			}
-			tensor.MatMulPackedPrefix(curView, prevView, m.bandPack(l, d), bias[b0:b1], true, false, b0)
+	var vCur, vPrev tensor.Matrix
+	for l := range s.post {
+		if hi, lo := m.advanceWindow(l, col); lo < hi {
+			m.refreshRows(l, lo, hi, r0, r1, &vCur, &vPrev)
 		}
 	}
 }
@@ -352,17 +338,9 @@ func (m *Model) AdvanceRows(codes []int32, col, r0, r1 int) {
 // will be removed with core.BlockRowAdvancer.
 func (m *Model) FinishAdvanceRows(col int) {
 	s := &m.samp
-	if cc := s.lastDecoded; cc >= 0 {
-		for l := 1; l < len(s.post); l++ {
-			if t := m.hidStart[l][cc+1]; t < s.refreshed[l] {
-				s.refreshed[l] = t
-			}
-		}
-	}
-	for l := 1; l < len(s.post); l++ {
-		if hi := m.hidStart[l][col+1]; hi > s.refreshed[l] {
-			s.refreshed[l] = hi
-		}
+	for l := range s.post {
+		hi, lo := m.advanceWindow(l, col)
+		s.refreshed[l] = max(hi, lo)
 	}
 	s.lastDecoded = col
 	s.nextCol = col + 1

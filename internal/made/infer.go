@@ -23,11 +23,13 @@ import (
 // Only layer 1 needs the pre-activation cache (its input changes by a sparse
 // delta worth one Axpy per tuple); deeper layers rerun their window densely
 // through the packed column-sliced kernel, reading the already-current
-// post[l-1]. One-hot columns contribute a single weight row per tuple;
-// embedded columns contribute inW (=EmbedDim) rows scaled by the embedding
-// vector. The column's head slice and decode still run densely. The full
-// forward path is kept verbatim as the reference (and the fallback for
-// out-of-sequence calls); tests assert the two agree.
+// post[l-1]. A one-hot column contributes its code's W1 row; an embedded
+// column contributes its code's row of a fold table that holds the product
+// E·W1[inOff:inOff+inW, s0:] for every code (block.go). The block walk
+// defers the relu lines until a decode reads the units (block.go). The
+// column's head slice and decode still run densely. The full forward path is
+// kept verbatim as the reference (and the fallback for out-of-sequence
+// calls); tests assert the two agree.
 
 // sampState tracks one in-flight sampling walk (strictly sequential via
 // CondBatch, or block-granular with skipped columns and row-ranged decodes
@@ -41,9 +43,9 @@ type sampState struct {
 	h1pre *tensor.Matrix   // n × W1 first-layer pre-activations (bias included)
 	post  []*tensor.Matrix // n × Wl post-ReLU activations, one per hidden layer
 
-	// refreshed[l] is the first unit of hidden layer l (l ≥ 1) whose cached
-	// activation is stale; units below it are current for the folds applied
-	// so far. Layer 0 is kept fully current by the fold itself.
+	// refreshed[l] is the first unit of hidden layer l whose cached
+	// post-ReLU activation is stale; units below it are current for the
+	// folds applied so far. h1pre itself is always current.
 	refreshed []int
 
 	// zeroH1/zeroPost snapshot the zero-input trunk forward — the state every
@@ -53,13 +55,13 @@ type sampState struct {
 	zeroH1   []float32
 	zeroPost [][]float32
 
-	// vFold/vCur/vPrev/vHid are pooled row-window view headers: the
-	// sequential walk mutates these in place instead of allocating a Matrix
-	// header per GEMM call, which keeps the steady-state block walk
-	// allocation-free. The concurrent row-range entries (AdvanceRows, and
-	// DecodeBlock after PrepareDecode) use stack-local headers instead, so
-	// disjoint ranges never share them.
-	vFold, vEmb, vCur, vPrev, vHid tensor.Matrix
+	// vCur/vPrev/vHid are pooled row-window view headers: the sequential
+	// walk mutates these in place instead of allocating a Matrix header per
+	// GEMM call, which keeps the steady-state block walk allocation-free. The
+	// concurrent row-range entries (AdvanceRows, and DecodeBlock after
+	// PrepareDecode) use stack-local headers instead, so disjoint ranges
+	// never share them.
+	vCur, vPrev, vHid tensor.Matrix
 
 	// decodeShared is set by PrepareDecode: the decode scratch is pre-sized
 	// for the full walk height and DecodeBlock switches to offset-addressed
@@ -80,7 +82,6 @@ func viewRows(dst *tensor.Matrix, src *tensor.Matrix, r0, r1 int) *tensor.Matrix
 type inferScratch struct {
 	head   *tensor.Matrix // column head-slice output
 	logits *tensor.Matrix // decoded logits for embedded columns
-	embA   *tensor.Matrix // gathered embedding rows for the fold GEMM
 	gath   *tensor.Matrix // gathered head-prefix rows of a decode that skips rows
 	outs   [][]float64    // the out vectors of the gathered rows
 }

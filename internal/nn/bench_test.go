@@ -43,3 +43,17 @@ func BenchmarkSoftmaxCERows(b *testing.B) {
 		SoftmaxCERows(scratch, targets, scratch, rowLoss)
 	}
 }
+
+// BenchmarkSoftmaxProb is the decode softmax of one valid_date row: 2101
+// logits into float64 probabilities (max, exp-sum and normalise).
+func BenchmarkSoftmaxProb(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	logits := make([]float32, 2101)
+	for i := range logits {
+		logits[i] = float32(rng.NormFloat64() * 8)
+	}
+	out := make([]float64, len(logits))
+	for i := 0; i < b.N; i++ {
+		SoftmaxProb(logits, out)
+	}
+}

@@ -66,14 +66,21 @@ func SoftmaxProb(logits []float32, out []float64) {
 	if len(logits) != len(out) {
 		panic("nn: SoftmaxProb length mismatch")
 	}
-	// The max, the exp-sum and the normalise each run an AVX2 kernel over a
-	// prefix of whole vectors and the scalar loop over the tail (or the whole
-	// row when no kernel is active), and each is bit for bit the scalar pass.
-	// Vectorization runs across domain elements *within* a row, so a row's
-	// bits depend only on its own contents — never on where the row sits in a
-	// fused block — which is what the fused-vs-sequential bit-identity
-	// contract needs. The normalised row stays float64: the inverse-CDF draw
-	// accumulates it, and the row is what BlockModel.DecodeBlock returns.
+	// The max, the exp-sum and the normalise each run a vector kernel (AVX2,
+	// or AVX-512 for the exp-sum and the normalise where the CPU has it) over
+	// a prefix of whole vectors and the scalar loop over the tail, or the
+	// scalar loop over the whole row when no kernel is active
+	// (SetAccel(false), non-amd64). The max and the normalise are bit for bit
+	// the scalar pass. The exp-sum's elements are too, but its kernels add
+	// in eight float64 lanes, not left to right, so the sum — and with it
+	// every probability — differs in the last bits from a scalar run; the
+	// per-host determinism contract allows that, and the AVX2 and AVX-512
+	// kernels agree with each other bit for bit. Vectorization runs across
+	// domain elements *within* a row, so a row's bits depend only on its own
+	// contents — never on where the row sits in a fused block — which is what
+	// the fused-vs-sequential bit-identity contract needs. The normalised row
+	// stays float64: the inverse-CDF draw accumulates it, and the row is what
+	// BlockModel.DecodeBlock returns.
 	mx := tensor.MaxRow(logits)
 	sum, head := tensor.ExpRow(out, logits, mx)
 	// The Expf body is inlined here: max-subtracted arguments are ≤ 0 and

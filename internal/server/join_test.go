@@ -339,3 +339,18 @@ func TestBreakerProbeRunsModel(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinAppendTooLargeIs413: a join tenant's /append body past the limit
+// answers 413 and appends none of its rows.
+func TestJoinAppendTooLargeIs413(t *testing.T) {
+	est := makeJoinEstimator(t)
+	_, srv := startServer(t, Options{}, NewJoinTenant("joined", est))
+	lowerAppendLimit(t, 16)
+	body := "900,polar\n901,polar\n902,polar\n"
+	if code := postCSV(t, srv+"/v1/joined/append?table=customers", body, nil); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("30-byte append past a 16-byte limit: status %d, want 413", code)
+	}
+	if rows := est.Table("customers").NumRows(); rows != 40 {
+		t.Fatalf("rejected append left %d customers, want 40", rows)
+	}
+}

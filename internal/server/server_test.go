@@ -542,3 +542,32 @@ func TestTenantBoundsWorkInFlight(t *testing.T) {
 		}
 	}
 }
+
+// lowerAppendLimit sets the /append body limit to n bytes for one test.
+func lowerAppendLimit(t *testing.T, n int64) {
+	prev := maxAppendBytes
+	maxAppendBytes = n
+	t.Cleanup(func() { maxAppendBytes = prev })
+}
+
+// TestAppendTooLargeIs413: a single-table /append body past the limit
+// answers 413 and appends none of its rows; a body within it appends.
+func TestAppendTooLargeIs413(t *testing.T) {
+	tbl := makeTable(t, 1, 400)
+	est := makeEstimator(tbl, 5, nil)
+	if err := est.EnableLifecycle(tbl, naru.LifecycleConfig{RefreshAfter: 100000, RegistryDir: t.TempDir()}); err != nil {
+		t.Fatal(err)
+	}
+	_, srv := startServer(t, Options{}, NewTenant("alpha", est, tbl, TenantOptions{}))
+	lowerAppendLimit(t, 16)
+	if code := postCSV(t, srv+"/v1/alpha/append", strings.Repeat("1,2,3\n", 10), nil); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("60-byte append past a 16-byte limit: status %d, want 413", code)
+	}
+	if rows := est.Lifecycle().Snapshot().NumRows(); rows != 400 {
+		t.Fatalf("rejected append left %d rows, want 400", rows)
+	}
+	var ar AppendResponse
+	if code := postCSV(t, srv+"/v1/alpha/append", "1,2,3\n", &ar); code != http.StatusOK || ar.Appended != 1 {
+		t.Fatalf("append within the limit: status %d %+v", code, ar)
+	}
+}

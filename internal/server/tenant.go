@@ -347,13 +347,23 @@ func (tn *Tenant) setRetryAfter(w http.ResponseWriter) {
 	w.Header().Set("Retry-After", ra)
 }
 
+// maxAppendBytes bounds one POST /append body, for both tenant kinds. A
+// longer body answers 413 and appends nothing: both ingest paths reject a
+// batch whole when reading it fails. A variable so tests can lower it.
+var maxAppendBytes int64 = 64 << 20
+
 func (tn *Tenant) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST CSV rows (no header) to /append", http.StatusMethodNotAllowed)
 		return
 	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxAppendBytes)
 	resp, status, err := tn.kind.ingest(r)
 	if err != nil {
+		var tooLong *http.MaxBytesError
+		if errors.As(err, &tooLong) {
+			status = http.StatusRequestEntityTooLarge
+		}
 		http.Error(w, err.Error(), status)
 		return
 	}

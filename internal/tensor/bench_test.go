@@ -170,3 +170,42 @@ func BenchmarkMatMulPackedDecode(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N)*256*64*2101/b.Elapsed().Seconds()/1e9, "Gmadd/s")
 }
+
+// benchSoftmaxPaths runs f as sub-benchmarks on the AVX2 row kernels and,
+// where the CPU has them, the AVX-512 ones.
+func benchSoftmaxPaths(b *testing.B, f func(b *testing.B)) {
+	b.Run("avx2", func(b *testing.B) { withAVX512(false, func() { f(b) }) })
+	if useAVX512 {
+		b.Run("avx512", func(b *testing.B) { withAVX512(true, func() { f(b) }) })
+	}
+}
+
+// BenchmarkExpRow is the softmax exp-sum over one valid_date row: 2101
+// logits, of which the kernel takes the 2096 that fill whole vectors.
+func BenchmarkExpRow(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	src := make([]float32, 2101)
+	for i := range src {
+		src[i] = float32(rng.NormFloat64() * 8)
+	}
+	mx := MaxRow(src)
+	dst := make([]float64, len(src))
+	benchSoftmaxPaths(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ExpRow(dst, src, mx)
+		}
+	})
+}
+
+// BenchmarkScaleRow is the softmax normalise of one 2101-code row.
+func BenchmarkScaleRow(b *testing.B) {
+	dst := make([]float64, 2101)
+	for i := range dst {
+		dst[i] = float64(i)
+	}
+	benchSoftmaxPaths(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ScaleRow(dst, 1)
+		}
+	})
+}

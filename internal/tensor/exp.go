@@ -7,7 +7,9 @@ package tensor
 // row, and always covers the tail). This is the softmax-row primitive: the
 // max-subtracted arguments are ≤ 0, underflow flushes to zero, and the
 // accumulation is float64 so the normalizer's precision does not degrade
-// with domain size.
+// with domain size. The sum is eight float64 lanes, lane i adding elements
+// i, i+8, … in order, reduced in a fixed tree: the AVX2 and AVX-512 kernels
+// give the same bits, but not the bits of a scalar left-to-right sum.
 func ExpRow(dst []float64, src []float32, mx float32) (float64, int) {
 	if len(dst) != len(src) {
 		panic("tensor: ExpRow length mismatch")
@@ -15,6 +17,9 @@ func ExpRow(dst []float64, src []float32, mx float32) (float64, int) {
 	head := len(src) &^ 7
 	if head == 0 || !useFMA || !accelEnabled {
 		return 0, 0
+	}
+	if useAVX512 {
+		return expRowSumAVX512(&src[0], head, mx, &dst[0]), head
 	}
 	return expRowSumAVX2(&src[0], head, mx, &dst[0]), head
 }

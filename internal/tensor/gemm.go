@@ -74,11 +74,12 @@ func SetAccel(on bool) bool {
 	return prev
 }
 
-// KernelPath names the kernels packed products run on: "avx512" (16- and
-// 32-wide ZMM panels, with the AVX2 kernels for products 8 or fewer columns
-// wide), "avx2", or "portable" (SetAccel(false), or no AVX2+FMA). Benchmarks
-// record it next to their numbers; estimates are the same bits on the two
-// vector paths.
+// KernelPath names the kernels packed products and the softmax row passes
+// run on: "avx512" (16- and 32-wide ZMM panels, with the AVX2 kernels for
+// products 8 or fewer columns wide; the exp-sum and normalise on ZMM, the
+// row max on AVX2), "avx2", or "portable" (SetAccel(false), or no
+// AVX2+FMA). Benchmarks record it next to their numbers; estimates are the
+// same bits on the two vector paths.
 func KernelPath() string {
 	switch {
 	case !useFMA || !accelEnabled:

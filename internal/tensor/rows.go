@@ -4,10 +4,11 @@ import "fmt"
 
 // Row passes of the decode softmax and the first-layer fold. Each runs an
 // AVX2 kernel (simd_rows_amd64.s) over the longest prefix that fills whole
-// vectors and the scalar loop it replaces over the tail. The kernels are bit
-// for bit the scalar loops; where one cannot be (a row MaxRow's kernel cannot
-// rank), the scalar loop takes the whole row, as it does whenever no kernel
-// is active (SetAccel(false), non-amd64).
+// vectors and the scalar loop it replaces over the tail; ScaleRow runs its
+// AVX-512 kernel instead where the CPU has one (useAVX512), with the same
+// bits. The kernels are bit for bit the scalar loops; where one cannot be (a
+// row MaxRow's kernel cannot rank), the scalar loop takes the whole row, as
+// it does whenever no kernel is active (SetAccel(false), non-amd64).
 
 // MaxRow returns the largest element of a non-empty row by the rule
 // `mx := src[0]; if v > mx { mx = v }`: a NaN at index 0 is the result, NaNs
@@ -40,7 +41,11 @@ func ScaleRow(dst []float64, s float64) {
 	head := 0
 	if useFMA && accelEnabled {
 		if head = len(dst) &^ 3; head > 0 {
-			scaleRowAVX2(&dst[0], head, s)
+			if useAVX512 {
+				scaleRowAVX512(&dst[0], head, s)
+			} else {
+				scaleRowAVX2(&dst[0], head, s)
+			}
 		}
 	}
 	for i := head; i < len(dst); i++ {

@@ -184,3 +184,85 @@ func TestRowPassesScalarWithoutAccel(t *testing.T) {
 		t.Fatalf("PositivePart = %v", out)
 	}
 }
+
+// softmaxRow returns a decode-shaped row of n logits and its maximum: random
+// logits, and with plant set, NaN, ±Inf, -0 and lanes at, just below and far
+// below the exp kernels' -87 cutoff (relative to the maximum) at random
+// positions.
+func softmaxRow(rng *rand.Rand, n int, plant bool) ([]float32, float32) {
+	r := make([]float32, n)
+	for i := range r {
+		r[i] = float32(rng.NormFloat64() * 8)
+	}
+	mx := MaxRow(r)
+	if plant {
+		for _, v := range []float32{nan32, posInf32, negInf32, negZero, mx - 87, mx - 87.01, mx - 300, nan32, negZero} {
+			r[rng.Intn(n)] = v
+		}
+	}
+	return r, mx
+}
+
+// TestExpRowAVX512MatchesAVX2 requires the AVX-512 exp-sum to write every
+// element and return the sum with the AVX2 kernel's bits: same operations,
+// same eight float64 lanes, same reduction tree. It covers every multiple of
+// 8 from 8 to 2104, so both the 16-float loop and its 8-float remainder run
+// at every position, with special lanes planted and with a maximum of 0 that
+// sends some arguments above 0.
+func TestExpRowAVX512MatchesAVX2(t *testing.T) {
+	if !useFMA || !useAVX512 {
+		t.Skip("no AVX-512F kernel on this CPU")
+	}
+	rng := rand.New(rand.NewSource(67))
+	for n := 8; n <= 2104; n += 8 {
+		for _, plant := range []bool{false, true} {
+			src, mx := softmaxRow(rng, n, plant)
+			for _, m := range []float32{mx, 0} {
+				want, got := make([]float64, n), make([]float64, n)
+				for i := range got {
+					got[i] = float64(nan32) // every element must be overwritten
+				}
+				ws := expRowSumAVX2(&src[0], n, m, &want[0])
+				gs := expRowSumAVX512(&src[0], n, m, &got[0])
+				if math.Float64bits(gs) != math.Float64bits(ws) {
+					t.Fatalf("n=%d plant=%v mx=%v: sum %v (%#x), AVX2 %v (%#x)",
+						n, plant, m, gs, math.Float64bits(gs), ws, math.Float64bits(ws))
+				}
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("n=%d plant=%v mx=%v: element %d (src %v) = %v, AVX2 %v",
+							n, plant, m, i, src[i], got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestScaleRowAVX512MatchesAVX2 requires the AVX-512 normalise to give the
+// AVX2 kernel's bits at every multiple of 4 from 4 to 2104 (the 8-double loop
+// and its 4-double remainder), with NaN, ±Inf and -0 in the row and the
+// scale. The scale's NaN has another payload than the row's, so a lane where
+// both are NaN shows which operand came first.
+func TestScaleRowAVX512MatchesAVX2(t *testing.T) {
+	if !useFMA || !useAVX512 {
+		t.Skip("no AVX-512F kernel on this CPU")
+	}
+	rng := rand.New(rand.NewSource(71))
+	for n := 4; n <= 2104; n += 4 {
+		src, _ := softmaxRow(rng, n, true)
+		for _, s := range []float64{1 / 3.7, math.Copysign(0, -1), math.Inf(1), math.Float64frombits(0xfff8000000000123)} {
+			want, got := make([]float64, n), make([]float64, n)
+			for i, v := range src {
+				want[i], got[i] = float64(v), float64(v)
+			}
+			scaleRowAVX2(&want[0], n, s)
+			scaleRowAVX512(&got[0], n, s)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("n=%d s=%v: element %d (%v) = %v, AVX2 %v", n, s, i, src[i], got[i], want[i])
+				}
+			}
+		}
+	}
+}

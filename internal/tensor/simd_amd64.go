@@ -61,6 +61,18 @@ func scaleRowAVX2(dst *float64, n int, s float64)
 //go:noescape
 func positivePartAVX2(dst, src *float32, n int)
 
+// The softmax row passes on ZMM registers (simd_exp_amd64.s and
+// simd_rows_amd64.s): expRowSumAVX512 takes 16 floats per step and
+// scaleRowAVX512 8 doubles, each with the AVX2 kernel's operations, operand
+// order and float64 summation order, so the two paths write the same bits.
+// They run when useAVX512 is set.
+
+//go:noescape
+func expRowSumAVX512(src *float32, n int, mx float32, dst *float64) float64
+
+//go:noescape
+func scaleRowAVX512(dst *float64, n int, s float64)
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
@@ -68,8 +80,9 @@ func xgetbv() (eax, edx uint32)
 // useFMA gates the assembly micro-kernels on AVX2+FMA with OS-enabled YMM
 // state; anything else falls back to the portable Go tile. useAVX512 selects
 // the 16- and 32-wide ZMM panels (panelWidth) and with them the AVX-512
-// kernels. Both are fixed at start-up from CPUID and XCR0; tests clear
-// useAVX512 to run the same products through the AVX2 path.
+// kernels, and the AVX-512 softmax row passes. Both are fixed at start-up
+// from CPUID and XCR0; tests clear useAVX512 to run the same products and
+// rows through the AVX2 path.
 var useFMA, useAVX512 = detectSIMD()
 
 // detectSIMD reports AVX2+FMA with the XMM and YMM state enabled by the OS

@@ -109,3 +109,103 @@ expdone:
 	VZEROUPPER
 	MOVSD X7, ret+32(FP)
 	RET
+
+// EXP16 computes Z3 = expf(Z0 - mx) for 16 lanes with expRowSumAVX2's
+// operations and operand order, lanes below the cutoff (or NaN) zeroed
+// through K1. Constants: mx Z15, log2e Z14, 0.5 Z13, C1 Z12, C2 Z11, 1.0
+// Z10, cutoff Z9, p0-p5 Z16-Z21.
+#define EXP16 \
+	VSUBPS       Z15, Z0, Z0;     \
+	VCMPPS       $13, Z9, Z0, K1; \
+	VMULPS       Z14, Z0, Z1;     \
+	VADDPS       Z13, Z1, Z1;     \
+	VRNDSCALEPS  $1, Z1, Z1;      \
+	VMOVAPS      Z0, Z2;          \
+	VFNMADD231PS Z12, Z1, Z2;     \
+	VFNMADD231PS Z11, Z1, Z2;     \
+	VMOVAPS      Z16, Z3;         \
+	VFMADD213PS  Z17, Z2, Z3;     \
+	VFMADD213PS  Z18, Z2, Z3;     \
+	VFMADD213PS  Z19, Z2, Z3;     \
+	VFMADD213PS  Z20, Z2, Z3;     \
+	VFMADD213PS  Z21, Z2, Z3;     \
+	VMULPS       Z2, Z3, Z3;      \
+	VFMADD213PS  Z2, Z2, Z3;      \
+	VADDPS       Z10, Z3, Z3;     \
+	VCVTPS2DQ    Z1, Z1;          \
+	VPSLLD       $23, Z1, Z1;     \
+	VPADDD       Z1, Z3, Z3;      \
+	VMOVAPS.Z    Z3, K1, Z3
+
+// func expRowSumAVX512(src *float32, n int, mx float32, dst *float64) float64
+//
+// expRowSumAVX2 at 16 floats per step, with every constant held in a ZMM
+// register. VRNDSCALEPS $1 is VROUNDPS $1 (floor), and the K1-zeroing move
+// is the AND with the cutoff mask. Lane i of the one float64 accumulator Z7
+// adds elements i, i+8, i+16, ... in order, as lane i of expRowSumAVX2's two
+// quad accumulators does, and the lanes reduce in the same tree, so the sum
+// and every written element are the AVX2 kernel's bits. n must be a multiple
+// of 8; an 8-float remainder runs one step on a half-masked load. Only
+// AVX-512F instructions are used.
+TEXT ·expRowSumAVX512(SB), NOSPLIT, $0-40
+	MOVQ src+0(FP), SI
+	MOVQ n+8(FP), DX
+	MOVQ dst+24(FP), DI
+
+	VBROADCASTSS mx+16(FP), Z15
+	VBROADCASTSS expc<>+0(SB), Z14
+	VBROADCASTSS expc<>+4(SB), Z13
+	VBROADCASTSS expc<>+8(SB), Z12
+	VBROADCASTSS expc<>+12(SB), Z11
+	VBROADCASTSS expc<>+40(SB), Z10
+	VBROADCASTSS expc<>+44(SB), Z9
+	VBROADCASTSS expc<>+16(SB), Z16
+	VBROADCASTSS expc<>+20(SB), Z17
+	VBROADCASTSS expc<>+24(SB), Z18
+	VBROADCASTSS expc<>+28(SB), Z19
+	VBROADCASTSS expc<>+32(SB), Z20
+	VBROADCASTSS expc<>+36(SB), Z21
+
+	VPXORQ Z7, Z7, Z7 // f64 sum accumulator, lane i = elements ≡ i (mod 8)
+
+	XORQ CX, CX
+	MOVQ DX, BX
+	ANDQ $-16, BX // n rounded down to a multiple of 16
+zexploop:
+	CMPQ CX, BX
+	JGE  zexptail
+	VMOVUPS (SI)(CX*4), Z0
+	EXP16
+
+	// widen to float64, store, accumulate elements 0-7 then 8-15
+	VCVTPS2PD     Y3, Z4
+	VEXTRACTF64X4 $1, Z3, Y5
+	VCVTPS2PD     Y5, Z5
+	VMOVUPD       Z4, (DI)
+	VMOVUPD       Z5, 64(DI)
+	VADDPD        Z4, Z7, Z7
+	VADDPD        Z5, Z7, Z7
+
+	ADDQ $128, DI
+	ADDQ $16, CX
+	JMP  zexploop
+zexptail:
+	CMPQ CX, DX
+	JGE  zexpdone
+	MOVL      $0xFF, AX
+	KMOVW     AX, K2
+	VMOVUPS.Z (SI)(CX*4), K2, Z0
+	EXP16
+	VCVTPS2PD Y3, Z4
+	VMOVUPD   Z4, (DI)
+	VADDPD    Z4, Z7, Z7
+zexpdone:
+	// lanes 0-3 + lanes 4-7, then expRowSumAVX2's reduction
+	VEXTRACTF64X4 $1, Z7, Y8
+	VADDPD        Y8, Y7, Y7
+	VEXTRACTF128  $1, Y7, X8
+	VADDPD        X8, X7, X7
+	VHADDPD       X7, X7, X7
+	VZEROUPPER
+	MOVSD X7, ret+32(FP)
+	RET

@@ -52,3 +52,11 @@ func scaleRowAVX2(dst *float64, n int, s float64) {
 func positivePartAVX2(dst, src *float32, n int) {
 	panic("tensor: positivePartAVX2 without amd64")
 }
+
+func expRowSumAVX512(src *float32, n int, mx float32, dst *float64) float64 {
+	panic("tensor: expRowSumAVX512 without amd64")
+}
+
+func scaleRowAVX512(dst *float64, n int, s float64) {
+	panic("tensor: scaleRowAVX512 without amd64")
+}

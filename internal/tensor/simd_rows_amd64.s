@@ -105,3 +105,32 @@ posloop:
 	JLT     posloop
 	VZEROUPPER
 	RET
+
+// func scaleRowAVX512(dst *float64, n int, s float64)
+//
+// scaleRowAVX2 at 8 doubles per step, with the row element still the first
+// source; a remaining 4 take one YMM step. n is a positive multiple of 4.
+TEXT ·scaleRowAVX512(SB), NOSPLIT, $0-24
+	MOVQ         dst+0(FP), DI
+	MOVQ         n+8(FP), DX
+	VBROADCASTSD s+16(FP), Z1
+	XORQ         CX, CX
+	MOVQ         DX, BX
+	ANDQ         $-8, BX // n rounded down to a multiple of 8
+zscaleloop:
+	CMPQ    CX, BX
+	JGE     zscaletail
+	VMOVUPD (DI)(CX*8), Z0
+	VMULPD  Z1, Z0, Z0
+	VMOVUPD Z0, (DI)(CX*8)
+	ADDQ    $8, CX
+	JMP     zscaleloop
+zscaletail:
+	CMPQ    CX, DX
+	JGE     zscaledone
+	VMOVUPD (DI)(CX*8), Y0
+	VMULPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(CX*8)
+zscaledone:
+	VZEROUPPER
+	RET
