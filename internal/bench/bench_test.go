@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -163,5 +164,33 @@ func TestTrainQueryCountScales(t *testing.T) {
 	cfg.NumQueries = 1000
 	if trainQueryCount(cfg) != 5000 {
 		t.Fatalf("train count = %d", trainQueryCount(cfg))
+	}
+}
+
+// TestTrainingDigestRepeats: `narubench training` prints the SHA-256 of its
+// batched and sharded models, and two runs from one seed print the same one.
+func TestTrainingDigestRepeats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	cfg := tinyConfig()
+	cfg.DMVRows = 1500
+	digest := func() string {
+		var buf bytes.Buffer
+		cfg.BenchOut = filepath.Join(t.TempDir(), "BENCH_training.json")
+		Training(&buf, cfg)
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if d, ok := strings.CutPrefix(line, "training digest: "); ok {
+				if len(d) != 64 {
+					t.Fatalf("digest %q is not a SHA-256", d)
+				}
+				return d
+			}
+		}
+		t.Fatalf("no training digest in:\n%s", buf.String())
+		return ""
+	}
+	if a, b := digest(), digest(); a != b {
+		t.Fatalf("two runs printed digests %s and %s", a, b)
 	}
 }

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math"
@@ -119,7 +121,8 @@ func Training(out io.Writer, cfg Config) {
 	// Batched fast path, sequential.
 	seqTC := tc
 	seqTC.Workers = 1
-	seq, err := timedTrain(newModel(), t, seqTC)
+	seqModel := newModel()
+	seq, err := timedTrain(seqModel, t, seqTC)
 	if err != nil {
 		fmt.Fprintf(out, "training: batched run: %v\n", err)
 		return
@@ -129,7 +132,8 @@ func Training(out io.Writer, cfg Config) {
 	// Batched fast path under data-parallel sharding.
 	shTC := tc
 	shTC.Workers = shardW
-	sh, err := timedTrain(newModel(), t, shTC)
+	shModel := newModel()
+	sh, err := timedTrain(shModel, t, shTC)
 	if err != nil {
 		fmt.Fprintf(out, "training: sharded run: %v\n", err)
 		return
@@ -163,6 +167,12 @@ func Training(out io.Writer, cfg Config) {
 	fmt.Fprintf(out, "epoch NLLs: batched %v\n", fmtNLLs(seq.history))
 	fmt.Fprintf(out, "            sharded %v\n", fmtNLLs(sh.history))
 	fmt.Fprintf(out, "NLL agreement: batched vs baseline epoch 1 rel %.3g; sharded vs batched max rel %.3g\n", baseGap, nllGap)
+	digest, err := modelDigest(seqModel, shModel)
+	if err != nil {
+		fmt.Fprintf(out, "training: digest: %v\n", err)
+		return
+	}
+	fmt.Fprintf(out, "training digest: %s\n", digest)
 
 	entries := []BenchEntry{
 		{Name: "dmv_train_rows_per_sec_baseline", Value: base.rowsPerSec, Unit: "rows/sec",
@@ -185,6 +195,19 @@ func Training(out io.Writer, cfg Config) {
 		return
 	}
 	fmt.Fprintf(out, "wrote %s\n", cfg.BenchOut)
+}
+
+// modelDigest is the SHA-256 of the models' saved bytes, one after the
+// other: two runs print the same digest exactly when they trained the same
+// weights bit for bit.
+func modelDigest(models ...*made.Model) (string, error) {
+	h := sha256.New()
+	for _, m := range models {
+		if err := m.Save(h); err != nil {
+			return "", err
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
 }
 
 func fmtNLLs(h []float64) string {

@@ -236,8 +236,9 @@ func (m *Model) LogProbBatch(codes []int32, n int, dst []float64) {
 	x := m.encodePrefix(codes, n, nc)
 	for col := 0; col < nc; col++ {
 		lg := m.logitsOf(x, n, col)
+		scratch := make([]float64, lg.Cols)
 		for r := 0; r < n; r++ {
-			dst[r] += nn.LogProb(lg.Row(r), int(codes[r*nc+col]))
+			dst[r] += nn.LogProb(lg.Row(r), int(codes[r*nc+col]), scratch)
 		}
 	}
 }
@@ -263,13 +264,14 @@ func (m *Model) TrainStep(codes []int32, n int, opt *nn.Adam) float64 {
 		h := net.trunk.Forward(in)
 		headOut := net.head.Forward(h)
 		var dHead *tensor.Matrix
+		scratch := make([]float64, c.domain)
 		if net.reuse {
 			// logits = headOut·Eᵀ
 			lg := tensor.New(n, c.domain)
 			tensor.MatMulTransB(lg, headOut, c.emb.W.Val, false)
 			dLg := tensor.New(n, c.domain)
 			for r := 0; r < n; r++ {
-				totalNLL += nn.SoftmaxCE(lg.Row(r), int(codes[r*nc+col]), dLg.Row(r))
+				totalNLL += nn.SoftmaxCE(lg.Row(r), int(codes[r*nc+col]), dLg.Row(r), scratch)
 			}
 			dHead = tensor.New(n, headOut.Cols)
 			tensor.MatMul(dHead, dLg, c.emb.W.Val, false)         // dHead = dLg·E
@@ -277,7 +279,7 @@ func (m *Model) TrainStep(codes []int32, n int, opt *nn.Adam) float64 {
 		} else {
 			dHead = tensor.New(n, c.domain)
 			for r := 0; r < n; r++ {
-				totalNLL += nn.SoftmaxCE(headOut.Row(r), int(codes[r*nc+col]), dHead.Row(r))
+				totalNLL += nn.SoftmaxCE(headOut.Row(r), int(codes[r*nc+col]), dHead.Row(r), scratch)
 			}
 		}
 		dH := net.head.Backward(dHead)

@@ -13,6 +13,7 @@
 package lifecycle
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -387,18 +388,24 @@ func (m *Manager) AppendValues(rows [][]string) (int, error) {
 
 // AppendCSV ingests header-less CSV records as one atomic batch. Errors carry
 // 1-based line numbers and column names (see table.RowError) and reject the
-// whole batch.
+// whole batch, as does an error reading r. r is read to its end before the
+// manager's lock is taken, so a slow writer holds up neither drift readings
+// nor other appends; callers bound its size (the server's /append does).
 func (m *Manager) AppendCSV(r io.Reader) (int, error) {
+	body, err := io.ReadAll(r)
+	if err != nil {
+		return 0, fmt.Errorf("lifecycle: reading CSV: %w", err)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if err := faultinject.Point(siteAppendFlush); err != nil {
 		return 0, fmt.Errorf("lifecycle: flush: %w", err)
 	}
-	// Applied directly rather than staged: the CSV stream is already one
+	// Applied directly rather than staged: the CSV body is already one
 	// atomic batch, and parsing against the current snapshot gives errors
 	// their column context.
 	cur := m.snap.Load()
-	nt, err := cur.AppendCSV(r)
+	nt, err := cur.AppendCSV(bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}

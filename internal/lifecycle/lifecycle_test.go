@@ -3,10 +3,12 @@ package lifecycle
 import (
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/made"
@@ -133,6 +135,50 @@ func TestManagerIngestAndSnapshotIsolation(t *testing.T) {
 	if added != 1 || mgr.Snapshot().NumRows() != 132 || mgr.StagedRows() != 0 {
 		t.Fatalf("recovery flush: added %d, snapshot %d rows, staged %d",
 			added, mgr.Snapshot().NumRows(), mgr.StagedRows())
+	}
+}
+
+// TestAppendCSVSlowBodyDoesNotBlockDrift: an append whose body is still
+// arriving must not hold the manager's lock, or one slow /append client
+// stalls Drift, the refresh drift check and every other append.
+func TestAppendCSVSlowBodyDoesNotBlockDrift(t *testing.T) {
+	base := tinyTable(t, 64, nil)
+	mgr, err := NewManager(trainedModel(t, base, 1), base, Config{}, &testTarget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pr, pw := io.Pipe()
+	type result struct {
+		added int
+		err   error
+	}
+	appended := make(chan result, 1)
+	go func() {
+		n, err := mgr.AppendCSV(pr)
+		appended <- result{n, err}
+	}()
+	// A pipe write returns once the reader has taken the bytes, so
+	// AppendCSV is reading its body from here on.
+	if _, err := pw.Write([]byte("1,1\n")); err != nil {
+		t.Fatal(err)
+	}
+	drift := make(chan DriftStatus, 1)
+	go func() { drift <- mgr.Drift() }()
+	select {
+	case st := <-drift:
+		if st.AppendedRows != 0 {
+			t.Errorf("drift counted %d rows of an unfinished append", st.AppendedRows)
+		}
+	case <-time.After(10 * time.Second):
+		t.Error("Drift blocked while an append body was still open")
+	}
+	pw.Close()
+	res := <-appended
+	if res.err != nil || res.added != 1 {
+		t.Fatalf("append: added %d, err %v", res.added, res.err)
+	}
+	if st := mgr.Drift(); st.AppendedRows != 1 {
+		t.Fatalf("after the append, drift counts %d rows, want 1", st.AppendedRows)
 	}
 }
 

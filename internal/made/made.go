@@ -421,10 +421,11 @@ func (m *Model) GradStep(codes []int32, n int) float64 {
 			// parallel. Every head cell of this block is written exactly once,
 			// so dHead needs no prior zeroing.
 			tensor.ParallelFor(n, func(s, e int) {
+				scratch := make([]float64, c.headW)
 				for r := s; r < e; r++ {
 					block := headOut.Row(r)[c.headOff : c.headOff+c.headW]
 					dBlock := m.dHead.Row(r)[c.headOff : c.headOff+c.headW]
-					rowLoss[r] = nn.SoftmaxCE(block, int(targets[r]), dBlock)
+					rowLoss[r] = nn.SoftmaxCE(block, int(targets[r]), dBlock, scratch)
 				}
 			})
 			for r := 0; r < n; r++ {
@@ -505,6 +506,7 @@ func (m *Model) TrainStepReference(codes []int32, n int, opt *nn.Adam) float64 {
 	}
 	logitBuf := make([]float32, maxDom)
 	gradBuf := make([]float32, maxDom)
+	expBuf := make([]float64, maxDom)
 	for i := range m.codecs {
 		c := &m.codecs[i]
 		if c.dec == nil {
@@ -513,7 +515,7 @@ func (m *Model) TrainStepReference(codes []int32, n int, opt *nn.Adam) float64 {
 				target := int(codes[r*nc+i])
 				block := headOut.Row(r)[c.headOff : c.headOff+c.headW]
 				dBlock := m.dHead.Row(r)[c.headOff : c.headOff+c.headW]
-				totalNLL += nn.SoftmaxCE(block, target, dBlock)
+				totalNLL += nn.SoftmaxCE(block, target, dBlock, expBuf)
 			}
 			continue
 		}
@@ -523,7 +525,7 @@ func (m *Model) TrainStepReference(codes []int32, n int, opt *nn.Adam) float64 {
 			target := int(codes[r*nc+i])
 			logits := m.logitsFor(headOut, r, i, logitBuf)
 			dLogits := gradBuf[:c.domain]
-			totalNLL += nn.SoftmaxCE(logits, target, dLogits)
+			totalNLL += nn.SoftmaxCE(logits, target, dLogits, expBuf)
 			block := headOut.Row(r)[c.headOff : c.headOff+c.headW]
 			dBlock := m.dHead.Row(r)[c.headOff : c.headOff+c.headW]
 			for v := 0; v < c.domain; v++ {
@@ -660,11 +662,12 @@ func (m *Model) LogProbBatch(codes []int32, n int, dst []float64) {
 		}
 	}
 	buf := make([]float32, maxDom)
+	expBuf := make([]float64, maxDom)
 	for r := 0; r < n; r++ {
 		var lp float64
 		for i := range m.codecs {
 			logits := m.logitsFor(headOut, r, i, buf)
-			lp += nn.LogProb(logits, int(codes[r*nc+i]))
+			lp += nn.LogProb(logits, int(codes[r*nc+i]), expBuf)
 		}
 		dst[r] = lp
 	}

@@ -24,11 +24,12 @@ func BenchmarkSoftmaxCEScalar(b *testing.B) {
 	// Reference: one row at a time, the pre-batching training loop's shape.
 	logits, targets, _ := ceBatch(1)
 	grad := make([]float32, logits.Cols)
+	exps := make([]float64, logits.Cols)
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
 		for r := 0; r < logits.Rows; r++ {
-			sink += SoftmaxCE(logits.Row(r), int(targets[r]), grad)
+			sink += SoftmaxCE(logits.Row(r), int(targets[r]), grad, exps)
 		}
 	}
 	_ = sink

@@ -194,7 +194,8 @@ func TestSoftmaxCEGradCheck(t *testing.T) {
 	}
 	target := 2
 	grad := make([]float32, 6)
-	loss := SoftmaxCE(logits, target, grad)
+	exps := make([]float64, 6)
+	loss := SoftmaxCE(logits, target, grad, exps)
 	if loss <= 0 {
 		t.Fatalf("loss = %v, want > 0", loss)
 	}
@@ -203,9 +204,9 @@ func TestSoftmaxCEGradCheck(t *testing.T) {
 		tmp := make([]float32, 6)
 		orig := logits[i]
 		logits[i] = orig + eps
-		lp := SoftmaxCE(logits, target, tmp)
+		lp := SoftmaxCE(logits, target, tmp, exps)
 		logits[i] = orig - eps
-		lm := SoftmaxCE(logits, target, tmp)
+		lm := SoftmaxCE(logits, target, tmp, exps)
 		logits[i] = orig
 		numeric := (lp - lm) / (2 * eps)
 		if math.Abs(numeric-float64(grad[i])) > 1e-3 {
@@ -219,7 +220,7 @@ func TestLogProbMatchesSoftmax(t *testing.T) {
 	probs := make([]float64, 4)
 	Softmax(logits, probs)
 	for i := range logits {
-		if math.Abs(LogProb(logits, i)-math.Log(probs[i])) > 1e-9 {
+		if math.Abs(LogProb(logits, i, make([]float64, 4))-math.Log(probs[i])) > 1e-9 {
 			t.Fatalf("LogProb(%d) mismatch", i)
 		}
 	}
@@ -331,7 +332,7 @@ func TestTrainTinyClassifier(t *testing.T) {
 		d := tensor.New(4, 2)
 		loss = 0
 		for r, tgt := range targets {
-			loss += SoftmaxCE(y.Row(r), tgt, d.Row(r))
+			loss += SoftmaxCE(y.Row(r), tgt, d.Row(r), make([]float64, 2))
 		}
 		net.Backward(d)
 		opt.Step(net.Params())
@@ -359,7 +360,7 @@ func TestSoftmaxSingleElement(t *testing.T) {
 		t.Fatalf("single-element softmax = %v", out[0])
 	}
 	grad := make([]float32, 1)
-	if loss := SoftmaxCE([]float32{42}, 0, grad); loss != 0 || grad[0] != 0 {
+	if loss := SoftmaxCE([]float32{42}, 0, grad, make([]float64, 1)); loss != 0 || grad[0] != 0 {
 		t.Fatalf("single-class CE: loss=%v grad=%v", loss, grad[0])
 	}
 }
@@ -370,7 +371,7 @@ func TestSoftmaxCEPanicsOnBadTarget(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	SoftmaxCE([]float32{1, 2}, 5, make([]float32, 2))
+	SoftmaxCE([]float32{1, 2}, 5, make([]float32, 2), make([]float64, 2))
 }
 
 func TestSoftmaxLengthMismatchPanics(t *testing.T) {
@@ -392,8 +393,9 @@ func TestSoftmaxCERowsMatchesScalar(t *testing.T) {
 	}
 	wantGrad := tensor.New(17, 23)
 	wantLoss := make([]float64, 17)
+	exps := make([]float64, 23)
 	for r := 0; r < 17; r++ {
-		wantLoss[r] = SoftmaxCE(logits.Row(r), int(targets[r]), wantGrad.Row(r))
+		wantLoss[r] = SoftmaxCE(logits.Row(r), int(targets[r]), wantGrad.Row(r), exps)
 	}
 	// Batched, in place: gradients overwrite the logits.
 	rowLoss := make([]float64, 17)

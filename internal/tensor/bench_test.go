@@ -209,3 +209,27 @@ func BenchmarkScaleRow(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkExpShift is the training loss's exp pass over one valid_date row
+// (2101 logits): on the scalar math.Exp loop that SetAccel(false) runs, and
+// on each vector kernel.
+func BenchmarkExpShift(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	src := make([]float32, 2101)
+	for i := range src {
+		src[i] = float32(rng.NormFloat64() * 8)
+	}
+	mx := float64(MaxRow(src))
+	dst := make([]float64, len(src))
+	run := func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ExpShift(dst, src, mx)
+		}
+	}
+	b.Run("math.Exp", func(b *testing.B) {
+		prev := SetAccel(false)
+		defer SetAccel(prev)
+		run(b)
+	})
+	benchSoftmaxPaths(b, run)
+}

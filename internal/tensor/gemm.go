@@ -74,12 +74,13 @@ func SetAccel(on bool) bool {
 	return prev
 }
 
-// KernelPath names the kernels packed products and the softmax row passes
-// run on: "avx512" (16- and 32-wide ZMM panels, with the AVX2 kernels for
-// products 8 or fewer columns wide; the exp-sum and normalise on ZMM, the
-// row max on AVX2), "avx2", or "portable" (SetAccel(false), or no
-// AVX2+FMA). Benchmarks record it next to their numbers; estimates are the
-// same bits on the two vector paths.
+// KernelPath names the kernels packed products, the softmax row passes and
+// ExpShift run on: "avx512" (16- and 32-wide ZMM panels, with the AVX2
+// kernels for products 8 or fewer columns wide; the exp-sum, the normalise
+// and ExpShift on ZMM, the row max on AVX2), "avx2", or "portable"
+// (SetAccel(false), or no AVX2+FMA). Benchmarks record it next to their
+// numbers; estimates and trained weights are the same bits on the two vector
+// paths.
 func KernelPath() string {
 	switch {
 	case !useFMA || !accelEnabled:
@@ -184,16 +185,21 @@ func MatMulTransB(c, a, b *Matrix, accumulate bool) {
 // MatMulTransA computes C = Aᵀ·B, or C += Aᵀ·B when accumulate is true.
 // A is m×k, B is m×n, C must be k×n. This is the weight-gradient product
 // (dW = Xᵀ·dY). Dense products route through the packed register-tiled
-// kernel (one transpose of A, amortized over the O(m·k·n) product); sparse
-// ones — the first layer's one-hot input against its output gradient — keep
-// the zero-skipping kernel, parallelised over row-bands of C so workers never
-// write the same cache line.
+// kernel, which needs one operand transposed: A when it is no wider than B,
+// otherwise B, for Cᵀ = Bᵀ·A (transAWide). Sparse ones — the first layer's
+// one-hot input against its output gradient — keep the zero-skipping kernel,
+// parallelised over row-bands of C so workers never write the same cache
+// line.
 func MatMulTransA(c, a, b *Matrix, accumulate bool) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransA shape mismatch (%d×%d)ᵀ·(%d×%d)→(%d×%d)",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	if accelEnabled && a.Cols >= packMR && a.Rows*a.Cols*b.Cols >= packedMinWork && density(a) >= densityCutoff() {
+		if a.Cols > b.Cols {
+			transAWide(c, a, b, accumulate)
+			return
+		}
 		at := transPool.Get().(*Matrix)
 		transposeInto(at, a)
 		pb := packPool.Get().(*PackedB)
@@ -229,8 +235,63 @@ func MatMulTransA(c, a, b *Matrix, accumulate bool) {
 	ParallelFor(a.Cols, body)
 }
 
-// transPool recycles the Aᵀ scratch for MatMulTransA's packed route.
+// transPool recycles the transposed operands and product blocks of
+// MatMulTransA's packed routes.
 var transPool = sync.Pool{New: func() any { return new(Matrix) }}
+
+// transAChunk is how many of A's columns transAWide packs and multiplies at
+// a time: a multiple of every panel width, and small enough that the packed
+// chunk (m×transAChunk floats) stays in cache across Bᵀ's row bands.
+const transAChunk = 128
+
+// transAWide computes C = Aᵀ·B (or C += Aᵀ·B) for an A wider than B as
+// Cᵀ = Bᵀ·A: Bᵀ is the narrow transpose, A is packed a column chunk at a
+// time, and each chunk's product block is added back into C transposed. The
+// transposed product has the bits of the untransposed one: the packed
+// kernels compute every element as one k-ordered FMA chain from +0 over
+// i = 0..m-1 (a plain multiply-add chain on the portable path), the chain's
+// terms A[i][kk]·B[i][j] are the same products either way round, and the
+// add into C is the same IEEE sum; only NaN payloads may differ. Chunks
+// write disjoint rows of C, so they run in parallel.
+func transAWide(c, a, b *Matrix, accumulate bool) {
+	bt := transPool.Get().(*Matrix)
+	transposeInto(bt, b)
+	chunks := (a.Cols + transAChunk - 1) / transAChunk
+	body := func(start, end int) {
+		pb := packPool.Get().(*PackedB)
+		blk := transPool.Get().(*Matrix)
+		for ch := start; ch < end; ch++ {
+			k0 := ch * transAChunk
+			k1 := min(k0+transAChunk, a.Cols)
+			w := k1 - k0
+			pb.PackRange(a, 0, a.Rows, k0, k1)
+			blk.Rows, blk.Cols = bt.Rows, w
+			if cap(blk.Data) < bt.Rows*w {
+				blk.Data = make([]float32, bt.Rows*w)
+			}
+			blk.Data = blk.Data[:bt.Rows*w]
+			packedBody(blk, bt, bt.Cols, pb, nil, false, false, 0, 0, bt.Rows)
+			for kk := 0; kk < w; kk++ {
+				ck := c.Data[(k0+kk)*c.Cols : (k0+kk+1)*c.Cols]
+				for j := range ck {
+					if accumulate {
+						ck[j] += blk.Data[j*w+kk]
+					} else {
+						ck[j] = blk.Data[j*w+kk]
+					}
+				}
+			}
+		}
+		transPool.Put(blk)
+		packPool.Put(pb)
+	}
+	if a.Rows*a.Cols*b.Cols < parallelThreshold {
+		body(0, chunks)
+	} else {
+		ParallelFor(chunks, body)
+	}
+	transPool.Put(bt)
+}
 
 // transposeInto writes srcᵀ into dst, resizing dst's storage as needed while
 // reusing its capacity. It streams src row-major (sequential reads) and

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -26,6 +27,61 @@ func TestMatMulTransAPackedMatchesNaive(t *testing.T) {
 			want.Data[i] += 3
 		}
 		matClose(t, acc, want, 2e-2)
+	}
+}
+
+// transAReference is MatMulTransA's packed route before transAWide: A
+// transposed, then the packed product against B.
+func transAReference(c, a, b *Matrix, accumulate bool) {
+	at := new(Matrix)
+	transposeInto(at, a)
+	pb := new(PackedB)
+	pb.Pack(b)
+	MatMulPacked(c, at, pb, nil, false, accumulate)
+}
+
+// TestMatMulTransAWideMatchesTransposedA checks Cᵀ = Bᵀ·A against the
+// transpose-A product bit for bit: A wider and narrower than B, remainder
+// rows (m, and B's width as the transposed product's rows) and remainder
+// columns (A's width past whole chunks and panels), accumulate on and off,
+// every panel layout this CPU runs and the portable loop that non-amd64
+// builds run (reached here through SetAccel(false)). transAWide is
+// called directly on every shape, and MatMulTransA wherever its packed route
+// applies (on a wide A that route is transAWide).
+func TestMatMulTransAWideMatchesTransposedA(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	shapes := [][3]int{ // m, k (A's width), n (B's width)
+		{8, 9, 8}, {9, 17, 5}, {13, 130, 1}, {37, 300, 17}, {64, 2101, 64},
+		{256, 129, 128}, {200, 257, 33}, {40, 8, 64}, {33, 64, 100}, {512, 128, 256},
+	}
+	check := func(what string, m, k, n int) {
+		a, b := randMat(rng, m, k), randMat(rng, m, n)
+		for _, acc := range []bool{false, true} {
+			c0 := randMat(rng, k, n)
+			want := c0.Clone()
+			transAReference(want, a, b, acc)
+			got := c0.Clone()
+			transAWide(got, a, b, acc)
+			name := fmt.Sprintf("%s %dx%d·%dx%d acc=%v", what, m, k, m, n, acc)
+			requireSameBits(t, name+" transAWide", got, want)
+			if accelEnabled && k >= packMR && m*k*n >= packedMinWork {
+				got = c0.Clone()
+				MatMulTransA(got, a, b, acc)
+				requireSameBits(t, name+" MatMulTransA", got, want)
+			}
+		}
+	}
+	for _, wide := range panelWidths() {
+		withAVX512(wide, func() {
+			for _, sh := range shapes {
+				check(fmt.Sprintf("avx512=%v", wide), sh[0], sh[1], sh[2])
+			}
+		})
+	}
+	prev := SetAccel(false)
+	defer SetAccel(prev)
+	for _, sh := range shapes {
+		check("portable", sh[0], sh[1], sh[2])
 	}
 }
 

@@ -73,6 +73,18 @@ func expRowSumAVX512(src *float32, n int, mx float32, dst *float64) float64
 //go:noescape
 func scaleRowAVX512(dst *float64, n int, s float64)
 
+// expShiftAVX2 and expShiftAVX512 (simd_exp_amd64.s) write math.Exp's bits
+// for one row of shifted float32s, four or eight float64 lanes per step; see
+// ExpShift. The AVX2 kernel takes n a multiple of 4, the AVX-512 kernel any
+// n ≥ 1. Each reports false, leaving dst partly written, when a lane falls
+// outside the range it repeats archExp for.
+
+//go:noescape
+func expShiftAVX2(src *float32, n int, mx float64, dst *float64) bool
+
+//go:noescape
+func expShiftAVX512(src *float32, n int, mx float64, dst *float64) bool
+
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)

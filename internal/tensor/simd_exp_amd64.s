@@ -209,3 +209,220 @@ zexpdone:
 	VZEROUPPER
 	MOVSD X7, ret+32(FP)
 	RET
+
+// Constants of math.Exp's FMA branch ($GOROOT/src/math/exp_amd64.s), written
+// with the same decimal literals so the assembler rounds them to the same
+// float64s, plus the kernels' own range limit, sign mask and exponent bias.
+DATA expd<>+0(SB)/8, $1.4426950408889634073599246810018920           // LOG2E
+DATA expd<>+8(SB)/8, $0.69314718055966295651160180568695068359375     // LN2U
+DATA expd<>+16(SB)/8, $0.28235290563031577122588448175013436025525412068e-12 // LN2L
+DATA expd<>+24(SB)/8, $0.0625
+DATA expd<>+32(SB)/8, $2.4801587301587301587e-5
+DATA expd<>+40(SB)/8, $1.9841269841269841270e-4
+DATA expd<>+48(SB)/8, $1.3888888888888888889e-3
+DATA expd<>+56(SB)/8, $8.3333333333333333333e-3
+DATA expd<>+64(SB)/8, $4.1666666666666666667e-2
+DATA expd<>+72(SB)/8, $1.6666666666666666667e-1
+DATA expd<>+80(SB)/8, $0.5
+DATA expd<>+88(SB)/8, $1.0
+DATA expd<>+96(SB)/8, $2.0
+DATA expd<>+104(SB)/8, $707.0                // |x| limit: 2^n stays normal
+DATA expd<>+112(SB)/8, $0x7FFFFFFFFFFFFFFF   // sign mask
+DATA expd<>+120(SB)/8, $1023                 // exponent bias
+GLOBL expd<>(SB), RODATA, $128
+
+// func expShiftAVX2(src *float32, n int, mx float64, dst *float64) bool
+//
+// dst[i] = math.Exp(float64(src[i]) - mx) for i in [0, n), four lanes per
+// step, n a multiple of 4. Each lane runs the avxfma branch of math.Exp's
+// archExp for a finite argument inside its overflow bound, op for op: x·LOG2E
+// rounded to an int32 n by VCVTPD2DQ (CVTSD2SL's MXCSR rounding), the two
+// fused reductions by n·LN2U and n·LN2L, the scale by 1/16, the fused Horner
+// chain, three y·(y+2) squarings and a fused (y+2)·y+1, then the product with
+// 2^n built in the exponent field. Operands commute only where IEEE products
+// and sums do. A lane with |x| > 707 or NaN, whose result could leave the
+// normal range or take archExp's other branches, stops the kernel: it
+// returns false and the caller recomputes the row with math.Exp.
+TEXT ·expShiftAVX2(SB), NOSPLIT, $0-33
+	MOVQ src+0(FP), SI
+	MOVQ n+8(FP), DX
+	MOVQ dst+24(FP), DI
+
+	VBROADCASTSD mx+16(FP), Y15
+	VBROADCASTSD expd<>+112(SB), Y14 // sign mask
+	VBROADCASTSD expd<>+104(SB), Y13 // 707
+	VBROADCASTSD expd<>+0(SB), Y12   // LOG2E
+	VBROADCASTSD expd<>+8(SB), Y11   // LN2U
+	VBROADCASTSD expd<>+16(SB), Y10  // LN2L
+	VBROADCASTSD expd<>+24(SB), Y9   // 1/16
+	VBROADCASTSD expd<>+88(SB), Y8   // 1.0
+	VBROADCASTSD expd<>+96(SB), Y7   // 2.0
+	VBROADCASTSD expd<>+120(SB), Y6  // 1023
+
+	XORQ R9, R9
+y4loop:
+	CMPQ R9, DX
+	JGE  y4done
+	VCVTPS2PD (SI)(R9*4), Y0
+	VSUBPD    Y15, Y0, Y0 // x
+
+	VANDPD    Y14, Y0, Y1
+	VCMPPD    $2, Y13, Y1, Y1 // |x| <= 707 (LE_OS: false for NaN)
+	VMOVMSKPD Y1, AX
+	CMPL      AX, $15
+	JNE       y4bail
+
+	VMULPD       Y12, Y0, Y1 // x·LOG2E
+	VCVTPD2DQY   Y1, X2      // n
+	VCVTDQ2PD    X2, Y1
+	VFNMADD231PD Y11, Y1, Y0 // x -= n·LN2U
+	VFNMADD231PD Y10, Y1, Y0 // x -= n·LN2L
+	VMULPD       Y9, Y0, Y0  // x /= 16
+
+	VBROADCASTSD expd<>+32(SB), Y3
+	VBROADCASTSD expd<>+40(SB), Y5
+	VFMADD213PD  Y5, Y0, Y3
+	VBROADCASTSD expd<>+48(SB), Y5
+	VFMADD213PD  Y5, Y0, Y3
+	VBROADCASTSD expd<>+56(SB), Y5
+	VFMADD213PD  Y5, Y0, Y3
+	VBROADCASTSD expd<>+64(SB), Y5
+	VFMADD213PD  Y5, Y0, Y3
+	VBROADCASTSD expd<>+72(SB), Y5
+	VFMADD213PD  Y5, Y0, Y3
+	VBROADCASTSD expd<>+80(SB), Y5
+	VFMADD213PD  Y5, Y0, Y3
+	VFMADD213PD  Y8, Y0, Y3
+
+	VMULPD      Y3, Y0, Y0 // y = x·p
+	VADDPD      Y7, Y0, Y3
+	VMULPD      Y3, Y0, Y0
+	VADDPD      Y7, Y0, Y3
+	VMULPD      Y3, Y0, Y0
+	VADDPD      Y7, Y0, Y3
+	VMULPD      Y3, Y0, Y0
+	VADDPD      Y7, Y0, Y3
+	VFMADD213PD Y8, Y3, Y0 // y = (y+2)·y + 1
+
+	VPMOVSXDQ X2, Y4
+	VPADDQ    Y6, Y4, Y4
+	VPSLLQ    $52, Y4, Y4 // 2^n
+	VMULPD    Y4, Y0, Y0
+	VMOVUPD   Y0, (DI)(R9*8)
+
+	ADDQ $4, R9
+	JMP  y4loop
+y4done:
+	VZEROUPPER
+	MOVB $1, ret+32(FP)
+	RET
+y4bail:
+	VZEROUPPER
+	MOVB $0, ret+32(FP)
+	RET
+
+// EXPSHIFT8 computes Z0 = math.Exp(x) for the eight lanes x of Z0 with
+// expShiftAVX2's operations and operand order, taking the int32 n from Y2.
+// Constants: LOG2E Z19, LN2U Z20, LN2L Z21, 1/16 Z22, the Horner
+// coefficients Z23-Z29, 1.0 Z30, 2.0 Z31, the bias Z15.
+#define EXPSHIFT8 \
+	VMULPD       Z19, Z0, Z1; \
+	VCVTPD2DQ    Z1, Y2;      \
+	VCVTDQ2PD    Y2, Z1;      \
+	VFNMADD231PD Z20, Z1, Z0; \
+	VFNMADD231PD Z21, Z1, Z0; \
+	VMULPD       Z22, Z0, Z0; \
+	VMOVAPD      Z23, Z3;     \
+	VFMADD213PD  Z24, Z0, Z3; \
+	VFMADD213PD  Z25, Z0, Z3; \
+	VFMADD213PD  Z26, Z0, Z3; \
+	VFMADD213PD  Z27, Z0, Z3; \
+	VFMADD213PD  Z28, Z0, Z3; \
+	VFMADD213PD  Z29, Z0, Z3; \
+	VFMADD213PD  Z30, Z0, Z3; \
+	VMULPD       Z3, Z0, Z0;  \
+	VADDPD       Z31, Z0, Z3; \
+	VMULPD       Z3, Z0, Z0;  \
+	VADDPD       Z31, Z0, Z3; \
+	VMULPD       Z3, Z0, Z0;  \
+	VADDPD       Z31, Z0, Z3; \
+	VMULPD       Z3, Z0, Z0;  \
+	VADDPD       Z31, Z0, Z3; \
+	VFMADD213PD  Z30, Z3, Z0; \
+	VPMOVSXDQ    Y2, Z4;      \
+	VPADDQ       Z15, Z4, Z4; \
+	VPSLLQ       $52, Z4, Z4; \
+	VMULPD       Z4, Z0, Z0
+
+// func expShiftAVX512(src *float32, n int, mx float64, dst *float64) bool
+//
+// expShiftAVX2 at eight lanes per step with every constant in a ZMM
+// register, for any n ≥ 1: the last n mod 8 elements run one step on a
+// masked load and a masked store (masked-off lanes neither fault nor write,
+// and K2 keeps them out of the range check). Only AVX-512F instructions.
+TEXT ·expShiftAVX512(SB), NOSPLIT, $0-33
+	MOVQ src+0(FP), SI
+	MOVQ n+8(FP), DX
+	MOVQ dst+24(FP), DI
+
+	VBROADCASTSD mx+16(FP), Z16
+	VPBROADCASTQ expd<>+112(SB), Z17 // sign mask
+	VBROADCASTSD expd<>+104(SB), Z18 // 707
+	VBROADCASTSD expd<>+0(SB), Z19
+	VBROADCASTSD expd<>+8(SB), Z20
+	VBROADCASTSD expd<>+16(SB), Z21
+	VBROADCASTSD expd<>+24(SB), Z22
+	VBROADCASTSD expd<>+32(SB), Z23
+	VBROADCASTSD expd<>+40(SB), Z24
+	VBROADCASTSD expd<>+48(SB), Z25
+	VBROADCASTSD expd<>+56(SB), Z26
+	VBROADCASTSD expd<>+64(SB), Z27
+	VBROADCASTSD expd<>+72(SB), Z28
+	VBROADCASTSD expd<>+80(SB), Z29
+	VBROADCASTSD expd<>+88(SB), Z30
+	VBROADCASTSD expd<>+96(SB), Z31
+	VPBROADCASTQ expd<>+120(SB), Z15
+
+	XORQ R9, R9
+	MOVQ DX, BX
+	ANDQ $-8, BX // n rounded down to a multiple of 8
+z8loop:
+	CMPQ R9, BX
+	JGE  z8tail
+	VCVTPS2PD (SI)(R9*4), Z0
+	VSUBPD    Z16, Z0, Z0 // x
+	VPANDQ    Z17, Z0, Z1
+	VCMPPD    $2, Z18, Z1, K1 // |x| <= 707 (LE_OS: false for NaN)
+	KMOVW     K1, AX
+	CMPL      AX, $0xFF
+	JNE       z8bail
+	EXPSHIFT8
+	VMOVUPD   Z0, (DI)(R9*8)
+	ADDQ      $8, R9
+	JMP       z8loop
+z8tail:
+	MOVQ DX, CX
+	SUBQ R9, CX // 0..7 elements left
+	JE   z8done
+	MOVL      $1, AX
+	SHLL      CX, AX
+	DECL      AX
+	KMOVW     AX, K2
+	VMOVUPS.Z (SI)(R9*4), K2, Z1
+	VCVTPS2PD Y1, Z0
+	VSUBPD    Z16, Z0, Z0
+	VPANDQ    Z17, Z0, Z1
+	VCMPPD    $2, Z18, Z1, K2, K1
+	KMOVW     K1, CX
+	CMPL      CX, AX
+	JNE       z8bail
+	EXPSHIFT8
+	VMOVUPD   Z0, K2, (DI)(R9*8)
+z8done:
+	VZEROUPPER
+	MOVB $1, ret+32(FP)
+	RET
+z8bail:
+	VZEROUPPER
+	MOVB $0, ret+32(FP)
+	RET

@@ -60,3 +60,11 @@ func expRowSumAVX512(src *float32, n int, mx float32, dst *float64) float64 {
 func scaleRowAVX512(dst *float64, n int, s float64) {
 	panic("tensor: scaleRowAVX512 without amd64")
 }
+
+func expShiftAVX2(src *float32, n int, mx float64, dst *float64) bool {
+	panic("tensor: expShiftAVX2 without amd64")
+}
+
+func expShiftAVX512(src *float32, n int, mx float64, dst *float64) bool {
+	panic("tensor: expShiftAVX512 without amd64")
+}

@@ -387,6 +387,7 @@ func (m *Model) TrainStep(codes []int32, n int, opt *nn.Adam) float64 {
 	}
 	logits := make([]float32, maxDom)
 	dLogits := make([]float32, maxDom)
+	scratch := make([]float64, maxDom)
 	for r := 0; r < n; r++ {
 		for i := 0; i < T; i++ {
 			e := m.emb[i]
@@ -396,7 +397,7 @@ func (m *Model) TrainStep(codes []int32, n int, opt *nn.Adam) float64 {
 				logits[v] = tensor.Dot(fRow, e.Val.Row(v))
 			}
 			target := int(codes[r*nc+i])
-			totalNLL += nn.SoftmaxCE(logits[:dom], target, dLogits[:dom])
+			totalNLL += nn.SoftmaxCE(logits[:dom], target, dLogits[:dom], scratch)
 			dfRow := dFinal.Row(r*T + i)
 			for v := 0; v < dom; v++ {
 				g := dLogits[v]
@@ -450,6 +451,7 @@ func (m *Model) LogProbBatch(codes []int32, n int, dst []float64) {
 		}
 	}
 	logits := make([]float32, maxDom)
+	scratch := make([]float64, maxDom)
 	for r := 0; r < n; r++ {
 		var lp float64
 		for i := 0; i < T; i++ {
@@ -458,7 +460,7 @@ func (m *Model) LogProbBatch(codes []int32, n int, dst []float64) {
 			for v := 0; v < dom; v++ {
 				logits[v] = tensor.Dot(fRow, m.emb[i].Val.Row(v))
 			}
-			lp += nn.LogProb(logits[:dom], int(codes[r*len(m.domains)+i]))
+			lp += nn.LogProb(logits[:dom], int(codes[r*len(m.domains)+i]), scratch)
 		}
 		dst[r] = lp
 	}

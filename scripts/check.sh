@@ -94,7 +94,9 @@
 # byte-identical model files, and a run interrupted with -stop-after and then
 # resumed from its checkpoint must also match the uninterrupted model
 # byte-for-byte — including when the resume omits -train-workers, proving the
-# checkpoint's recorded worker count is adopted.
+# checkpoint's recorded worker count is adopted. Its table has one column
+# wide enough to be embedded, so both checks cover the embedded-column loss
+# and weight-gradient kernels too.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -802,12 +804,17 @@ if [ "${1:-}" = "train" ]; then
 
     go build -o "$tmp/naru" ./cmd/naru
 
-    # A correlated 3-column table, big enough for 20 steps/epoch at -batch 128.
+    # A correlated 4-column table, big enough for 20 steps/epoch at -batch 128.
+    # Column d has about 320 codes, past the 64-code embedding threshold, so
+    # its loss runs the batched softmax-CE over 320-wide rows and its
+    # decoder-embedding gradient the wide-operand MatMulTransA; a, b and c
+    # take the one-hot heads.
     awk 'BEGIN{
-        srand(7); print "a,b,c";
+        srand(7); print "a,b,c,d";
         for (i = 0; i < 2560; i++) {
             x = int(rand()*8); y = (x*3 + int(rand()*2)) % 10; z = (x+y) % 5;
-            print x "," y "," z
+            d = x*40 + int(rand()*40);
+            print x "," y "," z "," d
         }
     }' > "$tmp/data.csv"
 
