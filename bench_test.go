@@ -8,6 +8,7 @@ package naru
 // these benches make the per-query costs measurable via `go test -bench`.
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -375,7 +376,7 @@ func BenchmarkInferenceFastPath(b *testing.B) {
 		est := core.NewEstimator(fx.dmvNaru, 1000, 1)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			est.EstimateBatch(fx.dmvW.Regions, 0)
+			est.EstimateFused(context.Background(), core.Requests(fx.dmvW.Regions), core.ServeOptions{})
 		}
 	})
 }

@@ -17,6 +17,29 @@ import (
 	"repro/internal/server"
 )
 
+// The timeouts of both HTTP servers cmdServe runs. A client that stalls
+// while sending its request headers is disconnected once readHeaderTimeout
+// has passed, one that stalls while sending its body (an /append body may
+// run to 64 MiB) once readTimeout has passed since its request began, and a
+// keep-alive connection is closed after idleTimeout without a request.
+// Without them a stalled client holds a handler goroutine, and the body
+// buffered so far, for as long as it likes. Tests shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer returns a server for h with the timeouts above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // cmdServe runs a long-lived estimation service on top of internal/server,
 // in one of two modes:
 //
@@ -151,7 +174,7 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("metrics endpoint: %w", err)
 		}
-		msrv := &http.Server{Handler: mux}
+		msrv := newHTTPServer(mux)
 		go func() { _ = msrv.Serve(mln) }()
 		defer msrv.Close()
 		fmt.Fprintf(stderr, "metrics on http://%s/metrics\n", mln.Addr())
@@ -161,7 +184,7 @@ func cmdServe(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	hsrv := &http.Server{Handler: srv.Handler()}
+	hsrv := newHTTPServer(srv.Handler())
 	names := srv.Names()
 	if len(names) > 1 {
 		fmt.Fprintf(stdout, "serving tenants [%s] on http://%s/v1/{tenant}/estimate\n",

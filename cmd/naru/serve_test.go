@@ -1,15 +1,20 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	naru "repro"
 	"repro/internal/query"
@@ -116,8 +121,9 @@ func TestEstimateHandler(t *testing.T) {
 }
 
 // TestEstimateHandlerCoalesced: /estimate answers through the tenant's
-// admission gate with the same estimate fields, bit for bit, as
-// SelectivityBatchCtx at one worker on an identically trained model.
+// admission gate with the same estimate fields, bit for bit, as the
+// reference walk (EstimateBatchCtx, one CondBatch block per chunk) at one
+// worker on an identically trained model.
 func TestEstimateHandlerCoalesced(t *testing.T) {
 	const where = "state=NY AND qty<=30"
 	est, tbl, _ := buildServeFixture(t)
@@ -125,11 +131,11 @@ func TestEstimateHandlerCoalesced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, err := est.SelectivityBatchCtx(context.Background(), []naru.Query{q}, naru.ServeOptions{Workers: 1})
+	reg, err := naru.Compile(q, tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := results[0]
+	want := est.EstimateBatchCtx(context.Background(), []*naru.Region{reg}, naru.ServeOptions{Workers: 1})[0]
 
 	est2, tbl2, _ := buildServeFixture(t)
 	srv := httptest.NewServer(newTenantHandler(t, server.NewTenant("default", est2, tbl2, server.TenantOptions{})))
@@ -150,7 +156,7 @@ func TestEstimateHandlerCoalesced(t *testing.T) {
 		t.Fatalf("served response %+v", got)
 	}
 	if got.Sel != want.Sel || got.StdErr != want.StdErr || got.Samples != want.Samples {
-		t.Fatalf("served answer %+v differs from SelectivityBatchCtx at one worker %+v", got, want)
+		t.Fatalf("served answer %+v differs from EstimateBatchCtx at one worker %+v", got, want)
 	}
 	if got.StopReason != "" {
 		t.Fatalf("full-budget answer carries stop reason %q", got.StopReason)
@@ -211,5 +217,110 @@ func TestMetricsAddrDeterminism(t *testing.T) {
 	}
 	if stripTiming(plain) != stripTiming(observed) {
 		t.Fatalf("stdout diverged with -metrics-addr:\n--- plain ---\n%s\n--- observed ---\n%s", plain, observed)
+	}
+}
+
+// TestServeDisconnectsStalledClients runs `naru serve` with its HTTP
+// timeouts shortened and stalls three clients: one mid-headers and one
+// mid-/append body on the serving address, one mid-headers on the metrics
+// address. Each is disconnected within a few timeouts, the /append client
+// after a 408. Without the timeouts each would hold its handler goroutine,
+// and the body read so far, indefinitely.
+func TestServeDisconnectsStalledClients(t *testing.T) {
+	defer func(h, r, i time.Duration) {
+		readHeaderTimeout, readTimeout, idleTimeout = h, r, i
+	}(readHeaderTimeout, readTimeout, idleTimeout)
+	readHeaderTimeout, readTimeout, idleTimeout = 200*time.Millisecond, 400*time.Millisecond, time.Second
+
+	dir := t.TempDir()
+	csv := writeTestCSV(t, dir)
+	model := filepath.Join(dir, "model.naru")
+	if code, _, stderr := runCLI("train", "-csv", csv, "-out", model,
+		"-epochs", "1", "-hidden", "8,8", "-samples", "64"); code != 0 {
+		t.Fatalf("train: %s", stderr)
+	}
+	// cmdServe announces the serving address on stdout and the metrics
+	// address on stderr; both are drained so its writes never block.
+	announced := func(r io.Reader, prefix string) <-chan string {
+		c := make(chan string, 1)
+		go func() {
+			sc := bufio.NewScanner(r)
+			for sc.Scan() {
+				if rest, ok := strings.CutPrefix(sc.Text(), prefix); ok {
+					host, _, _ := strings.Cut(rest, "/")
+					c <- host
+				}
+			}
+		}()
+		return c
+	}
+	outR, outW := io.Pipe()
+	errR, errW := io.Pipe()
+	serveAddr := announced(outR, "serving on http://")
+	metricsAddr := announced(errR, "metrics on http://")
+	done := make(chan error, 1)
+	go func() {
+		err := cmdServe([]string{"-csv", csv, "-model", model, "-samples", "64",
+			"-addr", "127.0.0.1:0", "-metrics-addr", "127.0.0.1:0", "-refresh-after", "1000000"}, outW, errW)
+		outW.Close()
+		errW.Close()
+		done <- err
+	}()
+	addrs := map[string]string{}
+	for len(addrs) < 2 {
+		select {
+		case a := <-serveAddr:
+			addrs["serve"] = a
+		case a := <-metricsAddr:
+			addrs["metrics"] = a
+		case err := <-done:
+			t.Fatalf("serve exited before listening: %v", err)
+		case <-time.After(30 * time.Second):
+			t.Fatal("serve never announced both addresses")
+		}
+	}
+
+	// stall sends the start of a request and waits for the server to close
+	// the connection, returning what it answered first.
+	stall := func(addr, partial string) string {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := io.WriteString(conn, partial); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := io.ReadAll(conn)
+		if err != nil {
+			t.Fatalf("a client stalled on %q is still connected after 5s: %v", partial, err)
+		}
+		return string(reply)
+	}
+	midHeaders := "GET /estimate?where=qty%3C%3D30 HTTP/1.1\r\nHost: naru\r\n"
+	if reply := stall(addrs["serve"], midHeaders); reply != "" {
+		t.Fatalf("a client stalled mid-headers got %q, want the connection closed", reply)
+	}
+	if reply := stall(addrs["metrics"], "GET /metrics HTTP/1.1\r\n"); reply != "" {
+		t.Fatalf("a metrics client stalled mid-headers got %q, want the connection closed", reply)
+	}
+	midBody := "POST /append HTTP/1.1\r\nHost: naru\r\nContent-Type: text/csv\r\nContent-Length: 1048576\r\n\r\nNY,10\n"
+	if reply := stall(addrs["serve"], midBody); !strings.HasPrefix(reply, "HTTP/1.1 408 ") {
+		t.Fatalf("a client stalled mid-body got %q, want a 408 and the connection closed", reply)
+	}
+
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("serve: %v", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("serve did not drain after SIGTERM")
 	}
 }

@@ -42,17 +42,22 @@ func coalesceQueries() []Query {
 
 // TestCoalescerSequentialBitIdentity: one client submitting queries one at a
 // time through the admission gate gets bit-identical results to a sequential
-// ctx-serve of the same workload — the gate changes scheduling, never
-// answers.
+// serve of the same workload on the reference walk (EstimateBatchCtx, one
+// CondBatch block per chunk) — the gate changes scheduling, never answers.
 func TestCoalescerSequentialBitIdentity(t *testing.T) {
 	tbl := facadeTable(t, 1200)
 	qs := coalesceQueries()
+	regs := make([]*Region, len(qs))
+	for i, q := range qs {
+		reg, err := Compile(q, tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		regs[i] = reg
+	}
 
 	ref := NewFromModel(fusedModel(tbl), tbl, fusedConfig())
-	want, err := ref.SelectivityBatchCtx(context.Background(), qs, ServeOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := ref.EstimateBatchCtx(context.Background(), regs, ServeOptions{Workers: 1})
 
 	est := NewFromModel(fusedModel(tbl), tbl, fusedConfig())
 	c := est.NewCoalescer(CoalesceOptions{})

@@ -66,11 +66,13 @@ func TestHotSwapConcurrentServing(t *testing.T) {
 	}
 	for v, m := range models {
 		ref := newEstimator(m, tbl, cfg, rows)
-		sels, err := ref.SelectivityBatch(qs, 1)
+		results, err := ref.SelectivityBatchCtx(context.Background(), qs, ServeOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		expected[v] = sels
+		for _, r := range results {
+			expected[v] = append(expected[v], r.Sel)
+		}
 	}
 
 	checkBatch := func(results []Result) error {

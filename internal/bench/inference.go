@@ -77,10 +77,10 @@ func Inference(out io.Writer, cfg Config) {
 	// must reproduce the sequential fast-path answers bitwise). Workers is
 	// pinned to 1 so this row measures the block walk itself — a query's
 	// chunks of one wave in one tall block, with no thread parallelism — next
-	// to the sequential row's one CondBatch walk per chunk. Telemetry, when enabled, watches this configuration — the
-	// mismatch check below doubles as proof that observing it is free of
-	// perturbation. The Mallocs delta around the run prices the scheduler's
-	// allocation overhead per query.
+	// to the sequential row's one CondBatch block per chunk. Telemetry, when
+	// enabled, watches this configuration — the mismatch check below doubles
+	// as proof that observing it is free of perturbation. The Mallocs delta
+	// around the run prices the scheduler's allocation overhead per query.
 	batch := core.NewEstimator(model, samples, qseed)
 	batch.SetObserver(cfg.Obs)
 	reqs := core.Requests(w.Regions)

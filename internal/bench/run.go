@@ -37,30 +37,6 @@ func RunWorkload(e estimator.Interface, w *query.Workload) *Result {
 	return r
 }
 
-// BatchInterface is the optional batch entry point concurrent estimators
-// expose (core.Estimator does); RunWorkloadParallel uses it when present.
-type BatchInterface interface {
-	estimator.Interface
-	EstimateBatch(regions []*query.Region, workers int) []float64
-}
-
-// RunWorkloadParallel evaluates an estimator over a workload through its
-// batch entry point, fanning queries across up to workers goroutines, and
-// returns the results plus the aggregate wall time. Estimators without a
-// batch entry point fall back to the sequential runner. Per-query latencies
-// are not recorded on the parallel path (they overlap).
-func RunWorkloadParallel(e estimator.Interface, w *query.Workload, workers int) (*Result, time.Duration) {
-	be, ok := e.(BatchInterface)
-	if !ok {
-		start := time.Now()
-		r := RunWorkload(e, w)
-		return r, time.Since(start)
-	}
-	start := time.Now()
-	ests := be.EstimateBatch(w.Regions, workers)
-	return &Result{Estimator: e.Name(), SizeBytes: e.SizeBytes(), Estimates: ests}, time.Since(start)
-}
-
 // Errors converts a result to per-query q-errors (cardinality space, floored
 // at one tuple — §6.1.3).
 func (r *Result) Errors(w *query.Workload) []float64 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -41,10 +42,19 @@ func testMADE(domains []int) *made.Model {
 	return made.New(domains, made.Config{HiddenSizes: []int{32, 32}, EmbedThreshold: 64, EmbedDim: 8, Seed: 5})
 }
 
+// sels returns the selectivities of a batch call's results.
+func sels(res []Result) []float64 {
+	out := make([]float64, len(res))
+	for i, r := range res {
+		out[i] = r.Sel
+	}
+	return out
+}
+
 // TestEstimateBatchMatchesSequential checks the core determinism contract:
-// a fresh estimator answering a workload through EstimateBatch (any worker
-// count) returns bit-identical results to a fresh estimator answering it
-// through sequential EstimateRegion calls.
+// a fresh estimator answering a workload through either batch entry point
+// (any worker count) returns bit-identical results to a fresh estimator
+// answering it through sequential EstimateRegion calls.
 func TestEstimateBatchMatchesSequential(t *testing.T) {
 	tbl := corrTable(t, 1500, 3)
 	regs := batchRegions(t, tbl)
@@ -59,12 +69,18 @@ func TestEstimateBatchMatchesSequential(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 3, 8} {
-		batch := NewEstimator(testMADE(domains), samples, seed)
-		batch.EnumThreshold = 40
-		got := batch.EstimateBatch(regs, workers)
-		for i := range regs {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d query %d: batch %v != sequential %v", workers, i, got[i], want[i])
+		for _, fused := range []bool{false, true} {
+			batch := NewEstimator(testMADE(domains), samples, seed)
+			batch.EnumThreshold = 40
+			serve := batch.EstimateBatchCtx
+			if fused {
+				serve = batch.EstimateFused
+			}
+			got := sels(serve(context.Background(), Requests(regs), ServeOptions{Workers: workers}))
+			for i := range regs {
+				if got[i] != want[i] {
+					t.Fatalf("workers=%d fused=%v query %d: batch %v != sequential %v", workers, fused, i, got[i], want[i])
+				}
 			}
 		}
 	}
@@ -81,11 +97,11 @@ func TestEstimateBatchMutexPathMatchesForked(t *testing.T) {
 	const samples, seed = 64, 7
 	forked := NewEstimator(testMADE(domains), samples, seed)
 	forked.EnumThreshold = 40
-	want := forked.EstimateBatch(regs, 4)
+	want := sels(forked.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 4}))
 
 	locked := NewEstimator(noFork{testMADE(domains)}, samples, seed)
 	locked.EnumThreshold = 40
-	got := locked.EstimateBatch(regs, 4)
+	got := sels(locked.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 4}))
 	for i := range regs {
 		if got[i] != want[i] {
 			t.Fatalf("query %d: mutex path %v != forked path %v", i, got[i], want[i])
@@ -94,7 +110,7 @@ func TestEstimateBatchMutexPathMatchesForked(t *testing.T) {
 }
 
 // TestEstimateBatchConcurrent hammers one shared estimator from many
-// goroutines (mixing EstimateBatch and single EstimateRegion calls) and
+// goroutines (mixing EstimateFused and single EstimateRegion calls) and
 // checks every answer stays in [0, 1]. Run under -race this doubles as the
 // data-race check for the scratch pool and fork replicas.
 func TestEstimateBatchConcurrent(t *testing.T) {
@@ -109,7 +125,7 @@ func TestEstimateBatchConcurrent(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				if g%2 == 0 {
-					for _, sel := range est.EstimateBatch(regs, 3) {
+					for _, sel := range sels(est.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: 3})) {
 						if sel < 0 || sel > 1 {
 							t.Errorf("selectivity %v outside [0,1]", sel)
 						}

@@ -175,6 +175,6 @@ func BenchmarkEstimateSequentialBatch(b *testing.B) {
 	regs := benchFusedWorkload(b, t)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		est.EstimateBatch(regs, 1)
+		est.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
 	}
 }

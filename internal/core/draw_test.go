@@ -8,7 +8,7 @@ import (
 )
 
 // linearDrawRows is the in-range draw step as Algorithm 1 states it, and as
-// both walks ran it before the table draw: re-sum the row's in-range mass,
+// the walk ran it before the table draw: re-sum the row's in-range mass,
 // then scan the valid list for the first running sum that reaches u. It is
 // kept as the reference the table draw must match bit for bit.
 func linearDrawRows(rng *rand.Rand, isAll bool, vs []int32, codes []int32, nc, col int, probs [][]float64, weights []float64, r0, r1 int) {
@@ -118,12 +118,11 @@ type drawOut struct {
 	next  float64
 }
 
-// checkTableDraw runs c through the linear references and through both
-// placements of the table draw — each row's table built in place over its
-// own row (drawRows, the per-query walk), and one table per group of
-// bit-identical rows in the group arena, every member drawing from it (the
-// fused walk) — and requires the same codes, the same weight bits and the
-// same next RNG value from all three.
+// checkTableDraw runs c through the linear references and through the
+// walk's table draw — one table per group of bit-identical rows, a group of
+// one built in place over its row and a larger group's in the group arena,
+// every member drawing from it — and requires the same codes, the same
+// weight bits and the same next RNG value from both.
 func checkTableDraw(t *testing.T, c drawCase) {
 	t.Helper()
 	n := len(c.probs)
@@ -144,9 +143,6 @@ func checkTableDraw(t *testing.T, c drawCase) {
 			return
 		}
 		linearDrawRows(rng, c.wildcard, c.vs, codes, nc, col, probs, w, 0, n)
-	})
-	inPlace := run(func(rng *rand.Rand, probs [][]float64, codes []int32, w []float64) {
-		drawRows(rng, c.vs, c.inv, c.wildcard, codes, nc, col, probs, w, 0, n)
 	})
 	grouped := run(func(rng *rand.Rand, probs [][]float64, codes []int32, w []float64) {
 		g := newPrefixGroups(len(probs[0]))
@@ -179,16 +175,14 @@ func checkTableDraw(t *testing.T, c drawCase) {
 			}
 		}
 	})
-	for how, got := range map[string]drawOut{"in-place tables": inPlace, "group tables": grouped} {
-		for r := 0; r < n; r++ {
-			if got.codes[r*nc+col] != want.codes[r*nc+col] || math.Float64bits(got.w[r]) != math.Float64bits(want.w[r]) {
-				t.Fatalf("%s, %s, row %d: code %d weight %v; linear scan: code %d weight %v",
-					c.name, how, r, got.codes[r*nc+col], got.w[r], want.codes[r*nc+col], want.w[r])
-			}
+	for r := 0; r < n; r++ {
+		if grouped.codes[r*nc+col] != want.codes[r*nc+col] || math.Float64bits(grouped.w[r]) != math.Float64bits(want.w[r]) {
+			t.Fatalf("%s, row %d: code %d weight %v; linear scan: code %d weight %v",
+				c.name, r, grouped.codes[r*nc+col], grouped.w[r], want.codes[r*nc+col], want.w[r])
 		}
-		if got.next != want.next {
-			t.Fatalf("%s, %s: next RNG value %v; linear scan leaves %v", c.name, how, got.next, want.next)
-		}
+	}
+	if grouped.next != want.next {
+		t.Fatalf("%s: next RNG value %v; linear scan leaves %v", c.name, grouped.next, want.next)
 	}
 }
 

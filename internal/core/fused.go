@@ -8,24 +8,28 @@ import (
 	"repro/internal/faultinject"
 )
 
-// siteFusedWalk is the chaos fault point inside the fused block walk. It sits
-// under walkBlock's recover, so an injected panic or error exercises the
-// containment path: the block's query restarts on CondBatch steps with a
-// bit-identical answer.
+// siteFusedWalk is the chaos fault point inside a model's own block walk.
+// It sits under walkBlock's recover, so an injected panic or error exercises
+// the containment path: the block's query restarts on CondBatch blocks with
+// a bit-identical answer. CondBatch blocks do not reach it.
 var siteFusedWalk = faultinject.Site("core.fused.walk")
 
-// This file implements the block step of the per-query driver (walkQuery):
-// the unit of model work is a *sample block*, the chunks one query runs in
-// one admission wave stacked into one tall batch that flows through the
-// trunk and head GEMMs together (BlockModel), instead of one CondBatch walk
-// per 128-path chunk. A block holds one query, so every row walks the same
+// This file implements the column loop of the per-query driver (walkQuery),
+// the one place Algorithm 1 walks: the unit of model work is a *sample
+// block*, some of one query's chunks stacked into one tall batch. On the
+// fused entry over a model with its own block walk (BlockModel), a block is
+// the chunks of one admission wave, flowing through the trunk and head GEMMs
+// together. Every other walk — the reference entries EstimateBatchCtx and
+// EstimateRegion, models without a block walk, and the restart after a block
+// panic — walks one chunk per block through condBlock, an adapter over the
+// model's own CondBatch. A block holds one query, so every row walks the same
 // columns and draws against the same valid lists.
 //
 // Determinism is the load-bearing wall: each query's chunk k draws from the
-// stream seeded by mixSeed(seedFor(q), k) — exactly the stream the CondBatch
-// step (walkChunk) uses — and the model's block decode is row-independent,
-// so a query's estimate is bit-identical however tall its blocks were, or
-// whether it was served fused at all.
+// stream seeded by mixSeed(seedFor(q), k) however it is blocked, and the
+// model's block decode is row-independent and equal to its CondBatch, so a
+// query's estimate is bit-identical however tall its blocks were, or whether
+// they ran on the model's block walk at all.
 //
 // Parallelism layers on top of that invariant without touching it: the batch
 // scheduler (serveBatch) runs up to Workers goroutines, each pulling whole
@@ -46,6 +50,41 @@ var siteFusedWalk = faultinject.Site("core.fused.walk")
 // decodes and draws in decodeTileRows tiles so each column's logits and
 // probabilities stay in L2.
 
+// condBlock is the block walk of a model without one of its own, or whose
+// own walk the caller does not take: a BlockModel over the model's CondBatch,
+// built once per pooled scratch and walked one chunk per block. AdvanceBlock
+// runs CondBatch over the block into the scratch's one-chunk probability
+// rows, and DecodeBlock copies out the rows the walk asks for, so a walk on
+// it makes exactly the model calls a chunk-at-a-time CondBatch walk makes.
+type condBlock struct {
+	Model
+	sc      *scratch
+	domains []int
+}
+
+// BeginSampling starts a walk over n rows, at most one chunk.
+func (c *condBlock) BeginSampling(n int) {
+	if sm, ok := c.Model.(SequentialModel); ok {
+		sm.BeginSampling(n)
+	}
+}
+
+// AdvanceBlock computes the conditionals of column col for all n rows.
+func (c *condBlock) AdvanceBlock(codes []int32, n, col int) {
+	c.Model.CondBatch(codes, n, col, c.sc.probs[:n])
+}
+
+// DecodeBlock copies the conditionals AdvanceBlock computed for the rows
+// whose out entry is non-nil.
+func (c *condBlock) DecodeBlock(col, r0, r1 int, out [][]float64) {
+	d := c.domains[col]
+	for i, o := range out[:r1-r0] {
+		if o != nil {
+			copy(o[:d], c.sc.probs[r0+i][:d])
+		}
+	}
+}
+
 // maxFusedRows caps the height of one fused block. A query's wave of chunks
 // is one block unless it holds more rows than this (only the last wave of a
 // budget above 22 chunks does); it is then walked as several blocks.
@@ -54,9 +93,9 @@ const maxFusedRows = 2048
 // maxFusedChunks is maxFusedRows in whole chunks.
 const maxFusedChunks = maxFusedRows / anytimeChunk
 
-// fusedState holds one block walk's tall buffers, pooled per estimator so
-// concurrent EstimateFused calls (coalescer dispatches overlapping, serving
-// goroutines within one call) don't reallocate them per call.
+// fusedState holds one block walk's tall buffers. Each pooled scratch holds
+// one, so concurrent calls (serving goroutines within one call, overlapping
+// calls) don't reallocate them per call.
 type fusedState struct {
 	codes   []int32
 	weights []float64
@@ -79,18 +118,9 @@ type fusedState struct {
 	groups prefixGroups
 }
 
-func (e *Estimator) getFusedState() *fusedState {
-	if st, ok := e.fusedPool.Get().(*fusedState); ok {
-		return st
-	}
-	maxDom := 0
-	for _, d := range e.model.DomainSizes() {
-		if d > maxDom {
-			maxDom = d
-		}
-	}
+func newFusedState(nc, maxDom int) *fusedState {
 	st := &fusedState{
-		codes:     make([]int32, maxFusedRows*e.model.NumCols()),
+		codes:     make([]int32, maxFusedRows*nc),
 		weights:   make([]float64, maxFusedRows),
 		tileProbs: make([][]float64, decodeTileRows),
 		view:      make([][]float64, maxFusedRows),
@@ -275,16 +305,18 @@ func (g *prefixGroups) split(codes []int32, weights []float64, nc, col, n int) {
 }
 
 // EstimateFused serves the batch exactly like EstimateBatchCtx — the same
-// scheduler, classifier and per-query driver (serveBatch, walkQuery) —
-// except that a sampling query's chunks of one admission wave (2 chunks,
-// then 4, then the rest) run as one tall block instead of one CondBatch walk
-// per chunk. Scaled join queries are served like unscaled ones (the block
-// draws its query's scale columns from tables of the tilted terms). Results
-// align positionally with reqs and are bit-identical to EstimateBatchCtx
-// (any worker count) with the same options — including adaptive-budget
-// early stops — because both column loops consume identical per-(query,
-// chunk) RNG streams and the driver checks TargetRelStdErr at identical
-// boundaries.
+// scheduler, classifier, per-query driver and column loop (serveBatch,
+// walkQuery, walkBlock) — except that a sampling query's chunks of one
+// admission wave (2 chunks, then 4, then the rest) run as one tall block on
+// the model's own block walk instead of one CondBatch block per chunk. It is
+// the serving entry point: the facade's query methods, the admission gate
+// and the join estimator all walk through it. Scaled join queries are served
+// like unscaled ones (the block draws its query's scale columns from tables
+// of the tilted terms). Results align positionally with reqs and are
+// bit-identical to EstimateBatchCtx (any worker count) with the same options
+// — including adaptive-budget early stops — because both consume identical
+// per-(query, chunk) RNG streams and the driver checks TargetRelStdErr at
+// identical boundaries.
 //
 // A goroutine walks each query's waves back to back before it picks up the
 // next query, and a query's ServeOptions.Deadline counts from that pickup,
@@ -301,7 +333,7 @@ func (g *prefixGroups) split(codes []int32, weights []float64, nc, col, n int) {
 // Results are bit-identical at every worker count, so the worker count is
 // purely a throughput knob. Models served behind a mutex (no Forkable)
 // always run on one goroutine, and models that don't implement BlockModel
-// (through their serving forks) walk every chunk through CondBatch.
+// (through their serving forks) walk one CondBatch block per chunk.
 func (e *Estimator) EstimateFused(ctx context.Context, reqs []Request, opts ServeOptions) []Result {
 	return e.serveBatch(ctx, reqs, opts, true)
 }
@@ -327,7 +359,7 @@ const decodeTileRows = 32
 func (e *Estimator) decodeDraw(bm BlockModel, st *fusedState, fq *sampleQuery, codes []int32, weights []float64, n, col int) {
 	g := &st.groups
 	vs, inv := fq.valid[col], fq.scaleAt(col)
-	wildcard := inv == nil && fq.reg.Cols[e.colAt(col)].IsAll()
+	wildcard := inv == nil && fq.reg.Cols[col].IsAll()
 	g.startColumn(len(vs))
 	drawn := 0
 	for i0 := 0; i0 < len(g.reps); i0 += decodeTileRows {
@@ -355,9 +387,9 @@ func (e *Estimator) decodeDraw(bm BlockModel, st *fusedState, fq *sampleQuery, c
 
 // drawBlock runs the draw step at model position col over rows [r0, r1) of
 // the block, each chunk's rows from that chunk's stream and each live row
-// from its group's table: the step walkChunk takes per row. Rows are drawn
-// in ascending order, so a chunk drawn one tile at a time consumes its
-// stream exactly as walkChunk does.
+// from its group's table. Rows are drawn in ascending order, so a chunk
+// drawn one tile at a time consumes its stream exactly as it would drawn
+// whole, in a block of any height.
 func (e *Estimator) drawBlock(st *fusedState, fq *sampleQuery, codes []int32, col int, weights []float64, r0, r1 int) {
 	nc := len(fq.reg.Cols)
 	vs := fq.valid[col]
@@ -383,14 +415,16 @@ func (e *Estimator) drawBlock(st *fusedState, fq *sampleQuery, codes []int32, co
 
 // walkBlock runs chunks [c0, c1) of one query as a single tall block: chunk
 // c0+j fills rows [j·anytimeChunk, (j+1)·anytimeChunk) and draws from its own
-// stream, so the block's draws are the ones walkChunk makes chunk by chunk.
-// Every row walks every column from 0 to the query's last restricted (or
-// scale) column, advancing, decoding and drawing each one — wildcards have
-// mass 1 but still consume a draw. Each column reaches the model for one row
-// per prefix group (prefixGroups); column 0, where every row still shares
-// the zero-input state, for one row in all. Returns a wrapped ErrPanicked if
-// the model panicked (the replica's walk state is then poisoned until the
-// next BeginSampling).
+// stream, so the block's draws are the ones the chunks would make walked one
+// at a time. Every row walks every column from 0 to the query's last
+// restricted (or scale) column, advancing, decoding and drawing each one —
+// wildcards have mass 1 but still consume a draw. Each column reaches the
+// model's decode for one row per prefix group (prefixGroups); column 0,
+// where every row still shares the zero-input state, for one row in all.
+// Returns a wrapped ErrPanicked if the model panicked (the replica's walk
+// state is then poisoned until the next BeginSampling). The fault point and
+// the naru_fused_* block counters see the model's own block walks only, not
+// condBlock's.
 //
 // The walk performs no per-block heap allocations at any block height: RNGs,
 // groups, tables and every tall buffer are pooled in st, the model's own
@@ -402,11 +436,14 @@ func (e *Estimator) drawBlock(st *fusedState, fq *sampleQuery, codes []int32, co
 func (e *Estimator) walkBlock(bm BlockModel, st *fusedState, fq *sampleQuery, c0, c1 int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("%w: fused block: %v", ErrPanicked, r)
+			err = fmt.Errorf("%w: query %d: %v", ErrPanicked, fq.i, r)
 		}
 	}()
-	if err := faultinject.Point(siteFusedWalk); err != nil {
-		return err
+	_, viaCond := bm.(*condBlock)
+	if !viaCond {
+		if err := faultinject.Point(siteFusedWalk); err != nil {
+			return err
+		}
 	}
 	n := min(e.samples, c1*anytimeChunk) - c0*anytimeChunk
 	nc := len(fq.reg.Cols)
@@ -416,9 +453,9 @@ func (e *Estimator) walkBlock(bm BlockModel, st *fusedState, fq *sampleQuery, c0
 	for i := range weights {
 		weights[i] = 1
 	}
-	// One RNG per chunk, re-seeded in place exactly like walkChunk's chunk
-	// stream. (Seed on the default source reinitializes the generator
-	// identically to a fresh NewSource, without the allocation.)
+	// One RNG per chunk, re-seeded in place with the chunk's stream. (Seed
+	// on the default source reinitializes the generator identically to a
+	// fresh NewSource, without the allocation.)
 	for len(st.rngs) < c1-c0 {
 		st.rngs = append(st.rngs, rand.New(rand.NewSource(0)))
 	}
@@ -439,13 +476,15 @@ func (e *Estimator) walkBlock(bm BlockModel, st *fusedState, fq *sampleQuery, c0
 		e.decodeDraw(bm, st, fq, codes, weights, n, col)
 	}
 	// Fold the chunks' weights back into their query in chunk order, so the
-	// accumulation order — and therefore every bit of sum and sumsq —
-	// matches walkChunk's, one chunk per step.
+	// accumulation order — and therefore every bit of sum and sumsq — is the
+	// same at every block height.
 	for r0 := 0; r0 < n; r0 += anytimeChunk {
 		fq.add(weights[r0:min(r0+anytimeChunk, n)])
 	}
-	e.obs.fusedBlocks.Inc()
-	e.obs.fusedRowsWalked.Add(uint64(n * (fq.last + 1)))
-	e.obs.fusedRowsDecoded.Add(uint64(decoded))
+	if !viaCond {
+		e.obs.fusedBlocks.Inc()
+		e.obs.fusedRowsWalked.Add(uint64(n * (fq.last + 1)))
+		e.obs.fusedRowsDecoded.Add(uint64(decoded))
+	}
 	return nil
 }

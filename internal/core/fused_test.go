@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -124,7 +125,7 @@ func TestEstimateFusedAdaptiveBudget(t *testing.T) {
 
 // TestEstimateFusedFallbackBeforeSampling: a query that fails before it
 // samples (here a panicking BeforeQuery hook) is answered by the fallback on
-// the fused path exactly as on the per-query path — both walks share one
+// the fused entry exactly as on the reference entry — both share one
 // classifier and send every inline result through routeFallback.
 func TestEstimateFusedFallbackBeforeSampling(t *testing.T) {
 	tbl := corrTable(t, 1500, 3)
@@ -451,6 +452,95 @@ func TestEstimateFusedShardPanicContained(t *testing.T) {
 	}
 }
 
+// blockPanics panics on every advance of its own block walk and, when cond
+// is set, on every CondBatch call as well.
+type blockPanics struct {
+	*made.Model
+	cond bool
+}
+
+func (p *blockPanics) ForkModel() any { return &blockPanics{Model: p.Model.Fork(), cond: p.cond} }
+
+func (p *blockPanics) AdvanceBlock(codes []int32, n, col int) { panic("block walk bug") }
+
+func (p *blockPanics) CondBatch(codes []int32, n, col int, out [][]float64) {
+	if p.cond {
+		panic("CondBatch bug")
+	}
+	p.Model.CondBatch(codes, n, col, out)
+}
+
+// TestEstimateFusedRestartOnCondBatch: a fault injected at core.fused.walk
+// on every block, or a panic in every block, of a model's own walk restarts
+// each sampling query once on CondBatch blocks, which reach neither the
+// fault point nor the naru_fused_* block counters, and the model answers
+// bit for bit as on EstimateBatchCtx. A panic in a CondBatch block fails its
+// query with ErrPanicked after that one restart.
+func TestEstimateFusedRestartOnCondBatch(t *testing.T) {
+	tbl := corrTable(t, 1500, 3)
+	// Every query restricts a column, so every sampling walk advances one.
+	var regs []*query.Region
+	for _, reg := range fusedWorkload(t, tbl) {
+		if reg.IsEmpty() || slices.ContainsFunc(reg.Cols, func(c query.ColumnRange) bool { return !c.IsAll() }) {
+			regs = append(regs, reg)
+		}
+	}
+	domains := tbl.DomainSizes()
+	const samples, seed = 300, 42
+	seq := NewEstimator(testMADE(domains), samples, seed)
+	seq.EnumThreshold = 0
+	want := seq.EstimateBatchCtx(context.Background(), Requests(regs), ServeOptions{Workers: 1})
+	sampled := 0
+	for _, r := range want {
+		if r.Samples == samples {
+			sampled++
+		}
+	}
+	if sampled < 3 {
+		t.Fatalf("only %d queries sampled; the workload must carry several", sampled)
+	}
+	serve := func(m Model) ([]Result, *obs.Registry) {
+		e := NewEstimator(m, samples, seed)
+		e.EnumThreshold = 0
+		reg := obs.New()
+		e.SetObserver(reg)
+		return e.EstimateFused(context.Background(), Requests(regs), ServeOptions{Workers: 1}), reg
+	}
+	requireRestarts := func(how string, reg *obs.Registry) {
+		t.Helper()
+		if n := reg.Counter(metricFusedReserved).Value(); n != uint64(sampled) {
+			t.Fatalf("%s: %d restarts for %d sampling queries", how, n, sampled)
+		}
+		for _, m := range []string{metricFusedBlocks, metricFusedRowsWalked, metricFusedRowsDecoded} {
+			if n := reg.Counter(m).Value(); n != 0 {
+				t.Fatalf("%s: %s = %d; CondBatch blocks must not count", how, m, n)
+			}
+		}
+	}
+
+	faultinject.Enable(siteFusedWalk, faultinject.Spec{Mode: faultinject.ModeError, Count: -1})
+	got, reg := serve(testMADE(domains))
+	hits := faultinject.Hits(siteFusedWalk)
+	faultinject.Reset()
+	requireFusedMatch(t, got, want)
+	requireRestarts("injected fault", reg)
+	if hits != sampled {
+		t.Fatalf("the fault point was hit %d times for %d sampling queries; CondBatch blocks must not reach it", hits, sampled)
+	}
+
+	got, reg = serve(&blockPanics{Model: testMADE(domains)})
+	requireFusedMatch(t, got, want)
+	requireRestarts("block panic", reg)
+
+	got, reg = serve(&blockPanics{Model: testMADE(domains), cond: true})
+	for i, r := range got {
+		if want[i].Samples == samples && (r.Source != SourceFailed || !errors.Is(r.Err, ErrPanicked)) {
+			t.Fatalf("query %d: %v %v after a panic in both walks; want SourceFailed with ErrPanicked", i, r.Source, r.Err)
+		}
+	}
+	requireRestarts("panic in both walks", reg)
+}
+
 // decodeCounter wraps a MADE model and logs, per block walk, which rows
 // reach the model at each decoded column, next to the number of distinct
 // prefixes the block's rows have drawn by then. When live is set (a test
@@ -575,7 +665,7 @@ func (l *decodeLog) check(t *testing.T, wantExact bool) (walked, decoded, deadRo
 	blocks := 0
 	for _, b := range l.blocks {
 		if len(b.cols) == 0 {
-			continue // a CondBatch walk: enumeration, or a per-query chunk
+			continue // a CondBatch walk: enumeration, or a one-chunk CondBatch block
 		}
 		blocks++
 		if b.dead != 0 || b.repeated != 0 {
@@ -629,7 +719,7 @@ func TestEstimateFusedDecodesOneRowPerLivePrefix(t *testing.T) {
 	e := NewEstimator(dc, samples, 42)
 	e.EnumThreshold = 40
 	sc := e.acquire()
-	st := e.getFusedState()
+	st := sc.st
 	bm := sc.model.(*decodeCounter)
 	bm.live = func(r int) bool { return st.weights[r] > 0 }
 	bm.kill = true
@@ -659,7 +749,7 @@ func TestEstimateFusedDecodesOneRowPerLivePrefix(t *testing.T) {
 // TestEstimateFusedPrefixGroupsBitIdentical: decoding one row per prefix
 // group changes no bit of any answer. Single-table and scaled join requests
 // served fused, one per call, at W ∈ {1, 2, 4, 8}, answer exactly like the
-// per-query walk. With an observer attached, naru_fused_rows_walked_total
+// reference walk. With an observer attached, naru_fused_rows_walked_total
 // and naru_fused_rows_decoded_total count the row-columns the blocks walked
 // and the rows the model decoded, and the answers stay the same.
 func TestEstimateFusedPrefixGroupsBitIdentical(t *testing.T) {
@@ -745,8 +835,7 @@ func TestEstimateFusedWalkZeroAlloc(t *testing.T) {
 			if !ok {
 				t.Fatal("test model is not a BlockModel")
 			}
-			st := e.getFusedState()
-			defer e.fusedPool.Put(st)
+			st := sc.st
 
 			// The first sampling query of the workload, all of its chunks in
 			// one block.

@@ -47,10 +47,11 @@ type estObs struct {
 	latency          *obs.Histogram
 
 	// Fused-walk instrumentation: the worker count the last EstimateFused
-	// call resolved to (gauge), tall blocks walked, the row-columns those
-	// blocks walked and the ones the model decoded (one per prefix group;
-	// their ratio is the share of rows that reach the model), and queries
-	// restarted on CondBatch steps after their block panicked (counters).
+	// call resolved to (gauge), tall blocks the model's own block walk
+	// walked, the row-columns those blocks walked and the ones the model
+	// decoded (one per prefix group; their ratio is the share of rows that
+	// reach the model), and queries restarted on CondBatch blocks after
+	// their block panicked (counters). CondBatch blocks count in none.
 	fusedWorkers     *obs.Gauge
 	fusedBlocks      *obs.Counter
 	fusedRowsWalked  *obs.Counter

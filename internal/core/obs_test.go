@@ -71,8 +71,8 @@ func TestStdErrConcurrentAttribution(t *testing.T) {
 }
 
 // TestObserverDoesNotPerturbEstimateBatch: attaching a metrics registry must
-// leave EstimateBatch output bit-for-bit identical — instrumentation reads
-// results, it never touches the seeded RNG streams.
+// leave batch output bit-for-bit identical — instrumentation reads results,
+// it never touches the seeded RNG streams.
 func TestObserverDoesNotPerturbEstimateBatch(t *testing.T) {
 	tbl := corrTable(t, 2500, 71)
 	regions := []*query.Region{
@@ -88,13 +88,13 @@ func TestObserverDoesNotPerturbEstimateBatch(t *testing.T) {
 
 	plain := NewEstimator(NewOracle(tbl), 200, 11)
 	plain.EnumThreshold = 20
-	base := plain.EstimateBatch(regions, 2)
+	base := sels(plain.EstimateFused(context.Background(), Requests(regions), ServeOptions{Workers: 2}))
 
 	reg := obs.New()
 	observed := NewEstimator(NewOracle(tbl), 200, 11)
 	observed.EnumThreshold = 20
 	observed.SetObserver(reg)
-	withObs := observed.EstimateBatch(regions, 2)
+	withObs := sels(observed.EstimateFused(context.Background(), Requests(regions), ServeOptions{Workers: 2}))
 
 	for i := range base {
 		if math.Float64bits(base[i]) != math.Float64bits(withObs[i]) {

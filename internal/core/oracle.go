@@ -234,10 +234,6 @@ func (o *Oracle) LogProbBatch(codes []int32, n int, dst []float64) {
 	}
 }
 
-// CondAt returns P(x_col | x_<col) for data row r — the precomputed
-// chain-rule factors used by entropy accounting and noise calibration.
-func (o *Oracle) CondAt(r, col int) float64 { return o.condAtRow[r][col] }
-
 // NoisyOracle wraps an Oracle with a controlled amount of model error: every
 // conditional is mixed with the uniform distribution, P̂ = (1−ε)P + εU
 // (falling back to pure uniform off the data's support). Figure 7 sweeps the

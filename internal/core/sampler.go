@@ -21,8 +21,8 @@ import (
 // implementing Forkable get a pool of replicas so queries proceed in
 // parallel, others are served behind a mutex. Every query draws a global
 // index from an atomic counter and seeds its RNG from (base seed, index), so
-// results are bit-identical however queries are spread across goroutines:
-// EstimateBatch on a fresh estimator returns exactly what sequential
+// results are bit-identical however queries are spread across goroutines: a
+// batch call on a fresh estimator returns exactly what sequential
 // EstimateRegion calls on a fresh estimator would.
 type Estimator struct {
 	model   Model
@@ -32,11 +32,6 @@ type Estimator struct {
 	// EnumThreshold is the query-region size (number of discrete points)
 	// up to which exact enumeration is used instead of sampling.
 	EnumThreshold float64
-
-	// order, when non-nil, maps model positions to original column indices
-	// for models trained under a column permutation (see
-	// NewEstimatorWithOrder).
-	order []int
 
 	// nextQuery numbers queries across all goroutines; the number seeds the
 	// per-query RNG.
@@ -55,23 +50,19 @@ type Estimator struct {
 	pool     sync.Pool  // *scratch replicas, used when forkable
 	mu       sync.Mutex // guards primary otherwise
 	primary  *scratch
-
-	// fusedPool recycles the tall block buffers of the fused walk (see
-	// fused.go) across EstimateFused calls.
-	fusedPool sync.Pool
 }
 
 // scratch bundles everything one in-flight query needs: a model (the shared
-// one, or a Forkable replica), one chunk's sampling buffers, and an RNG
-// reseeded deterministically at the start of each chunk.
+// one, or a Forkable replica), the CondBatch block walk over it (cond), the
+// block walk's tall buffers (st), one chunk's probability rows, and the
+// per-column valid-code lists of the current query.
 type scratch struct {
-	model   Model
-	rng     *rand.Rand
-	codes   []int32
-	weights []float64
-	lp      []float64
-	probs   [][]float64
-	valid   [][]int32 // per-column valid-code lists for the current query
+	model Model
+	cond  *condBlock
+	st    *fusedState
+	lp    []float64
+	probs [][]float64
+	valid [][]int32 // per-column valid-code lists for the current query
 }
 
 // NewEstimator wraps a model with S progressive-sampling paths. Naru-1000,
@@ -118,10 +109,10 @@ func (e *Estimator) SetVersion(v uint64) { e.version.Store(v) }
 // in use).
 func (e *Estimator) Version() uint64 { return e.version.Load() }
 
-// newScratch allocates the per-query buffers around a model instance, sized
-// for one CondBatch chunk: a step walks at most anytimeChunk paths.
-// Enumeration grows probs and lp to its batches, and UniformRegionSample
-// grows codes and lp to its sample count.
+// newScratch allocates the per-query buffers around a model instance, its
+// probability rows sized for one CondBatch chunk: the CondBatch block walk
+// walks at most anytimeChunk paths at a time. Enumeration grows probs and lp
+// to its batches, and UniformRegionSample grows lp to its sample count.
 func (e *Estimator) newScratch(m Model) *scratch {
 	maxDom := 0
 	for _, d := range m.DomainSizes() {
@@ -129,18 +120,13 @@ func (e *Estimator) newScratch(m Model) *scratch {
 			maxDom = d
 		}
 	}
-	rows := min(e.samples, anytimeChunk)
-	probs := make([][]float64, rows)
+	probs := make([][]float64, min(e.samples, anytimeChunk))
 	for i := range probs {
 		probs[i] = make([]float64, maxDom)
 	}
-	return &scratch{
-		model:   m,
-		rng:     rand.New(rand.NewSource(e.seed)),
-		codes:   make([]int32, rows*m.NumCols()),
-		weights: make([]float64, rows),
-		probs:   probs,
-	}
+	sc := &scratch{model: m, st: newFusedState(m.NumCols(), maxDom), probs: probs}
+	sc.cond = &condBlock{Model: m, sc: sc, domains: m.DomainSizes()}
+	return sc
 }
 
 // acquire checks a scratch out for one query; release returns it.
@@ -184,35 +170,20 @@ func (e *Estimator) SizeBytes() int64 { return e.model.SizeBytes() }
 
 // EstimateRegion returns the estimated selectivity (a fraction in [0, 1]) of
 // the compiled query region, dispatching between enumeration and progressive
-// sampling exactly as §5 prescribes. It is a one-query EstimateBatch; see
-// EstimateBatch for how failures surface.
+// sampling exactly as §5 prescribes. It is a one-query EstimateBatchCtx at
+// one worker, with no deadline or fallback: a region of the wrong width, or
+// a model panic, panics on the caller's goroutine, and a query that fails
+// otherwise (a non-finite estimate, an injected fault) estimates 0.
+// EstimateBatchCtx reports those failures per query instead.
 func (e *Estimator) EstimateRegion(reg *query.Region) float64 {
-	return e.EstimateBatch([]*query.Region{reg}, 1)[0]
-}
-
-// EstimateBatch estimates every region through EstimateBatchCtx with up to
-// workers goroutines (GOMAXPROCS when workers <= 0) and no deadline or fallback.
-// Results are positionally aligned with regions and bit-identical to what
-// sequential EstimateRegion calls on a fresh estimator with the same base
-// seed would return. A region of the wrong width, or a model panic, panics
-// on the caller's goroutine; a query that fails otherwise (a non-finite
-// estimate, an injected fault) estimates 0. EstimateBatchCtx reports those
-// failures per query instead.
-func (e *Estimator) EstimateBatch(regions []*query.Region, workers int) []float64 {
-	for _, reg := range regions {
-		if err := e.checkWidth(reg); err != nil {
-			panic(err)
-		}
+	if err := e.checkWidth(reg); err != nil {
+		panic(err)
 	}
-	res := e.EstimateBatchCtx(context.Background(), Requests(regions), ServeOptions{Workers: max(workers, 0)})
-	out := make([]float64, len(res))
-	for i, r := range res {
-		if errors.Is(r.Err, ErrPanicked) {
-			panic(r.Err)
-		}
-		out[i] = r.Sel
+	r := e.EstimateBatchCtx(context.Background(), []Request{{Region: reg}}, ServeOptions{Workers: 1})[0]
+	if errors.Is(r.Err, ErrPanicked) {
+		panic(r.Err)
 	}
-	return out
+	return r.Sel
 }
 
 // checkWidth reports a region compiled for a different column count.
@@ -231,13 +202,13 @@ func (e *Estimator) checkWidth(reg *query.Region) error {
 func (e *Estimator) regionSizeRestricted(reg *query.Region) float64 {
 	last := -1
 	for i := range reg.Cols {
-		if !reg.Cols[e.colAt(i)].IsAll() {
+		if !reg.Cols[i].IsAll() {
 			last = i
 		}
 	}
 	size := 1.0
 	for i := 0; i <= last; i++ {
-		size *= float64(reg.Cols[e.colAt(i)].Count)
+		size *= float64(reg.Cols[i].Count)
 	}
 	return size
 }
@@ -252,7 +223,7 @@ func (e *Estimator) materializeValid(sc *scratch, reg *query.Region, upTo int) [
 	}
 	sc.valid = sc.valid[:upTo]
 	for i := 0; i < upTo; i++ {
-		sc.valid[i] = appendValid(sc.valid[i][:0], &reg.Cols[e.colAt(i)])
+		sc.valid[i] = appendValid(sc.valid[i][:0], &reg.Cols[i])
 	}
 	return sc.valid
 }
@@ -284,7 +255,7 @@ func (e *Estimator) Enumerate(reg *query.Region) float64 {
 func (e *Estimator) enumerate(sc *scratch, reg *query.Region) float64 {
 	last := -1
 	for i := range reg.Cols {
-		if !reg.Cols[e.colAt(i)].IsAll() {
+		if !reg.Cols[i].IsAll() {
 			last = i
 		}
 	}
@@ -376,48 +347,46 @@ func (e *Estimator) sumDensityPrefix(sc *scratch, codes []int32, n, last int) fl
 
 // walkQuery is the per-query driver of Algorithm 1, the one loop over a
 // query's chunks under both batch entry points: the query's S sample paths
-// run in independently seeded chunks of anytimeChunk, and each chunk advances
-// all its paths one model position at a time. The model's conditional steers
-// each path into the high-mass part of the query region; the product of the
-// per-column masses P̂(X_i ∈ Ri | x_<i) is the unbiased density estimate
-// (Theorem 1). Scale columns multiply in their expected inverse fanout
-// instead (buildTable). Both steps walk every column from 0 to the query's
-// last restricted or scale column and draw through wildcards, whose mass is 1.
+// run in independently seeded chunks of anytimeChunk, walked in blocks that
+// advance all their paths one model position at a time (walkBlock). The
+// model's conditional steers each path into the high-mass part of the query
+// region; the product of the per-column masses P̂(X_i ∈ Ri | x_<i) is the
+// unbiased density estimate (Theorem 1). Scale columns multiply in their
+// expected inverse fanout instead (buildTable). A block walks every column
+// from 0 to the query's last restricted or scale column and draws through
+// wildcards, whose mass is 1.
 //
-// A step is either one chunk walked by CondBatch (walkChunk) or, when the
-// walker holds a block walk, the query's chunks of one admission wave walked
-// as one block (walkBlock), split past maxFusedChunks. Chunk k draws from the
-// stream mixSeed(seedFor(q), k) and the chunks accumulate in chunk order
-// either way, so a query's estimate is bit-identical across entry points and
-// never depends on how its samples were scheduled. The query's contexts and
-// deadline are checked before every step (an interrupted query returns the
-// anytime estimate over the completed chunks) and the adaptive budget at the
-// 2- and 6-chunk wave boundaries, where every step ends. A panic is contained
-// to the query; a panic inside a block restarts the query from chunk 0 on
-// CondBatch steps (same chunk streams, same answer), and the next
-// BeginSampling resets the replica.
-func (e *Estimator) walkQuery(ctx context.Context, w *walker, sq *sampleQuery, targetRel float64) (res Result) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = Result{Source: SourceFailed, Err: fmt.Errorf("%w: query %d: %v", ErrPanicked, sq.i, r)}
-		}
-	}()
+// When bm, the model's own block walk, is set, a block is the query's chunks
+// of one admission wave, split past maxFusedChunks; otherwise it is one
+// chunk, walked through the model's CondBatch (sc.cond). Chunk k draws
+// from the stream mixSeed(seedFor(q), k) and the chunks accumulate in chunk
+// order either way, so a query's estimate is bit-identical across entry
+// points and never depends on how its samples were scheduled. The query's
+// contexts and deadline are checked before every block (an interrupted
+// query returns the anytime estimate over the completed chunks) and the
+// adaptive budget at the 2- and 6-chunk wave boundaries, where every block
+// ends. A panic is contained to the query: a panic or injected fault in the
+// model's own block walk restarts the query from chunk 0 on CondBatch blocks
+// (same chunk streams, same answer), and a panic in a CondBatch block fails
+// the query. The next BeginSampling resets the replica.
+func (e *Estimator) walkQuery(ctx context.Context, sc *scratch, bm BlockModel, sq *sampleQuery, targetRel float64) Result {
 	chunks := (e.samples + anytimeChunk - 1) / anytimeChunk
-	bm := w.bm
 	for sq.done < e.samples {
 		if stop, err := sq.interrupted(ctx); err != nil {
 			return e.stopResult(sq, stop, err)
 		}
+		blk, c1 := bm, min(waveEnd(sq.chunks, chunks), sq.chunks+maxFusedChunks)
 		if bm == nil {
-			e.walkChunk(w.sc, sq)
-		} else {
-			c1 := min(waveEnd(sq.chunks, chunks), sq.chunks+maxFusedChunks)
-			if err := e.walkBlock(bm, w.st, sq, sq.chunks, c1); err != nil {
-				e.obs.fusedReserved.Inc()
-				sq.sum, sq.sumsq, sq.done, sq.chunks = 0, 0, 0, 0
-				bm = nil
-				continue
+			blk, c1 = sc.cond, sq.chunks+1
+		}
+		if err := e.walkBlock(blk, sc.st, sq, sq.chunks, c1); err != nil {
+			if bm == nil {
+				return Result{Source: SourceFailed, Err: err}
 			}
+			e.obs.fusedReserved.Inc()
+			sq.sum, sq.sumsq, sq.done, sq.chunks = 0, 0, 0, 0
+			bm = nil
+			continue
 		}
 		if targetRel > 0 && sq.done < e.samples && targetWaveBoundary(sq.chunks) &&
 			targetMet(sq.sum, sq.sumsq, sq.done, targetRel) {
@@ -425,51 +394,6 @@ func (e *Estimator) walkQuery(ctx context.Context, w *walker, sq *sampleQuery, t
 		}
 	}
 	return e.finalizeSample(sq.sum, sq.sumsq, sq.done, StopNone)
-}
-
-// walkChunk walks the query's next chunk through CondBatch, one model
-// position per call, on sc's single-chunk buffers and re-seeded RNG.
-func (e *Estimator) walkChunk(sc *scratch, sq *sampleQuery) {
-	n := sc.model.NumCols()
-	s := min(e.samples-sq.done, anytimeChunk)
-	sc.rng.Seed(mixSeed(e.seedFor(sq.q), int64(sq.chunks)))
-	codes := sc.codes[:s*n]
-	clear(codes)
-	weights := sc.weights[:s]
-	for i := range weights {
-		weights[i] = 1
-	}
-	if beg, ok := sc.model.(SequentialModel); ok {
-		beg.BeginSampling(s)
-	}
-	for col := 0; col <= sq.last; col++ {
-		inv := sq.scaleAt(col)
-		wildcard := inv == nil && sq.reg.Cols[e.colAt(col)].IsAll()
-		sc.model.CondBatch(codes, s, col, sc.probs[:s])
-		drawRows(sc.rng, sq.valid[col], inv, wildcard, codes, n, col, sc.probs, weights, 0, s)
-	}
-	sq.add(weights)
-}
-
-// drawRows runs the draw step at column col over rows [r0, r1) for rows
-// that share no conditional: on a wildcard column each live row scans its
-// own decoded row (scanDraw); otherwise it builds its table in place over
-// that row and searches it (drawRow). vs is the column's valid list, inv
-// its inverse fanouts on a scale column (nil otherwise), and wildcard marks
-// an unrestricted, unscaled column.
-func drawRows(rng *rand.Rand, vs []int32, inv []float64, wildcard bool, codes []int32, nc, col int, probs [][]float64, weights []float64, r0, r1 int) {
-	for r := r0; r < r1; r++ {
-		switch {
-		case !(weights[r] > 0):
-			codes[r*nc+col] = vs[0]
-		case wildcard:
-			codes[r*nc+col] = scanDraw(rng, probs[r], vs)
-		default:
-			p := probs[r]
-			tab := p[:len(vs)]
-			codes[r*nc+col] = drawRow(rng, tab, buildTable(tab, p, vs, inv), vs, &weights[r])
-		}
-	}
 }
 
 // buildTable writes the draw table of one decoded conditional p at a column
@@ -531,7 +455,7 @@ func buildTable(tab, p []float64, vs []int32, inv []float64) float64 {
 // A path with no mass dies (weight 0) and draws nothing. A NaN mass — a
 // poisoned model — leaves NaN in the weight instead, so the query's estimate
 // is NaN and finalizeSample fails it with ErrNonFinite rather than answering
-// 0. Either way the path keeps vs[0] so later CondBatch calls stay
+// 0. Either way the path keeps vs[0] so later columns' advances stay
 // well-defined; its weight is final.
 func drawRow(rng *rand.Rand, tab []float64, mass float64, vs []int32, w *float64) int32 {
 	if !(mass > 0) {
@@ -584,19 +508,16 @@ func (e *Estimator) UniformRegionSample(reg *query.Region, s int) float64 {
 	q := e.nextQuery.Add(1) - 1
 	sc := e.acquire()
 	defer e.release(sc)
-	sc.rng.Seed(e.seedFor(q))
+	rng := rand.New(rand.NewSource(e.seedFor(q)))
 	n := sc.model.NumCols()
 	if s > e.samples {
 		s = e.samples
 	}
-	if cap(sc.codes) < s*n {
-		sc.codes = make([]int32, s*n)
-	}
-	codes := sc.codes[:s*n]
+	codes := make([]int32, s*n)
 	valid := e.materializeValid(sc, reg, n)
 	for r := 0; r < s; r++ {
 		for i := 0; i < n; i++ {
-			codes[r*n+i] = valid[i][sc.rng.Intn(len(valid[i]))]
+			codes[r*n+i] = valid[i][rng.Intn(len(valid[i]))]
 		}
 	}
 	if cap(sc.lp) < s {

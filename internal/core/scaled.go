@@ -17,14 +17,14 @@ import (
 // Σ_v P̂(v|prefix)·Inv[v] exactly, then a value is drawn from the tilted
 // distribution P̂(v|prefix)·Inv[v]/Σ so later columns are conditioned under
 // the correctly reweighted path measure. A query's scale columns ride in its
-// Request, and both steps of the walk (walkChunk and the fused walkBlock)
-// draw them: the tilted terms p[v]·inv[v] fill the column's draw table
-// (buildTable) where an in-range column's terms are p[v].
+// Request, and the walk (walkBlock) draws them: the tilted terms p[v]·inv[v]
+// fill the column's draw table (buildTable) where an in-range column's terms
+// are p[v].
 
 // ScaleCol attaches an importance downscale to one model column: during the
 // walk the path weight is multiplied by E[Inv[X_col] | x_<col] under the
-// model. Col is a natural (pre-permutation) column index; Inv holds one
-// strictly positive multiplier per domain code (1/fanout for join columns).
+// model. Col is a model column index; Inv holds one strictly positive
+// multiplier per domain code (1/fanout for join columns).
 // A query with scale columns always samples (never enumerates), and its walk
 // extends past the last restricted column to the last scale column; results
 // are bit-identical across entry points, chunk for chunk with the unscaled
@@ -34,10 +34,10 @@ type ScaleCol struct {
 	Inv []float64
 }
 
-// scaleByPos maps natural-order scale columns onto model positions (nil when
-// there are none), and rejects scale columns that are out of range, sized
-// for another domain, or restricted by the region (a predicated fanout
-// column has no defined downscaling semantics).
+// scaleByPos indexes the scale columns' inverse fanouts by model position
+// (nil when there are none), and rejects scale columns that are out of
+// range, sized for another domain, or restricted by the region (a predicated
+// fanout column has no defined downscaling semantics).
 func (e *Estimator) scaleByPos(reg *query.Region, scales []ScaleCol) ([][]float64, error) {
 	if len(scales) == 0 {
 		return nil, nil
@@ -57,9 +57,5 @@ func (e *Estimator) scaleByPos(reg *query.Region, scales []ScaleCol) ([][]float6
 		}
 		byCol[s.Col] = s.Inv
 	}
-	byPos := make([][]float64, n)
-	for pos := 0; pos < n; pos++ {
-		byPos[pos] = byCol[e.colAt(pos)]
-	}
-	return byPos, nil
+	return byCol, nil
 }

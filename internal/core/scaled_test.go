@@ -11,8 +11,8 @@ import (
 	"repro/internal/table"
 )
 
-// serveScaled serves one query with its scale columns on the per-query walk,
-// as a join estimator's direct path does.
+// serveScaled serves one query with its scale columns on the reference walk,
+// one CondBatch block per chunk.
 func serveScaled(e *Estimator, reg *query.Region, scales []ScaleCol) Result {
 	return e.EstimateBatchCtx(context.Background(), []Request{{Region: reg, Scales: scales}}, ServeOptions{Workers: 1})[0]
 }
@@ -205,7 +205,7 @@ func scaledWorkload(t *testing.T, tbl *table.Table) []Request {
 }
 
 // TestEstimateScaledFusedMatchesPerQuery: scaled requests served in one fused
-// call with unscaled ones answer bit for bit like the per-query walk, at one
+// call with unscaled ones answer bit for bit like the reference walk, at one
 // worker and at NumCPU. A scale column before the first restricted column is
 // decoded and drawn, and splits the block's rows by the codes drawn there
 // before the restricted column is decoded. The second budget's last chunk is

@@ -226,19 +226,21 @@ func Requests(regions []*query.Region) []Request {
 // result slice aligns positionally with reqs and always has an entry for
 // every query. Queries that complete their full model budget return values
 // that are bit-identical to a sequential (Workers: 1) serve of the same
-// batch on a fresh estimator. A sampling query walks its chunks one at a time
-// through CondBatch; EstimateFused is the same call with block steps.
+// batch on a fresh estimator. It is the reference walk: a sampling query
+// walks its chunks one block each through the model's CondBatch (condBlock),
+// and EstimateFused is the same call on the model's own block walk.
 func (e *Estimator) EstimateBatchCtx(ctx context.Context, reqs []Request, opts ServeOptions) []Result {
 	return e.serveBatch(ctx, reqs, opts, false)
 }
 
 // serveBatch is the one scheduler under both batch entry points. Up to
 // opts.Workers goroutines pull queries off the batch in index order; each
-// holds one pooled model replica and, when fused is set and the replica is a
-// BlockModel, one pooled set of block buffers, and classifies, walks and
-// routes its queries one at a time (serveOne). One goroutine serves on the
-// caller's. Results never depend on the schedule: a query's randomness is
-// keyed by its global index and chunk index alone.
+// holds one pooled scratch (a model replica and its block buffers) and
+// classifies, walks and routes its queries one at a time (serveOne), on the
+// replica's own block walk when fused is set and the replica is a
+// BlockModel. One goroutine serves on the caller's. Results never depend on
+// the schedule: a query's randomness is keyed by its global index and chunk
+// index alone.
 func (e *Estimator) serveBatch(ctx context.Context, reqs []Request, opts ServeOptions, fused bool) []Result {
 	out := make([]Result, len(reqs))
 	if len(reqs) == 0 {
@@ -270,18 +272,18 @@ func (e *Estimator) serveBatch(ctx context.Context, reqs []Request, opts ServeOp
 	}
 	var next atomic.Int64
 	run := func() {
-		w := walker{sc: e.acquire()}
-		defer e.release(w.sc)
-		if bm, ok := w.sc.model.(BlockModel); ok && fused {
-			w.bm, w.st = bm, e.getFusedState()
-			defer e.fusedPool.Put(w.st)
+		sc := e.acquire()
+		defer e.release(sc)
+		var bm BlockModel
+		if fused {
+			bm, _ = sc.model.(BlockModel)
 		}
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(reqs) {
 				return
 			}
-			out[i] = e.serveOne(ctx, &w, reqs[i], base+uint64(i), i, &opts)
+			out[i] = e.serveOne(ctx, sc, bm, reqs[i], base+uint64(i), i, &opts)
 		}
 	}
 	if goroutines == 1 {
@@ -300,25 +302,16 @@ func (e *Estimator) serveBatch(ctx context.Context, reqs []Request, opts ServeOp
 	return out
 }
 
-// walker is what one serving goroutine walks with: a pooled scratch (model
-// replica and CondBatch buffers) and, on the fused entry over a BlockModel,
-// the block walk and its pooled buffers (bm and st nil otherwise).
-type walker struct {
-	sc *scratch
-	bm BlockModel
-	st *fusedState
-}
-
 // serveOne answers query i (global index q): the shared classifier, the
 // per-query driver for a sampling query, then routeFallback. Its deadline
 // counts from here, when a worker picks the query up. A panic may leave the
 // replica's sampling state mid-walk, but the next walk's BeginSampling
 // resets it.
-func (e *Estimator) serveOne(ctx context.Context, w *walker, req Request, q uint64, i int, opts *ServeOptions) Result {
+func (e *Estimator) serveOne(ctx context.Context, sc *scratch, bm BlockModel, req Request, q uint64, i int, opts *ServeOptions) Result {
 	start := time.Now()
-	sq, res := e.classify(ctx, w.sc, req, q, i, opts, start)
+	sq, res := e.classify(ctx, sc, req, q, i, opts, start)
 	if sq != nil {
-		res = e.walkQuery(ctx, w, sq, opts.TargetRelStdErr)
+		res = e.walkQuery(ctx, sc, bm, sq, opts.TargetRelStdErr)
 	}
 	return e.routeFallback(res, req.Region, opts, time.Since(start))
 }
@@ -362,7 +355,7 @@ func (e *Estimator) routeFallback(res Result, reg *query.Region, opts *ServeOpti
 	return res
 }
 
-// sampleQuery is one sampling query's walk state, shared by both steps of
+// sampleQuery is one sampling query's walk state, shared by every block of
 // the per-query driver: the region with its per-position valid-code lists
 // and scale columns, the query's global index, and the running sums its
 // chunks accumulate into.
@@ -418,8 +411,9 @@ func (e *Estimator) stopResult(sq *sampleQuery, stop StopReason, err error) Resu
 	return e.finalizeSample(sq.sum, sq.sumsq, sq.done, stop)
 }
 
-// add folds one chunk's path weights into the running sums. Both walks add
-// a query's chunks in chunk order, so every bit of sum and sumsq agrees.
+// add folds one chunk's path weights into the running sums. Every block
+// adds its chunks in chunk order, so every bit of sum and sumsq agrees
+// across block heights.
 func (sq *sampleQuery) add(weights []float64) {
 	for _, w := range weights {
 		sq.sum += w
@@ -486,7 +480,7 @@ func (e *Estimator) classify(ctx context.Context, sc *scratch, req Request, q ui
 	sq = &sampleQuery{i: i, q: q, reg: reg, last: -1, scale: scale,
 		ctx: req.Ctx, deadline: queryDeadline(ctx, req.Ctx, opts, start)}
 	for p := range reg.Cols {
-		if !reg.Cols[e.colAt(p)].IsAll() || sq.scaleAt(p) != nil {
+		if !reg.Cols[p].IsAll() || sq.scaleAt(p) != nil {
 			sq.last = p
 		}
 	}
@@ -499,8 +493,8 @@ func (e *Estimator) classify(ctx context.Context, sc *scratch, req Request, q ui
 // targetWaveBoundary reports whether the adaptive budget is consulted after
 // this many completed chunks: where the first two admission waves end (see
 // waveEnd). Checking at exactly these points — rather than every chunk —
-// keeps early-stop decisions bit-identical between the CondBatch and block
-// steps, since both see the same accumulated sums at the same points.
+// keeps early-stop decisions bit-identical between one-chunk and wave
+// blocks, since both see the same accumulated sums at the same points.
 func targetWaveBoundary(chunksDone int) bool {
 	return chunksDone == 2 || chunksDone == 6
 }

@@ -335,7 +335,7 @@ func poisonedMADE(domains []int) *made.Model {
 
 // TestNonFinitePoisonedModel: on a model whose weights are all NaN, a
 // sampling, an enumerated and a scaled query each fail with ErrNonFinite on
-// both walks, or answer from the fallback when one is set, instead of
+// both entry points, or answer from the fallback when one is set, instead of
 // passing 0 off as a model estimate.
 func TestNonFinitePoisonedModel(t *testing.T) {
 	tbl := corrTable(t, 1500, 3)

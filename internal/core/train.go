@@ -256,11 +256,6 @@ type TrainConfig struct {
 	Obs *obs.Registry
 }
 
-// DefaultTrainConfig matches the scaled-down evaluation defaults.
-func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Epochs: 10, BatchSize: 512, LR: 2e-3, Seed: 1}
-}
-
 // ErrDiverged is returned (wrapped) when training keeps producing non-finite
 // losses or exploding gradients after exhausting its rollback retries.
 var ErrDiverged = errors.New("core: training diverged")

@@ -198,13 +198,6 @@ func (r *Registry) Active() uint64 {
 	return r.man.Active
 }
 
-// NextID returns the id the next Register call will assign.
-func (r *Registry) NextID() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.nextIDLocked()
-}
-
 func (r *Registry) nextIDLocked() uint64 {
 	if n := len(r.man.Versions); n > 0 {
 		return r.man.Versions[n-1].ID + 1

@@ -294,7 +294,7 @@ func (e *Estimator) estimateOn(v *version, q query.Query) (card, stderr float64,
 		return 0, 0, err
 	}
 	req := []core.Request{{Region: reg, Scales: scales}}
-	res := v.est.EstimateBatchCtx(context.Background(), req, core.ServeOptions{Workers: 1})[0]
+	res := v.est.EstimateFused(context.Background(), req, core.ServeOptions{Workers: 1})[0]
 	if res.Err != nil {
 		return 0, 0, fmt.Errorf("%w: %w", ErrEstimateFailed, res.Err)
 	}

@@ -106,16 +106,6 @@ func (s *Schema) Validate() error {
 	return nil
 }
 
-// TableIndex resolves a table name (-1 when unknown).
-func (s *Schema) TableIndex(name string) int {
-	for i, t := range s.Tables {
-		if t.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // isKeyCol reports whether table ti's column ci is a join key of any edge.
 func (s *Schema) isKeyCol(ti, ci int) bool {
 	for _, e := range s.Edges {

@@ -290,17 +290,6 @@ func (r *Region) IsEmpty() bool {
 	return false
 }
 
-// NumRestricted returns how many columns have a non-wildcard range.
-func (r *Region) NumRestricted() int {
-	n := 0
-	for i := range r.Cols {
-		if !r.Cols[i].IsAll() {
-			n++
-		}
-	}
-	return n
-}
-
 // Intersect returns the per-column intersection of two regions over the same
 // table; it is the building block of the inclusion–exclusion treatment of
 // disjunctions (§2.2).

@@ -425,7 +425,10 @@ func serveOne(t *testing.T, ctx context.Context, tn *Tenant, where string) (Esti
 // contract: a per-query deadline and a cancelled client stop the walk
 // instead of answering from the model, a repeated query replays from the
 // result cache, a hot-swap ends the replay, and a full-budget answer is
-// bit-identical to SelectivityBatchCtx at one worker on a fresh estimator.
+// bit-identical to a one-worker batch call on a fresh estimator: the
+// reference walk (EstimateBatchCtx, one CondBatch block per chunk) for a
+// single table, SelectivityBatchCtx, which carries the scale columns, for a
+// join.
 func TestTenantServingContract(t *testing.T) {
 	for _, k := range contractKinds() {
 		t.Run(k.name, func(t *testing.T) {
@@ -468,12 +471,22 @@ func TestTenantServingContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ref.SelectivityBatchCtx(context.Background(), []naru.Query{q}, naru.ServeOptions{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
+			var want naru.Result
+			if ref.Join() == nil {
+				reg, err := naru.Compile(q, snap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = ref.EstimateBatchCtx(context.Background(), []*naru.Region{reg}, naru.ServeOptions{Workers: 1})[0]
+			} else {
+				results, err := ref.SelectivityBatchCtx(context.Background(), []naru.Query{q}, naru.ServeOptions{Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = results[0]
 			}
-			if w := want[0]; served.Sel != w.Sel || served.StdErr != w.StdErr || served.Samples != w.Samples {
-				t.Fatalf("served answer %+v differs from SelectivityBatchCtx at one worker %+v", served, w)
+			if served.Sel != want.Sel || served.StdErr != want.StdErr || served.Samples != want.Samples {
+				t.Fatalf("served answer %+v differs from a one-worker batch call %+v", served, want)
 			}
 		})
 	}

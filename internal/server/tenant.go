@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"time"
 
@@ -361,8 +362,13 @@ func (tn *Tenant) handleAppend(w http.ResponseWriter, r *http.Request) {
 	resp, status, err := tn.kind.ingest(r)
 	if err != nil {
 		var tooLong *http.MaxBytesError
-		if errors.As(err, &tooLong) {
+		var netErr net.Error
+		switch {
+		case errors.As(err, &tooLong):
 			status = http.StatusRequestEntityTooLarge
+		case errors.As(err, &netErr) && netErr.Timeout():
+			// The server's read timeout cut a stalled body short.
+			status = http.StatusRequestTimeout
 		}
 		http.Error(w, err.Error(), status)
 		return

@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -492,37 +493,26 @@ func (e *Estimator) Snapshot() (*Table, int64) {
 	return v.snap, v.numRows
 }
 
-// Selectivity estimates the fraction of rows satisfying the conjunction.
+// Selectivity estimates the fraction of rows satisfying the conjunction,
+// through the fused walk at one worker: the answer SelectivityBatchCtx gives
+// the same query. A join query carries its scale columns (see ServeJoin). A
+// query the model fails returns its Result's error.
 func (e *Estimator) Selectivity(q Query) (float64, error) {
 	v := e.cur.Load()
-	reg, err := regionOf(v, q)
+	r, err := serveQuery(v, q)
+	return r.Sel, err
+}
+
+// serveQuery compiles q against one version bundle and serves it through
+// the fused walk at one worker. The error is the compile error, or the
+// failed query's Result.Err.
+func serveQuery(v *estimatorVersion, q Query) (Result, error) {
+	req, err := compileFor(v, q)
 	if err != nil {
-		return 0, err
+		return Result{}, err
 	}
-	return v.sampler.EstimateRegion(reg), nil
-}
-
-// SelectivityBatch estimates every query's selectivity, fanning the work
-// across up to workers goroutines (GOMAXPROCS when workers <= 0). Results align
-// positionally with qs and are bit-identical to sequential Selectivity calls
-// on a freshly built estimator with the same seed.
-func (e *Estimator) SelectivityBatch(qs []Query, workers int) ([]float64, error) {
-	v := e.cur.Load()
-	regs := make([]*Region, len(qs))
-	for i, q := range qs {
-		reg, err := regionOf(v, q)
-		if err != nil {
-			return nil, fmt.Errorf("naru: query %d: %w", i, err)
-		}
-		regs[i] = reg
-	}
-	return v.sampler.EstimateBatch(regs, workers), nil
-}
-
-// EstimateBatch estimates pre-compiled regions concurrently; see
-// SelectivityBatch.
-func (e *Estimator) EstimateBatch(regs []*Region, workers int) []float64 {
-	return e.cur.Load().sampler.EstimateBatch(regs, workers)
+	r := v.sampler.EstimateFused(context.Background(), []core.Request{req}, ServeOptions{Workers: 1})[0]
+	return r, r.Err
 }
 
 // SelectivityBatchCtx is the fault-tolerant batch entry point: each query
@@ -531,7 +521,8 @@ func (e *Estimator) EstimateBatch(regs []*Region, workers int) []float64 {
 // budget (an anytime estimate with widened standard error) instead of
 // aborting, and failed queries route to opts.Fallback when one is set. Every
 // query gets a Result tagged with its provenance; queries that complete their
-// full model budget are bit-identical to a sequential serve. Join queries
+// full model budget are bit-identical to a sequential serve. Queries walk
+// through the fused walk (EstimateFused), as tenant queries do. Join queries
 // carry their scale columns (see ServeJoin).
 func (e *Estimator) SelectivityBatchCtx(ctx context.Context, qs []Query, opts ServeOptions) ([]Result, error) {
 	v := e.cur.Load()
@@ -543,12 +534,14 @@ func (e *Estimator) SelectivityBatchCtx(ctx context.Context, qs []Query, opts Se
 		}
 		reqs[i] = req
 	}
-	return v.sampler.EstimateBatchCtx(ctx, reqs, opts), nil
+	return v.sampler.EstimateFused(ctx, reqs, opts), nil
 }
 
 // EstimateBatchCtx serves pre-compiled regions with per-query fault
-// containment; see SelectivityBatchCtx. The whole batch runs on one model
-// version — a hot-swap during the batch does not split it.
+// containment on the reference walk, one CondBatch block per chunk; see
+// SelectivityBatchCtx. Its answers are EstimateFused's, bit for bit. The
+// whole batch runs on one model version — a hot-swap during the batch does
+// not split it.
 func (e *Estimator) EstimateBatchCtx(ctx context.Context, regs []*Region, opts ServeOptions) []Result {
 	return e.cur.Load().sampler.EstimateBatchCtx(ctx, core.Requests(regs), opts)
 }
@@ -558,8 +551,8 @@ func (e *Estimator) EstimateBatchCtx(ctx context.Context, regs []*Region, opts S
 // model batch, so the per-column fixed costs are paid once per block instead
 // of once per 128-path chunk. Results are bit-identical to
 // EstimateBatchCtx with the same options (both consume the same per-query
-// RNG streams); models without block-walk support fall back to it
-// transparently. The whole batch runs on one model version.
+// RNG streams); models without block-walk support walk one CondBatch block
+// per chunk. The whole batch runs on one model version.
 func (e *Estimator) EstimateFused(ctx context.Context, regs []*Region, opts ServeOptions) []Result {
 	return e.cur.Load().sampler.EstimateFused(ctx, core.Requests(regs), opts)
 }
@@ -586,21 +579,22 @@ func Fallback(t *Table) func(*Region) float64 {
 	return pg.EstimateRegion
 }
 
-// Cardinality estimates the number of rows satisfying the conjunction. The
+// Cardinality estimates the number of rows satisfying the conjunction:
+// Selectivity's answer times the row count (for a join, the join size). The
 // selectivity and row count come from one bundle load, so a concurrent
 // hot-swap can never pair one version's selectivity with another's rows.
 func (e *Estimator) Cardinality(q Query) (float64, error) {
 	v := e.cur.Load()
-	reg, err := regionOf(v, q)
-	if err != nil {
-		return 0, err
-	}
-	return v.sampler.EstimateRegion(reg) * float64(v.numRows), nil
+	r, err := serveQuery(v, q)
+	return r.Sel * float64(v.numRows), err
 }
 
 // SelectivityDisjunction estimates P(q1 ∨ q2 ∨ ...) for conjunctive queries
-// via the inclusion–exclusion principle (§2.2). The number of terms grows as
-// 2^len(qs), so keep the disjunction short (≤ ~8 branches).
+// via the inclusion–exclusion principle (§2.2): one fused call at one worker
+// over the 2^len(qs)−1 intersections. Keep the disjunction short (≤ ~8
+// branches). A join query with scale columns is refused, since the
+// intersections cannot carry them, and a failed intersection returns its
+// Result's error.
 func (e *Estimator) SelectivityDisjunction(qs []Query) (float64, error) {
 	if len(qs) == 0 {
 		return 0, nil
@@ -617,39 +611,38 @@ func (e *Estimator) SelectivityDisjunction(qs []Query) (float64, error) {
 		}
 		regions[i] = reg
 	}
-	var total float64
+	reqs := make([]core.Request, 0, 1<<len(qs)-1)
 	for mask := 1; mask < 1<<len(qs); mask++ {
 		var inter *Region
-		bits := 0
 		for i := range qs {
 			if mask&(1<<i) == 0 {
 				continue
 			}
-			bits++
 			if inter == nil {
 				inter = regions[i]
 			} else {
 				inter = inter.Intersect(regions[i])
 			}
 		}
-		sel := v.sampler.EstimateRegion(inter)
-		if bits%2 == 1 {
-			total += sel
+		reqs = append(reqs, core.Request{Region: inter})
+	}
+	var total float64
+	for i, r := range v.sampler.EstimateFused(context.Background(), reqs, ServeOptions{Workers: 1}) {
+		if r.Err != nil {
+			return 0, r.Err
+		}
+		if bits.OnesCount(uint(i+1))%2 == 1 {
+			total += r.Sel
 		} else {
-			total -= sel
+			total -= r.Sel
 		}
 	}
-	if total < 0 {
-		total = 0
-	}
-	if total > 1 {
-		total = 1
-	}
-	return total, nil
+	return min(max(total, 0), 1), nil
 }
 
-// EstimateRegion estimates a pre-compiled region (the low-level entry point
-// shared with the benchmark harness).
+// EstimateRegion estimates a pre-compiled region on the reference walk (the
+// low-level entry point shared with the benchmark harness; see
+// core.Estimator.EstimateRegion).
 func (e *Estimator) EstimateRegion(reg *Region) float64 {
 	return e.cur.Load().sampler.EstimateRegion(reg)
 }
@@ -767,13 +760,13 @@ func compileFor(v *estimatorVersion, q Query) (core.Request, error) {
 	return req, nil
 }
 
-// regionOf compiles q for the entry points that serve bare regions. They
+// regionOf compiles q for SelectivityDisjunction, whose intersected regions
 // cannot carry scale columns, so a join query that needs them is refused
 // rather than answered as if it spanned the whole join.
 func regionOf(v *estimatorVersion, q Query) (*Region, error) {
 	req, err := compileFor(v, q)
 	if err == nil && req.Scales != nil {
-		err = errors.New("naru: a join query with scale columns is served by SelectivityBatchCtx or a Coalescer")
+		err = errors.New("naru: a disjunction cannot carry a join query's scale columns")
 	}
 	return req.Region, err
 }

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Repository health gate: static analysis, a portable (GOARCH=arm64) build, the
-# full test suite, the perfbench module's tests, and the race detector over the
+# Repository health gate: static analysis, formatting (gofmt -l . must list
+# no file), a portable (GOARCH=arm64) build, the full test suite, the
+# perfbench module's tests, and the race detector over the
 # concurrency-sensitive paths.
 # The race pass uses -short to skip the training-heavy experiment smoke tests
 # (already covered by the plain pass), which would otherwise exceed the
@@ -10,7 +11,7 @@
 #
 # `check.sh fault` runs the fault-tolerance suite instead: the checkpoint/
 # resume, divergence-guard, corruption-rejection, and disrupted-serving tests
-# under the race detector (a NaN-weight model fails its queries on both walks
+# under the race detector (a NaN-weight model fails its queries on both entries
 # and fails the breaker's recovery probe; a client that gives up while its
 # query waits for a walk slot stops it; a full admission gate sheds), followed
 # by a short fuzz pass over each fuzz target
@@ -31,7 +32,7 @@
 # `check.sh bench` is the serving-performance gate: it runs the fused
 # bit-identity suite (a block holds one query's wave, a query's waves run
 # back to back, a deadline counts from pickup on both entries; a poisoned
-# model fails on both walks; a block decodes one row per live prefix, and
+# model fails on both entries; a block decodes one row per live prefix, and
 # the table draw matches the linear scan bit for bit) and the
 # admission-gate suite under the race detector, then a
 # small-scale inference benchmark (reference, sequential, fused-batch and
@@ -77,7 +78,7 @@
 #
 # `check.sh join` is the multi-table join-estimation gate: the neurocard suite
 # (join sampler, append-then-join vs the oracle, join queries in metrics and
-# traces) and the scaled-estimate tests (per-query walk, and the fused walk
+# traces) and the scaled-estimate tests (reference walk, and the fused walk
 # bit-identical to it at one worker and at NumCPU) under the race detector,
 # plus the join-tenant serving tests (a
 # failed estimate answers 500; the serving contract a join tenant shares with
@@ -842,6 +843,14 @@ fi
 
 echo "== go vet ./..."
 go vet ./...
+
+echo "== gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+    echo "gofmt would reformat:"
+    echo "$unformatted"
+    exit 1
+fi
 
 # The portable (non-amd64) build catches an assembly function without its
 # simd_other.go stub.
